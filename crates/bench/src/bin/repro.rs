@@ -1,72 +1,52 @@
 //! `repro` — regenerate every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! repro [all|sql|opt|analyze|satcheck|bench|throughput|exp1|exp2|exp3|exp4|exp5|table5|tables123]
-//!       [--scale F] [--reps N] [--threads N] [--dtd NAME] [--query XPATH]
-//!       [--quick] [--json]
+//! repro [all|sql|tables123|table5|exp1|exp2|exp3|exp4|exp5]…
+//!       [--scale F] [--reps N] [--dtd NAME] [--query XPATH] [--quick]
 //! ```
 //!
 //! `--scale 1.0` uses the paper's element counts (minutes of runtime);
 //! the default 0.25 preserves every qualitative shape at laptop scale.
 //! `--quick` forces the smallest useful configuration (scale 0.02, one
-//! rep) so CI can smoke-run every section without real benchmarking cost.
-//! The `opt` section is the logical-optimizer ablation: Table-5 operator
-//! counts and native-exec timings with the optimizer on vs off.
-//! The `analyze` section runs the static plan analyzer over every Table-5
-//! workload program (optimizer off and on) and prints the inferred result
-//! schemas — zero diagnostics expected.
-//! The `satcheck` section runs the DTD-aware satisfiability gate over the
-//! Table-5 queries plus a seeded random corpus: verdicts, witnesses, prune
-//! rate, per-check time, with every Empty verdict soundness-checked
-//! against the native oracle.
+//! rep) so CI can smoke-run every section cheaply.
 //! The `sql` section translates `--query` (default `dept//project`) over
 //! `--dtd` (default `dept`) and prints the generated SQL'(LFP) script before
 //! executing it against a freshly generated document.
 //!
-//! `--threads N` (default: available parallelism, capped at 8) sizes the
-//! `throughput` section: N worker threads share one `Engine` on the
-//! fig12-style closure workload (aggregate QPS + speedup over 1 worker),
-//! and the parallel-LFP ablation compares `ExecOptions::threads` 1 vs N on
-//! one warm prepared query. `1` forces everything single-threaded.
+//! The figure sections print exact counts beside best-of-`--reps` timings
+//! and check every cell against the native XPath evaluator. Performance
+//! claims do not come from here but from `benchmark/` (see its README).
 
 use std::env;
-use x2s_bench::{
-    analyze_report, bench_all, bench_json, bench_table, exp1, exp2, exp3, exp4, exp5, load_harness,
-    measure_prepared, opt_ablation, quick_load, satcheck_report, table5, tables123, throughput,
-    Table,
-};
+use x2s_bench::{exp1, exp2, exp3, exp4, exp5, table5, tables123, Table};
 use x2s_core::Engine;
 use x2s_dtd::{samples, Dtd};
 use x2s_rel::SqlDialect;
 use x2s_xml::{Generator, GeneratorConfig};
 
-fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(8)
-}
+const SECTIONS: [&str; 9] = [
+    "all",
+    "sql",
+    "tables123",
+    "table5",
+    "exp1",
+    "exp2",
+    "exp3",
+    "exp4",
+    "exp5",
+];
 
 fn main() {
     let args: Vec<String> = env::args().skip(1).collect();
     let mut which: Vec<String> = Vec::new();
     let mut scale = 0.25f64;
     let mut reps = 3usize;
-    let mut threads = default_threads();
     let mut dtd_name = "dept".to_string();
     let mut query = "dept//project".to_string();
     let mut quick = false;
-    let mut json = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--threads" => {
-                i += 1;
-                threads = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--threads needs an integer"));
-            }
             "--dtd" => {
                 i += 1;
                 dtd_name = args
@@ -95,10 +75,10 @@ fn main() {
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| usage("--reps needs an integer"));
             }
-            "--json" => json = true,
             "--quick" => quick = true,
             "--help" | "-h" => usage(""),
-            other => which.push(other.to_string()),
+            section if SECTIONS.contains(&section) => which.push(section.to_string()),
+            other => usage(&format!("unknown section or flag {other:?}")),
         }
         i += 1;
     }
@@ -113,43 +93,13 @@ fn main() {
     }
 
     println!("# xpath2sql — regenerated evaluation artifacts");
-    println!(
-        "scale = {scale}, reps = {reps} (fastest of N timings per cell), threads = {threads}\n"
-    );
+    println!("scale = {scale}, reps = {reps} (fastest of N timings per cell)\n");
 
     let run_all = which.iter().any(|w| w == "all");
     let wants = |name: &str| run_all || which.iter().any(|w| w == name);
 
     if wants("sql") {
         sql_section(&dtd_name, &query);
-    }
-    if which.iter().any(|w| w == "bench") {
-        bench_section(scale, reps, threads, json);
-    }
-    if wants("opt") {
-        emit("Optimizer ablation (on vs off)", opt_ablation(scale, reps));
-    }
-    if wants("analyze") {
-        emit(
-            "Static analysis (schema inference + well-formedness)",
-            analyze_report(),
-        );
-    }
-    if wants("satcheck") {
-        emit(
-            "Satisfiability gate (verdicts, witnesses, prune rate)",
-            satcheck_report(),
-        );
-    }
-    if wants("throughput") {
-        emit(
-            &format!("Throughput (concurrent serving, --threads {threads})"),
-            throughput(scale, threads),
-        );
-        emit(
-            "Serving load harness (closed/open loop, single-flight coalescing)",
-            load_harness(scale, threads),
-        );
     }
     if wants("tables123") {
         emit("Tables 1–3 (running example)", tables123());
@@ -261,33 +211,6 @@ fn sql_section(dtd_name: &str, query: &str) {
         engine.doc_len(),
         answers.len()
     );
-    // Amortized serving cost: prepared once, executed repeatedly.
-    let warm = measure_prepared(&dtd, query, engine.database().expect("loaded"), 3);
-    println!(
-        "warm-cache execution: {:.2} ms/query (translation amortized across {} run(s))",
-        warm.ms(),
-        3
-    );
-}
-
-/// The perf-trajectory section: run the Table-5 execute-phase workloads and
-/// either print them as a table or write the machine-readable
-/// `BENCH_5.json` (the file future PRs diff against).
-fn bench_section(scale: f64, reps: usize, threads: usize, json: bool) {
-    let records = bench_all(scale, reps, threads);
-    if json {
-        // A quick closed-loop load run rides along so the JSON records
-        // serving latency quantiles + coalesce/rejection rates per PR.
-        let serving = quick_load(scale, threads.max(4));
-        let doc = bench_json(&records, scale, reps, threads, Some(&serving));
-        let path = "BENCH_5.json";
-        std::fs::write(path, &doc).unwrap_or_else(|e| usage(&format!("cannot write {path}: {e}")));
-        println!(
-            "\n## Perf trajectory\nwrote {path} ({} workloads)",
-            records.len()
-        );
-    }
-    emit("Perf trajectory (bench)", vec![bench_table(&records)]);
 }
 
 fn emit(section: &str, tables: Vec<Table>) {
@@ -302,8 +225,8 @@ fn usage(msg: &str) -> ! {
         eprintln!("error: {msg}");
     }
     eprintln!(
-        "usage: repro [all|sql|opt|analyze|satcheck|bench|throughput|exp1|exp2|exp3|exp4|exp5|table5|tables123]… \
-         [--scale F] [--reps N] [--threads N] [--dtd NAME] [--query XPATH] [--quick] [--json]"
+        "usage: repro [{}]… [--scale F] [--reps N] [--dtd NAME] [--query XPATH] [--quick]",
+        SECTIONS.join("|")
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }

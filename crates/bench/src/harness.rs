@@ -1,19 +1,24 @@
-//! Approaches, datasets, and measurement — single-shot timings for the
-//! paper's figures, plus a multi-worker throughput harness for the serving
-//! path (M threads × K prepared queries against one shared [`Engine`]).
+//! The three compared approaches, dataset construction, and the one
+//! measurement loop every figure cell goes through.
+//!
+//! A cell is fixed work — translate one query, execute it on one dataset —
+//! repeated `reps` times. What it reports first is exact and repeats run to
+//! run: the operator counts of the translated program and the executor's
+//! counters. The best-of-`reps` wall-clock comes second. Every cell's
+//! answer *set* must equal the native XPath evaluator's before anything is
+//! reported.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread;
+use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 use x2s_core::pipeline::{RecStrategy, TranslateError, Translation, Translator};
-use x2s_core::{Engine, SqlOptions};
+use x2s_core::views::extract_view;
+use x2s_core::SqlOptions;
 use x2s_dtd::Dtd;
-use x2s_rel::{Database, ExecOptions, Stats};
+use x2s_rel::{Database, ExecOptions, OpCounts, Stats};
 use x2s_shred::edge_database;
 use x2s_sqlgenr::SqlGenR;
 use x2s_xml::{Generator, GeneratorConfig, Tree};
-use x2s_xpath::{parse_xpath, Path};
+use x2s_xpath::{eval_from_document, parse_xpath};
 
 /// The three compared approaches, labelled as in the paper's figures.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,39 +47,38 @@ impl Approach {
     }
 }
 
-/// Cap for CycleE intermediate expressions in benchmarks: large enough for
-/// every evaluation DTD, small enough to fail fast on adversarial inputs.
+/// Cap for CycleE intermediate expressions: large enough for every
+/// evaluation DTD, small enough to fail fast on adversarial inputs.
 pub const CYCLEE_CAP: usize = 4_000_000;
 
-/// Translate a query with one of the approaches.
+/// Translate a query with one of the approaches. `sql` shapes the E and X
+/// programs (Exp-2 toggles selection pushing); SQLGen-R has no such options.
+///
+/// The paper's figures compare *LFP programs*, so no interval variant is
+/// compiled: every approach executes fixpoints. Interval-vs-LFP is measured
+/// by the `scan_interval` and `write_then_scan` workloads of `benchmark/`.
 pub fn translate_with(
     approach: Approach,
     dtd: &Dtd,
-    path: &Path,
+    path: &x2s_xpath::Path,
+    sql: SqlOptions,
 ) -> Result<Translation, TranslateError> {
-    match approach {
-        Approach::SqlGenR => SqlGenR::new(dtd).translate(path),
-        Approach::CycleE => Translator::new(dtd)
-            .with_strategy(RecStrategy::CycleE { cap: CYCLEE_CAP })
-            .translate(path),
-        Approach::CycleEx => Translator::new(dtd)
-            .with_strategy(RecStrategy::CycleEx)
-            .translate(path),
-    }
+    let strategy = match approach {
+        Approach::SqlGenR => return SqlGenR::new(dtd).translate(path),
+        Approach::CycleE => RecStrategy::CycleE { cap: CYCLEE_CAP },
+        Approach::CycleEx => RecStrategy::CycleEx,
+    };
+    Translator::new(dtd)
+        .with_strategy(strategy)
+        .with_sql_options(sql)
+        .with_interval(false)
+        .translate(path)
 }
 
-/// Translate with explicit SQL options (Exp-2's push-selection toggle);
-/// only meaningful for the CycleEX approach.
-pub fn translate_cycleex_with_options(
-    dtd: &Dtd,
-    path: &Path,
-    opts: SqlOptions,
-) -> Result<Translation, TranslateError> {
-    Translator::new(dtd).with_sql_options(opts).translate(path)
-}
-
-/// A generated dataset: the XML tree and its edge-shredded database.
-pub struct Dataset {
+/// A dataset: an XML tree of `dtd` and its edge-shredded database.
+pub struct Dataset<'a> {
+    /// The DTD the document conforms to.
+    pub dtd: &'a Dtd,
     /// The document.
     pub tree: Tree,
     /// Its shredded relational store.
@@ -83,25 +87,45 @@ pub struct Dataset {
 
 /// Generate a dataset following the paper's protocol: IBM-generator
 /// semantics with `X_L`/`X_R`, trimmed/budgeted to `target` elements.
-pub fn dataset(dtd: &Dtd, xl: usize, xr: usize, target: Option<usize>, seed: u64) -> Dataset {
+pub fn dataset(dtd: &Dtd, xl: usize, xr: usize, target: Option<usize>, seed: u64) -> Dataset<'_> {
     let cfg = GeneratorConfig::shaped(xl, xr, target).with_seed(seed);
     let tree = Generator::new(dtd, cfg).generate();
     let db = edge_database(&tree, dtd);
-    Dataset { tree, db }
+    Dataset { dtd, tree, db }
 }
 
-/// One measured run.
+/// What the native evaluator answers for `query` on the part of the
+/// document that `dtd` describes, as node ids of the document. `dtd` is the
+/// DTD the query is translated over; when it is a subgraph of the
+/// document's own (Exp-4, the containment setting of Theorem 4.2) the
+/// translation cannot follow edges it does not know, so the oracle
+/// evaluates on the extracted view.
+pub fn oracle(query: &str, ds: &Dataset<'_>, dtd: &Dtd) -> BTreeSet<u32> {
+    let path = parse_xpath(query).expect("report queries parse");
+    let (view, origin) = extract_view(&ds.tree, ds.dtd, dtd);
+    eval_from_document(&path, &view, dtd)
+        .into_iter()
+        .map(|n| origin[n.index()].0)
+        .collect()
+}
+
+/// One measured cell.
 #[derive(Clone, Debug)]
 pub struct Measured {
-    /// Wall-clock time of translate + execute.
-    pub elapsed: Duration,
-    /// Engine statistics of the run.
+    /// Operator counts of the translated program (Table 5's quantities).
+    pub ops: OpCounts,
+    /// Executor counters of one run; identical in every rep.
     pub stats: Stats,
-    /// Number of answer nodes.
-    pub answers: usize,
+    /// Fastest translate + execute wall-clock over the reps.
+    pub elapsed: Duration,
 }
 
 impl Measured {
+    /// Fixpoint iterations executed, simple and multi-relation together.
+    pub fn fixpoint_iterations(&self) -> usize {
+        self.stats.lfp_iterations + self.stats.multilfp_iterations
+    }
+
     /// Milliseconds, for table rendering.
     pub fn ms(&self) -> f64 {
         self.elapsed.as_secs_f64() * 1e3
@@ -121,184 +145,44 @@ pub fn exec_options_for(approach: Approach) -> ExecOptions {
     }
 }
 
-/// Measure translate+execute `reps` times, returning the fastest run (the
-/// standard way to suppress scheduler noise in single-shot timings).
-pub fn measure(approach: Approach, dtd: &Dtd, query: &str, db: &Database, reps: usize) -> Measured {
-    let path = parse_xpath(query).expect("benchmark queries parse");
+/// Measure one cell: translate + execute `reps` times, keeping the fastest
+/// wall-clock (the standard way to suppress scheduler noise in single-shot
+/// timings). Every rep must answer exactly `expected`, run no interval
+/// rewrite, and report the same counters as the rep before it.
+pub fn measure(
+    approach: Approach,
+    dtd: &Dtd,
+    query: &str,
+    db: &Database,
+    sql: SqlOptions,
+    expected: &BTreeSet<u32>,
+    reps: usize,
+) -> Measured {
+    let path = parse_xpath(query).expect("report queries parse");
+    let label = approach.label();
     let mut best: Option<Measured> = None;
     for _ in 0..reps.max(1) {
         let started = Instant::now();
-        let tr = translate_with(approach, dtd, &path).expect("benchmark translations succeed");
+        let tr = translate_with(approach, dtd, &path, sql).expect("report queries translate");
         let mut stats = Stats::default();
         let answers = tr
             .try_run(db, exec_options_for(approach), &mut stats)
-            .expect("benchmark programs execute")
-            .len();
+            .expect("report programs execute");
         let elapsed = started.elapsed();
-        let m = Measured {
-            elapsed,
-            stats,
-            answers,
-        };
-        if best.as_ref().is_none_or(|b| m.elapsed < b.elapsed) {
-            best = Some(m);
+        assert_eq!(&answers, expected, "{label} on {query}: wrong answer set");
+        assert_eq!(stats.interval_rewrites, 0, "{label} on {query}: not LFP");
+        if let Some(b) = &best {
+            assert_eq!(stats, b.stats, "{label} on {query}: counters moved");
         }
-    }
-    best.expect("reps >= 1")
-}
-
-/// Measure the CycleEX approach with explicit SQL options (Exp-2).
-pub fn measure_with_options(
-    dtd: &Dtd,
-    query: &str,
-    db: &Database,
-    opts: SqlOptions,
-    reps: usize,
-) -> Measured {
-    let path = parse_xpath(query).expect("benchmark queries parse");
-    let mut best: Option<Measured> = None;
-    for _ in 0..reps.max(1) {
-        let started = Instant::now();
-        let tr = translate_cycleex_with_options(dtd, &path, opts).expect("translates");
-        let mut stats = Stats::default();
-        let answers = tr
-            .try_run(db, ExecOptions::default(), &mut stats)
-            .expect("benchmark programs execute")
-            .len();
-        let elapsed = started.elapsed();
-        let m = Measured {
-            elapsed,
-            stats,
-            answers,
-        };
-        if best.as_ref().is_none_or(|b| m.elapsed < b.elapsed) {
-            best = Some(m);
-        }
-    }
-    best.expect("reps >= 1")
-}
-
-/// An amortized measurement through the [`Engine`] session API: translate
-/// once via `prepare` (one plan-cache miss), then execute the prepared query
-/// `reps` times. `elapsed` is the fastest *execution* — what a serving
-/// deployment pays per query once the plan cache is warm — and `stats` are
-/// the engine's accumulated counters, including the cache hit/miss split.
-pub fn measure_prepared(dtd: &Dtd, query: &str, db: &Database, reps: usize) -> Measured {
-    measure_prepared_opts(dtd, query, db, reps, ExecOptions::default())
-}
-
-/// [`measure_prepared`] with explicit execution options — e.g.
-/// `ExecOptions::default().with_threads(n)` to time the parallel LFP/join
-/// paths. Copies the store once; repeated measurements over the same big
-/// dataset should use [`measure_prepared_shared`].
-pub fn measure_prepared_opts(
-    dtd: &Dtd,
-    query: &str,
-    db: &Database,
-    reps: usize,
-    exec: ExecOptions,
-) -> Measured {
-    measure_prepared_shared(dtd, query, Arc::new(db.clone()), reps, exec)
-}
-
-/// [`measure_prepared_opts`] over an already-shared store: the engine
-/// adopts the `Arc` without copying a single tuple.
-pub fn measure_prepared_shared(
-    dtd: &Dtd,
-    query: &str,
-    db: Arc<Database>,
-    reps: usize,
-    exec: ExecOptions,
-) -> Measured {
-    let mut engine = Engine::builder(dtd).exec_options(exec).build();
-    engine.load_shared(db);
-    let prepared = engine.prepare(query).expect("benchmark queries prepare");
-    let mut best: Option<Duration> = None;
-    let mut answers = 0;
-    for _ in 0..reps.max(1) {
-        let started = Instant::now();
-        answers = prepared.execute().expect("prepared queries execute").len();
-        let elapsed = started.elapsed();
-        if best.is_none_or(|b| elapsed < b) {
-            best = Some(elapsed);
-        }
-    }
-    Measured {
-        elapsed: best.expect("reps >= 1"),
-        stats: engine.stats(),
-        answers,
-    }
-}
-
-/// Aggregate result of one multi-worker throughput run.
-#[derive(Clone, Debug)]
-pub struct Throughput {
-    /// Worker threads that shared the engine.
-    pub workers: usize,
-    /// Total queries served across all workers.
-    pub total_queries: u64,
-    /// Wall-clock time of the whole run.
-    pub elapsed: Duration,
-    /// Engine statistics after the run (hit/miss split, exec counters).
-    pub stats: Stats,
-}
-
-impl Throughput {
-    /// Aggregate queries per second.
-    pub fn qps(&self) -> f64 {
-        if self.elapsed.as_secs_f64() == 0.0 {
-            return 0.0;
-        }
-        self.total_queries as f64 / self.elapsed.as_secs_f64()
-    }
-}
-
-/// Serving-path throughput: `workers` threads hammer ONE shared [`Engine`]
-/// (sharded plan cache, atomic stats, `Arc`-shared store), each running
-/// `rounds` passes over `queries` via `prepare` + `execute`. Workers start
-/// at staggered offsets in the query list so they do not march over the
-/// same cache shard in lockstep. Returns wall-clock aggregate QPS — the
-/// number a serving deployment cares about.
-pub fn measure_throughput(
-    dtd: &Dtd,
-    queries: &[&str],
-    db: Arc<Database>,
-    workers: usize,
-    rounds: usize,
-    exec: ExecOptions,
-) -> Throughput {
-    assert!(!queries.is_empty(), "throughput needs at least one query");
-    let workers = workers.max(1);
-    let rounds = rounds.max(1);
-    let mut engine = Engine::builder(dtd).exec_options(exec).build();
-    engine.load_shared(db);
-    let engine = &engine;
-    let total = AtomicU64::new(0);
-    let started = Instant::now();
-    thread::scope(|s| {
-        for w in 0..workers {
-            let total = &total;
-            s.spawn(move || {
-                let mut served = 0u64;
-                for r in 0..rounds {
-                    let offset = (w + r) % queries.len();
-                    for qi in 0..queries.len() {
-                        let q = queries[(offset + qi) % queries.len()];
-                        let prepared = engine.prepare(q).expect("throughput queries prepare");
-                        prepared.execute().expect("throughput queries execute");
-                        served += 1;
-                    }
-                }
-                total.fetch_add(served, Ordering::Relaxed);
+        if best.as_ref().is_none_or(|b| elapsed < b.elapsed) {
+            best = Some(Measured {
+                ops: tr.program.op_counts(),
+                stats,
+                elapsed,
             });
         }
-    });
-    Throughput {
-        workers,
-        total_queries: total.load(Ordering::Relaxed),
-        elapsed: started.elapsed(),
-        stats: engine.stats(),
     }
+    best.expect("reps >= 1")
 }
 
 #[cfg(test)]
@@ -306,18 +190,39 @@ mod tests {
     use super::*;
     use x2s_dtd::samples;
 
+    fn measure_default(a: Approach, d: &Dtd, q: &str, ds: &Dataset<'_>) -> Measured {
+        let expected = oracle(q, ds, d);
+        assert!(!expected.is_empty(), "{q} finds something");
+        measure(a, d, q, &ds.db, SqlOptions::default(), &expected, 2)
+    }
+
     #[test]
     fn three_approaches_agree_on_cross() {
+        // agreement with the oracle, hence with each other, is asserted
+        // inside `measure`
         let d = samples::cross();
         let ds = dataset(&d, 8, 3, Some(3_000), 11);
-        let mut answers = Vec::new();
         for a in Approach::all() {
-            let m = measure(a, &d, "a//d", &ds.db, 1);
-            answers.push(m.answers);
+            measure_default(a, &d, "a//d", &ds);
         }
-        assert_eq!(answers[0], answers[1]);
-        assert_eq!(answers[1], answers[2]);
-        assert!(answers[0] > 0, "a//d finds something on a 3k-node tree");
+    }
+
+    #[test]
+    fn figure_cells_run_fixpoints_not_interval_joins() {
+        // Fig. 12's Qa: the store carries interval labels, and still every
+        // approach must execute the LFP program the paper compares
+        let d = samples::cross();
+        let ds = dataset(&d, 12, 4, Some(3_000), 54);
+        assert!(ds.db.has_intervals());
+        for a in Approach::all() {
+            let m = measure_default(a, &d, "a/b//c/d", &ds);
+            let invocations = match a {
+                Approach::SqlGenR => m.stats.multilfp_invocations,
+                Approach::CycleE | Approach::CycleEx => m.stats.lfp_invocations,
+            };
+            assert!(invocations >= 1, "{}: {}", a.label(), m.stats);
+            assert!(m.ops.lfp >= 1 && m.fixpoint_iterations() >= 1);
+        }
     }
 
     #[test]
@@ -331,70 +236,31 @@ mod tests {
     }
 
     #[test]
-    fn prepared_measurement_amortizes_translation() {
-        let d = samples::cross();
-        let ds = dataset(&d, 8, 3, Some(2_000), 11);
-        let m = measure_prepared(&d, "a//d", &ds.db, 4);
-        assert_eq!(m.stats.plan_cache_misses, 1, "one translation for 4 runs");
-        assert_eq!(m.stats.plan_cache_hits, 0, "prepare was called once");
-        let direct = measure(Approach::CycleEx, &d, "a//d", &ds.db, 1);
-        assert_eq!(m.answers, direct.answers);
-    }
-
-    #[test]
-    fn throughput_counts_every_query_and_every_prepare() {
-        let d = samples::cross();
-        let ds = dataset(&d, 8, 3, Some(1_500), 11);
-        let queries = ["a//d", "a/b//c/d", "a//a"];
-        let db = Arc::new(ds.db);
-        let t = measure_throughput(&d, &queries, Arc::clone(&db), 3, 2, ExecOptions::default());
-        assert_eq!(t.workers, 3);
-        assert_eq!(t.total_queries, 3 * 2 * queries.len() as u64);
-        assert_eq!(
-            (t.stats.plan_cache_hits + t.stats.plan_cache_misses) as u64,
-            t.total_queries,
-            "every served query is exactly one prepare"
-        );
-        assert!(t.stats.plan_cache_misses >= queries.len());
-        assert!(t.qps() > 0.0);
-        // parallel-exec options produce the same accounting
-        let tp = measure_throughput(
-            &d,
-            &queries,
-            db,
-            2,
-            1,
-            ExecOptions::default().with_threads(2),
-        );
-        assert_eq!(tp.total_queries, 2 * queries.len() as u64);
-    }
-
-    #[test]
     fn push_options_agree_with_plain() {
         let d = samples::cross();
         let ds = dataset(&d, 10, 4, Some(4_000), 7);
-        let push = measure_with_options(
-            &d,
-            "a/b//c/d",
-            &ds.db,
-            SqlOptions {
-                push_selections: true,
-                root_filter_pushdown: true,
+        let expected = oracle("a/b//c/d", &ds, &d);
+        for push in [true, false] {
+            let sql = SqlOptions {
+                push_selections: push,
+                root_filter_pushdown: push,
                 ..SqlOptions::default()
-            },
-            1,
-        );
-        let plain = measure_with_options(
-            &d,
-            "a/b//c/d",
-            &ds.db,
-            SqlOptions {
-                push_selections: false,
-                root_filter_pushdown: false,
-                ..SqlOptions::default()
-            },
-            1,
-        );
-        assert_eq!(push.answers, plain.answers);
+            };
+            measure(Approach::CycleEx, &d, "a/b//c/d", &ds.db, sql, &expected, 1);
+        }
+    }
+
+    #[test]
+    fn subgraph_oracle_sees_only_the_subgraph() {
+        // Exp-4's setting: a query over BIOMLa cannot follow locus→gene
+        let (full, sub) = (samples::bioml_d(), samples::bioml_a());
+        let ds = dataset(&full, 7, 3, Some(900), 3);
+        let direct = oracle("gene//locus", &ds, &full);
+        let through = oracle("gene//locus", &ds, &sub);
+        assert!(through.is_subset(&direct) && through.len() < direct.len());
+        for a in Approach::all() {
+            let sql = SqlOptions::default();
+            measure(a, &sub, "gene//locus", &ds.db, sql, &through, 1);
+        }
     }
 }

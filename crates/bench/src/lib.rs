@@ -1,41 +1,25 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-//! Benchmark harness regenerating every table and figure of the paper's
-//! evaluation (§6).
+//! The paper's own evaluation (§6), regenerated as a report: Tables 1–3 and
+//! 5, and Figs 12–17 comparing R = SQLGen-R, E = CycleE and X = CycleEX.
 //!
-//! Structure:
+//! This crate times nothing for a performance claim — that is `benchmark/`
+//! (see its README and `BENCHMARK.json`). It follows the same discipline:
+//! fixed work, exact counts first, best-of-`reps` milliseconds second, every
+//! cell checked against the native XPath evaluator.
 //!
-//! * [`harness`] — the three approaches (R = SQLGen-R, E = CycleE,
-//!   X = CycleEX) behind one interface, dataset construction following the
-//!   paper's generator protocol, and wall-clock + operator-count
-//!   measurement;
-//! * [`workloads`] — one function per experiment (Exp-1 … Exp-5 / Table 5,
-//!   plus the concurrent-serving throughput sweep and the logical-optimizer
-//!   ablation) returning printable series tables;
-//! * [`loadgen`] — closed-/open-loop load generation against the serving
-//!   layer's query service with an HDR-style latency histogram
-//!   (p50/p95/p99) and single-flight coalescing accounting;
-//! * `src/bin/repro.rs` — the command-line runner that prints the
-//!   regenerated rows for every artifact;
-//! * `benches/` — Criterion micro-benchmarks of representative points of
-//!   each figure (smaller datasets, statistically sampled).
+//! * [`harness`] — the three approaches behind one interface, dataset
+//!   construction following the paper's generator protocol, the oracle, and
+//!   the one measurement loop;
+//! * [`workloads`] — one function per artifact (Tables 1–3, Table 5, Exp-1 …
+//!   Exp-5) returning printable tables;
+//! * `src/bin/repro.rs` — the command-line runner that prints them.
 //!
-//! Absolute numbers are not comparable to the paper's 2005 DB2 testbed;
-//! EXPERIMENTS.md records the *shape* comparisons (who wins, by what
+//! Absolute numbers are not comparable to the paper's 2005 DB2 testbed; each
+//! table's note records the *shape* the paper reports (who wins, by what
 //! factor, where behaviour crosses over).
 
 pub mod harness;
-pub mod jsonbench;
-pub mod loadgen;
 pub mod workloads;
 
-pub use harness::{
-    dataset, measure, measure_prepared, measure_prepared_opts, measure_prepared_shared,
-    measure_throughput, translate_with, Approach, Dataset, Measured, Throughput,
-};
-pub use jsonbench::{bench_all, bench_json, bench_table, BenchRecord};
-pub use loadgen::{quick_load, run_load, Histogram, LoadConfig, LoadMode, LoadReport};
-pub use workloads::{
-    analyze_report, exp1, exp2, exp3, exp4, exp5, load_harness, opt_ablation, satcheck_report,
-    table5, tables123, throughput, Table,
-};
+pub use workloads::{exp1, exp2, exp3, exp4, exp5, table5, tables123, Table};

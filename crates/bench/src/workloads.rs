@@ -1,23 +1,26 @@
 //! One function per evaluation artifact; each returns printable [`Table`]s.
 //!
-//! Sizes accept a `scale` factor (1.0 = the paper's element counts). The
-//! Criterion benches use smaller fixed sizes; the `repro` binary defaults to
-//! a scale chosen to finish in minutes on a laptop while preserving every
-//! qualitative shape.
+//! Sizes accept a `scale` factor (1.0 = the paper's element counts); the
+//! `repro` binary defaults to a scale chosen to finish in minutes on a laptop
+//! while preserving every qualitative shape.
+//!
+//! Figs 12–17 compare *LFP programs*: all three approaches execute
+//! fixpoints, and no cell may report an interval rewrite (see
+//! [`crate::harness::translate_with`]). Every figure table has one row per
+//! approach and point — the exact counts first, the best-of-`reps`
+//! milliseconds last — and every cell is checked against the native XPath
+//! evaluator before it is printed.
 
-use crate::harness::{
-    dataset, measure, measure_prepared_shared, measure_throughput, measure_with_options, Approach,
-};
+use crate::harness::{dataset, measure, oracle, Approach, Dataset, Measured, CYCLEE_CAP};
+use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
-use x2s_core::{OptLevel, SqlOptions, Translator};
+use x2s_core::{OptLevel, SqlOptions};
 use x2s_dtd::{cycles, samples, Dtd, DtdGraph};
 use x2s_exp::to_regular;
-use x2s_rel::{ExecOptions, Stats};
 use x2s_shred::edge_database;
 use x2s_xml::generator::mark_values;
 use x2s_xml::parse_xml;
-use x2s_xpath::{parse_xpath, Path, Qual};
+use x2s_xpath::parse_xpath;
 
 /// A printable series table.
 pub struct Table {
@@ -27,7 +30,7 @@ pub struct Table {
     pub headers: Vec<String>,
     /// Rows.
     pub rows: Vec<Vec<String>>,
-    /// Paper-shape note for EXPERIMENTS.md.
+    /// What the paper reports for this artifact, and how to read the rows.
     pub note: String,
 }
 
@@ -54,12 +57,71 @@ impl fmt::Display for Table {
     }
 }
 
-fn ms(v: f64) -> String {
-    format!("{v:.1}")
-}
-
 fn scaled(n: usize, scale: f64) -> usize {
     ((n as f64 * scale) as usize).max(200)
+}
+
+/// The columns every figure table ends with: which run, its exact counts
+/// (translated-program operators, executed fixpoint iterations, tuples
+/// emitted), then its timing.
+const CELL_HEADERS: [&str; 6] = [
+    "approach",
+    "LFP ops",
+    "ALL ops",
+    "fixpoint iters",
+    "tuples",
+    "ms",
+];
+
+/// Appended to every figure's note.
+const LFP_ONLY: &str = "all rows execute LFP programs (0 interval rewrites, asserted) and \
+                        passed the native-evaluator check; interval-vs-LFP is measured by the \
+                        scan_interval and write_then_scan workloads of benchmark/";
+
+/// A figure table: `key` columns, then [`CELL_HEADERS`].
+fn figure(title: String, key: &[&str], rows: Vec<Vec<String>>, paper: &str) -> Table {
+    Table {
+        title,
+        headers: key
+            .iter()
+            .chain(&CELL_HEADERS)
+            .map(|h| h.to_string())
+            .collect(),
+        rows,
+        note: format!("{paper}; {LFP_ONLY}"),
+    }
+}
+
+/// One table row: the point's `key` cells, then the run's [`CELL_HEADERS`].
+fn cell(key: &[String], run: &str, m: &Measured) -> Vec<String> {
+    let mut row = key.to_vec();
+    row.extend([
+        run.to_string(),
+        m.ops.lfp.to_string(),
+        m.ops.total().to_string(),
+        m.fixpoint_iterations().to_string(),
+        m.stats.tuples_emitted.to_string(),
+        format!("{:.1}", m.ms()),
+    ]);
+    row
+}
+
+/// One figure point: R, E and X answer `query`, translated over `dtd`, on
+/// the same dataset, one row each.
+fn point(
+    rows: &mut Vec<Vec<String>>,
+    key: &[String],
+    dtd: &Dtd,
+    query: &str,
+    ds: &Dataset<'_>,
+    reps: usize,
+) {
+    let expected = oracle(query, ds, dtd);
+    for a in Approach::all() {
+        let sql = SqlOptions::default();
+        let m = measure(a, dtd, query, &ds.db, sql, &expected, reps);
+        rows.push(cell(key, a.label(), &m));
+    }
 }
 
 /// Exp-1 (Fig. 12a–h): the four Cross-DTD queries under varying tree
@@ -73,72 +135,53 @@ pub fn exp1(scale: f64, reps: usize) -> Vec<Table> {
         ("Qc", "a[not //c]"),
         ("Qd", "a[not //c or (b and //d)]"),
     ];
+    // (varied, fixed, points as (x, X_L, X_R, seed), what the paper reports)
+    let sweeps = [
+        (
+            "X_L",
+            "X_R = 4",
+            [8usize, 12, 16, 20].map(|xl| (xl, xl, 4, 42 + xl as u64)),
+            "paper: X lowest and nearly flat; R and E grow with X_L",
+        ),
+        (
+            "X_R",
+            "X_L = 12",
+            [4usize, 6, 8, 10].map(|xr| (xr, 12, xr, 142 + xr as u64)),
+            "paper: X marginally affected by X_R; E worst; R improves as leaves dominate",
+        ),
+    ];
     let mut out = Vec::new();
-    let panels = "abcdefgh".as_bytes();
-    for (qi, (qname, query)) in queries.iter().enumerate() {
-        // vary X_L with X_R = 4
-        let mut rows = Vec::new();
-        for xl in [8usize, 12, 16, 20] {
-            let ds = dataset(&d, xl, 4, Some(elements), 42 + xl as u64);
-            let mut row = vec![xl.to_string()];
-            for a in Approach::all() {
-                row.push(ms(measure(a, &d, query, &ds.db, reps).ms()));
+    let mut panels = 'a'..='h';
+    for (qname, query) in queries {
+        for (varied, fixed, points, paper) in &sweeps {
+            let panel = panels.next().expect("four queries × two sweeps");
+            let mut rows = Vec::new();
+            for &(x, xl, xr, seed) in points {
+                let ds = dataset(&d, xl, xr, Some(elements), seed);
+                point(&mut rows, &[x.to_string()], &d, query, &ds, reps);
             }
-            rows.push(row);
+            out.push(figure(
+                format!(
+                    "Fig. 12({panel}) — {qname} = {query}: vary {varied} \
+                     ({fixed}, {elements} elements)"
+                ),
+                &[varied],
+                rows,
+                paper,
+            ));
         }
-        out.push(Table {
-            title: format!(
-                "Fig. 12({}) — {qname} = {query}: vary X_L (X_R = 4, {elements} elements)",
-                panels[qi * 2] as char
-            ),
-            headers: vec![
-                "X_L".into(),
-                "R (ms)".into(),
-                "E (ms)".into(),
-                "X (ms)".into(),
-            ],
-            rows,
-            note: "paper: X lowest and nearly flat; R and E grow with X_L".into(),
-        });
-        // vary X_R with X_L = 12
-        let mut rows = Vec::new();
-        for xr in [4usize, 6, 8, 10] {
-            let ds = dataset(&d, 12, xr, Some(elements), 142 + xr as u64);
-            let mut row = vec![xr.to_string()];
-            for a in Approach::all() {
-                row.push(ms(measure(a, &d, query, &ds.db, reps).ms()));
-            }
-            rows.push(row);
-        }
-        out.push(Table {
-            title: format!(
-                "Fig. 12({}) — {qname} = {query}: vary X_R (X_L = 12, {elements} elements)",
-                panels[qi * 2 + 1] as char
-            ),
-            headers: vec![
-                "X_R".into(),
-                "R (ms)".into(),
-                "E (ms)".into(),
-                "X (ms)".into(),
-            ],
-            rows,
-            note: "paper: X marginally affected by X_R; E worst; R improves as leaves dominate"
-                .into(),
-        });
     }
     out
 }
 
 /// Exp-2 (Fig. 13a,b): pushing selections into the LFP operator.
 /// Qe = `a[text()=sel]/b//c/d`, Qf = `a/b//c/d[text()=sel]`; the number of
-/// marked (qualified) nodes varies; Push-Selection vs plain Selection.
+/// marked (qualified) nodes varies; Push-Selection vs plain Selection, both
+/// CycleEX. Both must give the oracle's answer, hence each other's.
 pub fn exp2(scale: f64, reps: usize) -> Vec<Table> {
     let d = samples::cross();
     let elements = scaled(120_000, scale);
-    let sizes: Vec<usize> = [100usize, 1_000, 10_000, 50_000]
-        .iter()
-        .map(|&s| scaled(s, scale))
-        .collect();
+    let sizes = [100usize, 1_000, 10_000, 50_000].map(|s| scaled(s, scale));
     let cases = [
         (
             "a",
@@ -156,47 +199,32 @@ pub fn exp2(scale: f64, reps: usize) -> Vec<Table> {
     let mut out = Vec::new();
     for (panel, title, marked_label, query) in cases {
         let mut rows = Vec::new();
-        for &m in &sizes {
+        for m in sizes {
             // paper setting: X_R = 8, X_L = 12
             let mut ds = dataset(&d, 12, 8, Some(elements), 77);
-            let label = d.elem(marked_label).unwrap();
+            let label = d.elem(marked_label).expect("cross declares it");
             let marked = mark_values(&mut ds.tree, label, m, "sel", 99);
-            let db = edge_database(&ds.tree, &d);
-            let push = measure_with_options(
-                &d,
-                query,
-                &db,
-                SqlOptions {
-                    push_selections: true,
-                    root_filter_pushdown: true,
+            ds.db = edge_database(&ds.tree, &d);
+            let expected = oracle(query, &ds, &d);
+            for (run, push) in [("Push-Selection", true), ("Selection", false)] {
+                let sql = SqlOptions {
+                    push_selections: push,
+                    root_filter_pushdown: push,
                     ..SqlOptions::default()
-                },
-                reps,
-            );
-            let plain = measure_with_options(
-                &d,
-                query,
-                &db,
-                SqlOptions {
-                    push_selections: false,
-                    root_filter_pushdown: false,
-                    ..SqlOptions::default()
-                },
-                reps,
-            );
-            assert_eq!(push.answers, plain.answers, "push must not change answers");
-            rows.push(vec![marked.to_string(), ms(push.ms()), ms(plain.ms())]);
+                };
+                let measured = measure(Approach::CycleEx, &d, query, &ds.db, sql, &expected, reps);
+                rows.push(cell(&[marked.to_string()], run, &measured));
+            }
         }
-        out.push(Table {
-            title: format!("Fig. 13({panel}) — {title}: vary #qualified `{marked_label}` (X_R=8, X_L=12, {elements} elements)"),
-            headers: vec![
-                format!("#{marked_label} marked"),
-                "Push-Selection (ms)".into(),
-                "Selection (ms)".into(),
-            ],
+        out.push(figure(
+            format!(
+                "Fig. 13({panel}) — {title}: vary #qualified `{marked_label}` \
+                 (X_R=8, X_L=12, {elements} elements)"
+            ),
+            &[&format!("#{marked_label} marked")],
             rows,
-            note: "paper: pushing selections into the lfp is significantly faster".into(),
-        });
+            "paper: pushing selections into the lfp is significantly faster",
+        ));
     }
     out
 }
@@ -209,23 +237,15 @@ pub fn exp3(scale: f64, reps: usize) -> Vec<Table> {
     for base in [60_000usize, 120_000, 240_000, 480_000] {
         let elements = scaled(base, scale);
         let ds = dataset(&d, 16, 4, Some(elements), 7);
-        let mut row = vec![elements.to_string()];
-        for a in Approach::all() {
-            row.push(ms(measure(a, &d, "a//d", &ds.db, reps).ms()));
-        }
-        rows.push(row);
+        let key = [elements.to_string()];
+        point(&mut rows, &key, &d, "a//d", &ds, reps);
     }
-    vec![Table {
-        title: "Fig. 14 — scalability of a//d on Cross (X_R = 4, X_L = 16)".into(),
-        headers: vec![
-            "elements".into(),
-            "R (ms)".into(),
-            "E (ms)".into(),
-            "X (ms)".into(),
-        ],
+    vec![figure(
+        "Fig. 14 — scalability of a//d on Cross (X_R = 4, X_L = 16)".into(),
+        &["elements"],
         rows,
-        note: "paper at 480k: E ≈ 2.4× and R ≈ 1.7× the cost of X".into(),
-    }]
+        "paper at 480k: E ≈ 2.4× and R ≈ 1.7× the cost of X",
+    )]
 }
 
 /// Exp-4 part 1 (Table 4 + Fig. 16): BIOML subgraph cases, one dataset
@@ -248,290 +268,61 @@ pub fn exp4(scale: f64, reps: usize) -> Vec<Table> {
     ];
     let mut rows = Vec::new();
     for (case, query, dtd, n_cycles) in cases {
-        let mut row = vec![case.to_string(), query.to_string(), n_cycles.to_string()];
-        for a in Approach::all() {
-            row.push(ms(measure(a, &dtd, query, &ds.db, reps).ms()));
-        }
-        rows.push(row);
+        let key = [case.to_string(), query.to_string(), n_cycles.to_string()];
+        point(&mut rows, &key, &dtd, query, &ds, reps);
     }
-    vec![Table {
-        title: format!(
+    vec![figure(
+        format!(
             "Table 4 + Fig. 16 — BIOML subgraph cases ({elements} elements from the 4-cycle graph)"
         ),
-        headers: vec![
-            "case".into(),
-            "query".into(),
-            "cycles".into(),
-            "R (ms)".into(),
-            "E (ms)".into(),
-            "X (ms)".into(),
-        ],
+        &["case", "query", "cycles"],
         rows,
-        note: "paper: X beats R and E in all cases except 2b; our Fig. 15d equals Fig. 11b so \
-               cases 3b and 4a coincide"
-            .into(),
-    }]
+        "paper: X beats R and E in all cases except 2b; our Fig. 15d equals Fig. 11b so \
+         cases 3b and 4a coincide",
+    )]
 }
 
 /// Exp-4 part 2 (Fig. 17a,b): `Even//Data` on the 9-cycle GedML graph.
 pub fn exp5(scale: f64, reps: usize) -> Vec<Table> {
     let d = samples::gedml();
+    // (panel, varied, fixed, points as (x, X_L, X_R, paper's element count),
+    // seed, what the paper reports)
+    let sweeps = [
+        (
+            "a",
+            "X_L",
+            "X_R = 6",
+            [(13usize, 286_845usize), (14, 845_045), (15, 1_019_798)].map(|(xl, n)| (xl, xl, 6, n)),
+            13,
+            "paper: X outperforms E and R for all X_L",
+        ),
+        (
+            "b",
+            "X_R",
+            "X_L = 16",
+            [(6usize, 226_663usize), (7, 1_199_990), (8, 5_041_437)].map(|(xr, n)| (xr, 16, xr, n)),
+            17,
+            "paper: X noticeably beats E; X similar to R as X_R grows (X_R affects join \
+             selectivity, not iteration count)",
+        ),
+    ];
     let mut out = Vec::new();
-    // (a) vary X_L at X_R = 6; paper dataset sizes 286 845 / 845 045 / 1 019 798
-    let mut rows = Vec::new();
-    for (xl, paper_elements) in [(13usize, 286_845usize), (14, 845_045), (15, 1_019_798)] {
-        let elements = scaled(paper_elements, scale);
-        let ds = dataset(&d, xl, 6, Some(elements), 13);
-        let mut row = vec![xl.to_string(), elements.to_string()];
-        for a in Approach::all() {
-            row.push(ms(measure(a, &d, "Even//Data", &ds.db, reps).ms()));
+    for (panel, varied, fixed, points, seed, paper) in sweeps {
+        let mut rows = Vec::new();
+        for (x, xl, xr, paper_elements) in points {
+            let elements = scaled(paper_elements, scale);
+            let ds = dataset(&d, xl, xr, Some(elements), seed);
+            let key = [x.to_string(), elements.to_string()];
+            point(&mut rows, &key, &d, "Even//Data", &ds, reps);
         }
-        rows.push(row);
+        out.push(figure(
+            format!("Fig. 17({panel}) — Even//Data on GedML: vary {varied} ({fixed})"),
+            &[varied, "elements"],
+            rows,
+            paper,
+        ));
     }
-    out.push(Table {
-        title: "Fig. 17(a) — Even//Data on GedML: vary X_L (X_R = 6)".into(),
-        headers: vec![
-            "X_L".into(),
-            "elements".into(),
-            "R (ms)".into(),
-            "E (ms)".into(),
-            "X (ms)".into(),
-        ],
-        rows,
-        note: "paper: X outperforms E and R for all X_L".into(),
-    });
-    // (b) vary X_R at X_L = 16; paper sizes 226 663 / 1 199 990 / 5 041 437
-    let mut rows = Vec::new();
-    for (xr, paper_elements) in [(6usize, 226_663usize), (7, 1_199_990), (8, 5_041_437)] {
-        let elements = scaled(paper_elements, scale);
-        let ds = dataset(&d, 16, xr, Some(elements), 17);
-        let mut row = vec![xr.to_string(), elements.to_string()];
-        for a in Approach::all() {
-            row.push(ms(measure(a, &d, "Even//Data", &ds.db, reps).ms()));
-        }
-        rows.push(row);
-    }
-    out.push(Table {
-        title: "Fig. 17(b) — Even//Data on GedML: vary X_R (X_L = 16)".into(),
-        headers: vec![
-            "X_R".into(),
-            "elements".into(),
-            "R (ms)".into(),
-            "E (ms)".into(),
-            "X (ms)".into(),
-        ],
-        rows,
-        note: "paper: X noticeably beats E; X similar to R as X_R grows (X_R affects join \
-               selectivity, not iteration count)"
-            .into(),
-    });
     out
-}
-
-/// Concurrent-serving throughput on the fig12-style closure workload: the
-/// four Cross-DTD queries + `a//d`, served by one shared `Engine` from 1 up
-/// to `threads` workers, and the parallel-LFP ablation (1 worker,
-/// `ExecOptions::threads` 1 vs `threads`) on the scalability dataset.
-pub fn throughput(scale: f64, threads: usize) -> Vec<Table> {
-    let d = samples::cross();
-    let threads = threads.max(1);
-    let queries = ["a//d", "a/b//c/d", "a[//c]//d", "a[not //c]", "a//a"];
-    let elements = scaled(60_000, scale);
-    let ds = dataset(&d, 12, 4, Some(elements), 23);
-    let db = Arc::new(ds.db);
-    let rounds = 6;
-    let mut sweep: Vec<usize> = vec![1, 2, threads.div_ceil(2), threads];
-    sweep.retain(|&w| w <= threads);
-    sweep.sort_unstable();
-    sweep.dedup();
-    let mut rows = Vec::new();
-    let mut base_qps = 0.0f64;
-    for &workers in &sweep {
-        let t = measure_throughput(
-            &d,
-            &queries,
-            Arc::clone(&db),
-            workers,
-            rounds,
-            ExecOptions::default(),
-        );
-        if workers == 1 {
-            base_qps = t.qps();
-        }
-        let speedup = if base_qps > 0.0 {
-            t.qps() / base_qps
-        } else {
-            0.0
-        };
-        rows.push(vec![
-            workers.to_string(),
-            t.total_queries.to_string(),
-            ms(t.elapsed.as_secs_f64() * 1e3),
-            format!("{:.0}", t.qps()),
-            format!("{speedup:.2}x"),
-        ]);
-    }
-    let mut out = vec![Table {
-        title: format!(
-            "Throughput — fig12-style closure workload on Cross \
-             ({elements} elements, {rounds} rounds x {} queries per worker)",
-            queries.len()
-        ),
-        headers: vec![
-            "workers".into(),
-            "queries".into(),
-            "elapsed (ms)".into(),
-            "QPS".into(),
-            "speedup".into(),
-        ],
-        rows,
-        note: "one shared Engine: sharded plan cache + atomic stats; \
-               aggregate QPS should grow with workers until cores saturate"
-            .into(),
-    }];
-    // Parallel LFP/join ablation: same prepared query, one worker,
-    // ExecOptions::threads 1 vs N.
-    let big = dataset(&d, 16, 4, Some(scaled(240_000, scale)), 7);
-    let big_elements = big.tree.len();
-    let big_db = Arc::new(big.db);
-    let mut rows = Vec::new();
-    for q in ["a//d", "a/b//c/d"] {
-        let seq = measure_prepared_shared(&d, q, Arc::clone(&big_db), 3, ExecOptions::default());
-        let par = measure_prepared_shared(
-            &d,
-            q,
-            Arc::clone(&big_db),
-            3,
-            ExecOptions::default().with_threads(threads),
-        );
-        assert_eq!(
-            seq.answers, par.answers,
-            "parallel execution must not change answers"
-        );
-        rows.push(vec![
-            q.to_string(),
-            ms(seq.ms()),
-            ms(par.ms()),
-            format!("{:.2}x", seq.ms() / par.ms().max(1e-9)),
-        ]);
-    }
-    out.push(Table {
-        title: format!(
-            "Parallel LFP/joins — warm-cache execution, ExecOptions::threads = 1 vs {threads} \
-             ({big_elements} elements)"
-        ),
-        headers: vec![
-            "query".into(),
-            "1 thread (ms)".into(),
-            format!("{threads} threads (ms)"),
-            "speedup".into(),
-        ],
-        rows,
-        note: "partitioned frontier expansion + partitioned hash joins kick in above \
-               the tuple-count thresholds; answers are asserted identical"
-            .into(),
-    });
-    out
-}
-
-/// Closed-loop serving harness: M workers over K distinct queries with
-/// K ≪ M, through the serving layer's single-flight query service. The
-/// plan-cache delta counts executor *flights*; with a small flight hold
-/// each wave of an identical query runs once and everyone else joins, so
-/// the coalesce rate climbs as K shrinks.
-pub fn load_harness(scale: f64, workers: usize) -> Vec<Table> {
-    use crate::loadgen::{run_load, LoadConfig, LoadMode};
-    use std::time::Duration;
-
-    let d = samples::cross();
-    let workers = workers.max(2);
-    let ds = dataset(&d, 12, 4, Some(scaled(40_000, scale)), 23);
-    let elements = ds.tree.len();
-    let db = Arc::new(ds.db);
-    // `a/d` is statically empty on Cross (no a→d edge): the admission
-    // gate answers it without a flight, populating the pruned column.
-    let all_queries = ["a//d", "a/b//c/d", "a[//c]//d", "a[not //c]", "a//a", "a/d"];
-
-    let mut rows = Vec::new();
-    let mut run = |mode: LoadMode, k: usize, hold: Option<Duration>, deadline: Option<Duration>| {
-        let mut engine = x2s_core::Engine::builder(&d)
-            .exec_options(ExecOptions::default())
-            .build();
-        engine.load_shared(Arc::clone(&db));
-        let cfg = LoadConfig {
-            workers,
-            duration: Duration::from_millis(300),
-            mode,
-            flight_hold: hold,
-            deadline,
-        };
-        let r = run_load(&engine, &all_queries[..k], &cfg);
-        let mode_label = match r.mode {
-            LoadMode::Closed => "closed".to_string(),
-            LoadMode::Open { target_qps } => format!("open @{target_qps:.0}/s"),
-        };
-        rows.push(vec![
-            mode_label,
-            format!("{workers}"),
-            format!("{k}"),
-            r.total_requests.to_string(),
-            format!("{:.0}", r.qps),
-            ms(r.p50_ms),
-            ms(r.p95_ms),
-            ms(r.p99_ms),
-            r.flights.to_string(),
-            r.coalesced.to_string(),
-            r.sat_checks.to_string(),
-            r.pruned.to_string(),
-            r.timed_out.to_string(),
-            format!("{:.0}%", r.coalesce_rate * 100.0),
-        ]);
-    };
-    // K ≪ M with a small hold: flights per wave ≈ K, the rest coalesce.
-    let hold = Some(Duration::from_millis(5));
-    run(LoadMode::Closed, 1, hold, None);
-    run(LoadMode::Closed, 2, hold, None);
-    // Full mix, no hold: natural (racy) coalescing only.
-    run(LoadMode::Closed, all_queries.len(), None, None);
-    // Open loop at a modest arrival rate: latency includes queueing delay.
-    run(LoadMode::Open { target_qps: 200.0 }, 2, None, None);
-    // Governed run with an already-expired deadline: every flight aborts
-    // at its first cancellation checkpoint, populating the timed_out
-    // column — the resource-governance path under full load.
-    run(LoadMode::Closed, 2, None, Some(Duration::ZERO));
-
-    vec![Table {
-        title: format!(
-            "Serving load harness — {workers} workers on Cross ({elements} elements), \
-             single-flight coalescing"
-        ),
-        headers: vec![
-            "mode".into(),
-            "M".into(),
-            "K".into(),
-            "requests".into(),
-            "QPS".into(),
-            "p50 (ms)".into(),
-            "p95 (ms)".into(),
-            "p99 (ms)".into(),
-            "flights".into(),
-            "coalesced".into(),
-            "sat_checked".into(),
-            "pruned".into(),
-            "timed_out".into(),
-            "coalesce%".into(),
-        ],
-        rows,
-        note: "M workers cycle through K distinct queries; flights = completed \
-               executor flights (plan-cache hits+misses delta minus deadline \
-               expiries — only single-flight leaders prepare), so \
-               flights + coalesced + pruned + timed_out = requests; K ≪ M \
-               drives the coalesce rate up; pruned requests were answered by \
-               the satisfiability gate without a flight; the last row runs \
-               under an expired execution deadline, so every flight aborts \
-               cooperatively and lands in timed_out"
-            .into(),
-    }]
 }
 
 /// Table 5: LFP / ALL operator counts (min/max/avg over all reachable node
@@ -565,7 +356,8 @@ pub fn table5() -> Vec<Table> {
         // *use*, whereas Table 5 counts the shared operators of the program.
         // The logical optimizer is off too — this table reproduces the
         // paper's *raw translation* counts (the CycleE-vs-CycleEX contrast);
-        // the optimizer's own effect is the `opt` ablation section.
+        // the optimizer's own effect is `rel.opt.ops_before/after` in
+        // `benchmark/`'s `x2s-trace`.
         let count_opts = SqlOptions {
             push_selections: false,
             root_filter_pushdown: false,
@@ -577,28 +369,29 @@ pub fn table5() -> Vec<Table> {
                     continue;
                 }
                 let (a, b) = (tg.node(from), tg.node(to));
+                let count = |q: &x2s_exp::ExtendedQuery| {
+                    x2s_core::exp_to_sql(q, &count_opts, &HashMap::new())
+                        .expect("rec(A,B) compiles")
+                        .op_counts()
+                };
                 // CycleE: a variable-free regular expression per pair
-                if let Ok(exp) = x2s_core::rec_regular(&tg, a, b, crate::harness::CYCLEE_CAP) {
-                    let q = x2s_exp::ExtendedQuery::of(exp);
-                    if let Ok(prog) =
-                        x2s_core::exp_to_sql(&q, &count_opts, &std::collections::HashMap::new())
-                    {
-                        let counts = prog.op_counts();
-                        e_lfp.push(counts.lfp);
-                        e_all.push(counts.total());
-                    }
-                }
+                let exp = x2s_core::rec_regular(&tg, a, b, CYCLEE_CAP).expect("under the cap");
+                let e = count(&x2s_exp::ExtendedQuery::of(exp));
                 // CycleEX: the shared all-pairs table, pruned per pair
                 let mut q = rec_query.clone();
                 q.result = rec_table.rec_full(a, b);
-                let q = q.pruned();
-                if let Ok(prog) =
-                    x2s_core::exp_to_sql(&q, &count_opts, &std::collections::HashMap::new())
-                {
-                    let counts = prog.op_counts();
-                    x_lfp.push(counts.lfp);
-                    x_all.push(counts.total());
-                }
+                let x = count(&q.pruned());
+                // the ordering the paper's Table 5 reports, pair by pair
+                assert!(
+                    x.lfp <= e.lfp && x.total() <= e.total(),
+                    "{name}: CycleEX {x:?} above CycleE {e:?} for {}//{}",
+                    dtd.name(from),
+                    dtd.name(to)
+                );
+                e_lfp.push(e.lfp);
+                e_all.push(e.total());
+                x_lfp.push(x.lfp);
+                x_all.push(x.total());
             }
         }
         rows.push(vec![
@@ -626,448 +419,10 @@ pub fn table5() -> Vec<Table> {
         ],
         rows,
         note: "paper: CycleEX uses fewer lfp and fewer total operations in all cases \
-               (e.g. GedML avg 16 → 4 LFPs, 188 → 19 ops)"
+               (e.g. GedML avg 16 → 4 LFPs, 188 → 19 ops); CycleEX ≤ CycleE in LFP and ALL is \
+               asserted for every pair behind every row"
             .into(),
     }]
-}
-
-/// Optimizer ablation: Table-5 operator counts and native-exec timings of
-/// the workload queries with the logical optimizer on
-/// ([`OptLevel::Full`], the default) vs off ([`OptLevel::None`]).
-///
-/// The Table-5 workload suite: every (DTD, query) pair the optimizer
-/// ablation and the static-analysis report iterate.
-fn table5_workloads() -> Vec<(&'static str, Dtd, Vec<&'static str>)> {
-    vec![
-        (
-            "Cross",
-            samples::cross(),
-            vec![
-                "a/b//c/d",
-                "a[//c]//d",
-                "a[not //c]",
-                "a[not //c or (b and //d)]",
-                "a//d",
-            ],
-        ),
-        (
-            "Dept",
-            samples::dept_simplified(),
-            vec!["dept//project", "dept//course[project or student]"],
-        ),
-        (
-            "GedML",
-            samples::gedml(),
-            vec!["Even//Data", "Even//Obje[Sour]"],
-        ),
-        ("BIOML", samples::bioml(), vec!["gene//locus", "gene//dna"]),
-    ]
-}
-
-/// `repro analyze` — run the static plan analyzer (`x2s_rel::analyze`)
-/// over every Table-5 workload program, optimizer off and on, and report
-/// the inferred result schema per query. Any analyzer diagnostic is a hard
-/// failure: these programs are the translator's contract surface, and the
-/// suite doubles as the zero-diagnostic confirmation the report prints.
-pub fn analyze_report() -> Vec<Table> {
-    use x2s_rel::{analyze_program_with, edge_scan_schema};
-    let mut rows = Vec::new();
-    let mut warnings_total = 0usize;
-    for (name, dtd, queries) in &table5_workloads() {
-        for q in queries {
-            let path = parse_xpath(q).expect("workload queries parse");
-            for level in [OptLevel::None, OptLevel::Full] {
-                let tr = Translator::new(dtd)
-                    .with_sql_options(SqlOptions {
-                        optimize: level,
-                        ..SqlOptions::default()
-                    })
-                    .translate(&path)
-                    .expect("workload queries translate");
-                let analysis = analyze_program_with(&tr.program, &edge_scan_schema)
-                    .unwrap_or_else(|e| panic!("analyzer rejected {name}/{q} at {level:?}: {e}"));
-                warnings_total += analysis.warnings.len();
-                rows.push(vec![
-                    name.to_string(),
-                    q.to_string(),
-                    format!("{level:?}"),
-                    tr.program.len().to_string(),
-                    analysis.result.to_string(),
-                    analysis.warnings.len().to_string(),
-                ]);
-            }
-        }
-    }
-    vec![Table {
-        title: format!(
-            "Static analysis — schema inference over Table-5 workloads \
-             ({} programs, 0 errors, {} dead-statement warnings)",
-            rows.len(),
-            warnings_total
-        ),
-        headers: vec![
-            "DTD".into(),
-            "query".into(),
-            "opt".into(),
-            "stmts".into(),
-            "result schema".into(),
-            "warnings".into(),
-        ],
-        rows,
-        note: "every translated program passes schema/type inference and \
-               well-formedness verification with zero errors, optimizer off and on"
-            .into(),
-    }]
-}
-
-/// Random path over a fixed label alphabet for the satcheck corpus — the
-/// same weighted grammar the property suite uses (labels include ones the
-/// DTD does not declare, exercising the unknown-tag witness).
-fn satcheck_arb_path(rng: &mut x2s_xml::rng::SplitMix64, labels: &[&str], depth: u32) -> Path {
-    if depth == 0 {
-        return satcheck_arb_leaf(rng, labels);
-    }
-    match rng.gen_range(0..9) {
-        0..=2 => Path::Seq(
-            Box::new(satcheck_arb_path(rng, labels, depth - 1)),
-            Box::new(satcheck_arb_path(rng, labels, depth - 1)),
-        ),
-        3..=4 => Path::Descendant(Box::new(satcheck_arb_path(rng, labels, depth - 1))),
-        5 => Path::Union(
-            Box::new(satcheck_arb_path(rng, labels, depth - 1)),
-            Box::new(satcheck_arb_path(rng, labels, depth - 1)),
-        ),
-        6 => {
-            let p = satcheck_arb_path(rng, labels, depth - 1);
-            let q = satcheck_arb_qual(rng, labels, depth - 1, 2);
-            Path::Qualified(Box::new(p), q)
-        }
-        _ => satcheck_arb_leaf(rng, labels),
-    }
-}
-
-fn satcheck_arb_leaf(rng: &mut x2s_xml::rng::SplitMix64, labels: &[&str]) -> Path {
-    match rng.gen_range(0..6) {
-        0..=3 => Path::label(labels[rng.gen_range(0..labels.len())]),
-        4 => Path::Wildcard,
-        _ => Path::Empty,
-    }
-}
-
-fn satcheck_arb_qual(
-    rng: &mut x2s_xml::rng::SplitMix64,
-    labels: &[&str],
-    depth: u32,
-    qdepth: u32,
-) -> Qual {
-    if qdepth > 0 && rng.gen_bool(0.4) {
-        return match rng.gen_range(0..4) {
-            0..=1 => Qual::not(satcheck_arb_qual(rng, labels, depth, qdepth - 1)),
-            2 => satcheck_arb_qual(rng, labels, depth, qdepth - 1).and(satcheck_arb_qual(
-                rng,
-                labels,
-                depth,
-                qdepth - 1,
-            )),
-            _ => satcheck_arb_qual(rng, labels, depth, qdepth - 1).or(satcheck_arb_qual(
-                rng,
-                labels,
-                depth,
-                qdepth - 1,
-            )),
-        };
-    }
-    if rng.gen_range(0..5) < 4 {
-        Qual::path(satcheck_arb_path(rng, labels, depth.min(2)))
-    } else {
-        let consts = ["v0", "v1", "sel"];
-        Qual::TextEq(consts[rng.gen_range(0..consts.len())].into())
-    }
-}
-
-/// `repro satcheck` — the DTD-aware admission gate measured: every Table-5
-/// workload query's verdict (with witness and per-check time), then a
-/// seeded random corpus per DTD reporting the prune rate and, crucially,
-/// an inline soundness check — every `Empty` verdict is replayed against
-/// the native oracle on generated documents and must return zero answers.
-/// Completeness (oracle-empty queries the analyzer could not prove empty)
-/// is measured and reported, not required.
-pub fn satcheck_report() -> Vec<Table> {
-    use std::collections::BTreeSet;
-    use std::time::Instant;
-    use x2s_xml::rng::SplitMix64;
-    use x2s_xml::{Generator, GeneratorConfig};
-    use x2s_xpath::{eval_from_document, Sat, SatAnalyzer};
-
-    // ——— Table 1: workload queries, plus known-impossible companions so
-    // the report shows real witnesses next to real verdicts ———
-    let impossible: &[(&str, &str)] = &[
-        ("Cross", "a/d"),
-        ("Cross", "a//zzz"),
-        ("Cross", "a/c[d/a]"),
-        ("Dept", "dept/student"),
-        ("Dept", "dept//course[text()=\"x\" and not text()=\"x\"]"),
-        ("GedML", "Even/Data"),
-        ("BIOML", "gene/locus[dna]"),
-    ];
-    let mut verdict_rows = Vec::new();
-    for (name, dtd, queries) in &table5_workloads() {
-        let analyzer = SatAnalyzer::new(dtd);
-        let extra = impossible
-            .iter()
-            .filter(|(d, _)| d == name)
-            .map(|&(_, q)| q);
-        for q in queries.iter().copied().chain(extra) {
-            let path = parse_xpath(q).expect("satcheck queries parse");
-            let started = Instant::now();
-            let verdict = analyzer.check(&path);
-            let micros = started.elapsed().as_secs_f64() * 1e6;
-            let (verdict_cell, witness_cell) = match verdict {
-                Sat::NonEmpty { types } => (
-                    format!("non-empty → {{{}}}", types.join(", ")),
-                    String::new(),
-                ),
-                Sat::Empty { witness } => ("EMPTY".to_string(), witness.to_string()),
-            };
-            verdict_rows.push(vec![
-                name.to_string(),
-                q.to_string(),
-                verdict_cell,
-                witness_cell,
-                format!("{micros:.1}"),
-            ]);
-        }
-    }
-
-    // ——— Table 2: seeded random corpus per DTD, soundness-checked ———
-    let corpora: &[(&str, Dtd, &[&str])] = &[
-        ("Cross", samples::cross(), &["a", "b", "c", "d", "zzz"]),
-        (
-            "Dept",
-            samples::dept_simplified(),
-            &["dept", "course", "student", "project", "zzz"],
-        ),
-        (
-            "GedML",
-            samples::gedml(),
-            &["Even", "Sour", "Note", "Obje", "Data", "zzz"],
-        ),
-    ];
-    let mut corpus_rows = Vec::new();
-    for (name, dtd, labels) in corpora {
-        let analyzer = SatAnalyzer::new(dtd);
-        // a couple of generated documents per DTD as the oracle's ground
-        let docs: Vec<_> = (0..2u64)
-            .map(|s| {
-                Generator::new(
-                    dtd,
-                    GeneratorConfig::shaped(7, 3, Some(400)).with_seed(91 + s),
-                )
-                .generate()
-            })
-            .collect();
-        let (mut total, mut empty, mut unsound, mut incomplete) = (0usize, 0usize, 0usize, 0usize);
-        let mut nanos = 0u128;
-        let mut sample_witness = String::new();
-        for seed in 0..3u64 {
-            for case in 0..40usize {
-                let mut rng = SplitMix64::seed_from_u64(
-                    0x5A7C_4E61u64
-                        .wrapping_mul(seed.wrapping_add(17))
-                        .wrapping_add(case as u64),
-                );
-                let query = satcheck_arb_path(&mut rng, labels, 3);
-                total += 1;
-                let started = Instant::now();
-                let verdict = analyzer.check(&query);
-                nanos += started.elapsed().as_nanos();
-                let oracle_empty = docs.iter().all(|t| {
-                    eval_from_document(&query, t, dtd)
-                        .into_iter()
-                        .map(|n| n.0)
-                        .collect::<BTreeSet<u32>>()
-                        .is_empty()
-                });
-                match verdict {
-                    Sat::Empty { witness } => {
-                        empty += 1;
-                        if sample_witness.is_empty() {
-                            sample_witness = witness.to_string();
-                        }
-                        if !oracle_empty {
-                            unsound += 1;
-                        }
-                    }
-                    Sat::NonEmpty { .. } => {
-                        if oracle_empty {
-                            incomplete += 1;
-                        }
-                    }
-                }
-            }
-        }
-        assert_eq!(
-            unsound, 0,
-            "{name}: an Empty verdict contradicted the native oracle"
-        );
-        corpus_rows.push(vec![
-            name.to_string(),
-            total.to_string(),
-            empty.to_string(),
-            format!("{:.0}%", empty as f64 / total as f64 * 100.0),
-            format!("{:.1}", nanos as f64 / total as f64 / 1e3),
-            unsound.to_string(),
-            incomplete.to_string(),
-            sample_witness,
-        ]);
-    }
-
-    vec![
-        Table {
-            title: "Satisfiability gate — Table-5 workload queries + known-impossible companions"
-                .into(),
-            headers: vec![
-                "DTD".into(),
-                "query".into(),
-                "verdict".into(),
-                "witness".into(),
-                "µs".into(),
-            ],
-            rows: verdict_rows,
-            note: "EMPTY verdicts are proofs: the engine answers these queries ∅ without \
-                   translation, planning, or execution; the witness names the offending \
-                   step and the schema fact that kills it"
-                .into(),
-        },
-        Table {
-            title: "Satisfiability gate — seeded random corpus, soundness-checked against \
-                    the native oracle"
-                .into(),
-            headers: vec![
-                "DTD".into(),
-                "queries".into(),
-                "empty".into(),
-                "prune rate".into(),
-                "µs/check".into(),
-                "unsound".into(),
-                "missed-empty".into(),
-                "sample witness".into(),
-            ],
-            rows: corpus_rows,
-            note: "unsound = Empty verdicts with oracle answers (hard-asserted 0: every \
-                   prune is a proof); missed-empty = queries empty on the sampled \
-                   documents the analyzer could not prove empty (completeness is \
-                   best-effort — document-dependent emptiness is invisible to a \
-                   schema-only analysis)"
-                .into(),
-        },
-    ]
-}
-
-/// The first table reports static counts per query — LFP and ALL (Table
-/// 5's columns) plus ALL including the per-iteration fixpoint machinery —
-/// asserting on ≤ off throughout. The second table reports warm
-/// translate+execute timings on generated documents, asserting identical
-/// answers.
-pub fn opt_ablation(scale: f64, reps: usize) -> Vec<Table> {
-    let cases = table5_workloads();
-    let opts_of = |level: OptLevel| SqlOptions {
-        optimize: level,
-        ..SqlOptions::default()
-    };
-    // Table A — static operator counts (the Table 5 quantities)
-    let mut rows = Vec::new();
-    for (name, dtd, queries) in &cases {
-        for q in queries {
-            let path = parse_xpath(q).expect("workload queries parse");
-            let tr_of = |level: OptLevel| {
-                Translator::new(dtd)
-                    .with_sql_options(opts_of(level))
-                    .translate(&path)
-                    .expect("workload queries translate")
-            };
-            let off = tr_of(OptLevel::None).program.op_counts();
-            let on_tr = tr_of(OptLevel::Full);
-            let on = on_tr.program.op_counts();
-            assert!(
-                on.total() <= off.total() && on.lfp <= off.lfp,
-                "optimizer grew {name}/{q}"
-            );
-            let s = &on_tr.opt.stats;
-            rows.push(vec![
-                name.to_string(),
-                q.to_string(),
-                format!("{} → {}", off.lfp, on.lfp),
-                format!("{} → {}", off.total(), on.total()),
-                format!(
-                    "{} → {}",
-                    off.total_with_fixpoint_ops(),
-                    on.total_with_fixpoint_ops()
-                ),
-                format!(
-                    "-{} stmts, {} cse, {} pushed",
-                    s.stmts_eliminated, s.plans_hash_consed, s.preds_pushed
-                ),
-            ]);
-        }
-    }
-    let mut out = vec![Table {
-        title: "Optimizer ablation — Table-5 operator counts, optimizer off → on".into(),
-        headers: vec![
-            "DTD".into(),
-            "query".into(),
-            "LFP".into(),
-            "ALL".into(),
-            "ALL+fixpoint-iter-ops".into(),
-            "passes".into(),
-        ],
-        rows,
-        note: "counts never grow; hash-consing/CSE + dead-statement elimination + pushdown \
-               shrink most multi-step queries (§5.2, Table 5)"
-            .into(),
-    }];
-    // Table B — native-exec timings, optimizer on vs off
-    let timed: [(&str, Dtd, usize, usize, u64, &str); 3] = [
-        ("Cross", samples::cross(), 12, 4, 42, "a/b//c/d"),
-        ("Cross", samples::cross(), 16, 4, 7, "a//d"),
-        ("GedML", samples::gedml(), 13, 6, 13, "Even//Data"),
-    ];
-    let elements = scaled(60_000, scale);
-    let mut rows = Vec::new();
-    for (name, dtd, xl, xr, seed, q) in timed {
-        let ds = dataset(&dtd, xl, xr, Some(elements), seed);
-        let on = measure_with_options(&dtd, q, &ds.db, opts_of(OptLevel::Full), reps);
-        let off = measure_with_options(&dtd, q, &ds.db, opts_of(OptLevel::None), reps);
-        assert_eq!(
-            on.answers, off.answers,
-            "optimizer must not change answers ({name}/{q})"
-        );
-        rows.push(vec![
-            name.to_string(),
-            q.to_string(),
-            ms(off.ms()),
-            ms(on.ms()),
-            format!("{:.2}x", off.ms() / on.ms().max(1e-9)),
-        ]);
-    }
-    out.push(Table {
-        title: format!(
-            "Optimizer ablation — translate+execute timings ({elements} elements, \
-             fastest of {reps})"
-        ),
-        headers: vec![
-            "DTD".into(),
-            "query".into(),
-            "off (ms)".into(),
-            "on (ms)".into(),
-            "speedup".into(),
-        ],
-        rows,
-        note: "answers asserted identical; fewer statements and shared closures mean \
-               fewer operators executed"
-            .into(),
-    });
-    out
 }
 
 /// Tables 1–3 (§2.3/§3): the running `dept` example — sample shredded
@@ -1081,8 +436,12 @@ pub fn tables123() -> Vec<Table> {
         "<dept><course><course><course/><project><course><project/></course></project></course><student/><student><course/></student></course></dept>",
     )
     .expect("table 1 document parses");
-    let db = edge_database(&t, &d);
     let ids = x2s_xml::paper_ids(&t, &d);
+    let ds = Dataset {
+        dtd: &d,
+        db: edge_database(&t, &d),
+        tree: t,
+    };
     let name_of = |v: &x2s_rel::Value| -> String {
         match v {
             x2s_rel::Value::Doc => "–".into(),
@@ -1094,7 +453,7 @@ pub fn tables123() -> Vec<Table> {
     // Table 1
     let mut rows = Vec::new();
     for rel_name in ["R_dept", "R_course", "R_student", "R_project"] {
-        let rel = db.get(rel_name).unwrap();
+        let rel = ds.db.get(rel_name).expect("shredded");
         for tuple in rel.sorted_tuples() {
             rows.push(vec![
                 rel_name.to_string(),
@@ -1109,49 +468,43 @@ pub fn tables123() -> Vec<Table> {
         rows,
         note: "matches the paper's Table 1 (d1.c1.c2.c3 and d1.c1.c2.p1.c4.p2 paths)".into(),
     });
-    // Table 2: SQLGen-R product recursion output for dept//project
-    let path = parse_xpath("dept//project").unwrap();
-    let tr = x2s_sqlgenr::SqlGenR::new(&d).translate(&path).unwrap();
-    let mut stats = Stats::default();
-    let answers = tr
-        .try_run(&db, ExecOptions::default(), &mut stats)
-        .expect("running-example programs execute");
-    let mut rows: Vec<Vec<String>> = answers
+    // Tables 2 and 3 answer dept//project; `measure` holds both runs to the
+    // native evaluator's answer, so the rows come from that one set
+    let query = "dept//project";
+    let expected = oracle(query, &ds, &d);
+    let mut projects: Vec<Vec<String>> = expected
         .iter()
         .map(|id| vec![ids[*id as usize].clone()])
         .collect();
-    rows.sort();
+    projects.sort();
+    let run = |a: Approach| measure(a, &d, query, &ds.db, SqlOptions::default(), &expected, 1);
+    // Table 2: SQLGen-R product recursion output
     out.push(Table {
         title: format!(
             "Table 2 — SQLGen-R on dept//project: {} iterations of a {}-join recursion → answers",
-            stats.multilfp_iterations, 5
+            run(Approach::SqlGenR).stats.multilfp_iterations,
+            5
         ),
         headers: vec!["descendant projects".into()],
-        rows,
+        rows: projects.clone(),
         note: "paper's Table 2 traces the same recursion to p1, p2".into(),
     });
     // Table 3: CycleEX intermediates
-    let tr = x2s_core::Translator::new(&d).translate(&path).unwrap();
-    let mut stats = Stats::default();
-    let answers = tr
-        .try_run(&db, ExecOptions::default(), &mut stats)
-        .expect("running-example programs execute");
-    let mut rows: Vec<Vec<String>> = answers
-        .iter()
-        .map(|id| vec![ids[*id as usize].clone()])
-        .collect();
-    rows.sort();
+    let x = run(Approach::CycleEx).stats;
     out.push(Table {
         title: format!(
             "Table 3 — CycleEX on dept//project: {} LFP invocation(s), {} statements → R_f",
-            stats.lfp_invocations, stats.stmts_evaluated
+            x.lfp_invocations, x.stmts_evaluated
         ),
         headers: vec!["R_f (descendant projects)".into()],
-        rows,
+        rows: projects,
         note: "paper's Table 3 shows R, Rγ and R_f = {(d1,p1),(d1,p2)}".into(),
     });
     // bonus: the extended XPath query itself (Example 3.5's EQ1)
-    let eq = x2s_core::Translator::new(&d).to_extended(&path).unwrap();
+    let path = parse_xpath(query).expect("parses");
+    let eq = x2s_core::Translator::new(&d)
+        .to_extended(&path)
+        .expect("translates");
     let regular = to_regular(&eq, 100_000)
         .map(|e| e.to_string())
         .unwrap_or_else(|_| "(too large)".into());
@@ -1214,19 +567,10 @@ mod tests {
 
     #[test]
     fn table5_shapes_hold() {
+        // the CycleEX ≤ CycleE ordering is asserted inside table5 itself
         let tables = table5();
         assert_eq!(tables.len(), 1);
-        let t = &tables[0];
-        assert_eq!(t.rows.len(), 6);
-        // CycleEX average ALL must not exceed CycleE average ALL anywhere
-        for row in &t.rows {
-            let e_avg: usize = row[5].split('/').nth(2).unwrap().parse().unwrap();
-            let x_avg: usize = row[7].split('/').nth(2).unwrap().parse().unwrap();
-            assert!(
-                x_avg <= e_avg,
-                "CycleEX should not use more ops than CycleE: {row:?}"
-            );
-        }
+        assert_eq!(tables[0].rows.len(), 6);
     }
 
     #[test]
@@ -1247,99 +591,35 @@ mod tests {
 
     #[test]
     fn exp3_smoke_runs_and_x_is_competitive() {
-        let tables = exp3(0.02, 1);
-        let t = &tables[0];
-        assert_eq!(t.rows.len(), 4);
-        // every row has three timings
+        // oracle agreement and "no interval rewrite" are asserted per cell
+        let t = exp3(0.02, 1).remove(0);
+        assert_eq!(t.rows.len(), 12, "4 sizes × R/E/X");
         for row in &t.rows {
-            assert_eq!(row.len(), 4);
-            for cell in &row[1..] {
-                let v: f64 = cell.parse().unwrap();
-                assert!(v >= 0.0);
-            }
+            assert_eq!(row.len(), t.headers.len());
+            let (lfp, all): (usize, usize) = (row[2].parse().unwrap(), row[3].parse().unwrap());
+            assert!(1 <= lfp && lfp < all, "a//d needs a fixpoint: {row:?}");
+            assert!(
+                row[4].parse::<usize>().unwrap() >= 1,
+                "it iterates: {row:?}"
+            );
         }
-    }
-
-    #[test]
-    fn throughput_smoke_scales_shape() {
-        let tables = throughput(0.01, 2);
-        assert_eq!(tables.len(), 2);
-        let t = &tables[0];
-        assert!(t.rows.len() >= 2, "at least workers = 1 and 2");
-        assert_eq!(t.rows[0][0], "1");
-        for row in &t.rows {
-            let qps: f64 = row[3].parse().unwrap();
-            assert!(qps > 0.0);
+        // X's program is no larger than E's, at every size
+        for size in t.rows.chunks(3) {
+            let all = |r: &Vec<String>| r[3].parse::<usize>().unwrap();
+            assert!(all(&size[2]) <= all(&size[1]), "{size:?}");
         }
-        // the ablation table asserted answer equality internally
-        assert_eq!(tables[1].rows.len(), 2);
-    }
-
-    #[test]
-    fn analyze_report_zero_errors_and_clean_optimized_programs() {
-        let tables = analyze_report();
-        assert_eq!(tables.len(), 1);
-        let t = &tables[0];
-        assert_eq!(t.rows.len(), 22, "11 workload queries × 2 opt levels");
-        for row in &t.rows {
-            assert!(row[4].starts_with('('), "result schema rendered: {row:?}");
-            // dead statements exist only in unoptimized programs
-            if row[2] == "Full" {
-                assert_eq!(row[5], "0", "optimized program has warnings: {row:?}");
-            }
+        // fixed work: a second run repeats every count column exactly
+        let again = exp3(0.02, 1).remove(0);
+        for (a, b) in t.rows.iter().zip(&again.rows) {
+            assert_eq!(a[..6], b[..6], "only the ms column may move");
         }
-    }
-
-    #[test]
-    fn satcheck_report_proves_workloads_satisfiable_and_prunes_soundly() {
-        // the soundness assertion (no Empty verdict with oracle answers)
-        // runs inside satcheck_report over the random corpus
-        let tables = satcheck_report();
-        assert_eq!(tables.len(), 2);
-        let verdicts = &tables[0];
-        // every Table-5 workload query is satisfiable; every hand-picked
-        // companion is proven empty with a witness
-        for row in &verdicts.rows {
-            if row[2] == "EMPTY" {
-                assert!(row[3].starts_with('['), "witness rendered: {row:?}");
-            } else {
-                assert!(row[2].starts_with("non-empty"), "verdict: {row:?}");
-                assert!(row[3].is_empty(), "no witness for non-empty: {row:?}");
-            }
-        }
-        assert!(
-            verdicts.rows.iter().any(|r| r[2] == "EMPTY"),
-            "companions exercise the witness column"
-        );
-        let corpus = &tables[1];
-        assert_eq!(corpus.rows.len(), 3, "Cross, Dept, GedML corpora");
-        for row in &corpus.rows {
-            assert_eq!(row[1], "120", "corpus size");
-            assert!(row[2].parse::<usize>().unwrap() > 0, "some query pruned");
-            assert_eq!(row[5], "0", "zero unsound verdicts");
-        }
-    }
-
-    #[test]
-    fn opt_ablation_smoke_counts_never_grow() {
-        // the ≤ assertions run inside opt_ablation; answer equality too
-        let tables = opt_ablation(0.01, 1);
-        assert_eq!(tables.len(), 2);
-        let counts = &tables[0];
-        assert!(counts.rows.len() >= 10, "all workload queries reported");
-        for row in &counts.rows {
-            // "off → on" cells parse back and never grow
-            let all: Vec<usize> = row[3].split(" → ").map(|v| v.parse().unwrap()).collect();
-            assert!(all[1] <= all[0], "ALL grew in {row:?}");
-        }
-        let timings = &tables[1];
-        assert_eq!(timings.rows.len(), 3);
     }
 
     #[test]
     fn exp2_smoke_push_agrees() {
-        // the assert inside exp2 checks push == plain answers
+        // both variants are checked against the oracle inside exp2
         let tables = exp2(0.02, 1);
         assert_eq!(tables.len(), 2);
+        assert!(tables.iter().all(|t| t.rows.len() == 8), "4 sizes × 2 runs");
     }
 }

@@ -43,7 +43,7 @@ pub struct ServeConfig {
     pub flight_hold: Option<Duration>,
     /// Cooperative execution deadline applied to every `/query` request
     /// (see [`QueryService::deadline`]). Expiry answers `503` with
-    /// `Retry-After` and counts `requests_timed_out`. `None` (the
+    /// `Retry-After` and is counted as a timed-out request. `None` (the
     /// default) leaves queries ungoverned.
     pub query_deadline: Option<Duration>,
 }
@@ -199,76 +199,15 @@ fn send_rejection(mut conn: TcpStream, retry_after_secs: u64) {
     }
 }
 
-/// Render a [`Stats`] snapshot as JSON by hand (std-only crate).
+/// Render a [`Stats`] snapshot as JSON by hand (std-only crate): one key
+/// per [`Stats::fields`] entry, so a counter added to the table in
+/// `x2s_rel::stats` is served without an edit here.
 pub fn stats_json(stats: &Stats) -> String {
-    format!(
-        concat!(
-            "{{\n",
-            "  \"requests_admitted\": {},\n",
-            "  \"requests_rejected\": {},\n",
-            "  \"requests_coalesced\": {},\n",
-            "  \"stream_chunks\": {},\n",
-            "  \"plan_cache_hits\": {},\n",
-            "  \"plan_cache_misses\": {},\n",
-            "  \"joins\": {},\n",
-            "  \"unions\": {},\n",
-            "  \"selects\": {},\n",
-            "  \"projects\": {},\n",
-            "  \"set_ops\": {},\n",
-            "  \"lfp_invocations\": {},\n",
-            "  \"lfp_iterations\": {},\n",
-            "  \"multilfp_invocations\": {},\n",
-            "  \"multilfp_iterations\": {},\n",
-            "  \"tuples_emitted\": {},\n",
-            "  \"stmts_evaluated\": {},\n",
-            "  \"stmts_skipped\": {},\n",
-            "  \"opt_stmts_eliminated\": {},\n",
-            "  \"opt_plans_hash_consed\": {},\n",
-            "  \"opt_preds_pushed\": {},\n",
-            "  \"lfp_peak_closure\": {},\n",
-            "  \"join_index_reuses\": {},\n",
-            "  \"analyze_checked\": {},\n",
-            "  \"analyze_warnings\": {},\n",
-            "  \"sat_checked\": {},\n",
-            "  \"sat_pruned\": {},\n",
-            "  \"exec_timeouts\": {},\n",
-            "  \"budget_aborts\": {},\n",
-            "  \"panics_contained\": {},\n",
-            "  \"requests_timed_out\": {}\n",
-            "}}\n"
-        ),
-        stats.requests_admitted,
-        stats.requests_rejected,
-        stats.requests_coalesced,
-        stats.stream_chunks,
-        stats.plan_cache_hits,
-        stats.plan_cache_misses,
-        stats.joins,
-        stats.unions,
-        stats.selects,
-        stats.projects,
-        stats.set_ops,
-        stats.lfp_invocations,
-        stats.lfp_iterations,
-        stats.multilfp_invocations,
-        stats.multilfp_iterations,
-        stats.tuples_emitted,
-        stats.stmts_evaluated,
-        stats.stmts_skipped,
-        stats.opt_stmts_eliminated,
-        stats.opt_plans_hash_consed,
-        stats.opt_preds_pushed,
-        stats.lfp_peak_closure,
-        stats.join_index_reuses,
-        stats.analyze_checked,
-        stats.analyze_warnings,
-        stats.sat_checked,
-        stats.sat_pruned,
-        stats.exec_timeouts,
-        stats.budget_aborts,
-        stats.panics_contained,
-        stats.requests_timed_out,
-    )
+    let counters: Vec<String> = stats
+        .fields()
+        .map(|(name, value)| format!("  \"{name}\": {value}"))
+        .collect();
+    format!("{{\n{}\n}}\n", counters.join(",\n"))
 }
 
 fn handle_connection(
@@ -413,29 +352,19 @@ mod tests {
     #[test]
     fn stats_json_contains_every_serving_counter() {
         let stats = Stats {
-            requests_admitted: 5,
-            requests_rejected: 2,
-            requests_coalesced: 3,
-            stream_chunks: 7,
-            sat_checked: 4,
-            sat_pruned: 1,
-            exec_timeouts: 6,
-            budget_aborts: 8,
-            panics_contained: 9,
-            requests_timed_out: 10,
+            requests_coalesced: 5,
+            interval_rewrites: 3,
+            interval_rows_scanned: 11,
             ..Stats::default()
         };
         let json = stats_json(&stats);
-        assert!(json.contains("\"requests_admitted\": 5"));
-        assert!(json.contains("\"requests_rejected\": 2"));
-        assert!(json.contains("\"requests_coalesced\": 3"));
-        assert!(json.contains("\"stream_chunks\": 7"));
-        assert!(json.contains("\"plan_cache_hits\": 0"));
-        assert!(json.contains("\"sat_checked\": 4"));
-        assert!(json.contains("\"sat_pruned\": 1"));
-        assert!(json.contains("\"exec_timeouts\": 6"));
-        assert!(json.contains("\"budget_aborts\": 8"));
-        assert!(json.contains("\"panics_contained\": 9"));
-        assert!(json.contains("\"requests_timed_out\": 10"));
+        for (name, value) in stats.fields() {
+            assert!(json.contains(&format!("\"{name}\": {value}")), "{name}");
+        }
+        assert_eq!(
+            json.lines().count(),
+            stats.fields().count() + 2,
+            "one line per counter between the braces: {json}"
+        );
     }
 }

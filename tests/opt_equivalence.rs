@@ -9,7 +9,10 @@
 use std::collections::BTreeSet;
 use xpath2sql::core::{OptLevel, SqlOptions, Translation, Translator};
 use xpath2sql::dtd::{samples, Dtd};
-use xpath2sql::rel::{render_program, ExecOptions, Relation, SqlDialect, Stats};
+use xpath2sql::rel::{
+    analyze_program_with, edge_scan_schema, render_program, ExecOptions, Relation, SqlDialect,
+    Stats,
+};
 use xpath2sql::shred::edge_database;
 use xpath2sql::xml::{Generator, GeneratorConfig};
 use xpath2sql::xpath::parse_xpath;
@@ -141,6 +144,9 @@ fn optimized_op_counts_never_grow_and_strictly_shrink_somewhere() {
             // programs themselves
             assert_eq!(on_tr.opt.after, on);
             assert_eq!(on_tr.opt.before, off);
+            // dead statements survive only in unoptimized programs
+            let analysis = analyze_program_with(&on_tr.program, &edge_scan_schema).unwrap();
+            assert!(analysis.warnings.is_empty(), "{name}/{q}: dead statements");
         }
     }
     assert!(

@@ -177,6 +177,37 @@ fn document_only_selection_drives_document_only() {
     assert_empty(".", &pristine_chain(), WitnessKind::DocumentOnly, ".");
 }
 
+/// The same witness kinds on the paper's own DTDs, uncorrupted: impossible
+/// companions of the evaluation queries, each proven empty at the step that
+/// the schema rules out.
+#[test]
+fn impossible_queries_on_the_sample_dtds_are_proven_empty() {
+    use WitnessKind::*;
+    let (cross, dept) = (samples::cross(), samples::dept_simplified());
+    let cases = [
+        (&cross, "a/d", NoChildEdge, "d"),
+        (&cross, "a//zzz", UnknownTag, "zzz"),
+        (&cross, "a/c[d/a]", QualifierNeverHolds, "c[d/a]"),
+        (&dept, "dept/student", NoChildEdge, "student"),
+        (
+            &dept,
+            "dept//course[text()=\"x\" and not text()=\"x\"]",
+            ContradictoryQualifiers,
+            "course[",
+        ),
+        (&samples::gedml(), "Even/Data", NoChildEdge, "Data"),
+        (
+            &samples::bioml(),
+            "gene/locus[dna]",
+            QualifierNeverHolds,
+            "locus[dna]",
+        ),
+    ];
+    for (dtd, query, kind, step) in cases {
+        assert_empty(query, dtd, kind, step);
+    }
+}
+
 /// The corrupted-DTD family end-to-end: an engine over the corrupted DTD
 /// statically answers the formerly-fine query ∅ — no translation, no plan.
 #[test]

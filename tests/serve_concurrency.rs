@@ -8,11 +8,14 @@
 //! * graceful shutdown under load completes every admitted request: each
 //!   accepted connection receives a complete response (a terminated
 //!   chunked body or an explicit rejection) before `run` returns;
-//! * streaming answers leave in multiple bounded chunks when asked.
+//! * streaming answers leave in multiple bounded chunks when asked;
+//! * under mixed concurrent load every request is accounted for exactly
+//!   once: it led a flight, joined one, was pruned, or timed out.
 
 use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
 use std::thread;
 use std::time::Duration;
@@ -233,6 +236,83 @@ fn http_prune_path_sets_header_and_stats() {
     });
 }
 
+/// Fixed mixed load through one `QueryService`: 4 threads × 50 rounds over a
+/// descendant query, a child/descendant chain and `a/d`, which is statically
+/// empty on Cross (no a→d edge) and so answered by the admission gate, not
+/// by a flight. Threads start at staggered offsets so the same query is in
+/// flight on several of them at once. Returns the requests issued, how many
+/// returned an error, and the engine's counters for the load.
+fn mixed_load(deadline: Option<Duration>) -> (usize, usize, xpath2sql::rel::Stats) {
+    const THREADS: usize = 4;
+    const ROUNDS: usize = 50;
+    let queries = ["a//d", "a/b//c/d", "a/d"];
+    let dtd = samples::cross();
+    let tree = Generator::new(
+        &dtd,
+        GeneratorConfig::shaped(8, 3, Some(2_000)).with_seed(23),
+    )
+    .generate();
+    let mut engine = Engine::new(&dtd);
+    engine.load(&tree);
+    let mut service = QueryService::new(&engine);
+    if let Some(deadline) = deadline {
+        service = service.deadline(deadline);
+    }
+    let errors = AtomicUsize::new(0);
+    thread::scope(|s| {
+        for t in 0..THREADS {
+            let (service, errors) = (&service, &errors);
+            s.spawn(move || {
+                for i in 0..ROUNDS * queries.len() {
+                    if service.query(queries[(t + i) % queries.len()]).is_err() {
+                        errors.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            });
+        }
+    });
+    let requests = THREADS * ROUNDS * queries.len();
+    (requests, errors.into_inner(), engine.stats())
+}
+
+/// Executor flights that ran to completion: only flight leaders prepare, so
+/// the prepares count the flights led; a timed-out leader prepared too.
+fn completed_flights(stats: &xpath2sql::rel::Stats) -> usize {
+    stats.plan_cache_hits + stats.plan_cache_misses - stats.exec_timeouts
+}
+
+#[test]
+fn closed_loop_accounts_for_every_request() {
+    let (requests, errors, stats) = mixed_load(None);
+    assert_eq!(errors, 0);
+    assert_eq!(stats.exec_timeouts, 0, "ungoverned run never times out");
+    assert_eq!(stats.sat_pruned, requests / 3, "every a/d was pruned");
+    assert_eq!(
+        stats.requests_coalesced + completed_flights(&stats) + stats.sat_pruned,
+        requests,
+        "every request led a flight, joined one, or was pruned"
+    );
+}
+
+#[test]
+fn governed_run_reports_timeouts_and_accounting_stays_exact() {
+    // an already-expired deadline: every flight aborts at its first
+    // cancellation checkpoint
+    let (requests, errors, stats) = mixed_load(Some(Duration::ZERO));
+    assert!(stats.exec_timeouts > 0, "expired deadline aborts flights");
+    assert_eq!(completed_flights(&stats), 0, "no flight ran to completion");
+    assert_eq!(
+        errors,
+        stats.requests_coalesced + stats.exec_timeouts,
+        "every timed-out leader and every follower saw the typed error"
+    );
+    assert_eq!(
+        stats.requests_coalesced + stats.sat_pruned + stats.exec_timeouts,
+        requests,
+        "governed accounting is exact"
+    );
+}
+
 #[test]
 fn full_queue_rejects_explicitly_never_panics() {
     let q: Bounded<u32> = Bounded::new(2);
@@ -430,10 +510,14 @@ fn endpoints_health_stats_and_errors() {
         let _ = get(&addr, "/query?q=dept//project");
         let stats = get(&addr, "/stats");
         assert!(stats.starts_with("HTTP/1.1 200"));
-        // one coherent snapshot with the serving counters present
-        assert!(stats.contains("\"requests_admitted\""));
-        assert!(stats.contains("\"requests_coalesced\""));
+        // one coherent snapshot carrying every counter by name, so it says
+        // which physical path the `//` took
+        for (name, _) in engine.stats().fields() {
+            assert!(stats.contains(&format!("\"{name}\": ")), "{name}: {stats}");
+        }
         assert!(stats.contains("\"plan_cache_misses\": 1"));
+        assert!(stats.contains("\"interval_rewrites\": 1"), "{stats}");
+        assert!(stats.contains("\"lfp_invocations\": 0"), "{stats}");
 
         let bad = get(&addr, "/query?q=dept%5B");
         assert!(bad.starts_with("HTTP/1.1 400"), "{bad}");
