@@ -133,6 +133,10 @@ impl Translation {
                 stats.interval_rewrites += v.rewrites;
                 &v.program
             }
+            Some(_) if opts.interval => {
+                stats.interval_fallbacks += 1;
+                &self.program
+            }
             _ => &self.program,
         };
         let rel = program.execute(db, opts, stats)?;

@@ -2,28 +2,50 @@
 //!
 //! # Columnar execution core
 //!
-//! Three decisions shape this module's hot path (and the whole PR-5 perf
-//! story):
+//! What shapes this module's hot path:
 //!
 //! * **Borrowed scans** — [`eval_plan`] returns `Cow<Relation>`: a `Scan`
 //!   or `Temp` borrows the stored relation instead of cloning it, so
 //!   operators read base relations in place and only materialize what they
 //!   actually produce.
+//! * **One row-multimap under every build table** — a hash-join build side
+//!   (single- or multi-column key) is a `crate::multimap::RowMultimap`: a
+//!   hash map from the key to its first row plus one `next` array chaining
+//!   the rows with an equal key, in ascending row order. Two allocations per
+//!   table instead of one `Vec` per distinct key; `Relation::dedup` uses the
+//!   same table, and the fixpoint operators the dense-key variant (CSR).
+//! * **σ/π fused into the join below** — a `Project`, a `Select`, or
+//!   `Project(Select(…))` directly above an inner `Join` is applied while
+//!   the join emits: a joined row failing the predicate is never built, and
+//!   of one that passes only the projected columns are copied
+//!   ([`Stats::tuples_emitted`] counts the narrow rows; `joins`, `selects`
+//!   and `projects` still count one per logical operator).
+//! * **Seed-restricted range joins** — `Semi(IntervalJoin, seeds)` evaluates
+//!   `seeds` first and hands the interval join only those ancestors (§5.2's
+//!   `push(R1, R0)`, for the range join): its sweep-or-nested-loop choice is
+//!   made on the seeds and it emits exactly the pairs the semi-join keeps.
 //! * **Load-time base-edge indexes** — the [`Database`] carries per-relation
 //!   hash indexes on the edge columns (`F` → rows, `T` → rows), built once
-//!   at load under the `Arc`. A join whose build side is a plain base-table
-//!   scan probes the cached index instead of rebuilding the same hash table
-//!   on every execution ([`Stats::join_index_reuses`] counts the wins).
+//!   at load under the `Arc`. A join whose *build* (right) side is a plain
+//!   base-table scan probes the cached index instead of building a table
+//!   ([`Stats::join_index_reuses`] counts them). The translator's child
+//!   steps are `SemiJoin(Scan R_x, small)` — the scan on the *probe* side —
+//!   so none of the ten benchmark queries reaches an index today
+//!   (`rel.exec.join_index_reuses = 0`); driving those joins from the small
+//!   side through the index is the follow-up (ROADMAP item 5).
 //! * **Integer-dominated keys** — text values are dictionary-coded at load
 //!   ([`crate::dict`]), executor tables hash with the internal Fx hasher
 //!   ([`crate::fxhash`]), and multi-column join keys pack into a single
 //!   `u128` when every component is a node id / code / small int.
 
 use crate::dict::Dictionary;
-use crate::fxhash::{fx_hash_one, fx_map_with_capacity, fx_set_with_capacity, FxHashMap};
+use crate::fxhash::{
+    fx_hash_one, fx_map_with_capacity, fx_set_with_capacity, FxHashMap, FxHashSet,
+};
 use crate::interval::{eval_interval_join, IntervalLabels, IntervalView};
 use crate::lfp::eval_lfp;
 use crate::multilfp::eval_multilfp;
+use crate::multimap::RowMultimap;
 use crate::plan::{JoinKind, Plan, Pred};
 use crate::program::TempId;
 use crate::relation::Relation;
@@ -559,27 +581,25 @@ impl CompiledPred {
     /// Column indexes are verified statically by [`crate::analyze`]; debug
     /// builds additionally fail here with a named diagnostic instead of a
     /// bare slice panic. The release path is unchanged.
-    fn eval(&self, tuple: &[Value]) -> bool {
-        #[cfg(debug_assertions)]
-        fn check(col: usize, tuple: &[Value]) {
+    fn eval<R: Row + ?Sized>(&self, tuple: &R) -> bool {
+        #[inline]
+        fn check<R: Row + ?Sized>(col: usize, tuple: &R) {
             debug_assert!(
-                col < tuple.len(),
+                col < tuple.arity(),
                 "compiled predicate column {col} out of range (tuple arity {}); \
                  the plan bypassed the static analyzer",
-                tuple.len()
+                tuple.arity()
             );
         }
-        #[cfg(not(debug_assertions))]
-        fn check(_col: usize, _tuple: &[Value]) {}
         match self {
             CompiledPred::True => true,
             CompiledPred::ColEqValue(c, v) => {
                 check(*c, tuple);
-                &tuple[*c] == v
+                tuple.col(*c) == v
             }
             CompiledPred::ColEqStr { col, code, lit } => {
                 check(*col, tuple);
-                match &tuple[*col] {
+                match tuple.col(*col) {
                     Value::Code(c) => *code == Some(*c),
                     Value::Str(s) => **s == **lit,
                     _ => false,
@@ -588,11 +608,85 @@ impl CompiledPred {
             CompiledPred::ColEqCol(a, b) => {
                 check(*a, tuple);
                 check(*b, tuple);
-                tuple[*a] == tuple[*b]
+                tuple.col(*a) == tuple.col(*b)
             }
             CompiledPred::And(a, b) => a.eval(tuple) && b.eval(tuple),
             CompiledPred::Or(a, b) => a.eval(tuple) || b.eval(tuple),
             CompiledPred::Not(p) => !p.eval(tuple),
+        }
+    }
+}
+
+/// What a predicate or a projection reads a row through: a stored row, or
+/// the `left ++ right` row an inner join is about to emit ([`Joined`]) —
+/// which σ/π fused into the join look at *before* anything is copied.
+trait Row {
+    fn col(&self, c: usize) -> &Value;
+    fn arity(&self) -> usize;
+}
+
+impl Row for [Value] {
+    #[inline]
+    fn col(&self, c: usize) -> &Value {
+        &self[c]
+    }
+
+    #[inline]
+    fn arity(&self) -> usize {
+        self.len()
+    }
+}
+
+/// The concatenation `left ++ right` of two stored rows, unmaterialised.
+struct Joined<'r>(&'r [Value], &'r [Value]);
+
+impl Row for Joined<'_> {
+    #[inline]
+    fn col(&self, c: usize) -> &Value {
+        match c.checked_sub(self.0.len()) {
+            None => &self.0[c],
+            Some(rc) => &self.1[rc],
+        }
+    }
+
+    #[inline]
+    fn arity(&self) -> usize {
+        self.0.len() + self.1.len()
+    }
+}
+
+/// The σ and π sitting directly above a join, applied while the join emits:
+/// a joined row that fails `pred` is never built, and of one that passes
+/// only `cols` are copied. With neither, the join emits whole rows.
+#[derive(Default)]
+struct Fused<'p> {
+    pred: Option<CompiledPred>,
+    cols: Option<&'p [(usize, String)]>,
+}
+
+impl Fused<'_> {
+    /// Column names of the fused output over a join with these inputs.
+    fn columns(&self, left: &Relation, right: &Relation, kind: JoinKind) -> Vec<String> {
+        if let Some(cols) = self.cols {
+            return cols.iter().map(|(_, n)| n.clone()).collect();
+        }
+        let mut c = left.columns().to_vec();
+        if kind == JoinKind::Inner {
+            c.extend(right.columns().iter().cloned());
+        }
+        c
+    }
+
+    /// Emit `left ++ right` (semi and anti joins pass an empty `right`).
+    #[inline]
+    fn emit(&self, left: &[Value], right: &[Value], out: &mut Relation) {
+        let row = Joined(left, right);
+        if self.pred.as_ref().is_some_and(|p| !p.eval(&row)) {
+            return;
+        }
+        match self.cols {
+            Some(cols) => out.push_iter(cols.iter().map(|(c, _)| row.col(*c).clone())),
+            None => out.push_concat(left, right),
         }
     }
 }
@@ -616,6 +710,14 @@ pub fn eval_plan<'a>(
             .ok_or(ExecError::UnknownTemp(*t)),
         Plan::Values(rel) => Ok(Cow::Borrowed(rel)),
         Plan::Select { input, pred } => {
+            if let Some(join) = JoinNode::fusable(input, ctx) {
+                ctx.stats.selects += 1;
+                let fused = Fused {
+                    pred: Some(CompiledPred::compile(pred, ctx.db.dict())),
+                    cols: None,
+                };
+                return Ok(Cow::Owned(eval_join(join, fused, ctx)?));
+            }
             let rel = eval_plan(input, ctx)?;
             ctx.stats.selects += 1;
             let compiled = CompiledPred::compile(pred, ctx.db.dict());
@@ -629,6 +731,20 @@ pub fn eval_plan<'a>(
             Ok(Cow::Owned(out))
         }
         Plan::Project { input, cols } => {
+            // π, or π over σ, directly above an inner join
+            let (below, pred) = match &**input {
+                Plan::Select { input, pred } => (&**input, Some(pred)),
+                other => (other, None),
+            };
+            if let Some(join) = JoinNode::fusable(below, ctx) {
+                ctx.stats.projects += 1;
+                ctx.stats.selects += usize::from(pred.is_some());
+                let fused = Fused {
+                    pred: pred.map(|p| CompiledPred::compile(p, ctx.db.dict())),
+                    cols: Some(cols),
+                };
+                return Ok(Cow::Owned(eval_join(join, fused, ctx)?));
+            }
             let rel = eval_plan(input, ctx)?;
             ctx.stats.projects += 1;
             // Source columns are verified statically by [`crate::analyze`];
@@ -656,28 +772,13 @@ pub fn eval_plan<'a>(
             on,
             kind,
         } => {
-            // Join boundary: the cheapest place to poll the token before
-            // committing to a potentially large build/probe.
-            ctx.check_cancel()?;
-            crate::failpoint::hit("exec-panic");
-            let l = eval_plan(left, ctx)?;
-            // Cached-index fast path: a single-column join whose build side
-            // is a raw base-table scan on an indexed column reuses the
-            // load-time index instead of building a hash table.
-            let prebuilt = match (&**right, on.as_slice()) {
-                (Plan::Scan(name), [(_, rcol)]) => ctx.db.index_of(name, *rcol),
-                _ => None,
-            };
-            let r = eval_plan(right, ctx)?;
-            Ok(Cow::Owned(hash_join_with(
-                &l,
-                &r,
+            let join = JoinNode {
+                left,
+                right,
                 on,
-                *kind,
-                ctx.opts.threads,
-                ctx.stats,
-                prebuilt.as_deref(),
-            )))
+                kind: *kind,
+            };
+            Ok(Cow::Owned(eval_join(join, Fused::default(), ctx)?))
         }
         Plan::Union { inputs, distinct } => {
             let mut rels = Vec::with_capacity(inputs.len());
@@ -765,8 +866,91 @@ pub fn eval_plan<'a>(
         }
         Plan::Lfp(spec) => Ok(Cow::Owned(eval_lfp(spec, ctx)?)),
         Plan::MultiLfp(spec) => Ok(Cow::Owned(eval_multilfp(spec, ctx)?)),
-        Plan::IntervalJoin(spec) => Ok(Cow::Owned(eval_interval_join(spec, ctx)?)),
+        Plan::IntervalJoin(spec) => Ok(Cow::Owned(eval_interval_join(spec, None, ctx)?)),
     }
+}
+
+/// The fields of a [`Plan::Join`].
+struct JoinNode<'a> {
+    left: &'a Plan,
+    right: &'a Plan,
+    on: &'a [(usize, usize)],
+    kind: JoinKind,
+}
+
+impl<'a> JoinNode<'a> {
+    /// `plan` as the join a σ/π directly above it fuses into: an inner join
+    /// (semi and anti joins emit stored left rows as they are) on the
+    /// single-thread path (the partitioned operators fill per-worker
+    /// buffers with whole rows).
+    fn fusable(plan: &'a Plan, ctx: &ExecCtx<'_>) -> Option<Self> {
+        match plan {
+            Plan::Join {
+                left,
+                right,
+                on,
+                kind: JoinKind::Inner,
+            } if ctx.opts.threads <= 1 => Some(JoinNode {
+                left,
+                right,
+                on,
+                kind: JoinKind::Inner,
+            }),
+            _ => None,
+        }
+    }
+}
+
+/// Evaluate a join, applying `fused` to every row it emits.
+fn eval_join<'a>(
+    join: JoinNode<'a>,
+    fused: Fused<'a>,
+    ctx: &mut ExecCtx<'a>,
+) -> Result<Relation, ExecError> {
+    // Join boundary: the cheapest place to poll the token before
+    // committing to a potentially large build/probe.
+    ctx.check_cancel()?;
+    crate::failpoint::hit("exec-panic");
+    if let (JoinKind::Semi, Plan::IntervalJoin(spec), [(0, seed_col)]) =
+        (join.kind, join.left, join.on)
+    {
+        // Seed push-down (the paper's `push(R1, R0)` for the range join):
+        // a semi-join keeps the (ancestor, descendant) pairs whose ancestor
+        // is in `right`, so only those ancestors enter the interval join —
+        // it then emits exactly the pairs the semi-join would have kept.
+        // Non-id seed values (NULL, the document marker) equal no ancestor.
+        let seeds = eval_plan(join.right, ctx)?;
+        ctx.stats.joins += 1;
+        let seeds: FxHashSet<u32> = seeds.rows().filter_map(|t| t[*seed_col].as_id()).collect();
+        return eval_interval_join(spec, Some(&seeds), ctx);
+    }
+    let l = eval_plan(join.left, ctx)?;
+    // Cached-index fast path: a single-column join whose build side is a
+    // raw base-table scan on an indexed column reuses the load-time index
+    // instead of building a hash table.
+    let prebuilt = match (join.right, join.on) {
+        (Plan::Scan(name), [(_, rcol)]) => ctx.db.index_of(name, *rcol),
+        _ => None,
+    };
+    let r = eval_plan(join.right, ctx)?;
+    debug_assert!(
+        fused
+            .cols
+            .is_none_or(|cols| cols.iter().all(|(i, _)| *i < l.arity() + r.arity())),
+        "projection source column out of range over join arity {}; \
+         the plan bypassed the static analyzer",
+        l.arity() + r.arity()
+    );
+    Ok(hash_join_with(
+        &l,
+        &r,
+        join.on,
+        join.kind,
+        ctx.opts.threads,
+        ctx.stats,
+        prebuilt.as_deref(),
+        &fused,
+    ))
 }
 
 /// Combined tuple count (`left.len() + right.len()`) above which
@@ -857,12 +1041,29 @@ pub fn hash_join(
     threads: usize,
     stats: &mut Stats,
 ) -> Relation {
-    hash_join_with(left, right, on, kind, threads, stats, None)
+    hash_join_with(
+        left,
+        right,
+        on,
+        kind,
+        threads,
+        stats,
+        None,
+        &Fused::default(),
+    )
+}
+
+/// `v` as a join key: NULL is none.
+#[inline]
+fn non_null(v: &Value) -> Option<&Value> {
+    (*v != Value::Null).then_some(v)
 }
 
 /// [`hash_join`] with an optional prebuilt index for the right side (the
 /// database's cached base-edge index; `prebuilt` must be an index of
-/// `right` on the single join column).
+/// `right` on the single join column) and the σ/π `fused` into its emit
+/// (single-thread path only: [`JoinNode::fusable`]).
+#[allow(clippy::too_many_arguments)]
 fn hash_join_with(
     left: &Relation,
     right: &Relation,
@@ -871,102 +1072,79 @@ fn hash_join_with(
     threads: usize,
     stats: &mut Stats,
     prebuilt: Option<&ColIndex>,
+    fused: &Fused<'_>,
 ) -> Relation {
     stats.joins += 1;
-    let columns = match kind {
-        JoinKind::Inner => {
-            let mut c = left.columns().to_vec();
-            c.extend(right.columns().iter().cloned());
-            c
-        }
-        JoinKind::Semi | JoinKind::Anti => left.columns().to_vec(),
-    };
-    if let (Some(idx), [(lcol, _)]) = (prebuilt, on) {
+    let columns = fused.columns(left, right, kind);
+    let parallel = threads > 1 && left.len() + right.len() >= PARALLEL_JOIN_THRESHOLD;
+    let out = if let (Some(idx), [(lcol, _)]) = (prebuilt, on) {
         // Cached-index path: no build phase at all. Probes parallelize by
         // chunking the probe side over the shared read-only index.
         stats.join_index_reuses += 1;
-        let out = if threads > 1 && left.len() + right.len() >= PARALLEL_JOIN_THRESHOLD {
+        if parallel {
             probe_index_parallel(left, right, *lcol, idx, kind, threads, columns)
         } else {
-            let mut out = Relation::new(columns);
-            for t in left.rows() {
-                let matched = if t[*lcol] == Value::Null {
-                    None
-                } else {
-                    idx.get(&t[*lcol])
-                };
-                emit_probe(t, matched, right, kind, &mut out);
-            }
-            out
-        };
-        stats.tuples_emitted += out.len() as u64;
-        return out;
-    }
-    if threads > 1 && left.len() + right.len() >= PARALLEL_JOIN_THRESHOLD {
-        let out = parallel_hash_join(left, right, on, kind, threads, columns);
-        stats.tuples_emitted += out.len() as u64;
-        return out;
-    }
-    let mut out = Relation::new(columns);
-    if let [(lcol, rcol)] = *on {
+            probe(left, right, kind, fused, columns, |t| {
+                let rows = non_null(&t[*lcol]).and_then(|v| idx.get(v));
+                rows.unwrap_or_default().iter().copied()
+            })
+        }
+    } else if parallel {
+        parallel_hash_join(left, right, on, kind, threads, columns)
+    } else if let [(lcol, rcol)] = *on {
         // fast path: borrowed single-column key
-        let mut table: FxHashMap<&Value, Vec<u32>> = fx_map_with_capacity(right.len());
-        for (i, t) in right.rows().enumerate() {
-            if t[rcol] != Value::Null {
-                table.entry(&t[rcol]).or_default().push(i as u32);
-            }
-        }
-        for t in left.rows() {
-            let matched = if t[lcol] == Value::Null {
-                None
-            } else {
-                table.get(&t[lcol]).map(Vec::as_slice)
-            };
-            emit_probe(t, matched, right, kind, &mut out);
-        }
-        stats.tuples_emitted += out.len() as u64;
-        return out;
-    }
-    // general path: multi-column keys, packed into one word when possible;
-    // None = the key contains a NULL and can never compare equal to anything
-    let lcols: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
-    let rcols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
-    let mut table: FxHashMap<JoinKey<'_>, Vec<u32>> = fx_map_with_capacity(right.len());
-    for (i, t) in right.rows().enumerate() {
-        if let Some(key) = key_of(t, &rcols) {
-            table.entry(key).or_default().push(i as u32);
-        }
-    }
-    for t in left.rows() {
-        let matched = key_of(t, &lcols)
-            .and_then(|key| table.get(&key))
-            .map(Vec::as_slice);
-        emit_probe(t, matched, right, kind, &mut out);
-    }
+        let table = RowMultimap::build(right.len(), |i| non_null(&right.row(i)[rcol]));
+        probe(left, right, kind, fused, columns, |t| {
+            table.rows_of(non_null(&t[lcol]).as_ref())
+        })
+    } else {
+        // general path: multi-column keys, packed into one word when
+        // possible; `key_of` is None when the key contains a NULL and can
+        // never compare equal to anything
+        let lcols: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
+        let rcols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
+        let table = RowMultimap::build(right.len(), |i| key_of(right.row(i), &rcols));
+        probe(left, right, kind, fused, columns, |t| {
+            table.rows_of(key_of(t, &lcols).as_ref())
+        })
+    };
     stats.tuples_emitted += out.len() as u64;
     out
 }
 
-/// One probe row's emit: `matched` holds the build rows with an equal
-/// (non-NULL) key; the join kind decides what lands in `out`.
-#[inline]
-fn emit_probe(
-    t: &[Value],
-    matched: Option<&[u32]>,
+/// The probe loop of every single-thread join: `matches(t)` yields, in
+/// ascending order, the build rows whose (non-NULL) key equals probe row
+/// `t`'s; the join kind decides what is emitted through `fused`.
+fn probe<'l, M: Iterator<Item = u32>>(
+    left: &'l Relation,
     right: &Relation,
     kind: JoinKind,
-    out: &mut Relation,
-) {
-    match (kind, matched) {
-        (JoinKind::Inner, Some(matched)) => {
-            for &ri in matched {
-                out.push_concat(t, right.row(ri as usize));
+    fused: &Fused<'_>,
+    columns: Vec<String>,
+    matches: impl Fn(&'l [Value]) -> M,
+) -> Relation {
+    let mut out = Relation::new(columns);
+    for t in left.rows() {
+        let mut matched = matches(t);
+        match kind {
+            JoinKind::Inner => {
+                for ri in matched {
+                    fused.emit(t, right.row(ri as usize), &mut out);
+                }
+            }
+            JoinKind::Semi => {
+                if matched.next().is_some() {
+                    fused.emit(t, &[], &mut out);
+                }
+            }
+            JoinKind::Anti => {
+                if matched.next().is_none() {
+                    fused.emit(t, &[], &mut out);
+                }
             }
         }
-        (JoinKind::Semi, Some(_)) => out.push_row(t),
-        (JoinKind::Anti, None) => out.push_row(t),
-        _ => {}
     }
+    out
 }
 
 /// Parallel probe over the shared cached index: the probe side is chunked

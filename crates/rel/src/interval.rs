@@ -26,7 +26,7 @@
 //! [`IntervalJoin`]: crate::plan::Plan::IntervalJoin
 
 use crate::exec::{eval_plan, ExecCtx, ExecError};
-use crate::fxhash::fx_set_with_capacity;
+use crate::fxhash::{fx_set_with_capacity, FxHashSet};
 use crate::plan::IntervalJoinSpec;
 use crate::relation::Relation;
 use crate::value::Value;
@@ -170,8 +170,15 @@ const CANCEL_CHECK_CHUNK: u64 = 4_096;
 /// [`Stats::interval_rows_scanned`](crate::stats::Stats::interval_rows_scanned).
 /// No fixpoint runs, so `lfp_*` statistics stay untouched — interval-path
 /// runs report their true (near-zero) closure work.
+///
+/// `seeds` restricts the ancestor candidates to the listed nodes — the
+/// selection a semi-join directly above would apply to the `F` column,
+/// pushed in (§5.2's `push(R1, R0)` for the range join). The strategy is
+/// then chosen on the seeded candidates, and the output is exactly the
+/// pairs of the unrestricted join whose ancestor is a seed.
 pub fn eval_interval_join<'a>(
     spec: &'a IntervalJoinSpec,
+    seeds: Option<&FxHashSet<u32>>,
     ctx: &mut ExecCtx<'a>,
 ) -> Result<Relation, ExecError> {
     let left = eval_plan(&spec.left, ctx)?;
@@ -186,11 +193,12 @@ pub fn eval_interval_join<'a>(
     ctx.stats.joins += 1;
     // Distinct ancestor candidates with their labels, sorted by start.
     // Non-id values (document marker, NULL) have no interval: skipped.
-    let mut seen = fx_set_with_capacity::<u32>(left.len());
+    let candidates = seeds.map_or(left.len(), |s| s.len().min(left.len()));
+    let mut seen = fx_set_with_capacity::<u32>(candidates);
     let mut lefts: Vec<(u64, u64, u32)> = Vec::new();
     for t in left.rows() {
         if let Some(Value::Id(x)) = t.get(spec.left_col) {
-            if seen.insert(*x) {
+            if seeds.is_none_or(|s| s.contains(x)) && seen.insert(*x) {
                 if let Some((s, e)) = labels.get(*x) {
                     lefts.push((s, e, *x));
                 }
@@ -362,7 +370,7 @@ mod tests {
                 opts: ExecOptions::default(),
                 stats: &mut stats,
             };
-            let got = eval_interval_join(&spec, &mut ctx).unwrap();
+            let got = eval_interval_join(&spec, None, &mut ctx).unwrap();
             let mut got: Vec<(u32, u32)> = got
                 .rows()
                 .map(|t| match (&t[0], &t[1]) {
@@ -388,6 +396,99 @@ mod tests {
         }
     }
 
+    /// `Semi(IntervalJoin, seeds)` is evaluated as a seed-restricted
+    /// interval join: it must equal the unrestricted join filtered
+    /// afterwards, whichever strategy the seeded candidates select — with
+    /// few seeds (index-nested-loop), many (sweep), none, and seeds that
+    /// carry no label or are no node at all.
+    #[test]
+    fn seeded_interval_join_equals_filtered_unrestricted_join() {
+        use crate::plan::JoinKind;
+        let (labels, parent) = random_tree(300, 0x5EED);
+        let mut all = Relation::new(vec!["F".into(), "T".into()]);
+        for i in 0..300u32 {
+            all.push_row(&[Value::Id(parent[i as usize]), Value::Id(i)]);
+        }
+        // candidates: every node, plus one the document never labelled
+        let mut probe = all.clone();
+        probe.push_row(&[Value::Id(0), Value::Id(9_999)]);
+        let pairs_of = |rel: &Relation| -> Vec<(u32, u32)> {
+            rel.rows()
+                .map(|t| (t[0].as_id().unwrap(), t[1].as_id().unwrap()))
+                .collect()
+        };
+        // 300 view entries: up to 18 candidates take the nested loop
+        for (seed_count, inl) in [
+            (0u32, true),
+            (5, true),
+            (18, true),
+            (19, false),
+            (200, false),
+        ] {
+            let mut seeds = Relation::new(vec!["X".into(), "N".into()]);
+            for i in 0..seed_count {
+                seeds.push_row(&[Value::Null, Value::Id((i * 53) % 300)]);
+            }
+            // seeds that match no ancestor: unlabelled, non-id
+            seeds.push_row(&[Value::Null, Value::Id(9_999)]);
+            seeds.push_row(&[Value::Null, Value::Null]);
+            seeds.push_row(&[Value::Null, Value::Doc]);
+            let seed_ids: Vec<u32> = seeds.rows().filter_map(|t| t[1].as_id()).collect();
+            let mut db = Database::new();
+            db.insert("ALL", all.clone());
+            db.insert("P", probe.clone());
+            db.set_intervals(labels.clone());
+            let spec = IntervalJoinSpec {
+                left: Box::new(Plan::Scan("P".into())),
+                left_col: 1,
+                right: "ALL".into(),
+            };
+            let semi = Plan::Join {
+                left: Box::new(Plan::IntervalJoin(spec.clone())),
+                right: Box::new(Plan::Values(seeds)),
+                on: vec![(0, 1)],
+                kind: JoinKind::Semi,
+            };
+            let env = HashMap::new();
+            let mut full_stats = Stats::default();
+            let mut ctx = ExecCtx {
+                db: &db,
+                env: &env,
+                opts: ExecOptions::default(),
+                stats: &mut full_stats,
+            };
+            let full = eval_interval_join(&spec, None, &mut ctx).unwrap();
+            let mut want: Vec<(u32, u32)> = pairs_of(&full)
+                .into_iter()
+                .filter(|(x, _)| seed_ids.contains(x))
+                .collect();
+            let mut stats = Stats::default();
+            let mut ctx = ExecCtx {
+                db: &db,
+                env: &env,
+                opts: ExecOptions::default(),
+                stats: &mut stats,
+            };
+            let got = eval_plan(&semi, &mut ctx).unwrap();
+            if !inl {
+                // same strategy as the unrestricted join: same order too
+                assert_eq!(pairs_of(&got), want, "{seed_count} seeds, in order");
+            }
+            let mut got = pairs_of(&got);
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(got, want, "{seed_count} seeds");
+            assert_eq!(want.is_empty(), seed_count == 0, "seed 0 is the root");
+            // both operators count; only the kept pairs were ever built
+            assert_eq!(stats.joins, 2);
+            assert_eq!(stats.tuples_emitted, got.len() as u64);
+            // which strategy ran: the nested loop reads exactly the ranges
+            // it emits, the sweep reads the whole view once
+            let scanned = if inl { got.len() as u64 } else { 300 };
+            assert_eq!(stats.interval_rows_scanned, scanned, "{seed_count} seeds");
+        }
+    }
+
     #[test]
     fn missing_intervals_is_an_error() {
         let mut db = Database::new();
@@ -405,7 +506,7 @@ mod tests {
             opts: ExecOptions::default(),
             stats: &mut stats,
         };
-        let err = eval_interval_join(&spec, &mut ctx).unwrap_err();
+        let err = eval_interval_join(&spec, None, &mut ctx).unwrap_err();
         assert!(matches!(err, ExecError::MissingIntervals(_)));
     }
 }

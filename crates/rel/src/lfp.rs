@@ -28,6 +28,7 @@
 use crate::exec::{eval_plan, ExecCtx};
 use crate::fxhash::{fx_set_with_capacity, FxHashSet};
 use crate::intern::{pack, unpack, Interner};
+use crate::multimap::Csr;
 use crate::plan::{LfpSpec, PushSpec};
 use crate::relation::Relation;
 use std::thread;
@@ -68,21 +69,18 @@ pub fn eval_lfp<'a>(
     // Adjacency over interned codes: forward (f→t) normally, reversed when
     // chasing backward from targets. Built once per invocation — the
     // stand-in for the paper's indexes on all joined attributes.
-    let mut heads: Vec<Vec<u32>> = Vec::new();
     let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(edges.len());
     for t in edges.rows() {
         let f = interner.intern(&t[spec.from_col]);
         let to = interner.intern(&t[spec.to_col]);
         pairs.push((f, to));
     }
-    heads.resize(interner.len(), Vec::new());
-    for &(f, to) in &pairs {
-        if backward {
-            heads[to as usize].push(f);
-        } else {
-            heads[f as usize].push(to);
-        }
-    }
+    let heads = Csr::build(
+        interner.len(),
+        pairs
+            .iter()
+            .map(|&(f, to)| if backward { (to, f) } else { (f, to) }),
+    );
 
     if ctx.opts.naive_fixpoint {
         naive_closure(&pairs, &heads, restrict.as_ref(), backward, &interner, ctx)
@@ -105,7 +103,7 @@ fn emit(closure: &FxHashSet<u64>, interner: &Interner, ctx: &mut ExecCtx<'_>) ->
 
 fn semi_naive_closure(
     pairs: &[(u32, u32)],
-    heads: &[Vec<u32>],
+    heads: &Csr,
     restrict: Option<&FxHashSet<u32>>,
     backward: bool,
     interner: &Interner,
@@ -150,7 +148,7 @@ fn semi_naive_closure(
                             let mut local = Vec::new();
                             for &(x, y) in part {
                                 let probe = if backward { x } else { y };
-                                for &z in &heads[probe as usize] {
+                                for &z in heads.neighbors(probe) {
                                     let (nf, nt) = if backward { (z, y) } else { (x, z) };
                                     if !closure.contains(&pack(nf, nt)) {
                                         local.push((nf, nt));
@@ -180,7 +178,7 @@ fn semi_naive_closure(
             for &(x, y) in &frontier {
                 // forward: extend y by an out-edge; backward: extend x by an in-edge
                 let probe = if backward { x } else { y };
-                for &z in &heads[probe as usize] {
+                for &z in heads.neighbors(probe) {
                     let (nf, nt) = if backward { (z, y) } else { (x, z) };
                     if closure.insert(pack(nf, nt)) {
                         next.push((nf, nt));
@@ -197,7 +195,7 @@ fn semi_naive_closure(
 /// R0 each round until nothing changes (ablation mode).
 fn naive_closure(
     pairs: &[(u32, u32)],
-    heads: &[Vec<u32>],
+    heads: &Csr,
     restrict: Option<&FxHashSet<u32>>,
     backward: bool,
     interner: &Interner,
@@ -224,7 +222,7 @@ fn naive_closure(
         for &key in &closure {
             let (x, y) = unpack(key);
             let probe = if backward { x } else { y };
-            for &z in &heads[probe as usize] {
+            for &z in heads.neighbors(probe) {
                 let nk = if backward { pack(z, y) } else { pack(x, z) };
                 if !closure.contains(&nk) {
                     fresh.push(nk);
@@ -518,6 +516,60 @@ mod tests {
                     .filter(|(_, t)| restrict.contains(t))
                     .collect();
                 assert_eq!(pairs_of(&bwd), expect, "backward naive={naive}");
+            }
+        }
+    }
+
+    /// Seeded random graphs with repeated edges, self-loops and cycles: the
+    /// closure over the CSR adjacency equals [`reference_closure`] —
+    /// unrestricted, forward from seeds (adjacency as listed) and backward
+    /// into targets (adjacency reversed), semi-naive and naive.
+    #[test]
+    fn random_graph_closures_equal_the_reference() {
+        let mut x = 0xC105_u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for (nodes, edge_count) in [(1u64, 2usize), (12, 20), (40, 70)] {
+            let edges: Vec<(u32, u32)> = (0..edge_count)
+                .map(|_| ((next() % nodes) as u32, (next() % nodes) as u32))
+                .collect();
+            let full = reference_closure(&edges);
+            // restriction nodes: two from the graph, one outside it
+            let picked = [(next() % nodes) as u32, (next() % nodes) as u32, 999];
+            let mut rel = Relation::new(vec!["N".into()]);
+            for &v in &picked {
+                rel.push(vec![Value::Id(v)]);
+            }
+            for naive in [false, true] {
+                let (all, _) = run_lfp(&edges, None, naive);
+                assert_eq!(pairs_of(&all), full, "{nodes} nodes, naive={naive}");
+                assert_eq!(all.len(), full.len(), "a set: no pair twice");
+                let forward = PushSpec::Forward {
+                    seeds: Box::new(Plan::Values(rel.clone())),
+                    col: 0,
+                };
+                let (fwd, _) = run_lfp(&edges, Some(forward), naive);
+                let expect: HashSet<(u32, u32)> = full
+                    .iter()
+                    .copied()
+                    .filter(|(f, _)| picked.contains(f))
+                    .collect();
+                assert_eq!(pairs_of(&fwd), expect, "forward, naive={naive}");
+                let backward = PushSpec::Backward {
+                    targets: Box::new(Plan::Values(rel.clone())),
+                    col: 0,
+                };
+                let (bwd, _) = run_lfp(&edges, Some(backward), naive);
+                let expect: HashSet<(u32, u32)> = full
+                    .iter()
+                    .copied()
+                    .filter(|(_, t)| picked.contains(t))
+                    .collect();
+                assert_eq!(pairs_of(&bwd), expect, "backward, naive={naive}");
             }
         }
     }

@@ -49,6 +49,7 @@ pub mod intern;
 pub mod interval;
 pub mod lfp;
 pub mod multilfp;
+mod multimap;
 pub mod opt;
 pub mod plan;
 pub mod program;

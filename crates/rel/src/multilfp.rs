@@ -17,8 +17,9 @@
 //! and the tag.
 
 use crate::exec::{eval_plan, ExecCtx};
-use crate::fxhash::{fx_map_with_capacity, FxHashMap, FxHashSet};
+use crate::fxhash::FxHashSet;
 use crate::intern::{pack, unpack, Interner};
+use crate::multimap::Csr;
 use crate::plan::MultiLfpSpec;
 use crate::relation::Relation;
 use crate::value::Value;
@@ -48,17 +49,17 @@ pub fn eval_multilfp<'a>(
     struct EdgeRule {
         src: u32,
         dst: u32,
-        adj: FxHashMap<u32, Vec<u32>>,
+        adj: Csr,
     }
     let mut rules: Vec<EdgeRule> = Vec::with_capacity(spec.edges.len());
     for e in &spec.edges {
         let rel = eval_plan(&e.rel, ctx)?;
-        let mut adj: FxHashMap<u32, Vec<u32>> = fx_map_with_capacity(rel.len());
-        for t in rel.rows() {
-            let f = nodes.intern(&t[0]);
-            let to = nodes.intern(&t[1]);
-            adj.entry(f).or_default().push(to);
-        }
+        let pairs: Vec<(u32, u32)> = rel
+            .rows()
+            .map(|t| (nodes.intern(&t[0]), nodes.intern(&t[1])))
+            .collect();
+        // nodes interned by later rules are beyond this table: no neighbours
+        let adj = Csr::build(nodes.len(), pairs.iter().copied());
         rules.push(EdgeRule {
             src: tag_code(&mut tags, &e.src_tag),
             dst: tag_code(&mut tags, &e.dst_tag),
@@ -95,10 +96,8 @@ pub fn eval_multilfp<'a>(
             let mut produced: Vec<(u32, u32, u32)> = Vec::new();
             let mut extend = |s: u32, t: u32, tag: u32| {
                 if tag == rule.src {
-                    if let Some(nexts) = rule.adj.get(&t) {
-                        for &z in nexts {
-                            produced.push((s, z, rule.dst));
-                        }
+                    for &z in rule.adj.neighbors(t) {
+                        produced.push((s, z, rule.dst));
                     }
                 }
             };

@@ -124,8 +124,12 @@ impl Program {
         let by_target: HashMap<TempId, &Stmt> = self.stmts.iter().map(|s| (s.target, s)).collect();
         let mut env: HashMap<TempId, Relation> = HashMap::new();
         if opts.lazy {
+            // `stats` may carry earlier executions: skipped = this program's
+            // statements minus what *this* execution evaluated
+            let evaluated_before = stats.stmts_evaluated;
             materialize(result, &by_target, db, opts, &mut env, stats)?;
-            stats.stmts_skipped += self.stmts.len() - stats.stmts_evaluated.min(self.stmts.len());
+            let evaluated = stats.stmts_evaluated - evaluated_before;
+            stats.stmts_skipped += self.stmts.len().saturating_sub(evaluated);
         } else {
             for stmt in &self.stmts {
                 // Statement boundary: poll the cancellation token between
@@ -260,6 +264,13 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(stats.stmts_evaluated, 1);
         assert_eq!(stats.stmts_skipped, 1);
+        // a second execution into the same `Stats` accumulates: the skip
+        // count is this execution's delta, not a function of the running
+        // `stmts_evaluated` total
+        prog.execute(&db(), ExecOptions::default(), &mut stats)
+            .unwrap();
+        assert_eq!(stats.stmts_evaluated, 2);
+        assert_eq!(stats.stmts_skipped, 2);
     }
 
     #[test]

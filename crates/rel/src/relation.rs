@@ -19,7 +19,8 @@
 //!   on this to hash-cons inline `Values` plans (which are always small:
 //!   seed markers and empty relations).
 
-use crate::fxhash::{fx_hash_one, fx_map_with_capacity, FxHashMap, FxHashSet};
+use crate::fxhash::{fx_hash_one, FxHashSet};
+use crate::multimap::RowMultimap;
 use crate::value::Value;
 
 /// A tuple (row) in owned form. The executor works on borrowed `&[Value]`
@@ -229,22 +230,21 @@ impl Relation {
             self.rows = 1;
             return;
         }
-        // hash → row indexes *in the compacted prefix*; collisions resolved
-        // by comparing the actual slices
-        let mut seen: FxHashMap<u64, Vec<u32>> = fx_map_with_capacity(self.rows);
+        // row hash → the kept rows with that hash (indexes *in the compacted
+        // prefix*), chained newest first; a hit is confirmed by comparing
+        // the actual slices
+        let mut seen: RowMultimap<u64> = RowMultimap::with_rows(self.rows);
         let mut write = 0usize;
         for r in 0..self.rows {
             let start = r * arity;
-            let h = fx_hash_one(&self.buf[start..start + arity]);
-            let candidates = seen.entry(h).or_default();
-            let dup = candidates.iter().any(|&k| {
+            let row = &self.buf[start..start + arity];
+            let fresh = seen.insert_unless(fx_hash_one(row), write as u32, |k| {
                 let ks = k as usize * arity;
-                self.buf[ks..ks + arity] == self.buf[start..start + arity]
+                self.buf[ks..ks + arity] == *row
             });
-            if dup {
+            if !fresh {
                 continue;
             }
-            candidates.push(write as u32);
             if write != r {
                 // move row r down into the compacted prefix; the vacated
                 // slots are past `write` and will be truncated or
@@ -476,6 +476,47 @@ mod tests {
             .collect();
         assert_eq!(got, expect);
         assert_eq!(r.values_flat().len(), r.len() * 2, "buffer truncated");
+    }
+
+    /// Over rows of every value kind (so equal hashes and equal rows both
+    /// occur), `dedup` equals first-occurrence dedup through an owned
+    /// `HashSet<Vec<Value>>`, row for row and in order.
+    #[test]
+    fn dedup_equals_first_occurrence_through_a_hash_set() {
+        let pool = [
+            Value::Null,
+            Value::Doc,
+            Value::Id(1),
+            Value::Code(1),
+            Value::Int(1),
+            Value::Int(1 << 40),
+            Value::str("1"),
+        ];
+        let mut x = 0xDED0_u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for rows in [0usize, 1, 2, 300] {
+            let mut r = Relation::new(vec!["A".into(), "B".into()]);
+            for _ in 0..rows {
+                let a = pool[(next() % pool.len() as u64) as usize].clone();
+                let b = pool[(next() % pool.len() as u64) as usize].clone();
+                r.push(vec![a, b]);
+            }
+            let mut seen = std::collections::HashSet::new();
+            let expect: Vec<Tuple> = r
+                .rows()
+                .map(|t| t.to_vec())
+                .filter(|t| seen.insert(t.clone()))
+                .collect();
+            r.dedup();
+            let got: Vec<Tuple> = r.rows().map(|t| t.to_vec()).collect();
+            assert_eq!(got, expect, "{rows} rows");
+            assert_eq!(r.values_flat().len(), r.len() * 2, "buffer truncated");
+        }
     }
 
     #[test]

@@ -168,6 +168,10 @@ counters! {
     /// Pre-sorted interval-view entries examined by interval joins (the
     /// fast path's analogue of closure tuples materialized).
     interval_rows_scanned: u64, sum;
+    /// Executions of a translation that has an interval variant which ran
+    /// its LFP program anyway because the store carries no interval labels
+    /// (never shredded from a document, or mutated since).
+    interval_fallbacks: usize, sum;
     /// Executions aborted by the cooperative deadline
     /// ([`crate::ExecError::DeadlineExceeded`]).
     exec_timeouts: usize, sum;

@@ -5,7 +5,7 @@
 //! semantics, pinned here against the native XPath oracle and against each
 //! other.
 //!
-//! Two fronts:
+//! Three fronts:
 //!
 //! * **Result equivalence** over the Table-5 workload queries (dept / Cross
 //!   / GedML), sequential and `threads > 1`, `OptLevel::None` and `Full`:
@@ -13,6 +13,11 @@
 //!   `set_eq` across every configuration, and repeated sequential runs are
 //!   byte-identical (execution is deterministic — order is pinned wherever
 //!   the engine pins it).
+//! * **Join kernels** against a nested-loop reference, as ordered bags:
+//!   inner/semi/anti × one/two key columns × bare, under σ, under π, under
+//!   π(σ), under δ(π) — the shapes the executor fuses into the join's emit —
+//!   over seeded random relations with duplicate, NULL and every other kind
+//!   of key value, on plain stores and on stores with cached edge indexes.
 //! * **Dictionary round-tripping** over the seeded XML generator: every
 //!   text value a generated document carries survives encode → store →
 //!   decode exactly, a decoded store equals an uncoded reference shredding
@@ -22,7 +27,9 @@
 use std::collections::BTreeSet;
 use xpath2sql::core::{OptLevel, SqlOptions, Translator};
 use xpath2sql::dtd::{samples, Dtd};
-use xpath2sql::rel::{Database, ExecOptions, Relation, Stats, Value};
+use xpath2sql::rel::{
+    Database, ExecOptions, JoinKind, Plan, Pred, Program, Relation, Stats, Value,
+};
 use xpath2sql::shred::{edge_database, table_name, ALL_NODES};
 use xpath2sql::xml::generator::mark_values;
 use xpath2sql::xml::{Generator, GeneratorConfig, Tree};
@@ -345,4 +352,186 @@ fn cached_indexes_serve_joins_without_changing_answers() {
         "workload joins reuse the cached indexes"
     );
     assert_eq!(without_idx.join_index_reuses, 0);
+}
+
+/// A seeded random relation `(K1, K2, P)`: the two key columns draw from a
+/// small pool — so keys repeat on both sides — holding every kind of value
+/// a join key can be: ids, codes and small ints (which pack into one word),
+/// a big int and strings (which do not), the document marker, and NULL
+/// (which must never match, not even another NULL). `P` numbers the rows.
+fn random_keyed_relation(rows: u32, next: &mut impl FnMut() -> u64) -> Relation {
+    let pool = [
+        Value::Null,
+        Value::Doc,
+        Value::Id(1),
+        Value::Id(2),
+        Value::Code(1),
+        Value::Code(2),
+        Value::Int(1),
+        Value::Int(1 << 40),
+        Value::str("s"),
+        Value::str("t"),
+    ];
+    let mut rel = Relation::new(vec!["K1".into(), "K2".into(), "P".into()]);
+    for i in 0..rows {
+        let k1 = pool[(next() % pool.len() as u64) as usize].clone();
+        // K2 from a three-value corner of the pool, so two-column keys
+        // still collide often
+        let k2 = pool[(next() % 3) as usize * 4].clone();
+        rel.push_row(&[k1, k2, Value::Id(i)]);
+    }
+    rel
+}
+
+/// The reference join: for each left row in order, the right rows in order
+/// whose key columns are pairwise equal and non-NULL.
+fn nested_loop_join(
+    left: &Relation,
+    right: &Relation,
+    on: &[(usize, usize)],
+    kind: JoinKind,
+) -> Vec<Vec<Value>> {
+    let mut out = Vec::new();
+    for l in left.rows() {
+        let matches: Vec<&[Value]> = right
+            .rows()
+            .filter(|r| on.iter().all(|&(a, b)| l[a] != Value::Null && l[a] == r[b]))
+            .collect();
+        match kind {
+            JoinKind::Inner => out.extend(matches.iter().map(|r| [l, r].concat())),
+            JoinKind::Semi if !matches.is_empty() => out.push(l.to_vec()),
+            JoinKind::Anti if matches.is_empty() => out.push(l.to_vec()),
+            _ => {}
+        }
+    }
+    out
+}
+
+/// Every join shape the executor treats specially equals the reference
+/// *as an ordered bag*: same rows, same multiplicities, same order. The
+/// chained build table hands matches back in ascending row order and NULL
+/// keys match nothing; running its build loop front to back, or dropping
+/// the NULL check, fails here.
+#[test]
+fn join_kernels_equal_a_nested_loop_reference_as_ordered_bags() {
+    let mut x = 0x5EED_0021_u64;
+    let mut next = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    let left = random_keyed_relation(70, &mut next);
+    let right = random_keyed_relation(90, &mut next);
+    let mut plain = Database::new();
+    plain.insert("L", left.clone());
+    plain.insert("R", right.clone());
+    // the same store with load-time indexes: single-column joins on K1/K2
+    // then probe the cached `ColIndex` instead of building a table
+    let mut indexed = plain.clone();
+    indexed.build_indexes();
+
+    for kind in [JoinKind::Inner, JoinKind::Semi, JoinKind::Anti] {
+        for on in [vec![(0, 0)], vec![(0, 0), (1, 1)]] {
+            let joined = nested_loop_join(&left, &right, &on, kind);
+            let join = Plan::Join {
+                left: Box::new(Plan::Scan("L".into())),
+                right: Box::new(Plan::Scan("R".into())),
+                on: on.clone(),
+                kind,
+            };
+            // σ and π over the joined arity: 6 columns for inner, 3 otherwise
+            let (pred, cols) = if kind == JoinKind::Inner {
+                (
+                    Pred::Or(
+                        Box::new(Pred::ColEqCol(1, 4)),
+                        Box::new(Pred::Not(Box::new(Pred::ColEqValue(3, Value::str("s"))))),
+                    ),
+                    vec![(4, "a"), (0, "b"), (2, "c")],
+                )
+            } else {
+                (
+                    Pred::Not(Box::new(Pred::ColEqValue(1, Value::Doc))),
+                    vec![(1, "a"), (0, "b")],
+                )
+            };
+            let project = |rows: &[Vec<Value>]| -> Vec<Vec<Value>> {
+                rows.iter()
+                    .map(|t| cols.iter().map(|&(c, _)| t[c].clone()).collect())
+                    .collect()
+            };
+            let selected: Vec<Vec<Value>> =
+                joined.iter().filter(|t| pred.eval(t)).cloned().collect();
+            let mut seen = std::collections::HashSet::new();
+            let distinct: Vec<Vec<Value>> = project(&joined)
+                .into_iter()
+                .filter(|t| seen.insert(t.clone()))
+                .collect();
+            let shapes = [
+                ("bare", join.clone(), joined.clone()),
+                ("σ", join.clone().select(pred.clone()), selected.clone()),
+                ("π", join.clone().project(cols.clone()), project(&joined)),
+                (
+                    "π(σ)",
+                    join.clone().select(pred.clone()).project(cols.clone()),
+                    project(&selected),
+                ),
+                (
+                    "δ(π)",
+                    Plan::Distinct(Box::new(join.clone().project(cols.clone()))),
+                    distinct,
+                ),
+            ];
+            for (shape, plan, want) in shapes {
+                for (store, db) in [("plain", &plain), ("indexed", &indexed)] {
+                    let mut prog = Program::new();
+                    prog.result = Some(prog.push(plan.clone(), shape));
+                    let mut stats = Stats::default();
+                    let got = prog
+                        .execute(db, ExecOptions::default(), &mut stats)
+                        .unwrap();
+                    let got: Vec<Vec<Value>> = got.rows().map(|t| t.to_vec()).collect();
+                    let ctx = format!("{kind:?} on {on:?}, {shape}, {store} store");
+                    assert_eq!(got, want, "{ctx}");
+                    // each logical operator counts once, fused or not
+                    assert_eq!(stats.joins, 1, "{ctx}");
+                    let (selects, projects) = match shape {
+                        "σ" => (1, 0),
+                        "π" | "δ(π)" => (0, 1),
+                        "π(σ)" => (1, 1),
+                        _ => (0, 0),
+                    };
+                    assert_eq!(
+                        (stats.selects, stats.projects),
+                        (selects, projects),
+                        "{ctx}"
+                    );
+                    assert_eq!(
+                        stats.join_index_reuses,
+                        usize::from(store == "indexed" && on.len() == 1),
+                        "{ctx}"
+                    );
+                }
+            }
+        }
+        assert!(
+            !nested_loop_join(&left, &right, &[(0, 0)], kind).is_empty(),
+            "{kind:?}: the fixture produces rows"
+        );
+    }
+    // σ/π above an inner join never materialise the joined rows
+    let mut prog = Program::new();
+    let fused = Plan::Scan("L".into())
+        .join_on(Plan::Scan("R".into()), 0, 0)
+        .project(vec![(5, "P")]);
+    prog.result = Some(prog.push(fused, "π above ⋈"));
+    let mut stats = Stats::default();
+    let out = prog
+        .execute(&plain, ExecOptions::default(), &mut stats)
+        .unwrap();
+    assert_eq!(
+        stats.tuples_emitted,
+        out.len() as u64,
+        "only the projected rows are emitted"
+    );
 }

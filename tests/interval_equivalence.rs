@@ -230,3 +230,63 @@ fn random_descendant_queries_agree() {
         );
     }
 }
+
+/// A store that lost its labels says so: `interval_fallbacks` stays 0 on a
+/// freshly shredded store and counts every execution that had an interval
+/// variant, was allowed to use it, and ran the LFP program anyway because a
+/// `Database::insert` dropped the labels. Opting out, or having no variant
+/// to fall back from, is not a fallback.
+#[test]
+fn mutated_store_counts_interval_fallbacks() {
+    let dtd = samples::dept_simplified();
+    let tree = Generator::new(
+        &dtd,
+        GeneratorConfig::shaped(8, 3, Some(1_500)).with_seed(42),
+    )
+    .generate();
+    let mut db = edge_database(&tree, &dtd);
+    let recursive = Translator::new(&dtd)
+        .translate(&parse_xpath("dept//project").unwrap())
+        .unwrap();
+    let flat = Translator::new(&dtd)
+        .translate(&parse_xpath("dept/course").unwrap())
+        .unwrap();
+    assert!(recursive.interval.is_some() && flat.interval.is_none());
+
+    let mut fresh = Stats::default();
+    let labelled = recursive
+        .try_run(&db, ExecOptions::default(), &mut fresh)
+        .unwrap();
+    assert_eq!(fresh.interval_fallbacks, 0, "labels intact: fast path");
+    assert!(fresh.interval_rewrites > 0);
+
+    let project = db.get("R_project").unwrap().clone();
+    db.insert("R_project", project);
+    assert!(!db.has_intervals(), "any insert drops the labels");
+    let mut mutated = Stats::default();
+    let unlabelled = recursive
+        .try_run(&db, ExecOptions::default(), &mut mutated)
+        .unwrap();
+    assert_eq!(unlabelled, labelled, "same rows, same answer, other path");
+    assert_eq!(mutated.interval_fallbacks, 1);
+    assert_eq!(mutated.interval_rewrites, 0);
+    assert!(
+        mutated.lfp_invocations > 0,
+        "the fallback is the LFP program"
+    );
+    recursive
+        .try_run(&db, ExecOptions::default(), &mut mutated)
+        .unwrap();
+    assert_eq!(mutated.interval_fallbacks, 2, "one per execution");
+
+    recursive
+        .try_run(
+            &db,
+            ExecOptions::default().with_interval(false),
+            &mut mutated,
+        )
+        .unwrap();
+    flat.try_run(&db, ExecOptions::default(), &mut mutated)
+        .unwrap();
+    assert_eq!(mutated.interval_fallbacks, 2, "opt-out / no variant");
+}
