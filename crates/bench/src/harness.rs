@@ -132,19 +132,6 @@ impl Measured {
     }
 }
 
-/// Execution options per approach: SQLGen-R's `WITH…RECURSIVE` is the
-/// paper's Eq. (1) *black box* — "the relation in the center keeps growing,
-/// but one can do little to optimize the operations inside" (§3.1) — so its
-/// fixpoint re-joins the accumulated center relation each round (naive
-/// iteration). The simple LFP approaches model `CONNECT BY`-style
-/// hierarchical operators, which are delta-driven by construction.
-pub fn exec_options_for(approach: Approach) -> ExecOptions {
-    ExecOptions {
-        naive_fixpoint: approach == Approach::SqlGenR,
-        ..ExecOptions::default()
-    }
-}
-
 /// Measure one cell: translate + execute `reps` times, keeping the fastest
 /// wall-clock (the standard way to suppress scheduler noise in single-shot
 /// timings). Every rep must answer exactly `expected`, run no interval
@@ -166,7 +153,7 @@ pub fn measure(
         let tr = translate_with(approach, dtd, &path, sql).expect("report queries translate");
         let mut stats = Stats::default();
         let answers = tr
-            .try_run(db, exec_options_for(approach), &mut stats)
+            .try_run(db, ExecOptions::default(), &mut stats)
             .expect("report programs execute");
         let elapsed = started.elapsed();
         assert_eq!(&answers, expected, "{label} on {query}: wrong answer set");

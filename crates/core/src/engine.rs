@@ -46,14 +46,9 @@
 //! * **Shared read-only store** — the loaded edge database sits behind an
 //!   `Arc` ([`Engine::load_shared`] adopts an existing one without copying);
 //!   loading requires `&mut self`, so queries never observe a store swap.
-//! * **Parallel execution** — [`ExecOptions::threads`] > 1 additionally
-//!   parallelizes *inside* one query: partitioned build/probe hash joins
-//!   and partitioned per-round frontier expansion in the semi-naive LFP,
-//!   both only past tuple-count thresholds
-//!   ([`x2s_rel::PARALLEL_JOIN_THRESHOLD`],
-//!   [`x2s_rel::PARALLEL_LFP_THRESHOLD`]) so small relations keep the exact
-//!   single-thread fast path. The default (`threads = 1`) is byte-identical
-//!   to the sequential engine.
+//! * **No intra-query parallelism** — one query runs on the thread that
+//!   called it; concurrency is the caller's (the `serve` crate's worker
+//!   pool over one shared `Engine`).
 //!
 //! Two racing prepares of the same new query may both translate; the later
 //! insert refreshes the cache entry and both count as misses — wasted work
@@ -351,8 +346,8 @@ impl<'d> EngineBuilder<'d> {
         self
     }
 
-    /// Select execution options (default: semi-naive fixpoints, lazy
-    /// programs).
+    /// Select execution options (default: interval fast path on, no
+    /// deadline, no budgets).
     pub fn exec_options(mut self, opts: ExecOptions) -> Self {
         self.exec_options = opts;
         self
@@ -775,8 +770,8 @@ impl PreparedQuery<'_, '_> {
         self.execute_with(self.engine.exec_options)
     }
 
-    /// Execute with explicit options (e.g. eager evaluation or naive
-    /// fixpoints for comparison runs).
+    /// Execute with explicit options (e.g. a per-request deadline, or the
+    /// interval fast path off for an LFP comparison run).
     ///
     /// A statically-empty query answers `Ok(∅)` immediately — even with no
     /// document loaded, since the proof holds for every valid document.

@@ -13,9 +13,11 @@
 //! Two refinements from §5.2 are implemented here:
 //!
 //! * **semi-naive iteration** — each round extends only the previous
-//!   round's *delta* (what real engines do); the paper's literal Eq. 2
-//!   (re-joining the whole accumulated relation) is available as
-//!   [`crate::ExecOptions::naive_fixpoint`] for ablation;
+//!   round's *delta* (what real engines do, and what `CONNECT BY` is). It
+//!   is the only closure loop: the join body of `Φ(R)` distributes over
+//!   union, so the delta iteration computes exactly what the paper's
+//!   literal Eq. 2 (re-joining the whole accumulated relation each round)
+//!   would, in fewer joins (Afanasiev et al., PAPERS.md);
 //! * **pushed selections** — `push(R1, R0)` restricts the closure to pairs
 //!   whose source is in a seed set (forward) or whose target is in a target
 //!   set (backward), so the fixpoint "only traverses paths starting from
@@ -31,15 +33,6 @@ use crate::intern::{pack, unpack, Interner};
 use crate::multimap::Csr;
 use crate::plan::{LfpSpec, PushSpec};
 use crate::relation::Relation;
-use std::thread;
-
-/// Frontier size above which a semi-naive round with
-/// [`crate::ExecOptions::threads`] > 1 expands the frontier on multiple
-/// scoped threads. Each round is a barrier: workers read the closure
-/// snapshot of the previous round and their candidate deltas are merged into
-/// the shared closure between rounds, so small frontiers stay on the exact
-/// single-thread path.
-pub const PARALLEL_LFP_THRESHOLD: usize = 4_096;
 
 /// Evaluate `Φ(R)`: closure pairs `(F, T)` over the edge set produced by
 /// `spec.input`, possibly seed-/target-restricted.
@@ -82,37 +75,10 @@ pub fn eval_lfp<'a>(
             .map(|&(f, to)| if backward { (to, f) } else { (f, to) }),
     );
 
-    if ctx.opts.naive_fixpoint {
-        naive_closure(&pairs, &heads, restrict.as_ref(), backward, &interner, ctx)
-    } else {
-        semi_naive_closure(&pairs, &heads, restrict.as_ref(), backward, &interner, ctx)
-    }
-}
-
-fn emit(closure: &FxHashSet<u64>, interner: &Interner, ctx: &mut ExecCtx<'_>) -> Relation {
-    ctx.stats.lfp_peak_closure = ctx.stats.lfp_peak_closure.max(closure.len());
-    let mut out = Relation::new(vec!["F".into(), "T".into()]);
-    out.reserve(closure.len());
-    for &key in closure {
-        let (f, t) = unpack(key);
-        out.push_row(&[interner.resolve(f).clone(), interner.resolve(t).clone()]);
-    }
-    ctx.stats.tuples_emitted += out.len() as u64;
-    out
-}
-
-fn semi_naive_closure(
-    pairs: &[(u32, u32)],
-    heads: &Csr,
-    restrict: Option<&FxHashSet<u32>>,
-    backward: bool,
-    interner: &Interner,
-    ctx: &mut ExecCtx<'_>,
-) -> Result<Relation, crate::ExecError> {
     let mut closure: FxHashSet<u64> = fx_set_with_capacity(pairs.len() * 2);
     let mut frontier: Vec<(u32, u32)> = Vec::new();
-    for &(f, t) in pairs {
-        let keep = match restrict {
+    for &(f, t) in &pairs {
+        let keep = match &restrict {
             None => true,
             Some(set) => set.contains(if backward { &t } else { &f }),
         };
@@ -120,7 +86,6 @@ fn semi_naive_closure(
             frontier.push((f, t));
         }
     }
-    let threads = ctx.opts.threads.max(1);
     while !frontier.is_empty() {
         // Per-round frontier boundary: the cancellation checkpoint the
         // inflationary-fixpoint analysis calls for — one round bounds the
@@ -132,114 +97,28 @@ fn semi_naive_closure(
         ctx.stats.joins += 1; // one join per iteration: Δ ⋈ R0
         ctx.stats.unions += 1; // one union per iteration: R ∪ new
         let mut next = Vec::new();
-        if threads > 1 && frontier.len() >= PARALLEL_LFP_THRESHOLD {
-            // Partitioned delta expansion: each worker extends a chunk of
-            // the frontier against the closure as of the *previous* round
-            // (read-only), pre-filtering already-known pairs; the merge into
-            // the shared closure below is the per-round barrier and
-            // deduplicates candidates produced by different workers.
-            let chunk = frontier.len().div_ceil(threads);
-            let candidates: Vec<Vec<(u32, u32)>> = thread::scope(|s| {
-                let closure = &closure;
-                let handles: Vec<_> = frontier
-                    .chunks(chunk)
-                    .map(|part| {
-                        s.spawn(move || {
-                            let mut local = Vec::new();
-                            for &(x, y) in part {
-                                let probe = if backward { x } else { y };
-                                for &z in heads.neighbors(probe) {
-                                    let (nf, nt) = if backward { (z, y) } else { (x, z) };
-                                    if !closure.contains(&pack(nf, nt)) {
-                                        local.push((nf, nt));
-                                    }
-                                }
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(v) => v,
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    })
-                    .collect()
-            });
-            for list in candidates {
-                for (nf, nt) in list {
-                    if closure.insert(pack(nf, nt)) {
-                        next.push((nf, nt));
-                    }
-                }
-            }
-        } else {
-            for &(x, y) in &frontier {
-                // forward: extend y by an out-edge; backward: extend x by an in-edge
-                let probe = if backward { x } else { y };
-                for &z in heads.neighbors(probe) {
-                    let (nf, nt) = if backward { (z, y) } else { (x, z) };
-                    if closure.insert(pack(nf, nt)) {
-                        next.push((nf, nt));
-                    }
+        for &(x, y) in &frontier {
+            // forward: extend y by an out-edge; backward: extend x by an in-edge
+            let probe = if backward { x } else { y };
+            for &z in heads.neighbors(probe) {
+                let (nf, nt) = if backward { (z, y) } else { (x, z) };
+                if closure.insert(pack(nf, nt)) {
+                    next.push((nf, nt));
                 }
             }
         }
         frontier = next;
     }
-    Ok(emit(&closure, interner, ctx))
-}
 
-/// The paper's literal Eq. 2: re-join the whole accumulated relation with
-/// R0 each round until nothing changes (ablation mode).
-fn naive_closure(
-    pairs: &[(u32, u32)],
-    heads: &Csr,
-    restrict: Option<&FxHashSet<u32>>,
-    backward: bool,
-    interner: &Interner,
-    ctx: &mut ExecCtx<'_>,
-) -> Result<Relation, crate::ExecError> {
-    // Backward restriction is applied at the end in naive mode (the naive
-    // operator joins blindly, matching the black-box reading of Eq. 2).
-    let forward_restrict = if backward { None } else { restrict };
-    let mut closure: FxHashSet<u64> = FxHashSet::default();
-    for &(f, t) in pairs {
-        let keep = forward_restrict.is_none_or(|set| set.contains(&f));
-        if keep {
-            closure.insert(pack(f, t));
-        }
+    ctx.stats.lfp_peak_closure = ctx.stats.lfp_peak_closure.max(closure.len());
+    let mut out = Relation::new(vec!["F".into(), "T".into()]);
+    out.reserve(closure.len());
+    for &key in &closure {
+        let (f, t) = unpack(key);
+        out.push_row(&[interner.resolve(f).clone(), interner.resolve(t).clone()]);
     }
-    loop {
-        ctx.check_cancel()?;
-        ctx.opts.check_closure(closure.len())?;
-        crate::failpoint::hit("lfp-round-sleep");
-        ctx.stats.lfp_iterations += 1;
-        ctx.stats.joins += 1;
-        ctx.stats.unions += 1;
-        let mut fresh = Vec::new();
-        for &key in &closure {
-            let (x, y) = unpack(key);
-            let probe = if backward { x } else { y };
-            for &z in heads.neighbors(probe) {
-                let nk = if backward { pack(z, y) } else { pack(x, z) };
-                if !closure.contains(&nk) {
-                    fresh.push(nk);
-                }
-            }
-        }
-        if fresh.is_empty() {
-            break;
-        }
-        closure.extend(fresh);
-    }
-    if backward {
-        if let Some(set) = restrict {
-            closure.retain(|&key| set.contains(&unpack(key).1));
-        }
-    }
-    Ok(emit(&closure, interner, ctx))
+    ctx.stats.tuples_emitted += out.len() as u64;
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -260,12 +139,7 @@ mod tests {
         r
     }
 
-    fn run_lfp_threads(
-        pairs: &[(u32, u32)],
-        push: Option<PushSpec>,
-        naive: bool,
-        threads: usize,
-    ) -> (Relation, Stats) {
+    fn run_lfp(pairs: &[(u32, u32)], push: Option<PushSpec>) -> (Relation, Stats) {
         let mut db = Database::new();
         db.insert("E", edge_rel(pairs));
         let spec = LfpSpec {
@@ -279,20 +153,11 @@ mod tests {
         let mut ctx = ExecCtx {
             db: &db,
             env: &env,
-            opts: ExecOptions {
-                naive_fixpoint: naive,
-                lazy: true,
-                threads,
-                ..ExecOptions::default()
-            },
+            opts: ExecOptions::default(),
             stats: &mut stats,
         };
         let rel = eval_lfp(&spec, &mut ctx).unwrap();
         (rel, stats)
-    }
-
-    fn run_lfp(pairs: &[(u32, u32)], push: Option<PushSpec>, naive: bool) -> (Relation, Stats) {
-        run_lfp_threads(pairs, push, naive, 1)
     }
 
     fn pairs_of(rel: &Relation) -> HashSet<(u32, u32)> {
@@ -323,7 +188,7 @@ mod tests {
 
     #[test]
     fn chain_closure() {
-        let (rel, stats) = run_lfp(&[(1, 2), (2, 3), (3, 4)], None, false);
+        let (rel, stats) = run_lfp(&[(1, 2), (2, 3), (3, 4)], None);
         assert_eq!(pairs_of(&rel), reference_closure(&[(1, 2), (2, 3), (3, 4)]));
         assert_eq!(stats.lfp_invocations, 1);
         assert!(stats.lfp_iterations >= 2);
@@ -332,18 +197,10 @@ mod tests {
     #[test]
     fn cyclic_closure_terminates() {
         let edges = [(1, 2), (2, 1), (2, 3)];
-        let (rel, _) = run_lfp(&edges, None, false);
+        let (rel, _) = run_lfp(&edges, None);
         let expect = reference_closure(&edges);
         assert_eq!(pairs_of(&rel), expect);
         assert!(pairs_of(&rel).contains(&(1, 1)), "cycle gives (1,1)");
-    }
-
-    #[test]
-    fn naive_equals_semi_naive() {
-        let edges = [(1, 2), (2, 3), (3, 1), (3, 4), (4, 5)];
-        let (a, _) = run_lfp(&edges, None, false);
-        let (b, _) = run_lfp(&edges, None, true);
-        assert!(a.set_eq(&b));
     }
 
     #[test]
@@ -355,7 +212,7 @@ mod tests {
             seeds: Box::new(Plan::Values(seeds)),
             col: 0,
         };
-        let (rel, _) = run_lfp(&edges, Some(push), false);
+        let (rel, _) = run_lfp(&edges, Some(push));
         assert_eq!(pairs_of(&rel), HashSet::from([(1, 2), (1, 3)]));
     }
 
@@ -368,7 +225,7 @@ mod tests {
             targets: Box::new(Plan::Values(targets)),
             col: 0,
         };
-        let (rel, _) = run_lfp(&edges, Some(push), false);
+        let (rel, _) = run_lfp(&edges, Some(push));
         assert_eq!(pairs_of(&rel), HashSet::from([(2, 3), (1, 3)]));
     }
 
@@ -385,145 +242,27 @@ mod tests {
                 seeds: Box::new(Plan::Values(seeds)),
                 col: 0,
             }),
-            false,
         );
         let expect: HashSet<(u32, u32)> = full.iter().copied().filter(|&(f, _)| f == 2).collect();
         assert_eq!(pairs_of(&rel), expect);
         // backward into {1}
-        for naive in [false, true] {
-            let mut targets = Relation::new(vec!["X".into()]);
-            targets.push(vec![Value::Id(1)]);
-            let (rel, _) = run_lfp(
-                &edges,
-                Some(PushSpec::Backward {
-                    targets: Box::new(Plan::Values(targets)),
-                    col: 0,
-                }),
-                naive,
-            );
-            let expect: HashSet<(u32, u32)> =
-                full.iter().copied().filter(|&(_, t)| t == 1).collect();
-            assert_eq!(pairs_of(&rel), expect, "naive={naive}");
-        }
-    }
-
-    /// Partitioned frontier expansion must produce exactly the same closure
-    /// (and the same per-round stats) as the single-thread path, on a graph
-    /// large enough that rounds cross [`PARALLEL_LFP_THRESHOLD`].
-    #[test]
-    fn parallel_closure_matches_single_thread() {
-        // a wide bipartite-ish random graph: frontier explodes past the
-        // threshold in round one
-        let mut x = 0x9E3779B97F4A7C15u64;
-        let mut step = || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        let mut edges: Vec<(u32, u32)> = Vec::new();
-        for _ in 0..12_000 {
-            edges.push(((step() % 300) as u32, (step() % 300) as u32));
-        }
-        let (seq, seq_stats) = run_lfp_threads(&edges, None, false, 1);
-        let (par, par_stats) = run_lfp_threads(&edges, None, false, 4);
-        assert!(seq.set_eq(&par), "parallel closure differs");
-        assert_eq!(seq.len(), par.len(), "same pair count (sets, no dupes)");
-        assert_eq!(seq_stats.lfp_iterations, par_stats.lfp_iterations);
-        assert_eq!(seq_stats.joins, par_stats.joins);
-
-        // pushed variants agree too, both directions
-        let mut seeds = Relation::new(vec!["S".into()]);
-        for v in [0u32, 7, 13] {
-            seeds.push(vec![Value::Id(v)]);
-        }
-        let fwd = |threads| {
-            run_lfp_threads(
-                &edges,
-                Some(PushSpec::Forward {
-                    seeds: Box::new(Plan::Values(seeds.clone())),
-                    col: 0,
-                }),
-                false,
-                threads,
-            )
-            .0
-        };
-        assert!(fwd(1).set_eq(&fwd(4)));
-        let bwd = |threads| {
-            run_lfp_threads(
-                &edges,
-                Some(PushSpec::Backward {
-                    targets: Box::new(Plan::Values(seeds.clone())),
-                    col: 0,
-                }),
-                false,
-                threads,
-            )
-            .0
-        };
-        assert!(bwd(1).set_eq(&bwd(4)));
-    }
-
-    /// Satellite oracle (ISSUE 3): naive == semi-naive == unpushed-then-
-    /// filtered, for forward and backward pushes, on graphs with cycles.
-    /// (The cross-crate version over shredded sample documents lives in
-    /// `tests/lfp_push_parity.rs`.)
-    #[test]
-    fn naive_and_semi_naive_push_parity() {
-        let edges = [
-            (1u32, 2u32),
-            (2, 3),
-            (3, 1),
-            (2, 4),
-            (4, 4),
-            (5, 1),
-            (6, 7),
-            (4, 6),
-        ];
-        let full = reference_closure(&edges);
-        for naive in [false, true] {
-            for restrict in [vec![2u32], vec![1, 4], vec![9]] {
-                let mut rel = Relation::new(vec!["S".into()]);
-                for &v in &restrict {
-                    rel.push(vec![Value::Id(v)]);
-                }
-                let (fwd, _) = run_lfp(
-                    &edges,
-                    Some(PushSpec::Forward {
-                        seeds: Box::new(Plan::Values(rel.clone())),
-                        col: 0,
-                    }),
-                    naive,
-                );
-                let expect: HashSet<(u32, u32)> = full
-                    .iter()
-                    .copied()
-                    .filter(|(f, _)| restrict.contains(f))
-                    .collect();
-                assert_eq!(pairs_of(&fwd), expect, "forward naive={naive}");
-                let (bwd, _) = run_lfp(
-                    &edges,
-                    Some(PushSpec::Backward {
-                        targets: Box::new(Plan::Values(rel)),
-                        col: 0,
-                    }),
-                    naive,
-                );
-                let expect: HashSet<(u32, u32)> = full
-                    .iter()
-                    .copied()
-                    .filter(|(_, t)| restrict.contains(t))
-                    .collect();
-                assert_eq!(pairs_of(&bwd), expect, "backward naive={naive}");
-            }
-        }
+        let mut targets = Relation::new(vec!["X".into()]);
+        targets.push(vec![Value::Id(1)]);
+        let (rel, _) = run_lfp(
+            &edges,
+            Some(PushSpec::Backward {
+                targets: Box::new(Plan::Values(targets)),
+                col: 0,
+            }),
+        );
+        let expect: HashSet<(u32, u32)> = full.iter().copied().filter(|&(_, t)| t == 1).collect();
+        assert_eq!(pairs_of(&rel), expect);
     }
 
     /// Seeded random graphs with repeated edges, self-loops and cycles: the
     /// closure over the CSR adjacency equals [`reference_closure`] —
     /// unrestricted, forward from seeds (adjacency as listed) and backward
-    /// into targets (adjacency reversed), semi-naive and naive.
+    /// into targets (adjacency reversed).
     #[test]
     fn random_graph_closures_equal_the_reference() {
         let mut x = 0xC105_u64;
@@ -544,40 +283,37 @@ mod tests {
             for &v in &picked {
                 rel.push(vec![Value::Id(v)]);
             }
-            for naive in [false, true] {
-                let (all, _) = run_lfp(&edges, None, naive);
-                assert_eq!(pairs_of(&all), full, "{nodes} nodes, naive={naive}");
-                assert_eq!(all.len(), full.len(), "a set: no pair twice");
-                let forward = PushSpec::Forward {
-                    seeds: Box::new(Plan::Values(rel.clone())),
-                    col: 0,
-                };
-                let (fwd, _) = run_lfp(&edges, Some(forward), naive);
-                let expect: HashSet<(u32, u32)> = full
-                    .iter()
-                    .copied()
-                    .filter(|(f, _)| picked.contains(f))
-                    .collect();
-                assert_eq!(pairs_of(&fwd), expect, "forward, naive={naive}");
-                let backward = PushSpec::Backward {
-                    targets: Box::new(Plan::Values(rel.clone())),
-                    col: 0,
-                };
-                let (bwd, _) = run_lfp(&edges, Some(backward), naive);
-                let expect: HashSet<(u32, u32)> = full
-                    .iter()
-                    .copied()
-                    .filter(|(_, t)| picked.contains(t))
-                    .collect();
-                assert_eq!(pairs_of(&bwd), expect, "backward, naive={naive}");
-            }
+            let (all, _) = run_lfp(&edges, None);
+            assert_eq!(pairs_of(&all), full, "{nodes} nodes");
+            assert_eq!(all.len(), full.len(), "a set: no pair twice");
+            let forward = PushSpec::Forward {
+                seeds: Box::new(Plan::Values(rel.clone())),
+                col: 0,
+            };
+            let (fwd, _) = run_lfp(&edges, Some(forward));
+            let expect: HashSet<(u32, u32)> = full
+                .iter()
+                .copied()
+                .filter(|(f, _)| picked.contains(f))
+                .collect();
+            assert_eq!(pairs_of(&fwd), expect, "forward, {nodes} nodes");
+            let backward = PushSpec::Backward {
+                targets: Box::new(Plan::Values(rel)),
+                col: 0,
+            };
+            let (bwd, _) = run_lfp(&edges, Some(backward));
+            let expect: HashSet<(u32, u32)> = full
+                .iter()
+                .copied()
+                .filter(|(_, t)| picked.contains(t))
+                .collect();
+            assert_eq!(pairs_of(&bwd), expect, "backward, {nodes} nodes");
         }
     }
 
     /// The cooperative token aborts the fixpoint at a round boundary: an
     /// already-expired deadline, a closure budget, and a tuple budget each
-    /// produce their typed error instead of a completed closure — in both
-    /// semi-naive and naive modes.
+    /// produce their typed error instead of a completed closure.
     #[test]
     fn cancellation_token_aborts_closure() {
         let mut db = Database::new();
@@ -601,36 +337,31 @@ mod tests {
             };
             eval_lfp(&spec, &mut ctx)
         };
-        for naive in [false, true] {
-            let base = ExecOptions {
-                naive_fixpoint: naive,
-                ..ExecOptions::default()
-            };
-            let err = run(base.with_deadline(std::time::Instant::now())).unwrap_err();
-            assert_eq!(err, crate::ExecError::DeadlineExceeded, "naive={naive}");
-            let err = run(base.with_closure_budget(1)).unwrap_err();
-            assert!(
-                matches!(err, crate::ExecError::BudgetExceeded(_)),
-                "naive={naive}: closure budget"
-            );
-            let err = run(base.with_tuple_budget(1)).unwrap_err();
-            assert!(
-                matches!(err, crate::ExecError::BudgetExceeded(_)),
-                "naive={naive}: tuple budget"
-            );
-            // generous limits don't disturb the result
-            let ok = run(base
-                .with_timeout(std::time::Duration::from_secs(60))
-                .with_tuple_budget(1 << 30)
-                .with_closure_budget(1 << 20))
-            .unwrap();
-            assert_eq!(pairs_of(&ok), reference_closure(&[(1, 2), (2, 3), (3, 1)]));
-        }
+        let base = ExecOptions::default();
+        let err = run(base.with_deadline(std::time::Instant::now())).unwrap_err();
+        assert_eq!(err, crate::ExecError::DeadlineExceeded);
+        let err = run(base.with_closure_budget(1)).unwrap_err();
+        assert!(
+            matches!(err, crate::ExecError::BudgetExceeded(_)),
+            "closure budget"
+        );
+        let err = run(base.with_tuple_budget(1)).unwrap_err();
+        assert!(
+            matches!(err, crate::ExecError::BudgetExceeded(_)),
+            "tuple budget"
+        );
+        // generous limits don't disturb the result
+        let ok = run(base
+            .with_timeout(std::time::Duration::from_secs(60))
+            .with_tuple_budget(1 << 30)
+            .with_closure_budget(1 << 20))
+        .unwrap();
+        assert_eq!(pairs_of(&ok), reference_closure(&[(1, 2), (2, 3), (3, 1)]));
     }
 
     #[test]
     fn empty_input_yields_empty() {
-        let (rel, stats) = run_lfp(&[], None, false);
+        let (rel, stats) = run_lfp(&[], None);
         assert!(rel.is_empty());
         assert_eq!(stats.lfp_invocations, 1);
     }

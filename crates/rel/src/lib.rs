@@ -19,10 +19,11 @@
 //! * the paper's **simple LFP operator `Φ(R)`** over a *single* input
 //!   relation ([`lfp`], §3.3 Eq. 2) — with optional *pushed selections*
 //!   (§5.2): seed-restricted (forward) and target-restricted (backward)
-//!   closures, and both naive and semi-naive iteration;
+//!   closures, iterated semi-naively;
 //! * the **multi-relation fixpoint `φ(R, R₁…R_k)`** that SQL'99
 //!   `WITH…RECURSIVE` requires ([`multilfp`], §3.1 Eq. 1) — used by the
-//!   SQLGen-R baseline, paying k joins and k unions per iteration;
+//!   SQLGen-R baseline, paying k joins and k unions over the whole
+//!   accumulated relation per iteration;
 //! * statement *programs* `R_e ← e2s(e)` with lazy top–down evaluation
 //!   ([`program`], §5.2 "Top–down evaluation");
 //! * execution statistics ([`stats`]) counting joins, unions, LFP
@@ -63,11 +64,10 @@ pub use analyze::{
     AnalyzeErrorKind, AnalyzeWarning, ColType, Schema,
 };
 pub use dict::Dictionary;
-pub use exec::{ColIndex, Database, ExecError, ExecOptions, PARALLEL_JOIN_THRESHOLD};
+pub use exec::{ColIndex, Database, ExecError, ExecOptions};
 pub use explain::{explain_opt_report, explain_plan, explain_program};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use interval::{IntervalLabels, IntervalView, LABEL_GAP};
-pub use lfp::PARALLEL_LFP_THRESHOLD;
 pub use opt::{optimize, OptLevel, OptReport, OptStats};
 pub use plan::{
     IntervalJoinSpec, JoinKind, LfpSpec, MultiLfpEdge, MultiLfpSpec, Plan, Pred, PushSpec,

@@ -2,9 +2,9 @@
 //! translation produces — a list `R_e ← e2s(e)` of temporary-table
 //! assignments with one designated result (paper §5.1).
 //!
-//! Evaluation is **lazy top–down** by default (§5.2): only statements the
-//! result transitively depends on are materialized; eager in-order
-//! evaluation is available for comparison via [`crate::ExecOptions`].
+//! Evaluation is **lazy top–down** (§5.2): only statements the result
+//! transitively depends on are materialized, and
+//! [`Stats::stmts_skipped`] counts the rest.
 
 use crate::exec::{eval_plan, Database, ExecCtx, ExecError, ExecOptions};
 use crate::plan::Plan;
@@ -110,8 +110,8 @@ impl Program {
         target
     }
 
-    /// Execute against a database. Lazy mode materializes only what the
-    /// result needs; eager mode runs every statement in order.
+    /// Execute against a database, materializing only the statements the
+    /// result needs.
     pub fn execute(
         &self,
         db: &Database,
@@ -123,35 +123,12 @@ impl Program {
             .ok_or(ExecError::UnknownTemp(TempId(u32::MAX)))?;
         let by_target: HashMap<TempId, &Stmt> = self.stmts.iter().map(|s| (s.target, s)).collect();
         let mut env: HashMap<TempId, Relation> = HashMap::new();
-        if opts.lazy {
-            // `stats` may carry earlier executions: skipped = this program's
-            // statements minus what *this* execution evaluated
-            let evaluated_before = stats.stmts_evaluated;
-            materialize(result, &by_target, db, opts, &mut env, stats)?;
-            let evaluated = stats.stmts_evaluated - evaluated_before;
-            stats.stmts_skipped += self.stmts.len().saturating_sub(evaluated);
-        } else {
-            for stmt in &self.stmts {
-                // Statement boundary: poll the cancellation token between
-                // statements so a multi-statement program cannot outlive its
-                // deadline by more than one statement.
-                opts.check_cancel(stats)?;
-                // into_owned inside the scope: a statement that is a bare
-                // Scan/Temp clones (it must own its entry), everything else
-                // is already owned
-                let rel = {
-                    let mut ctx = ExecCtx {
-                        db,
-                        env: &env,
-                        opts,
-                        stats,
-                    };
-                    eval_plan(&stmt.plan, &mut ctx)?.into_owned()
-                };
-                stats.stmts_evaluated += 1;
-                env.insert(stmt.target, rel);
-            }
-        }
+        // `stats` may carry earlier executions: skipped = this program's
+        // statements minus what *this* execution evaluated
+        let evaluated_before = stats.stmts_evaluated;
+        materialize(result, &by_target, db, opts, &mut env, stats)?;
+        let evaluated = stats.stmts_evaluated - evaluated_before;
+        stats.stmts_skipped += self.stmts.len().saturating_sub(evaluated);
         env.remove(&result).ok_or(ExecError::UnknownTemp(result))
     }
 
@@ -208,12 +185,16 @@ fn materialize(
     if env.contains_key(&id) {
         return Ok(());
     }
-    // Statement boundary (lazy path): see the eager loop in `execute`.
+    // Statement boundary: poll the cancellation token between statements
+    // so a multi-statement program cannot outlive its deadline by more than
+    // one statement.
     opts.check_cancel(stats)?;
     let stmt = *by_target.get(&id).ok_or(ExecError::UnknownTemp(id))?;
     for dep in stmt.plan.referenced_temps() {
         materialize(dep, by_target, db, opts, env, stats)?;
     }
+    // into_owned inside the scope: a statement that is a bare Scan/Temp
+    // clones (it must own its entry), everything else is already owned
     let rel = {
         let mut ctx = ExecCtx {
             db,
@@ -274,21 +255,6 @@ mod tests {
     }
 
     #[test]
-    fn eager_runs_everything() {
-        let mut prog = Program::new();
-        let _unused = prog.push(Plan::Scan("E".into()), "unused");
-        let used = prog.push(Plan::Scan("E".into()), "used");
-        prog.result = Some(used);
-        let mut stats = Stats::default();
-        let opts = ExecOptions {
-            lazy: false,
-            ..Default::default()
-        };
-        prog.execute(&db(), opts, &mut stats).unwrap();
-        assert_eq!(stats.stmts_evaluated, 2);
-    }
-
-    #[test]
     fn temp_references_resolve_in_dependency_order() {
         let mut prog = Program::new();
         let base = prog.push(Plan::Scan("E".into()), "base");
@@ -307,23 +273,17 @@ mod tests {
         assert_eq!(out.row(0), &[Value::Id(1), Value::Id(3)]);
     }
 
-    /// An expired deadline aborts at the statement boundary in both lazy
-    /// and eager modes, with the typed error (not a hang or a panic).
+    /// An expired deadline aborts at the statement boundary with the typed
+    /// error (not a hang or a panic).
     #[test]
     fn expired_deadline_aborts_program() {
         let mut prog = Program::new();
         let t = prog.push(Plan::Scan("E".into()), "scan");
         prog.result = Some(t);
-        for lazy in [true, false] {
-            let opts = ExecOptions {
-                lazy,
-                ..ExecOptions::default()
-            }
-            .with_deadline(std::time::Instant::now());
-            let mut stats = Stats::default();
-            let err = prog.execute(&db(), opts, &mut stats).unwrap_err();
-            assert_eq!(err, ExecError::DeadlineExceeded, "lazy={lazy}");
-        }
+        let opts = ExecOptions::default().with_deadline(std::time::Instant::now());
+        let mut stats = Stats::default();
+        let err = prog.execute(&db(), opts, &mut stats).unwrap_err();
+        assert_eq!(err, ExecError::DeadlineExceeded);
     }
 
     #[test]

@@ -64,29 +64,6 @@ impl Relation {
         rel
     }
 
-    /// Relation *adopting* an already-flat buffer — the zero-copy bulk
-    /// constructor partitioned operators use to merge per-worker outputs.
-    /// `buf.len()` must be a multiple of the arity (and empty when the
-    /// arity is 0).
-    pub fn from_flat(columns: Vec<String>, buf: Vec<Value>) -> Self {
-        let arity = columns.len();
-        let rows = if arity == 0 {
-            assert!(
-                buf.is_empty(),
-                "zero-arity relation with a non-empty buffer"
-            );
-            0
-        } else {
-            assert_eq!(
-                buf.len() % arity,
-                0,
-                "buffer length not a multiple of arity"
-            );
-            buf.len() / arity
-        };
-        Relation { columns, buf, rows }
-    }
-
     /// Column names.
     #[inline]
     pub fn columns(&self) -> &[String] {
@@ -185,12 +162,6 @@ impl Relation {
     #[inline]
     pub fn values_flat(&self) -> &[Value] {
         &self.buf
-    }
-
-    /// Tear the relation down into its column names and flat buffer
-    /// (inverse of [`Relation::from_flat`]).
-    pub fn into_flat(self) -> (Vec<String>, Vec<Value>) {
-        (self.columns, self.buf)
     }
 
     /// Bulk-append every row of `other` (must have equal arity). One
@@ -388,29 +359,6 @@ mod tests {
         assert!(r.set_eq(&ft(&[(1, 2), (2, 3)])));
     }
 
-    /// The flat layout's core guarantee: adopting a pre-built buffer is
-    /// zero-copy (the same allocation ends up inside the relation), and a
-    /// relation of N rows holds exactly one buffer — no per-row `Vec`s.
-    #[test]
-    fn from_flat_is_zero_copy_bulk_adopt() {
-        let buf: Vec<Value> = (0..1000u32)
-            .flat_map(|i| [Value::Id(i), Value::Id(i + 1)])
-            .collect();
-        let ptr = buf.as_ptr();
-        let r = Relation::from_flat(vec!["F".into(), "T".into()], buf);
-        assert_eq!(r.len(), 1000);
-        // the buffer was adopted, not copied: same allocation
-        assert!(std::ptr::eq(ptr, r.values_flat().as_ptr()));
-        // and `adopt` into an empty relation moves it again, still no copy
-        let mut empty = Relation::new(vec!["F".into(), "T".into()]);
-        empty.adopt(r);
-        assert!(std::ptr::eq(ptr, empty.values_flat().as_ptr()));
-        assert_eq!(empty.len(), 1000);
-        // round-trip through into_flat returns the same allocation too
-        let (_cols, back) = empty.into_flat();
-        assert!(std::ptr::eq(ptr, back.as_ptr()));
-    }
-
     #[test]
     fn rows_iterate_with_arity_stride() {
         let r = ft(&[(1, 2), (3, 4), (5, 6)]);
@@ -447,6 +395,13 @@ mod tests {
         b.adopt(ft(&[(8, 8)]));
         assert_eq!(b.len(), 2);
         assert_eq!(b.row(0), &[Value::Id(9), Value::Id(9)]);
+        // into an empty relation `adopt` moves the buffer: same allocation,
+        // no copy (what `Union` relies on for its first owned input)
+        let ptr = b.values_flat().as_ptr();
+        let mut empty = Relation::new(vec!["F".into(), "T".into()]);
+        empty.adopt(b);
+        assert!(std::ptr::eq(ptr, empty.values_flat().as_ptr()));
+        assert_eq!(empty.len(), 2);
     }
 
     #[test]

@@ -8,11 +8,10 @@
 //! Three fronts:
 //!
 //! * **Result equivalence** over the Table-5 workload queries (dept / Cross
-//!   / GedML), sequential and `threads > 1`, `OptLevel::None` and `Full`:
-//!   answer sets equal the native oracle, full result relations are
-//!   `set_eq` across every configuration, and repeated sequential runs are
-//!   byte-identical (execution is deterministic — order is pinned wherever
-//!   the engine pins it).
+//!   / GedML), `OptLevel::None` and `Full`: answer sets equal the native
+//!   oracle, full result relations are `set_eq` across both levels, and
+//!   repeated runs are byte-identical (execution is deterministic — order
+//!   is pinned wherever the engine pins it).
 //! * **Join kernels** against a nested-loop reference, as ordered bags:
 //!   inner/semi/anti × one/two key columns × bare, under σ, under π, under
 //!   π(σ), under δ(π) — the shapes the executor fuses into the join's emit —
@@ -66,13 +65,7 @@ fn workloads() -> Vec<(&'static str, Dtd, &'static str, Vec<&'static str>)> {
     ]
 }
 
-fn run_relation(
-    dtd: &Dtd,
-    query: &str,
-    db: &Database,
-    optimize: OptLevel,
-    threads: usize,
-) -> Relation {
+fn run_relation(dtd: &Dtd, query: &str, db: &Database, optimize: OptLevel) -> Relation {
     let path = parse_xpath(query).unwrap();
     let tr = Translator::new(dtd)
         .with_sql_options(SqlOptions {
@@ -83,13 +76,12 @@ fn run_relation(
         .unwrap();
     let mut stats = Stats::default();
     tr.program
-        .execute(db, ExecOptions::default().with_threads(threads), &mut stats)
+        .execute(db, ExecOptions::default(), &mut stats)
         .unwrap()
 }
 
-/// Every engine configuration — optimizer on/off × sequential/parallel —
-/// returns the same result relation, and answer ids equal the native
-/// oracle. Repeated sequential runs are byte-identical (order pinned).
+/// Optimizer on and off return the same result relation, and answer ids
+/// equal the native oracle. Repeated runs are byte-identical (order pinned).
 #[test]
 fn all_configurations_agree_with_the_oracle() {
     for (name, dtd, xml, queries) in workloads() {
@@ -101,28 +93,21 @@ fn all_configurations_agree_with_the_oracle() {
                 .into_iter()
                 .map(|n| n.0)
                 .collect();
-            let base = run_relation(&dtd, q, &db, OptLevel::Full, 1);
+            let base = run_relation(&dtd, q, &db, OptLevel::Full);
             let answers: BTreeSet<u32> = base.rows().filter_map(|t| t[0].as_id()).collect();
             assert_eq!(answers, native, "{name}/{q}: oracle mismatch");
-            // order pinned: the sequential path is deterministic
-            let again = run_relation(&dtd, q, &db, OptLevel::Full, 1);
-            assert_eq!(base, again, "{name}/{q}: sequential run not deterministic");
-            // every other configuration returns the same relation as a set
-            for optimize in [OptLevel::Full, OptLevel::None] {
-                for threads in [1usize, 3] {
-                    let rel = run_relation(&dtd, q, &db, optimize, threads);
-                    assert!(
-                        rel.set_eq(&base),
-                        "{name}/{q}: {optimize:?} threads={threads} differs"
-                    );
-                }
-            }
+            // order pinned: execution is deterministic
+            let again = run_relation(&dtd, q, &db, OptLevel::Full);
+            assert_eq!(base, again, "{name}/{q}: run not deterministic");
+            // the unoptimized program returns the same relation as a set
+            let raw = run_relation(&dtd, q, &db, OptLevel::None);
+            assert!(raw.set_eq(&base), "{name}/{q}: OptLevel::None differs");
         }
     }
 }
 
-/// The same equivalence holds on *generated* documents big enough to have
-/// real closures, including under the naive-fixpoint ablation.
+/// The oracle equivalence holds on *generated* documents big enough to have
+/// real closures, with the interval fast path off so the fixpoint runs.
 #[test]
 fn generated_documents_agree_across_exec_options() {
     let cases = [
@@ -142,34 +127,15 @@ fn generated_documents_agree_across_exec_options() {
             .map(|n| n.0)
             .collect();
         let tr = Translator::new(&dtd).translate(&path).unwrap();
-        for naive in [false, true] {
-            for threads in [1usize, 4] {
-                let mut stats = Stats::default();
-                let got = tr
-                    .try_run(
-                        &db,
-                        ExecOptions {
-                            naive_fixpoint: naive,
-                            lazy: true,
-                            threads,
-                            // this suite measures the fixpoint path; keep
-                            // the interval rewrite out of the way
-                            interval: false,
-                            ..ExecOptions::default()
-                        },
-                        &mut stats,
-                    )
-                    .unwrap();
-                assert_eq!(
-                    got, native,
-                    "{name}/{q}: naive={naive} threads={threads} differs from oracle"
-                );
-                assert!(
-                    stats.lfp_peak_closure > 0,
-                    "{name}/{q}: closure workload recorded a peak"
-                );
-            }
-        }
+        let mut stats = Stats::default();
+        let got = tr
+            .try_run(&db, ExecOptions::default().with_interval(false), &mut stats)
+            .unwrap();
+        assert_eq!(got, native, "{name}/{q}: differs from oracle");
+        assert!(
+            stats.lfp_peak_closure > 0,
+            "{name}/{q}: closure workload recorded a peak"
+        );
     }
 }
 

@@ -39,9 +39,7 @@ fn check_all_paths(dtd: &Dtd, tree: &Tree, queries: &[&str]) {
             .collect();
         assert_eq!(via_extended, native, "extended XPath eval differs: {q}");
 
-        // SQL via CycleEX, both optimization settings, sequential and
-        // parallel execution (threads = 1 must be byte-identical to the old
-        // engine; threads = 4 must be set-equal)
+        // SQL via CycleEX, both optimization settings
         for push in [true, false] {
             let tr = Translator::new(dtd)
                 .with_sql_options(SqlOptions {
@@ -51,20 +49,9 @@ fn check_all_paths(dtd: &Dtd, tree: &Tree, queries: &[&str]) {
                 })
                 .translate(&path)
                 .unwrap();
-            for threads in [1, 4] {
-                let mut stats = Stats::default();
-                let got = tr
-                    .try_run(
-                        &db,
-                        ExecOptions::default().with_threads(threads),
-                        &mut stats,
-                    )
-                    .unwrap();
-                assert_eq!(
-                    got, native,
-                    "CycleEX SQL differs: {q} (push={push}, threads={threads})"
-                );
-            }
+            let mut stats = Stats::default();
+            let got = tr.try_run(&db, ExecOptions::default(), &mut stats).unwrap();
+            assert_eq!(got, native, "CycleEX SQL differs: {q} (push={push})");
         }
 
         // SQL via CycleE
@@ -76,22 +63,11 @@ fn check_all_paths(dtd: &Dtd, tree: &Tree, queries: &[&str]) {
         let got = tr.try_run(&db, ExecOptions::default(), &mut stats).unwrap();
         assert_eq!(got, native, "CycleE SQL differs: {q}");
 
-        // SQL via SQLGen-R (both fixpoint modes)
+        // SQL via SQLGen-R
         let tr = SqlGenR::new(dtd).translate(&path).unwrap();
-        for naive in [false, true] {
-            let mut stats = Stats::default();
-            let got = tr
-                .try_run(
-                    &db,
-                    ExecOptions {
-                        naive_fixpoint: naive,
-                        ..ExecOptions::default()
-                    },
-                    &mut stats,
-                )
-                .unwrap();
-            assert_eq!(got, native, "SQLGen-R differs: {q} (naive={naive})");
-        }
+        let mut stats = Stats::default();
+        let got = tr.try_run(&db, ExecOptions::default(), &mut stats).unwrap();
+        assert_eq!(got, native, "SQLGen-R differs: {q}");
     }
 }
 

@@ -3,11 +3,9 @@
 //! The interval rewrite replaces `LFP(descendant)` with a pre/post
 //! range join over the shredder's interval labels. This suite pins its
 //! soundness: for every workload the interval program, the LFP program,
-//! and the native XPath evaluator must return the *same* answer set —
-//! across optimizer levels, thread counts, and both fixpoint iteration
-//! strategies (naive / semi-naive, which only matter to the LFP side but
-//! must not perturb the comparison) — plus a seeded property test over
-//! randomly generated `//` queries.
+//! and the native XPath evaluator must return the *same* answer set at
+//! both optimizer levels — plus a seeded property test over randomly
+//! generated `//` queries.
 
 use std::collections::BTreeSet;
 use xpath2sql::core::{SqlOptions, Translator};
@@ -39,8 +37,8 @@ fn lfp_only(query: &'static str) -> Case {
     }
 }
 
-/// The full grid for one document: queries × OptLevel {None, Full} ×
-/// naive/semi-naive × threads {1, 3}, interval vs LFP vs native oracle.
+/// The full grid for one document: queries × OptLevel {None, Full},
+/// interval vs LFP vs native oracle.
 fn check_interval_equiv(dtd: &Dtd, tree: &Tree, cases: &[Case]) {
     let db = edge_database(tree, dtd);
     assert!(db.has_intervals(), "shredded store carries labels");
@@ -67,34 +65,24 @@ fn check_interval_equiv(dtd: &Dtd, tree: &Tree, cases: &[Case]) {
             if let Some(v) = &tr.interval {
                 assert!(v.rewrites > 0, "{}: empty variant survived", c.query);
             }
-            for naive in [false, true] {
-                for threads in [1usize, 3] {
-                    let base = ExecOptions {
-                        naive_fixpoint: naive,
-                        ..ExecOptions::default().with_threads(threads)
-                    };
-                    let mut lfp_stats = Stats::default();
-                    let lfp = tr
-                        .try_run(&db, base.with_interval(false), &mut lfp_stats)
-                        .unwrap();
-                    assert_eq!(lfp_stats.interval_rewrites, 0, "{}: opted out", c.query);
-                    let mut iv_stats = Stats::default();
-                    let iv = tr
-                        .try_run(&db, base.with_interval(true), &mut iv_stats)
-                        .unwrap();
-                    let ctx = format!(
-                        "{} ({optimize:?}, naive={naive}, threads={threads})",
-                        c.query
-                    );
-                    assert_eq!(iv, lfp, "{ctx}: interval differs from LFP");
-                    assert_eq!(lfp, native, "{ctx}: LFP differs from native oracle");
-                    if c.expect_variant {
-                        assert!(
-                            iv_stats.interval_rewrites > 0,
-                            "{ctx}: interval program was not selected"
-                        );
-                    }
-                }
+            let base = ExecOptions::default();
+            let mut lfp_stats = Stats::default();
+            let lfp = tr
+                .try_run(&db, base.with_interval(false), &mut lfp_stats)
+                .unwrap();
+            assert_eq!(lfp_stats.interval_rewrites, 0, "{}: opted out", c.query);
+            let mut iv_stats = Stats::default();
+            let iv = tr
+                .try_run(&db, base.with_interval(true), &mut iv_stats)
+                .unwrap();
+            let ctx = format!("{} ({optimize:?})", c.query);
+            assert_eq!(iv, lfp, "{ctx}: interval differs from LFP");
+            assert_eq!(lfp, native, "{ctx}: LFP differs from native oracle");
+            if c.expect_variant {
+                assert!(
+                    iv_stats.interval_rewrites > 0,
+                    "{ctx}: interval program was not selected"
+                );
             }
         }
     }

@@ -3,12 +3,11 @@
 //! the restricted closure must come out identical along every route:
 //!
 //! ```text
-//! semi-naive pushed == naive pushed == unpushed closure, post-filtered
+//! pushed closure == unpushed closure, post-filtered
 //! ```
 //!
 //! for both forward (seed-restricted) and backward (target-restricted)
-//! `PushSpec`, and again with parallel frontier expansion
-//! (`ExecOptions::threads` > 1).
+//! `PushSpec`.
 //!
 //! This pins the §5.2 push-selection rewrite to an implementation-free
 //! definition: pushing a selection into `Φ(R)` is only an *optimization* if
@@ -35,12 +34,7 @@ fn all_edges(db: &Database) -> Relation {
     out
 }
 
-fn closure(
-    edges: &Relation,
-    push: Option<PushSpec>,
-    naive: bool,
-    threads: usize,
-) -> HashSet<(Value, Value)> {
+fn closure(edges: &Relation, push: Option<PushSpec>) -> HashSet<(Value, Value)> {
     let mut db = Database::new();
     db.insert("E", edges.clone());
     let mut prog = Program::new();
@@ -56,16 +50,7 @@ fn closure(
     prog.result = Some(t);
     let mut stats = Stats::default();
     let rel = prog
-        .execute(
-            &db,
-            ExecOptions {
-                naive_fixpoint: naive,
-                lazy: true,
-                threads,
-                ..ExecOptions::default()
-            },
-            &mut stats,
-        )
+        .execute(&db, ExecOptions::default(), &mut stats)
         .unwrap();
     rel.rows().map(|t| (t[0].clone(), t[1].clone())).collect()
 }
@@ -80,8 +65,7 @@ fn check_parity(dtd: &xpath2sql::dtd::Dtd, elements: usize, seed: u64) {
     let edges = all_edges(&db);
     assert!(!edges.is_empty(), "generated document has edges");
 
-    let full = closure(&edges, None, false, 1);
-    assert_eq!(full, closure(&edges, None, true, 1), "naive full closure");
+    let full = closure(&edges, None);
 
     // restriction sets: a spread of node values that actually occur
     let mut restrict = Relation::new(vec!["S".into()]);
@@ -92,45 +76,33 @@ fn check_parity(dtd: &xpath2sql::dtd::Dtd, elements: usize, seed: u64) {
     }
     let members: HashSet<Value> = restrict.rows().map(|t| t[0].clone()).collect();
 
-    let fwd = |naive: bool, threads: usize| {
-        closure(
-            &edges,
-            Some(PushSpec::Forward {
-                seeds: Box::new(Plan::Values(restrict.clone())),
-                col: 0,
-            }),
-            naive,
-            threads,
-        )
-    };
+    let fwd = closure(
+        &edges,
+        Some(PushSpec::Forward {
+            seeds: Box::new(Plan::Values(restrict.clone())),
+            col: 0,
+        }),
+    );
     let expect_fwd: HashSet<(Value, Value)> = full
         .iter()
         .filter(|(f, _)| members.contains(f))
         .cloned()
         .collect();
-    assert_eq!(fwd(false, 1), expect_fwd, "semi-naive forward push");
-    assert_eq!(fwd(true, 1), expect_fwd, "naive forward push");
-    assert_eq!(fwd(false, 4), expect_fwd, "parallel forward push");
+    assert_eq!(fwd, expect_fwd, "forward push");
 
-    let bwd = |naive: bool, threads: usize| {
-        closure(
-            &edges,
-            Some(PushSpec::Backward {
-                targets: Box::new(Plan::Values(restrict.clone())),
-                col: 0,
-            }),
-            naive,
-            threads,
-        )
-    };
+    let bwd = closure(
+        &edges,
+        Some(PushSpec::Backward {
+            targets: Box::new(Plan::Values(restrict)),
+            col: 0,
+        }),
+    );
     let expect_bwd: HashSet<(Value, Value)> = full
         .iter()
         .filter(|(_, t)| members.contains(t))
         .cloned()
         .collect();
-    assert_eq!(bwd(false, 1), expect_bwd, "semi-naive backward push");
-    assert_eq!(bwd(true, 1), expect_bwd, "naive backward push");
-    assert_eq!(bwd(false, 4), expect_bwd, "parallel backward push");
+    assert_eq!(bwd, expect_bwd, "backward push");
 }
 
 #[test]

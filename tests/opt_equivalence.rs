@@ -1,7 +1,6 @@
 //! Optimizer correctness: every Table-5 workload query must return the
-//! *identical result relation* at `OptLevel::None` and `OptLevel::Full`,
-//! under the native executor (sequential and `threads > 1`), and the
-//! optimized program must render sanely in all three SQL dialects with
+//! *identical result relation* at `OptLevel::None` and `OptLevel::Full`
+//! under the native executor, and the optimized program must render sanely in all three SQL dialects with
 //! operator counts that never exceed the unoptimized ones (§5.2 / Table 5:
 //! the translation's value is a small program — the optimizer may only make
 //! it smaller).
@@ -64,15 +63,15 @@ fn translate(dtd: &Dtd, query: &str, optimize: OptLevel) -> Translation {
 }
 
 /// Execute a translation's program to its full result relation.
-fn result_relation(tr: &Translation, db: &xpath2sql::rel::Database, threads: usize) -> Relation {
+fn result_relation(tr: &Translation, db: &xpath2sql::rel::Database) -> Relation {
     let mut stats = Stats::default();
     tr.program
-        .execute(db, ExecOptions::default().with_threads(threads), &mut stats)
+        .execute(db, ExecOptions::default(), &mut stats)
         .unwrap()
 }
 
 /// The acceptance property: identical relations (columns and row sets) at
-/// both levels, sequential and parallel, plus answer-set equality.
+/// both levels, plus answer-set equality.
 #[test]
 fn optimized_programs_return_identical_relations() {
     for (name, dtd, queries) in workload() {
@@ -85,20 +84,14 @@ fn optimized_programs_return_identical_relations() {
         for q in queries {
             let off = translate(&dtd, q, OptLevel::None);
             let on = translate(&dtd, q, OptLevel::Full);
-            let base = result_relation(&off, &db, 1);
-            for threads in [1usize, 3] {
-                let opt = result_relation(&on, &db, threads);
-                assert_eq!(
-                    opt.columns(),
-                    base.columns(),
-                    "{name}/{q}: columns differ (threads={threads})"
-                );
-                assert_eq!(
-                    opt.sorted_tuples(),
-                    base.sorted_tuples(),
-                    "{name}/{q}: tuples differ (threads={threads})"
-                );
-            }
+            let base = result_relation(&off, &db);
+            let opt = result_relation(&on, &db);
+            assert_eq!(opt.columns(), base.columns(), "{name}/{q}: columns differ");
+            assert_eq!(
+                opt.sorted_tuples(),
+                base.sorted_tuples(),
+                "{name}/{q}: tuples differ"
+            );
             // answer-set view through try_run as well
             let mut s1 = Stats::default();
             let mut s2 = Stats::default();
