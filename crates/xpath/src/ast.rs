@@ -173,6 +173,9 @@ impl fmt::Display for Qual {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Qual::Path(p) => write!(f, "{p}"),
+            // the lexer takes either quote and has no escape, so a parsed
+            // literal never holds both: print it in the one it does not hold
+            Qual::TextEq(c) if c.contains('"') => write!(f, "text()='{c}'"),
             Qual::TextEq(c) => write!(f, "text()=\"{c}\""),
             Qual::Not(q) => write!(f, "not({q})"),
             Qual::And(a, b) => write!(f, "({a} and {b})"),

@@ -16,6 +16,11 @@
 //!   `text() = "c"`, and the paper's shorthand `p = "c"` standing for
 //!   `p[text() = "c"]` (e.g. `course[cno = "cs66"]`, Example 2.2);
 //! * string literals in single or double quotes.
+//!
+//! Every consumer of a [`Path`] recurses on it (and so does dropping one),
+//! and a query arrives from outside the program, so the parser bounds what
+//! it builds: a query whose syntax nests, or whose tree would stand, more
+//! than 128 levels deep is a [`ParseError`], not a stack overflow.
 
 use crate::ast::{Path, Qual};
 use std::fmt;
@@ -41,14 +46,23 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest nesting of the syntax (parentheses, qualifiers, `not`) and
+/// deepest [`Path`]/[`Qual`] tree — nested or a left-deep `/`, `|`, `[q]`,
+/// `and`, `or` chain — that [`parse_xpath`] accepts. The recursive passes
+/// downstream (canonicalization, the sat check, translation) run a tree of
+/// this depth on a 1 MiB stack in a debug build with room to spare; the
+/// queries of the paper, the benchmark and the suites stay below 20.
+const MAX_DEPTH: usize = 128;
+
 /// Parse a query of the fragment into a [`Path`].
 pub fn parse_xpath(input: &str) -> Result<Path, ParseError> {
     let mut p = P {
         chars: input.char_indices().collect(),
         pos: 0,
         input_len: input.len(),
+        nesting: 0,
     };
-    let path = p.union()?;
+    let (path, _) = p.union()?;
     p.skip_ws();
     if !p.at_end() {
         return Err(p.err("unexpected trailing input"));
@@ -60,7 +74,13 @@ struct P {
     chars: Vec<(usize, char)>,
     pos: usize,
     input_len: usize,
+    /// Open `union`/`qual_not` calls: every cycle of the grammar passes
+    /// through one of the two, so this bounds the parser's own recursion.
+    nesting: usize,
 }
+
+/// A parsed subtree with its depth (a leaf is 1).
+type Parsed<T> = Result<(T, usize), ParseError>;
 
 impl P {
     fn at_end(&self) -> bool {
@@ -95,6 +115,30 @@ impl P {
             offset: self.offset(),
             message: m.to_string(),
         }
+    }
+
+    fn too_deep(&self) -> ParseError {
+        self.err(&format!("query nests deeper than {MAX_DEPTH} levels"))
+    }
+
+    /// Depth of a node over children of depths `a` and `b`.
+    fn over(&self, a: usize, b: usize) -> Result<usize, ParseError> {
+        let depth = 1 + a.max(b);
+        if depth > MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        Ok(depth)
+    }
+
+    /// Run `parse` one syntactic level further in.
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> Parsed<T>) -> Parsed<T> {
+        if self.nesting == MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.nesting += 1;
+        let parsed = parse(self);
+        self.nesting -= 1;
+        parsed
     }
 
     fn skip_ws(&mut self) {
@@ -133,25 +177,28 @@ impl P {
     }
 
     /// union := seq (('|' | '∪') seq)*
-    fn union(&mut self) -> Result<Path, ParseError> {
-        let mut left = self.seq()?;
-        loop {
-            self.skip_ws();
-            if self.eat('|') || self.eat('∪') {
-                let right = self.seq()?;
-                left = Path::Union(Box::new(left), Box::new(right));
-            } else {
-                return Ok(left);
+    fn union(&mut self) -> Parsed<Path> {
+        self.nested(|p| {
+            let (mut left, mut depth) = p.seq()?;
+            loop {
+                p.skip_ws();
+                if p.eat('|') || p.eat('∪') {
+                    let (right, d) = p.seq()?;
+                    depth = p.over(depth, d)?;
+                    left = Path::Union(Box::new(left), Box::new(right));
+                } else {
+                    return Ok((left, depth));
+                }
             }
-        }
+        })
     }
 
     /// seq := ('//' step | '/'? step) (('/' | '//') step)*
-    fn seq(&mut self) -> Result<Path, ParseError> {
+    fn seq(&mut self) -> Parsed<Path> {
         self.skip_ws();
-        let mut left = if self.peek() == Some('/') && self.peek2() == Some('/') {
+        let (mut left, mut depth) = if self.peek() == Some('/') && self.peek2() == Some('/') {
             self.pos += 2;
-            Path::Descendant(Box::new(self.step()?))
+            self.descendant_step()?
         } else {
             if self.peek() == Some('/') {
                 self.pos += 1; // leading absolute '/': same as starting at doc
@@ -160,56 +207,63 @@ impl P {
         };
         loop {
             self.skip_ws();
-            if self.peek() == Some('/') && self.peek2() == Some('/') {
+            let (next, d) = if self.peek() == Some('/') && self.peek2() == Some('/') {
                 self.pos += 2;
-                let next = Path::Descendant(Box::new(self.step()?));
-                left = Path::Seq(Box::new(left), Box::new(next));
+                self.descendant_step()?
             } else if self.peek() == Some('/') {
                 self.pos += 1;
-                let next = self.step()?;
-                left = Path::Seq(Box::new(left), Box::new(next));
+                self.step()?
             } else {
-                return Ok(left);
-            }
+                return Ok((left, depth));
+            };
+            depth = self.over(depth, d)?;
+            left = Path::Seq(Box::new(left), Box::new(next));
         }
     }
 
+    /// The step after a `//`.
+    fn descendant_step(&mut self) -> Parsed<Path> {
+        let (step, d) = self.step()?;
+        Ok((Path::Descendant(Box::new(step)), self.over(d, 0)?))
+    }
+
     /// step := atom ('[' qual ']')*
-    fn step(&mut self) -> Result<Path, ParseError> {
-        let mut base = self.atom()?;
+    fn step(&mut self) -> Parsed<Path> {
+        let (mut base, mut depth) = self.atom()?;
         loop {
             self.skip_ws();
             if self.eat('[') {
-                let q = self.qual_or()?;
+                let (q, d) = self.qual_or()?;
                 if !self.eat(']') {
                     return Err(self.err("expected `]` to close the qualifier"));
                 }
+                depth = self.over(depth, d)?;
                 base = Path::Qualified(Box::new(base), q);
             } else {
-                return Ok(base);
+                return Ok((base, depth));
             }
         }
     }
 
     /// atom := '*' | '.' | 'ε' | '∅' | '(' union ')' | name
-    fn atom(&mut self) -> Result<Path, ParseError> {
+    fn atom(&mut self) -> Parsed<Path> {
         self.skip_ws();
         match self.peek() {
             Some('*') => {
                 self.pos += 1;
-                Ok(Path::Wildcard)
+                Ok((Path::Wildcard, 1))
             }
             Some('∅') => {
                 self.pos += 1;
-                Ok(Path::EmptySet)
+                Ok((Path::EmptySet, 1))
             }
             Some('.') => {
                 self.pos += 1;
-                Ok(Path::Empty)
+                Ok((Path::Empty, 1))
             }
             Some('ε') => {
                 self.pos += 1;
-                Ok(Path::Empty)
+                Ok((Path::Empty, 1))
             }
             Some('(') => {
                 self.pos += 1;
@@ -222,8 +276,9 @@ impl P {
             Some(c) if is_name_start(c) => {
                 let name = self.name()?;
                 match name.find("::") {
-                    Some(split) => self.axis_step(&name[..split], &name[split + 2..]),
-                    None => Ok(Path::Label(name)),
+                    // an axis step is a leaf, or `//` over one
+                    Some(split) => Ok((self.axis_step(&name[..split], &name[split + 2..])?, 2)),
+                    None => Ok((Path::Label(name), 1)),
                 }
             }
             _ => Err(self.err("expected a step (name, `*`, `.`, or `(`)")),
@@ -294,59 +349,63 @@ impl P {
     }
 
     /// qual_or := qual_and (('or' | '∨' | '||') qual_and)*
-    fn qual_or(&mut self) -> Result<Qual, ParseError> {
-        let mut left = self.qual_and()?;
+    fn qual_or(&mut self) -> Parsed<Qual> {
+        let (mut left, mut depth) = self.qual_and()?;
         loop {
             self.skip_ws();
             if self.eat_kw("or") || self.eat('∨') || self.eat2('|', '|') {
-                let right = self.qual_and()?;
+                let (right, d) = self.qual_and()?;
+                depth = self.over(depth, d)?;
                 left = Qual::Or(Box::new(left), Box::new(right));
             } else {
-                return Ok(left);
+                return Ok((left, depth));
             }
         }
     }
 
     /// qual_and := qual_not (('and' | '∧' | '&&') qual_not)*
-    fn qual_and(&mut self) -> Result<Qual, ParseError> {
-        let mut left = self.qual_not()?;
+    fn qual_and(&mut self) -> Parsed<Qual> {
+        let (mut left, mut depth) = self.qual_not()?;
         loop {
             self.skip_ws();
             if self.eat_kw("and") || self.eat('∧') || self.eat2('&', '&') {
-                let right = self.qual_not()?;
+                let (right, d) = self.qual_not()?;
+                depth = self.over(depth, d)?;
                 left = Qual::And(Box::new(left), Box::new(right));
             } else {
-                return Ok(left);
+                return Ok((left, depth));
             }
         }
     }
 
     /// qual_not := ('not' | '¬' | '!') qual_not | '(' qual_or ')' | primary
-    fn qual_not(&mut self) -> Result<Qual, ParseError> {
-        self.skip_ws();
-        if self.eat_kw("not") || self.eat('¬') || self.eat('!') {
-            // allow both `not(q)` and `not q`
-            return Ok(Qual::Not(Box::new(self.qual_not()?)));
-        }
-        if self.peek() == Some('(') {
-            // Could be a parenthesised qualifier or a parenthesised path;
-            // parse as qualifier (paths in parens become Qual::Path anyway
-            // unless boolean connectives appear inside).
-            let save = self.pos;
-            self.pos += 1;
-            if let Ok(q) = self.qual_or() {
-                if self.eat(')') {
-                    return self.maybe_text_eq_wrap(q);
-                }
+    fn qual_not(&mut self) -> Parsed<Qual> {
+        self.nested(|p| {
+            p.skip_ws();
+            if p.eat_kw("not") || p.eat('¬') || p.eat('!') {
+                // allow both `not(q)` and `not q`
+                let (q, d) = p.qual_not()?;
+                return Ok((Qual::Not(Box::new(q)), p.over(d, 0)?));
             }
-            self.pos = save;
-        }
-        let q = self.qual_primary()?;
-        Ok(q)
+            if p.peek() == Some('(') {
+                // Could be a parenthesised qualifier or a parenthesised path;
+                // parse as qualifier (paths in parens become Qual::Path anyway
+                // unless boolean connectives appear inside).
+                let save = p.pos;
+                p.pos += 1;
+                if let Ok((q, d)) = p.qual_or() {
+                    if p.eat(')') {
+                        return p.maybe_text_eq_wrap(q, d);
+                    }
+                }
+                p.pos = save;
+            }
+            p.qual_primary()
+        })
     }
 
     /// primary := 'text()' '=' string | path ('=' string)?
-    fn qual_primary(&mut self) -> Result<Qual, ParseError> {
+    fn qual_primary(&mut self) -> Parsed<Qual> {
         self.skip_ws();
         let save = self.pos;
         if self.eat_kw("text") {
@@ -358,34 +417,42 @@ impl P {
                     return Err(self.err("expected `=` after `text()`"));
                 }
                 let s = self.string()?;
-                return Ok(Qual::TextEq(s));
+                return Ok((Qual::TextEq(s), 1));
             }
             // an element actually named `text`: reparse as a path
             self.pos = save;
         }
-        let p = self.union()?;
+        let (p, d) = self.union()?;
         self.skip_ws();
         if self.eat('=') {
-            // shorthand `p = "c"` ≡ `p[text() = "c"]`
-            let s = self.string()?;
-            return Ok(Qual::path(Path::Qualified(Box::new(p), Qual::TextEq(s))));
+            return self.text_eq_shorthand(Box::new(p), d);
         }
-        Ok(Qual::path(p))
+        Ok((Qual::path(p), self.over(d, 0)?))
+    }
+
+    /// The shorthand `p = "c"` ≡ `p[text() = "c"]`, after its `=`.
+    fn text_eq_shorthand(&mut self, p: Box<Path>, depth: usize) -> Parsed<Qual> {
+        let s = self.string()?;
+        let qualified = self.over(depth, 1)?;
+        Ok((
+            Qual::path(Path::Qualified(p, Qual::TextEq(s))),
+            self.over(qualified, 0)?,
+        ))
     }
 
     /// After a parenthesised qualifier, permit `= "c"` when the qualifier is
     /// a plain path (rare, but keeps `(cno) = "c"` working).
-    fn maybe_text_eq_wrap(&mut self, q: Qual) -> Result<Qual, ParseError> {
+    fn maybe_text_eq_wrap(&mut self, q: Qual, depth: usize) -> Parsed<Qual> {
         self.skip_ws();
         if self.peek() == Some('=') {
             if let Qual::Path(p) = q {
                 self.pos += 1;
-                let s = self.string()?;
-                return Ok(Qual::path(Path::Qualified(p, Qual::TextEq(s))));
+                // `depth` counted the `Qual::Path` wrapper the path sheds here
+                return self.text_eq_shorthand(p, depth - 1);
             }
             return Err(self.err("`=` after a boolean qualifier"));
         }
-        Ok(q)
+        Ok((q, depth))
     }
 
     fn string(&mut self) -> Result<String, ParseError> {
@@ -547,6 +614,13 @@ mod tests {
             "a/b//c/d",
             "∅",
             "a/∅",
+            // literals holding the other quote and the qualifier syntax
+            r#"a[text()="it's"]"#,
+            r#"a[text()='say "x"']"#,
+            r#"a[text()='x"][text()="y']"#,
+            r#"a[text()="x"][text()="y"]"#,
+            r#"a[b = "] | [ and not( "]"#,
+            r#"a[b = ' "] | [" ']"#,
         ] {
             let once = p(s);
             let again = p(&once.to_string());

@@ -216,3 +216,101 @@ fn stats_accumulate_and_reset() {
     engine.query("dept//project").unwrap();
     assert_eq!(engine.stats().plan_cache_hits, 1);
 }
+
+/// ROADMAP aim 2 counts options: each independently settable field
+/// multiplies what every equivalence suite has to cover. The destructuring
+/// has no `..`, so a fifth `ExecOptions` field fails to compile here.
+#[test]
+fn exec_options_has_exactly_four_fields() {
+    let ExecOptions {
+        interval,
+        deadline,
+        tuple_budget,
+        closure_budget,
+    } = ExecOptions::default();
+    assert!(interval, "the interval fast path is on by default");
+    assert_eq!(deadline, None);
+    assert_eq!(tuple_budget, None);
+    assert_eq!(closure_budget, None);
+}
+
+/// A query is outside input and everything downstream of the parser recurses
+/// on its tree, so the parser bounds the depth of what it accepts (ROADMAP
+/// item 2). Each shape below used to abort the process — a stack overflow,
+/// past `catch_unwind` — at a few hundred repetitions on a server worker's
+/// 2 MiB stack. Here each goes through parse, normalization, the sat check
+/// and translation at its largest accepted size on half that stack, and is
+/// a typed parse error one repetition later and at the sizes that used to
+/// kill the process.
+#[test]
+fn deep_queries_are_a_parse_error_not_a_stack_overflow() {
+    // (shape, builder, largest accepted n): the bound is 128 levels, of
+    // syntax nesting or of tree depth, whichever a shape reaches first
+    type Shape = (&'static str, fn(usize) -> String, usize);
+    let shapes: [Shape; 5] = [
+        // n steps are a left-deep `Seq` spine n nodes tall
+        ("a/a/…/a", |n| format!("a{}", "/a".repeat(n - 1)), 128),
+        ("a|a|…|a", |n| format!("a{}", "|a".repeat(n - 1)), 128),
+        // n pairs of parentheses inside the top level: 1 + n levels
+        ("(((a)))", |n| "(".repeat(n) + "a" + &")".repeat(n), 127),
+        // each `a[…]` is a `Qualified` over a `Qual::Path`: 1 + 2n nodes tall
+        ("a[a[a[…]]]", |n| "a[".repeat(n) + "a" + &"]".repeat(n), 63),
+        // `Qualified`, n × `Not`, `Qual::Path`, `a`: n + 3 nodes tall
+        (
+            "a[not not … a]",
+            |n| format!("a[{}a]", "not ".repeat(n)),
+            125,
+        ),
+    ];
+    let worker = std::thread::Builder::new().stack_size(1 << 20);
+    let run = worker.spawn(move || {
+        let dtd = xpath2sql::dtd::parse_dtd("<!ELEMENT a (a*)>").unwrap();
+        let engine = Engine::new(&dtd);
+        for (name, build, limit) in shapes {
+            let path = xpath2sql::xpath::parse_xpath(&build(limit))
+                .unwrap_or_else(|e| panic!("{name} × {limit}: {e}"));
+            let normal = engine.normalize_path(&path);
+            engine.check_sat(&normal);
+            engine.prepare_path(&path).unwrap();
+            for n in [limit + 1, 4_096, 200_000] {
+                let err = engine.prepare(&build(n)).err();
+                assert!(
+                    matches!(&err, Some(EngineError::Xpath(e)) if e.message.contains("deeper")),
+                    "{name} × {n}: {err:?}"
+                );
+            }
+        }
+    });
+    run.unwrap().join().unwrap();
+}
+
+/// The plan cache keys on the canonical query *text*, so the printer must
+/// not print two queries alike (ROADMAP item 1). `Display` used to wrap
+/// every literal in `"`: the one literal `x"][text()="y` then printed as the
+/// two literals `x` and `y`, and whichever query was prepared first answered
+/// for both.
+#[test]
+fn literals_holding_a_quote_get_their_own_plan() {
+    let dtd = xpath2sql::dtd::parse_dtd("<!ELEMENT r (a*)> <!ELEMENT a (#PCDATA)>").unwrap();
+    let xml = "<r><a>x</a><a>y</a><a>x\"][text()=\"y</a></r>";
+    let tree = xpath2sql::xml::parse_xml(&dtd, xml).unwrap();
+    let mut engine = Engine::new(&dtd);
+    engine.load(&tree);
+    let one_literal = r#"r/a[text()='x"][text()="y']"#;
+    let two_literals = r#"r/a[text()="x"][text()="y"]"#;
+    for (query, answers) in [(one_literal, 1), (two_literals, 0)] {
+        let path = xpath2sql::xpath::parse_xpath(query).unwrap();
+        let oracle: BTreeSet<u32> = eval_from_document(&path, &tree, &dtd)
+            .into_iter()
+            .map(|n| n.0)
+            .collect();
+        assert_eq!(oracle.len(), answers, "{query}");
+        assert_eq!(engine.query(query).unwrap(), oracle, "{query}");
+    }
+    let stats = engine.stats();
+    assert_eq!(
+        (stats.plan_cache_misses, stats.plan_cache_hits),
+        (2, 0),
+        "two queries, two plans"
+    );
+}

@@ -78,9 +78,9 @@ fn concurrent_cross_matches_single_thread_oracle() {
 }
 
 #[test]
-fn concurrent_gedml_matches_single_thread_oracle() {
+fn concurrent_gedml_with_parallel_exec() {
     // a recursive root: `//Even` starts at the document node, which has no
-    // interval label, so these workers share the LFP path too
+    // interval label, so these workers execute fixpoints in parallel too
     let d = samples::gedml();
     let tree = generated(&d, 2_000, 7);
     stress(
