@@ -321,7 +321,7 @@ impl Database {
 
 /// Execution options.
 ///
-/// Besides strategy knobs, the options carry the **cooperative
+/// Besides the interval-path switch, the options carry the **cooperative
 /// cancellation/budget token**: an optional wall-clock deadline, a tuple
 /// budget, and a closure-memory budget. The executor polls the token at
 /// natural loop boundaries — per-round LFP frontiers, hash-join entry,

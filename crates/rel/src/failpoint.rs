@@ -14,7 +14,7 @@
 //! | site                 | location                            | effect of arming |
 //! |----------------------|-------------------------------------|------------------|
 //! | `exec-panic`         | executor join boundary              | panic inside the executor |
-//! | `lfp-round-sleep`    | each semi-naive/naive LFP round     | slow rounds (deadline tests) |
+//! | `lfp-round-sleep`    | each LFP / multi-LFP round          | slow rounds (deadline tests) |
 //! | `stream-write-error` | chunked response writer (serve)     | mid-stream I/O error |
 //! | `flight-poison`      | single-flight leader closure (serve)| leader panics, flight poisoned |
 

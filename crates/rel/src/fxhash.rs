@@ -112,7 +112,7 @@ pub fn fx_set_with_capacity<T>(capacity: usize) -> FxHashSet<T> {
     FxHashSet::with_capacity_and_hasher(capacity, FxBuildHasher::default())
 }
 
-/// Hash one value with the Fx mix (for partition selection and row keys).
+/// Hash one value with the Fx mix (for row keys).
 #[inline]
 pub fn fx_hash_one<T: std::hash::Hash + ?Sized>(value: &T) -> u64 {
     let mut h = FxHasher::default();

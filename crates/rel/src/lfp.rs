@@ -17,7 +17,7 @@
 //!   is the only closure loop: the join body of `Φ(R)` distributes over
 //!   union, so the delta iteration computes exactly what the paper's
 //!   literal Eq. 2 (re-joining the whole accumulated relation each round)
-//!   would, in fewer joins (Afanasiev et al., PAPERS.md);
+//!   would, with less work per round (Afanasiev et al., PAPERS.md);
 //! * **pushed selections** — `push(R1, R0)` restricts the closure to pairs
 //!   whose source is in a seed set (forward) or whose target is in a target
 //!   set (backward), so the fixpoint "only traverses paths starting from

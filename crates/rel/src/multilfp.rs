@@ -202,15 +202,17 @@ mod tests {
         assert!(stats.joins >= 2 * stats.multilfp_iterations);
     }
 
+    /// A tag (an index into `TAGS`) with its `(S, T)` init tuples.
+    type Init = (usize, Vec<(u32, u32)>);
+    /// A rule `(src tag, dst tag, edges)`.
+    type Rule = (usize, usize, Vec<(u32, u32)>);
+
     /// Reference for the differential test: breadth-first search over
     /// `(node, tag)` states from every init tuple, one origin at a time. A
     /// rule `(src, dst, edges)` steps from `(n, src)` to `(z, dst)` for each
     /// edge `(n, z)`. Shares nothing with `eval_multilfp` (no interner, no
     /// CSR, no rounds).
-    fn tagged_reachability(
-        init: &[(usize, Vec<(u32, u32)>)],
-        rules: &[(usize, usize, Vec<(u32, u32)>)],
-    ) -> HashSet<(u32, u32, usize)> {
+    fn tagged_reachability(init: &[Init], rules: &[Rule]) -> HashSet<(u32, u32, usize)> {
         let mut out = HashSet::new();
         for (tag, pairs) in init {
             for &(s, t) in pairs {
@@ -253,10 +255,10 @@ mod tests {
                     .map(|_| (next(nodes) as u32, next(nodes) as u32))
                     .collect()
             };
-            let rules: Vec<(usize, usize, Vec<(u32, u32)>)> = (0..1 + case % 5)
+            let rules: Vec<Rule> = (0..1 + case % 5)
                 .map(|i| ((case + i) % 3, (case + 2 * i + 1) % 3, pairs(3 + nodes)))
                 .collect();
-            let init: Vec<(usize, Vec<(u32, u32)>)> = (0..1 + case % 2)
+            let init: Vec<Init> = (0..1 + case % 2)
                 .map(|i| ((case + i) % 3, pairs(1 + nodes / 4)))
                 .collect();
 

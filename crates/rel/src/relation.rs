@@ -7,7 +7,7 @@
 //! arity stride: row `i` is the slice `buf[i * arity .. (i + 1) * arity]`.
 //! That is one heap allocation per *relation* instead of one per *row* (the
 //! old `Vec<Vec<Value>>` layout), rows are contiguous in cache, and bulk
-//! operations — union, partition merges, adopting a pre-built buffer —
+//! operations — union, adopting an owned input's buffer —
 //! are `memcpy`-shaped extends rather than per-row pushes.
 //!
 //! Invariants:
