@@ -30,14 +30,8 @@ use x2s_rel::{
 /// Name of the all-nodes relation provided by edge shredding.
 const ALL_NODES: &str = "R__nodes";
 
-/// Options for the SQL translation.
-///
-/// `Eq`/`Hash` matter beyond plain comparison: the engine's plan cache keys
-/// translations by (normalized XPath, [`RecStrategy`](crate::RecStrategy),
-/// `SqlOptions`), so two option sets compare equal exactly when they produce
-/// the same program. `optimize` is part of the key like everything else: an
-/// `OptLevel::None` plan never masquerades as an optimized plan of the same
-/// query.
+/// Options for the SQL translation. An [`Engine`](crate::Engine) fixes one
+/// set at `build`, so its plan cache keys on the normalized query alone.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct SqlOptions {
     /// Push selections into LFP operators (§5.2). Default true.

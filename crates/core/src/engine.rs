@@ -10,13 +10,14 @@
 //! * [`Engine::builder`] fixes the translation strategy
 //!   ([`RecStrategy`]), SQL generation options ([`SqlOptions`]), execution
 //!   options ([`ExecOptions`]), and a default rendering dialect
-//!   ([`SqlDialect`]) once;
+//!   ([`SqlDialect`]) once, for the engine's lifetime;
 //! * [`Engine::load`] / [`Engine::load_xml`] shred a document into the
 //!   edge store the engine owns;
 //! * [`Engine::prepare`] returns a [`PreparedQuery`] backed by an LRU
-//!   translation/plan cache keyed by the *normalized* XPath text plus the
-//!   options that shaped the translation — preparing the same query again
-//!   skips CycleEX and SQL generation entirely;
+//!   translation/plan cache keyed by the *normalized* query — the [`Path`]
+//!   value [`Engine::normalize_path`] returns, not its printed text —
+//!   so preparing the same query again skips CycleEX and SQL generation
+//!   entirely;
 //! * [`PreparedQuery::execute`] runs the cached program against the loaded
 //!   store; [`PreparedQuery::sql`] renders it for an external RDBMS;
 //!   [`Engine::query`] is the one-shot convenience.
@@ -34,11 +35,9 @@
 //! [`prepare`](Engine::prepare) / [`PreparedQuery::execute`] /
 //! [`Engine::query`] freely:
 //!
-//! * **Sharded plan cache** — translations live in N independent LRU shards
-//!   selected by the hash of the plan key, so concurrent prepares only
-//!   contend when they race for the *same* shard; there is no engine-wide
-//!   lock anywhere on the serving path. (At small configured capacities the
-//!   cache collapses to a single shard so global LRU order stays exact.)
+//! * **One cache lock** — the plan cache is one LRU map behind one mutex,
+//!   held only for a lookup or an insert, never while translating; it holds
+//!   exactly its configured capacity and evicts in exact LRU order.
 //! * **Atomic statistics** — hit/miss and execution counters are lock-free
 //!   atomics ([`x2s_rel::SharedStats`]); `hits + misses + sat_pruned`
 //!   always equals the number of prepares, with no lost updates under
@@ -61,10 +60,10 @@
 
 use crate::e2sql::SqlOptions;
 use crate::pipeline::{RecStrategy, TranslateError, Translation, Translator};
+use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use x2s_dtd::Dtd;
 use x2s_rel::{
     analyze_program_with, edge_scan_schema, render_program, AnalyzeError, Database, ExecError,
@@ -76,14 +75,6 @@ use x2s_xpath::{parse_xpath, ParseError, Path, Sat, SatAnalyzer, Witness};
 
 /// Default number of cached translations per engine.
 pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 128;
-
-/// Upper bound on plan-cache shards.
-const MAX_CACHE_SHARDS: usize = 16;
-
-/// Minimum per-shard capacity worth sharding for: below
-/// `MIN_SHARD_CAPACITY` entries per shard the cache stays on one shard so
-/// the global LRU eviction order is exact.
-const MIN_SHARD_CAPACITY: usize = 8;
 
 /// Unified error type for every stage the engine drives.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -197,17 +188,9 @@ impl From<AnalyzeError> for EngineError {
     }
 }
 
-/// Cache key: the normalized (parsed and re-rendered) XPath text plus every
-/// option that shapes the produced program. Two prepares share an entry iff
-/// they would produce the same translation.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-struct PlanKey {
-    query: String,
-    strategy: RecStrategy,
-    sql_options: SqlOptions,
-}
-
-/// A small LRU map from plan keys to finished translations.
+/// A small LRU map from normalized queries to finished translations. The
+/// key is the [`Path`] value itself, so two queries share an entry exactly
+/// when they are the same tree — no printer sits between them.
 ///
 /// Capacities are session-sized (tens to hundreds of distinct queries), so
 /// eviction scans for the least-recently-used entry instead of maintaining
@@ -217,7 +200,9 @@ struct PlanKey {
 struct PlanCache {
     capacity: usize,
     tick: u64,
-    entries: HashMap<PlanKey, (u64, Arc<Translation>)>,
+    /// Last use of each entry; a `Cell` so a hit stamps it in the same
+    /// lookup that found the key.
+    entries: HashMap<Arc<Path>, (Cell<u64>, Arc<Translation>)>,
 }
 
 impl PlanCache {
@@ -229,97 +214,35 @@ impl PlanCache {
         }
     }
 
-    fn get(&mut self, key: &PlanKey) -> Option<Arc<Translation>> {
+    /// The cached key and translation for `path`, marked most recently used.
+    fn get(&mut self, path: &Path) -> Option<(Arc<Path>, Arc<Translation>)> {
         self.tick += 1;
-        let tick = self.tick;
-        self.entries.get_mut(key).map(|(used, tr)| {
-            *used = tick;
-            Arc::clone(tr)
-        })
+        let (key, (used, tr)) = self.entries.get_key_value(path)?;
+        used.set(self.tick);
+        Some((Arc::clone(key), Arc::clone(tr)))
     }
 
-    fn insert(&mut self, key: PlanKey, tr: Arc<Translation>) {
+    fn insert(&mut self, key: Arc<Path>, tr: Arc<Translation>) {
         self.tick += 1;
         if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
             if let Some(lru) = self
                 .entries
                 .iter()
-                .min_by_key(|(_, (used, _))| *used)
-                .map(|(k, _)| k.clone())
+                .min_by_key(|(_, (used, _))| used.get())
+                .map(|(k, _)| Arc::clone(k))
             {
                 self.entries.remove(&lru);
             }
         }
-        self.entries.insert(key, (self.tick, tr));
+        self.entries.insert(key, (Cell::new(self.tick), tr));
     }
 }
 
-/// A sharded plan cache: N independent [`PlanCache`] shards selected by the
-/// key's hash. Concurrent prepares of different queries land on different
-/// shards with high probability and proceed without contention; the shard
-/// lock is held only for the O(1) map operation (translation happens
-/// outside any lock).
-///
-/// The shard count scales with capacity — one shard per
-/// [`MIN_SHARD_CAPACITY`] entries, capped at [`MAX_CACHE_SHARDS`] — so
-/// small caches keep exact global LRU order while big ones trade a little
-/// eviction precision (LRU is per-shard) for lock-free-in-practice reads.
-#[derive(Debug)]
-struct ShardedPlanCache {
-    shards: Vec<Mutex<PlanCache>>,
-}
-
-/// Lock a cache shard, recovering from poisoning: shards hold only
-/// immutable `Arc<Translation>` snapshots plus LRU bookkeeping, so a panic
-/// in another thread cannot leave an entry half-written — the worst case is
-/// a slightly stale recency order.
-fn lock_shard(shard: &Mutex<PlanCache>) -> std::sync::MutexGuard<'_, PlanCache> {
-    shard
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-impl ShardedPlanCache {
-    fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        let shard_count = (capacity / MIN_SHARD_CAPACITY).clamp(1, MAX_CACHE_SHARDS);
-        // Round down so the shard capacities never sum past the configured
-        // total (sacrificing up to shard_count - 1 slots, never exceeding);
-        // shard_count <= capacity / MIN_SHARD_CAPACITY keeps this >= 1.
-        let per_shard = capacity / shard_count;
-        ShardedPlanCache {
-            shards: (0..shard_count)
-                .map(|_| Mutex::new(PlanCache::new(per_shard)))
-                .collect(),
-        }
-    }
-
-    fn shard(&self, key: &PlanKey) -> &Mutex<PlanCache> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() % self.shards.len() as u64) as usize]
-    }
-
-    fn get(&self, key: &PlanKey) -> Option<Arc<Translation>> {
-        lock_shard(self.shard(key)).get(key)
-    }
-
-    fn insert(&self, key: PlanKey, tr: Arc<Translation>) {
-        lock_shard(self.shard(&key)).insert(key, tr);
-    }
-
-    fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| lock_shard(s).entries.len())
-            .sum()
-    }
-
-    fn clear(&self) {
-        for shard in &self.shards {
-            lock_shard(shard).entries.clear();
-        }
-    }
+/// Lock the plan cache, recovering from poisoning: it holds only immutable
+/// `Arc` snapshots plus LRU stamps, so a panic in another thread cannot
+/// leave an entry half-written — the worst case is a stale recency order.
+fn lock(cache: &Mutex<PlanCache>) -> MutexGuard<'_, PlanCache> {
+    cache.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Configures and constructs an [`Engine`]. Created by [`Engine::builder`].
@@ -378,7 +301,7 @@ impl<'d> EngineBuilder<'d> {
             dialect: self.dialect,
             db: None,
             doc_len: 0,
-            cache: ShardedPlanCache::new(self.cache_capacity),
+            cache: Mutex::new(PlanCache::new(self.cache_capacity)),
             stats: SharedStats::new(),
             sat: SatAnalyzer::new(self.dtd),
         }
@@ -416,7 +339,7 @@ pub struct Engine<'d> {
     dialect: SqlDialect,
     db: Option<Arc<Database>>,
     doc_len: usize,
-    cache: ShardedPlanCache,
+    cache: Mutex<PlanCache>,
     stats: SharedStats,
     sat: SatAnalyzer<'d>,
 }
@@ -429,7 +352,7 @@ impl fmt::Debug for Engine<'_> {
             .field("exec_options", &self.exec_options)
             .field("dialect", &self.dialect)
             .field("doc_len", &self.doc_len)
-            .field("cached_plans", &self.cache.len())
+            .field("cached_plans", &self.cached_plans())
             .field("stats", &self.stats.snapshot())
             .finish_non_exhaustive()
     }
@@ -535,27 +458,20 @@ impl<'d> Engine<'d> {
     }
 
     /// Prepare `query` with the engine's configured strategy and SQL
-    /// options, consulting the plan cache.
+    /// options, consulting the plan cache: parse, [normalize
+    /// once](Engine::normalize_path), then [`prepare_path`](Engine::prepare_path).
     pub fn prepare(&self, query: &str) -> Result<PreparedQuery<'_, 'd>, EngineError> {
         let path = parse_xpath(query)?;
-        self.prepare_path(&path)
+        self.prepare_path(&self.normalize_path(&path))
     }
 
-    /// Prepare an already-parsed [`Path`].
-    pub fn prepare_path(&self, path: &Path) -> Result<PreparedQuery<'_, 'd>, EngineError> {
-        self.prepare_with(path, self.strategy.clone(), self.sql_options)
-    }
-
-    /// Prepare with explicit per-query options. Distinct options occupy
-    /// distinct cache entries: a CycleE plan never masquerades as a CycleEX
-    /// plan of the same query.
-    ///
-    /// The cache key is the *normalized* query text
-    /// ([`Engine::normalize_path`]): trivially equivalent spellings —
-    /// `a/descendant-or-self::*/b` vs `a//b`, redundant `self::*`/`.`
+    /// Prepare an already-parsed [`Path`], keying the plan cache on the
+    /// path *as given* — it is not normalized again here. Pass the output
+    /// of [`Engine::normalize_path`] so that trivially equivalent spellings
+    /// — `a/descendant-or-self::*/b` vs `a//b`, redundant `self::*`/`.`
     /// steps, reordered qualifier conjuncts, DTD-implied tautological
-    /// qualifiers — share one cache entry, so a serving layer coalescing
-    /// on the same key dedupes them into one flight too.
+    /// qualifiers — share one cache entry (and, in a serving layer keyed on
+    /// the same value, one flight). A hit neither clones nor prints `path`.
     ///
     /// Before translating, the query passes the static satisfiability gate
     /// ([`x2s_xpath::sat`]): a query no document of the DTD can answer
@@ -563,49 +479,29 @@ impl<'d> Engine<'d> {
     /// ([`PreparedQuery::sat_witness`]) and never reaches CycleEX, SQL
     /// generation, the plan cache, or the executor. Such prepares count in
     /// `sat_pruned`, not in the plan-cache hit/miss counters.
-    pub fn prepare_with(
-        &self,
-        path: &Path,
-        strategy: RecStrategy,
-        sql_options: SqlOptions,
-    ) -> Result<PreparedQuery<'_, 'd>, EngineError> {
-        let path = &self.sat.normalize(path);
-        let normalized = path.to_string();
-        let key = PlanKey {
-            query: normalized.clone(),
-            strategy: strategy.clone(),
-            sql_options,
-        };
-        if let Some(translation) = self.cache.get(&key) {
+    pub fn prepare_path(&self, path: &Path) -> Result<PreparedQuery<'_, 'd>, EngineError> {
+        let hit = lock(&self.cache).get(path);
+        if let Some((path, translation)) = hit {
             self.stats.plan_cache_hit();
-            return Ok(PreparedQuery {
-                engine: self,
-                plan: Plan::Translated(translation),
-                query: normalized,
-            });
+            return Ok(self.prepared(path, Plan::Translated(translation)));
         }
         // Satisfiability gate — only on the miss path: a cached plan
         // already proved itself satisfiable when it was first admitted.
-        match self.sat.check(path) {
-            Sat::Empty { witness } => {
-                self.stats.sat_check(true);
-                return Ok(PreparedQuery {
-                    engine: self,
-                    plan: Plan::StaticallyEmpty(Arc::new(witness)),
-                    query: normalized,
-                });
-            }
-            Sat::NonEmpty { .. } => self.stats.sat_check(false),
+        if let Sat::Empty { witness } = self.sat.check(path) {
+            self.stats.sat_check(true);
+            let plan = Plan::StaticallyEmpty(Arc::new(witness));
+            return Ok(self.prepared(Arc::new(path.clone()), plan));
         }
+        self.stats.sat_check(false);
         self.stats.plan_cache_miss();
-        // Translate outside any lock: CycleEX is the expensive part, and a
+        // Translate outside the lock: CycleEX is the expensive part, and a
         // concurrent prepare of a *different* query must not wait on it.
         // Two racing prepares of the same query both translate; the later
         // insert simply refreshes the entry.
         let translation = Arc::new(
             Translator::new(self.dtd)
-                .with_strategy(strategy)
-                .with_sql_options(sql_options)
+                .with_strategy(self.strategy.clone())
+                .with_sql_options(self.sql_options)
                 .translate(path)?,
         );
         // Static-analyzer gate: no program enters the plan cache (where it
@@ -617,12 +513,17 @@ impl<'d> Engine<'d> {
         // counters — only on misses, since a cache hit re-serves the same
         // already-optimized program.
         self.stats.record_opt(&translation.opt.stats);
-        self.cache.insert(key, Arc::clone(&translation));
-        Ok(PreparedQuery {
+        let path = Arc::new(path.clone());
+        lock(&self.cache).insert(Arc::clone(&path), Arc::clone(&translation));
+        Ok(self.prepared(path, Plan::Translated(translation)))
+    }
+
+    fn prepared(&self, path: Arc<Path>, plan: Plan) -> PreparedQuery<'_, 'd> {
+        PreparedQuery {
             engine: self,
-            plan: Plan::Translated(translation),
-            query: normalized,
-        })
+            plan,
+            path,
+        }
     }
 
     /// The DTD-aware normal form of `path` used for plan-cache and
@@ -680,14 +581,16 @@ impl<'d> Engine<'d> {
         self.stats.reset();
     }
 
-    /// Number of currently cached translations (across all cache shards).
+    /// Number of currently cached translations — at most the configured
+    /// [`plan_cache_capacity`](EngineBuilder::plan_cache_capacity), and
+    /// exactly that many once as many distinct paths have been prepared.
     pub fn cached_plans(&self) -> usize {
-        self.cache.len()
+        lock(&self.cache).entries.len()
     }
 
     /// Drop every cached translation (counters are kept).
     pub fn clear_plan_cache(&self) {
-        self.cache.clear();
+        lock(&self.cache).entries.clear();
     }
 
     fn record(&self, stats: &Stats) {
@@ -717,13 +620,13 @@ enum Plan {
 pub struct PreparedQuery<'e, 'd> {
     engine: &'e Engine<'d>,
     plan: Plan,
-    query: String,
+    path: Arc<Path>,
 }
 
 impl fmt::Debug for PreparedQuery<'_, '_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut s = f.debug_struct("PreparedQuery");
-        s.field("query", &self.query);
+        s.field("query", &self.xpath());
         match &self.plan {
             Plan::Translated(tr) => s.field("statements", &tr.program.len()),
             Plan::StaticallyEmpty(w) => s.field("statically_empty", &w.to_string()),
@@ -733,9 +636,10 @@ impl fmt::Debug for PreparedQuery<'_, '_> {
 }
 
 impl PreparedQuery<'_, '_> {
-    /// The normalized XPath text this handle was prepared from.
-    pub fn xpath(&self) -> &str {
-        &self.query
+    /// The text of the path this handle was prepared from — for
+    /// [`Engine::prepare`], its normalized form. Rendered on each call.
+    pub fn xpath(&self) -> String {
+        self.path.to_string()
     }
 
     /// The underlying translation (extended XPath + SQL program), or
@@ -989,50 +893,6 @@ mod tests {
     }
 
     #[test]
-    fn small_capacity_stays_on_one_shard_for_exact_lru() {
-        assert_eq!(ShardedPlanCache::new(2).shards.len(), 1);
-        assert_eq!(ShardedPlanCache::new(7).shards.len(), 1);
-        let big = ShardedPlanCache::new(DEFAULT_PLAN_CACHE_CAPACITY);
-        assert_eq!(big.shards.len(), MAX_CACHE_SHARDS);
-    }
-
-    #[test]
-    fn sharded_cache_respects_total_capacity() {
-        let d = samples::dept_simplified();
-        // one real translation reused under many distinct keys: capacity
-        // enforcement is a property of the cache, not the translations
-        let tr = Arc::new(
-            Translator::new(&d)
-                .translate(&parse_xpath("dept//project").unwrap())
-                .unwrap(),
-        );
-        // a capacity that does not divide evenly across shards must still
-        // be an upper bound, not a rounding suggestion
-        for capacity in [128usize, 100, 37] {
-            let cache = ShardedPlanCache::new(capacity);
-            for i in 0..400 {
-                let key = PlanKey {
-                    query: format!("q{i}"),
-                    strategy: RecStrategy::CycleEx,
-                    sql_options: SqlOptions::default(),
-                };
-                cache.insert(key, Arc::clone(&tr));
-            }
-            assert!(
-                cache.len() <= capacity,
-                "capacity {capacity}: got {}",
-                cache.len()
-            );
-            assert!(
-                cache.len() >= cache.shards.len(),
-                "every shard retains entries"
-            );
-            cache.clear();
-            assert_eq!(cache.len(), 0);
-        }
-    }
-
-    #[test]
     fn load_shared_serves_the_same_store_without_copying() {
         let d = samples::dept_simplified();
         let mut a = Engine::new(&d);
@@ -1059,11 +919,7 @@ mod tests {
                     .unwrap(),
             )
         };
-        let key = |q: &str| PlanKey {
-            query: q.to_string(),
-            strategy: RecStrategy::CycleEx,
-            sql_options: SqlOptions::default(),
-        };
+        let key = |q: &str| Arc::new(parse_xpath(q).unwrap());
         cache.insert(key("dept/course"), tr("dept/course"));
         cache.insert(key("dept//project"), tr("dept//project"));
         // touch the first entry so the second becomes LRU

@@ -10,11 +10,10 @@ use x2s_rel::opt::OptReport;
 use x2s_rel::{Database, ExecError, ExecOptions, IntervalJoinSpec, Plan, Program, Stats};
 use x2s_xpath::Path;
 
-/// Which algorithm instantiates `rec(A, B)` for the descendant axis.
-///
-/// `Eq`/`Hash` allow the engine's plan cache to key translations by
-/// strategy, so CycleE- and CycleEX-translated plans of the same query
-/// occupy distinct cache entries.
+/// Which algorithm instantiates `rec(A, B)` for the descendant axis. An
+/// [`Engine`](crate::Engine) fixes one at `build`; compare strategies by
+/// building one engine per strategy over a shared store
+/// ([`Engine::load_shared`](crate::Engine::load_shared)).
 #[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub enum RecStrategy {
     /// CycleEX (the paper's contribution; default).

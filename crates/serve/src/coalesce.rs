@@ -14,6 +14,7 @@
 //! arrive. The worker thread that led the flight survives.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
@@ -51,20 +52,21 @@ struct Flight<V> {
     done: Condvar,
 }
 
-/// A single-flight group keyed by string (here: the canonical XPath text).
+/// A single-flight group keyed by `K` (in the serving layer: the
+/// normalized query, an `Arc<Path>`, so a key clone is a pointer bump).
 ///
 /// `V` must be `Clone` so followers can each take a copy of the leader's
 /// result; in the serving layer `V` wraps the answer set in an [`Arc`], so
 /// the clone is a pointer bump, not a data copy.
-pub struct SingleFlight<V> {
-    flights: Mutex<HashMap<String, Arc<Flight<V>>>>,
+pub struct SingleFlight<K, V> {
+    flights: Mutex<HashMap<K, Arc<Flight<V>>>>,
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-impl<V: Clone> SingleFlight<V> {
+impl<K: Hash + Eq + Clone, V: Clone> SingleFlight<K, V> {
     /// An empty group.
     pub fn new() -> Self {
         SingleFlight {
@@ -89,20 +91,20 @@ impl<V: Clone> SingleFlight<V> {
     /// removed from the map (so the next arrival starts fresh), and the
     /// leader's own call returns the error instead of unwinding — the
     /// worker thread survives.
-    pub fn run<F>(&self, key: &str, exec: F) -> Result<(V, Outcome), FlightPoisoned>
+    pub fn run<F>(&self, key: K, exec: F) -> Result<(V, Outcome), FlightPoisoned>
     where
         F: FnOnce() -> V,
     {
         let (flight, leader) = {
             let mut flights = lock(&self.flights);
-            match flights.get(key) {
+            match flights.get(&key) {
                 Some(f) => (Arc::clone(f), false),
                 None => {
                     let f = Arc::new(Flight {
                         result: Mutex::new(Slot::Pending),
                         done: Condvar::new(),
                     });
-                    flights.insert(key.to_string(), Arc::clone(&f));
+                    flights.insert(key.clone(), Arc::clone(&f));
                     (f, true)
                 }
             }
@@ -117,13 +119,13 @@ impl<V: Clone> SingleFlight<V> {
                     // fresh flight.
                     *lock(&flight.result) = Slot::Done(value.clone());
                     flight.done.notify_all();
-                    lock(&self.flights).remove(key);
+                    lock(&self.flights).remove(&key);
                     Ok((value, Outcome::Led))
                 }
                 Err(_panic) => {
                     *lock(&flight.result) = Slot::Poisoned;
                     flight.done.notify_all();
-                    lock(&self.flights).remove(key);
+                    lock(&self.flights).remove(&key);
                     Err(FlightPoisoned { led: true })
                 }
             }
@@ -145,7 +147,7 @@ impl<V: Clone> SingleFlight<V> {
     }
 }
 
-impl<V: Clone> Default for SingleFlight<V> {
+impl<K: Hash + Eq + Clone, V: Clone> Default for SingleFlight<K, V> {
     fn default() -> Self {
         SingleFlight::new()
     }
@@ -207,7 +209,8 @@ mod tests {
         let executions = AtomicUsize::new(0);
         thread::scope(|s| {
             for key in ["a", "b", "c"] {
-                s.spawn(|| {
+                let (sf, executions) = (&sf, &executions);
+                s.spawn(move || {
                     sf.run(key, || {
                         executions.fetch_add(1, Ordering::SeqCst);
                         key.len()
@@ -234,7 +237,7 @@ mod tests {
     #[test]
     fn panicking_leader_poisons_flight_and_wakes_all_followers() {
         const N: usize = 8;
-        let sf: SingleFlight<i32> = SingleFlight::new();
+        let sf: SingleFlight<&str, i32> = SingleFlight::new();
         let barrier = Barrier::new(N);
         let results: Vec<Result<(i32, Outcome), FlightPoisoned>> = thread::scope(|s| {
             let handles: Vec<_> = (0..N)

@@ -212,11 +212,11 @@ mod tests {
 
     #[test]
     fn get_with_query_parameters_decodes() {
-        let req = parse("GET /query?q=dept%2F%2Fproject&delay_ms=10 HTTP/1.1\r\nHost: x\r\n\r\n");
+        let req = parse("GET /query?q=dept%2F%2Fproject&limit=10 HTTP/1.1\r\nHost: x\r\n\r\n");
         assert_eq!(req.method, "GET");
         assert_eq!(req.path, "/query");
         assert_eq!(req.param("q"), Some("dept//project"));
-        assert_eq!(req.param("delay_ms"), Some("10"));
+        assert_eq!(req.param("limit"), Some("10"));
         assert_eq!(req.param("missing"), None);
     }
 

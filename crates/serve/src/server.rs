@@ -1,19 +1,21 @@
 //! The HTTP server: acceptor, bounded admission queue, worker pool,
 //! graceful shutdown.
 //!
-//! One thread accepts connections and [`crate::queue::Bounded::try_push`]es
-//! them; a fixed pool of workers pops connections and serves exactly one
-//! request each. Overload is explicit: a full queue answers `503` with
-//! `Retry-After` immediately from the acceptor thread instead of queueing
-//! unboundedly. Shutdown (the `/shutdown` endpoint or
-//! [`ShutdownHandle::trigger`]) closes the queue, drains every admitted
-//! connection to a complete response, and joins the pool before
-//! [`Server::run`] returns — no admitted request is ever dropped.
+//! One thread accepts connections and `try_send`s them into a bounded
+//! [`std::sync::mpsc::sync_channel`]; a fixed pool of workers receives
+//! connections and serves exactly one request each. Overload is explicit: a
+//! full queue answers `503` with `Retry-After` immediately from the acceptor
+//! thread instead of queueing unboundedly. Shutdown (the `/shutdown`
+//! endpoint or [`ShutdownHandle::trigger`]) drops the sender, so workers
+//! drain every admitted connection to a complete response and the pool is
+//! joined before [`Server::run`] returns — no admitted request is ever
+//! dropped.
 
 use std::io::{self, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, TrySendError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::Duration;
 
@@ -21,7 +23,6 @@ use x2s_core::{Engine, EngineError};
 use x2s_rel::Stats;
 
 use crate::protocol::{read_request, write_rejection, write_simple, Request};
-use crate::queue::{Bounded, PushError};
 use crate::service::QueryService;
 use crate::stream::stream_answers;
 
@@ -128,17 +129,20 @@ impl Server {
         if let Some(deadline) = self.config.query_deadline {
             service = service.deadline(deadline);
         }
-        let queue: Bounded<TcpStream> = Bounded::new(self.config.queue_capacity);
+        let (admit, queue) = sync_channel::<TcpStream>(self.config.queue_capacity.max(1));
+        let queue = Mutex::new(queue);
         let shutdown_handle = self.shutdown_handle()?;
 
         thread::scope(|s| {
             for _ in 0..self.config.workers.max(1) {
-                s.spawn(|| {
-                    while let Some(conn) = queue.pop() {
-                        // Per-connection failures (client hangup, timeout)
-                        // must not take a worker down.
-                        let _ = handle_connection(conn, &service, &self.config, &shutdown_handle);
-                    }
+                s.spawn(|| loop {
+                    // The guard drops at the end of this statement: it is
+                    // never held while a connection is served.
+                    let next = queue.lock().unwrap_or_else(PoisonError::into_inner).recv();
+                    let Ok(conn) = next else { break };
+                    // Per-connection failures (client hangup, timeout)
+                    // must not take a worker down.
+                    let _ = handle_connection(conn, &service, &self.config, &shutdown_handle);
                 });
             }
 
@@ -154,17 +158,18 @@ impl Server {
                     send_rejection(conn, self.config.retry_after_secs);
                     break;
                 }
-                match queue.try_push(conn) {
+                match admit.try_send(conn) {
                     Ok(()) => engine.shared_stats().request_admitted(),
-                    Err(PushError::Full(conn)) | Err(PushError::Closed(conn)) => {
+                    Err(TrySendError::Full(conn) | TrySendError::Disconnected(conn)) => {
                         engine.shared_stats().request_rejected();
                         send_rejection(conn, self.config.retry_after_secs);
                     }
                 }
             }
 
-            // Drain: workers finish everything already admitted, then exit.
-            queue.close();
+            // Drain: workers finish everything already admitted, then their
+            // `recv` fails and they exit.
+            drop(admit);
         });
 
         // Connections still in the kernel backlog were never admitted;
@@ -284,19 +289,7 @@ fn serve_query(
             );
         }
     };
-    // Per-request hold override widens the coalescing window on demand
-    // (used by the CI smoke test to pin a deterministic coalesce). The
-    // knob lets a client stall a worker at will, so it only exists in
-    // `failpoints` builds — release servers ignore the parameter.
-    #[cfg(feature = "failpoints")]
-    let hold = request
-        .param("delay_ms")
-        .and_then(|v| v.parse::<u64>().ok())
-        .map(Duration::from_millis);
-    #[cfg(not(feature = "failpoints"))]
-    let hold: Option<Duration> = None;
-
-    let outcome = match service.query_with_hold(&xpath, hold.or(config.flight_hold)) {
+    let outcome = match service.query(&xpath) {
         Ok(outcome) => outcome,
         Err(EngineError::Xpath(e)) => {
             let body = format!("xpath error: {e}\n");

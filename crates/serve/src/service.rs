@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use x2s_core::{Engine, EngineError};
-use x2s_xpath::{parse_xpath, Sat};
+use x2s_xpath::{parse_xpath, Path, Sat};
 
 use crate::coalesce::{Outcome, SingleFlight};
 
@@ -38,7 +38,7 @@ pub struct QueryOutcome {
 /// A thread-safe query façade over one [`Engine`].
 pub struct QueryService<'e, 'd> {
     engine: &'e Engine<'d>,
-    flights: SingleFlight<FlightResult>,
+    flights: SingleFlight<Arc<Path>, FlightResult>,
     hold: Option<Duration>,
     deadline: Option<Duration>,
 }
@@ -61,10 +61,8 @@ impl<'e, 'd> QueryService<'e, 'd> {
     /// racing the executor.
     pub fn with_hold(engine: &'e Engine<'d>, hold: Duration) -> Self {
         QueryService {
-            engine,
-            flights: SingleFlight::new(),
             hold: Some(hold),
-            deadline: None,
+            ..QueryService::new(engine)
         }
     }
 
@@ -83,24 +81,15 @@ impl<'e, 'd> QueryService<'e, 'd> {
         self.engine
     }
 
-    /// Parse, canonicalize, and execute `xpath` under single-flight
-    /// semantics, using the service's configured hold (if any).
+    /// Parse, normalize once, and execute `xpath` under single-flight
+    /// semantics, using the service's configured hold (if any). The
+    /// normalized [`Path`] is both the flight key and the plan-cache key:
+    /// a warm request neither clones nor prints it.
     pub fn query(&self, xpath: &str) -> Result<QueryOutcome, EngineError> {
-        self.query_with_hold(xpath, self.hold)
-    }
-
-    /// [`query`](QueryService::query) with an explicit per-call hold
-    /// overriding the service default (used by the HTTP layer's `delay_ms`
-    /// parameter and by the load generator).
-    pub fn query_with_hold(
-        &self,
-        xpath: &str,
-        hold: Option<Duration>,
-    ) -> Result<QueryOutcome, EngineError> {
         // Parse errors are this caller's own problem: report them directly
         // rather than coalescing garbage under a shared key.
         let path = parse_xpath(xpath)?;
-        let canon = self.engine.normalize_path(&path);
+        let canon = Arc::new(self.engine.normalize_path(&path));
         // Admission gate: a query the DTD proves empty is answered here —
         // it never occupies a flight or touches the executor. The check is
         // counted only when it prunes; satisfiable queries are counted by
@@ -114,7 +103,6 @@ impl<'e, 'd> QueryService<'e, 'd> {
                 pruned: true,
             });
         }
-        let key = canon.to_string();
 
         // Stamp the deadline before entering the flight so queue/hold time
         // counts against it; the tuple/closure budgets come from the
@@ -123,8 +111,8 @@ impl<'e, 'd> QueryService<'e, 'd> {
             Some(d) => self.engine.exec_options().with_timeout(d),
             None => self.engine.exec_options(),
         };
-        let run = self.flights.run(&key, || {
-            if let Some(d) = hold {
+        let run = self.flights.run(Arc::clone(&canon), || {
+            if let Some(d) = self.hold {
                 std::thread::sleep(d);
             }
             // Chaos site: after the hold (so followers have joined), let

@@ -4,11 +4,11 @@
 //! wins — joins and unions run once outside the fixpoint instead of once
 //! per iteration inside SQL'99 recursion.
 //!
-//! The two in-framework approaches (CycleE, CycleEX) go through one
-//! [`Engine`] session — same store, per-query strategy override, stats from
-//! the engine. The SQLGen-R baseline is a different translator entirely, so
-//! it uses the low-level `Translation::try_run` path against the engine's
-//! store.
+//! The two in-framework approaches (CycleE, CycleEX) each get an
+//! [`Engine`] built with that strategy over the same shared store, stats
+//! from the engine. The SQLGen-R baseline is a different translator
+//! entirely, so it uses the low-level `Translation::try_run` path against
+//! the engine's store.
 //!
 //! ```sh
 //! cargo run --release --example biology
@@ -60,7 +60,7 @@ fn main() {
             report("R (SQLGen-R, SQL'99 recursion)", started, &answers, &stats);
             answers
         };
-        // E and X — the same engine session, strategy chosen per prepare.
+        // E and X — one engine per strategy, sharing the loaded store.
         for (label, strategy) in [
             (
                 "E (CycleE regular expressions)",
@@ -68,13 +68,13 @@ fn main() {
             ),
             ("X (CycleEX + simple LFP)", RecStrategy::CycleEx),
         ] {
-            let prepared = engine
-                .prepare_with(&query, strategy, SqlOptions::default())
-                .unwrap();
-            engine.reset_stats();
+            let mut approach = Engine::builder(&dtd).strategy(strategy).build();
+            approach.load_shared(engine.database_shared().expect("document is loaded"));
+            let prepared = approach.prepare(query_text).unwrap();
+            approach.reset_stats();
             let started = Instant::now();
             let answers = prepared.execute().unwrap();
-            report(label, started, &answers, &engine.stats());
+            report(label, started, &answers, &approach.stats());
             assert_eq!(last_answers, answers, "all approaches agree");
         }
     }

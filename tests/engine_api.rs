@@ -1,5 +1,5 @@
 //! Integration tests for the `Engine` session API: the prepared-query plan
-//! cache (hit/miss accounting, option-keyed entries, LRU eviction) and
+//! cache (hit/miss accounting, capacity, LRU eviction) and
 //! end-to-end equivalence of the engine path with the native XPath oracle
 //! on the three sample DTDs.
 
@@ -79,54 +79,6 @@ fn same_query_n_times_translates_exactly_once() {
 }
 
 #[test]
-fn distinct_options_occupy_distinct_cache_entries() {
-    let dtd = samples::cross();
-    let tree = parse_xml(&dtd, "<a><b><a><c><d/><a/></c></a></b><c><d/></c></a>").unwrap();
-    let mut engine = Engine::new(&dtd);
-    engine.load(&tree);
-    let path = parse_xpath("a//d").unwrap();
-    let no_push = SqlOptions {
-        push_selections: false,
-        root_filter_pushdown: false,
-        ..SqlOptions::default()
-    };
-    let cyclee = RecStrategy::CycleE { cap: 1_000_000 };
-
-    // Same query under three different option sets: three translations.
-    let default = engine
-        .prepare_with(&path, RecStrategy::CycleEx, SqlOptions::default())
-        .unwrap();
-    let plain = engine
-        .prepare_with(&path, RecStrategy::CycleEx, no_push)
-        .unwrap();
-    let tarjan = engine
-        .prepare_with(&path, cyclee.clone(), SqlOptions::default())
-        .unwrap();
-    assert_eq!(engine.cached_plans(), 3);
-    assert_eq!(engine.stats().plan_cache_misses, 3);
-    assert_eq!(engine.stats().plan_cache_hits, 0);
-
-    // Re-preparing each variant hits its own entry.
-    engine
-        .prepare_with(&path, RecStrategy::CycleEx, SqlOptions::default())
-        .unwrap();
-    engine
-        .prepare_with(&path, RecStrategy::CycleEx, no_push)
-        .unwrap();
-    engine
-        .prepare_with(&path, cyclee, SqlOptions::default())
-        .unwrap();
-    assert_eq!(engine.cached_plans(), 3);
-    assert_eq!(engine.stats().plan_cache_hits, 3);
-
-    // All three plans agree on the answers.
-    let answers = default.execute().unwrap();
-    assert_eq!(plain.execute().unwrap(), answers);
-    assert_eq!(tarjan.execute().unwrap(), answers);
-    assert!(!answers.is_empty());
-}
-
-#[test]
 fn lru_eviction_at_capacity() {
     let dtd = samples::dept_simplified();
     let engine = Engine::builder(&dtd).plan_cache_capacity(2).build();
@@ -139,6 +91,39 @@ fn lru_eviction_at_capacity() {
     engine.prepare("dept//project").unwrap(); // evicted: miss again
     let stats = engine.stats();
     assert_eq!((stats.plan_cache_misses, stats.plan_cache_hits), (4, 2));
+}
+
+/// At the default capacity the cache holds exactly what it is configured
+/// to hold, a second pass over as many distinct queries is all hits, and
+/// one more query evicts exactly the least-recently-used plan.
+#[test]
+fn plan_cache_holds_its_configured_capacity() {
+    let dtd = xpath2sql::dtd::parse_dtd("<!ELEMENT r (a*)> <!ELEMENT a (#PCDATA)>").unwrap();
+    let engine = Engine::new(&dtd);
+    let capacity = xpath2sql::core::engine::DEFAULT_PLAN_CACHE_CAPACITY;
+    let query = |i: usize| format!(r#"r/a[text()="v{i}"]"#);
+    let counts = || {
+        let s = engine.stats();
+        (s.plan_cache_misses, s.plan_cache_hits)
+    };
+    for i in 0..capacity {
+        engine.prepare(&query(i)).unwrap();
+    }
+    assert_eq!(engine.cached_plans(), capacity);
+    assert_eq!(counts(), (capacity, 0));
+    for i in 0..capacity {
+        engine.prepare(&query(i)).unwrap();
+    }
+    assert_eq!(counts(), (capacity, capacity), "second pass: all hits");
+    // one more query evicts `v0`, the least recently used, and nothing else
+    engine.prepare(&query(capacity)).unwrap();
+    assert_eq!(engine.cached_plans(), capacity);
+    for i in 1..=capacity {
+        engine.prepare(&query(i)).unwrap();
+    }
+    assert_eq!(counts(), (capacity + 1, 2 * capacity), "the rest still hit");
+    engine.prepare(&query(0)).unwrap();
+    assert_eq!(counts(), (capacity + 2, 2 * capacity), "v0 was evicted");
 }
 
 #[test]
@@ -176,14 +161,11 @@ fn engine_error_covers_every_stage() {
     ));
     // translation (CycleE blowup)
     let blowup = samples::complete_dag(14);
-    let tiny = Engine::builder(&blowup).build();
-    let path = parse_xpath("//A14").unwrap();
+    let tiny = Engine::builder(&blowup)
+        .strategy(RecStrategy::CycleE { cap: 500 })
+        .build();
     assert!(matches!(
-        tiny.prepare_with(
-            &path,
-            RecStrategy::CycleE { cap: 500 },
-            SqlOptions::default()
-        ),
+        tiny.prepare("//A14"),
         Err(EngineError::Translate(TranslateError::RecBlowup { .. }))
     ));
     // execution without a document
@@ -284,11 +266,11 @@ fn deep_queries_are_a_parse_error_not_a_stack_overflow() {
     run.unwrap().join().unwrap();
 }
 
-/// The plan cache keys on the canonical query *text*, so the printer must
-/// not print two queries alike (ROADMAP item 1). `Display` used to wrap
-/// every literal in `"`: the one literal `x"][text()="y` then printed as the
-/// two literals `x` and `y`, and whichever query was prepared first answered
-/// for both.
+/// Two queries whose literals once printed alike get two plans (ROADMAP
+/// item 1). `Display` used to wrap every literal in `"`: the one literal
+/// `x"][text()="y` then printed as the two literals `x` and `y`, and while
+/// the plan cache keyed on that text, whichever query was prepared first
+/// answered for both. It now keys on the `Path` value.
 #[test]
 fn literals_holding_a_quote_get_their_own_plan() {
     let dtd = xpath2sql::dtd::parse_dtd("<!ELEMENT r (a*)> <!ELEMENT a (#PCDATA)>").unwrap();

@@ -4,7 +4,7 @@
 //! * every concurrent answer equals the single-threaded oracle result,
 //! * `plan_cache_hits + plan_cache_misses` equals the total number of
 //!   prepares issued (atomic stats lose no updates),
-//! * the sharded cache never exceeds its configured capacity.
+//! * the plan cache never exceeds its configured capacity.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};

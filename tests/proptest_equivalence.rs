@@ -87,7 +87,20 @@ fn arb_qual(rng: &mut SplitMix64, labels: &[&str], depth: u32, qdepth: u32) -> Q
     if rng.gen_range(0..5) < 4 {
         Qual::path(arb_path(rng, labels, depth.min(2)))
     } else {
-        let consts = ["v0", "v1", "sel"];
+        // Beside document values, literals holding either quote (never
+        // both: no XPath 1.0 literal can), `]`, `|` and spaces — the
+        // characters a printer could confuse with query syntax.
+        let consts = [
+            "v0",
+            "v1",
+            "sel",
+            "it's",
+            r#"say "hi""#,
+            r#"x"][text()="y"#,
+            "a]b",
+            "x|y",
+            " two  words ",
+        ];
         Qual::TextEq(consts[rng.gen_range(0..consts.len())].into())
     }
 }

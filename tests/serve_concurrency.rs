@@ -2,7 +2,8 @@
 //!
 //! * N threads issuing the *same* query produce exactly one executor
 //!   flight — one plan-cache miss, N−1 coalesced joins — and everyone
-//!   gets the oracle answer;
+//!   gets the oracle answer; two queries that once printed alike get a
+//!   flight each;
 //! * a full admission queue rejects explicitly (`503` + `Retry-After`),
 //!   it never panics or hangs;
 //! * graceful shutdown under load completes every admitted request: each
@@ -22,7 +23,7 @@ use std::time::Duration;
 
 use xpath2sql::core::Engine;
 use xpath2sql::dtd::samples;
-use xpath2sql::serve::{Bounded, PushError, QueryService, ServeConfig, Server};
+use xpath2sql::serve::{QueryService, ServeConfig, Server};
 use xpath2sql::xml::{Generator, GeneratorConfig};
 use xpath2sql::xpath::{eval_from_document, parse_xpath};
 
@@ -186,6 +187,40 @@ fn qualifier_reordered_spellings_coalesce_under_one_key() {
     assert_eq!(stats.requests_coalesced, N - 1, "and one flight");
 }
 
+/// ROADMAP item 1: flights key on the normalized `Path`, not its text. The
+/// one literal `x"][text()="y` once printed as the two literals `x` and `y`;
+/// sent together, the two queries must neither share a flight nor a plan.
+#[test]
+fn queries_that_once_printed_alike_take_separate_flights() {
+    let dtd = xpath2sql::dtd::parse_dtd("<!ELEMENT r (a*)> <!ELEMENT a (#PCDATA)>").unwrap();
+    let xml = "<r><a>x</a><a>y</a><a>x\"][text()=\"y</a></r>";
+    let tree = xpath2sql::xml::parse_xml(&dtd, xml).unwrap();
+    let mut engine = Engine::new(&dtd);
+    engine.load(&tree);
+    let service = QueryService::with_hold(&engine, Duration::from_millis(80));
+    let queries = [
+        r#"r/a[text()='x"][text()="y']"#,
+        r#"r/a[text()="x"][text()="y"]"#,
+    ];
+    let barrier = Barrier::new(queries.len());
+    thread::scope(|s| {
+        for q in queries {
+            let (service, barrier, tree, dtd) = (&service, &barrier, &tree, &dtd);
+            s.spawn(move || {
+                let oracle: BTreeSet<u32> = eval_from_document(&parse_xpath(q).unwrap(), tree, dtd)
+                    .into_iter()
+                    .map(|n| n.0)
+                    .collect();
+                barrier.wait();
+                assert_eq!(*service.query(q).unwrap().answers, oracle, "{q}");
+            });
+        }
+    });
+    let stats = engine.stats();
+    assert_eq!(stats.requests_coalesced, 0, "two flights");
+    assert_eq!((stats.plan_cache_misses, stats.plan_cache_hits), (2, 0));
+}
+
 #[test]
 fn statically_empty_queries_are_answered_without_flights() {
     let (engine, _tree) = loaded_engine();
@@ -311,19 +346,6 @@ fn governed_run_reports_timeouts_and_accounting_stays_exact() {
         requests,
         "governed accounting is exact"
     );
-}
-
-#[test]
-fn full_queue_rejects_explicitly_never_panics() {
-    let q: Bounded<u32> = Bounded::new(2);
-    q.try_push(1).unwrap();
-    q.try_push(2).unwrap();
-    assert!(matches!(q.try_push(3), Err(PushError::Full(3))));
-    q.close();
-    assert!(matches!(q.try_push(4), Err(PushError::Closed(4))));
-    assert_eq!(q.pop(), Some(1));
-    assert_eq!(q.pop(), Some(2));
-    assert_eq!(q.pop(), None, "closed and drained");
 }
 
 #[test]
