@@ -126,10 +126,7 @@ fn main() {
 
     // ——— Q2 (Example 2.2): negation + data values, beyond SQLGen-R [39] ———
     println!("\n== Q2 over the full dept DTD (Example 4.3) ==");
-    let q2 = parse_xpath(
-        r#"dept/course[//prereq/course[cno = "cs66"] and not //project and not takenBy/student/qualified//course[cno = "cs66"]]"#,
-    )
-    .unwrap();
+    let q2 = r#"dept/course[//prereq/course[cno = "cs66"] and not //project and not takenBy/student/qualified//course[cno = "cs66"]]"#;
     let doc2 = "<dept>\
           <course><cno>cs01</cno><title/><prereq><course><cno>cs66</cno><title/><prereq/><takenBy/></course></prereq><takenBy/></course>\
           <course><cno>cs02</cno><title/><prereq><course><cno>cs66</cno><title/><prereq/><takenBy/></course></prereq><takenBy/><project><pno/><ptitle/><required/></project></course>\
@@ -137,7 +134,7 @@ fn main() {
     let tree2 = parse_xml(&dept_full, doc2).unwrap();
     let mut engine2 = Engine::new(&dept_full);
     engine2.load(&tree2);
-    let answers2 = engine2.prepare_path(&q2).unwrap().execute().unwrap();
+    let answers2 = engine2.prepare(q2).unwrap().execute().unwrap();
     let cno_of = |course_id: u32| -> String {
         let node = xpath2sql::xml::NodeId(course_id);
         let cno = tree2.children(node)[0];
