@@ -22,9 +22,10 @@
 //!   as [`Value::Str`]; the executor's compiled predicates match a string
 //!   literal against both forms.
 //!
-//! The `dict-verify` cargo feature adds cross-checks that decode every code
-//! the executor resolves and compares it against the literal it stands for —
-//! cheap insurance used by the test suites.
+//! Debug builds (and every `cfg(test)` build) cross-check each code the
+//! executor resolves against the literal it stands for
+//! ([`Dictionary::verify_code`]), so every debug test run checks it;
+//! release builds compile the check out.
 
 use crate::fxhash::FxHashMap;
 use crate::value::Value;
@@ -107,11 +108,11 @@ impl Dictionary {
         }
     }
 
-    /// `dict-verify` cross-check: assert that `code` decodes back to `lit`.
-    /// Compiled to nothing unless the feature (or tests) enable it.
+    /// Cross-check: assert that `code` decodes back to `lit`. Live in debug
+    /// builds and under `cfg(test)`; compiled to nothing in release builds.
     #[inline]
     pub fn verify_code(&self, code: u32, lit: &str) {
-        #[cfg(any(test, feature = "dict-verify"))]
+        #[cfg(any(test, debug_assertions))]
         {
             assert_eq!(
                 self.resolve(code),
@@ -119,7 +120,7 @@ impl Dictionary {
                 "dictionary code {code} does not round-trip"
             );
         }
-        #[cfg(not(any(test, feature = "dict-verify")))]
+        #[cfg(not(any(test, debug_assertions)))]
         {
             let _ = (code, lit);
         }

@@ -881,7 +881,6 @@ fn eval_join<'a>(
     // Join boundary: the cheapest place to poll the token before
     // committing to a potentially large build/probe.
     ctx.check_cancel()?;
-    crate::failpoint::hit("exec-panic");
     if let (JoinKind::Semi, Plan::IntervalJoin(spec), [(0, seed_col)]) =
         (join.kind, join.left, join.on)
     {

@@ -92,7 +92,6 @@ pub fn eval_lfp<'a>(
         // overshoot past a deadline or budget.
         ctx.check_cancel()?;
         ctx.opts.check_closure(closure.len())?;
-        crate::failpoint::hit("lfp-round-sleep");
         ctx.stats.lfp_iterations += 1;
         ctx.stats.joins += 1; // one join per iteration: Δ ⋈ R0
         ctx.stats.unions += 1; // one union per iteration: R ∪ new

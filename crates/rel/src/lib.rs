@@ -44,7 +44,6 @@ pub mod analyze;
 pub mod dict;
 pub mod exec;
 pub mod explain;
-pub mod failpoint;
 pub mod fxhash;
 pub mod intern;
 pub mod interval;

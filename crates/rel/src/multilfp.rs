@@ -90,7 +90,6 @@ pub fn eval_multilfp<'a>(
         // Per-round boundary: same cooperative checkpoint as the simple LFP.
         ctx.check_cancel()?;
         ctx.opts.check_closure(result.len())?;
-        crate::failpoint::hit("lfp-round-sleep");
         ctx.stats.multilfp_iterations += 1;
         let mut next: Vec<(u64, u32)> = Vec::new();
         // k joins + k unions per iteration — the cost model of Fig. 2.

@@ -129,6 +129,13 @@ impl Server {
         if let Some(deadline) = self.config.query_deadline {
             service = service.deadline(deadline);
         }
+        self.serve(&service)
+    }
+
+    /// [`run`](Server::run)'s accept and worker loop over a caller-built
+    /// service.
+    fn serve(&self, service: &QueryService<'_, '_>) -> io::Result<()> {
+        let engine = service.engine();
         let (admit, queue) = sync_channel::<TcpStream>(self.config.queue_capacity.max(1));
         let queue = Mutex::new(queue);
         let shutdown_handle = self.shutdown_handle()?;
@@ -142,7 +149,7 @@ impl Server {
                     let Ok(conn) = next else { break };
                     // Per-connection failures (client hangup, timeout)
                     // must not take a worker down.
-                    let _ = handle_connection(conn, &service, &self.config, &shutdown_handle);
+                    let _ = handle_connection(conn, service, &self.config, &shutdown_handle);
                 });
             }
 
@@ -341,6 +348,65 @@ fn serve_query(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
+    use x2s_dtd::samples;
+
+    fn get(addr: SocketAddr, target: &str) -> String {
+        let mut conn = TcpStream::connect(addr).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        write!(conn, "GET {target} HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+        let mut response = String::new();
+        let _ = conn.read_to_string(&mut response);
+        response
+    }
+
+    /// A flight leader that panics costs every coalesced caller a complete
+    /// `500` (none hangs), counts once, and leaves the pool serving.
+    #[test]
+    fn leader_panic_answers_500_to_every_coalesced_caller_and_pool_survives() {
+        const CLIENTS: usize = 6;
+        let dtd = samples::dept_simplified();
+        let mut engine = Engine::new(&dtd);
+        engine
+            .load_xml("<dept><course><course><project/></course><project/></course></dept>")
+            .unwrap();
+        let config = ServeConfig {
+            workers: CLIENTS,
+            ..ServeConfig::default()
+        };
+        let server = Server::bind("127.0.0.1:0", config).unwrap();
+        let addr = server.local_addr().unwrap();
+        let shutdown = server.shutdown_handle().unwrap();
+        // The hold keeps the first flight open until every client has
+        // joined it; then its leader panics.
+        let service = QueryService::with_hold(&engine, Duration::from_millis(300)).panicking_once();
+
+        let barrier = Barrier::new(CLIENTS);
+        thread::scope(|s| {
+            s.spawn(|| server.serve(&service).unwrap());
+            let clients: Vec<_> = (0..CLIENTS)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        get(addr, "/query?q=dept//project")
+                    })
+                })
+                .collect();
+            for client in clients {
+                let r = client.join().unwrap();
+                assert!(r.starts_with("HTTP/1.1 500 "), "{r}");
+                assert!(r.contains("panicked"), "typed panic error: {r}");
+            }
+            assert_eq!(engine.stats().panics_contained, 1, "one flight, one panic");
+
+            // The pool survived: the same query leads a fresh flight.
+            let healthy = get(addr, "/query?q=dept//project");
+            assert!(healthy.starts_with("HTTP/1.1 200 "), "{healthy}");
+            assert!(healthy.ends_with("0\r\n\r\n"), "terminated body");
+            shutdown.trigger();
+        });
+    }
 
     #[test]
     fn stats_json_contains_every_serving_counter() {

@@ -33,15 +33,6 @@ impl<'w> ChunkedWriter<'w> {
         if data.is_empty() {
             return Ok(());
         }
-        if x2s_rel::failpoint::hit("stream-write-error") {
-            // Chaos site: simulate the client vanishing mid-stream. The
-            // caller must treat this like any other socket error — drop
-            // the connection, keep the worker.
-            return Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "failpoint stream-write-error: injected mid-stream write failure",
-            ));
-        }
         write!(self.out, "{:x}\r\n", data.len())?;
         self.out.write_all(data)?;
         self.out.write_all(b"\r\n")?;
@@ -123,5 +114,45 @@ mod tests {
         let mut out = Vec::new();
         let chunks = stream_answers(&mut out, &answers, 0).unwrap();
         assert_eq!(chunks, 4, "clamped to one row per chunk");
+    }
+
+    /// A sink that accepts `room` bytes, then fails like a socket whose
+    /// client hung up.
+    struct HangsUp {
+        written: Vec<u8>,
+        room: usize,
+    }
+
+    impl Write for HangsUp {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.room == 0 {
+                return Err(io::ErrorKind::BrokenPipe.into());
+            }
+            let n = buf.len().min(self.room);
+            self.written.extend_from_slice(&buf[..n]);
+            self.room -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_error_mid_stream_is_returned_without_a_terminator() {
+        let answers: BTreeSet<u32> = (0..100).collect();
+        let mut out = HangsUp {
+            written: Vec::new(),
+            room: 40,
+        };
+        let err = stream_answers(&mut out, &answers, 1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
+        assert_eq!(out.written.len(), 40, "wrote up to the failure");
+        assert!(
+            !out.written.ends_with(b"0\r\n\r\n"),
+            "a torn body is never terminated: {:?}",
+            String::from_utf8_lossy(&out.written)
+        );
     }
 }
