@@ -7,7 +7,7 @@
 //! carries `Connection: close`; one request per connection keeps the worker
 //! loop trivial and is plenty for a benchmark/reproduction server.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Maximum accepted size of the request head (request line + headers).
 const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -90,15 +90,29 @@ fn bad_request(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
 }
 
+/// Read one line of the request head, newline included, and charge it to
+/// `head_left`, the head bytes still allowed. Reads at most that many
+/// bytes, so an endless line costs the cap, not the line. An empty string
+/// means end of input.
+fn read_head_line<R: BufRead>(reader: &mut R, head_left: &mut usize) -> io::Result<String> {
+    let mut line = String::new();
+    let n = Read::take(&mut *reader, *head_left as u64).read_line(&mut line)?;
+    if n == *head_left && !line.ends_with('\n') {
+        return Err(bad_request("request head too large"));
+    }
+    *head_left -= n;
+    Ok(line)
+}
+
 /// Read and parse one HTTP request from `reader`.
 ///
 /// Errors with `InvalidData` on malformed or oversized input and with the
 /// underlying error on I/O failure (including read timeouts, which the
 /// server maps to dropping the connection).
 pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Request> {
-    let mut line = String::new();
-    let mut head_bytes = reader.read_line(&mut line)?;
-    if head_bytes == 0 {
+    let mut head_left = MAX_HEAD_BYTES;
+    let line = read_head_line(reader, &mut head_left)?;
+    if line.is_empty() {
         return Err(io::Error::new(
             io::ErrorKind::UnexpectedEof,
             "connection closed before request line",
@@ -118,14 +132,9 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Request> {
     // Headers: we only care about Content-Length, but must consume them all.
     let mut content_length = 0usize;
     loop {
-        let mut header = String::new();
-        let n = reader.read_line(&mut header)?;
-        if n == 0 {
+        let header = read_head_line(reader, &mut head_left)?;
+        if header.is_empty() {
             return Err(bad_request("connection closed inside headers"));
-        }
-        head_bytes += n;
-        if head_bytes > MAX_HEAD_BYTES {
-            return Err(bad_request("request head too large"));
         }
         let header = header.trim_end();
         if header.is_empty() {
@@ -238,6 +247,15 @@ mod tests {
     fn malformed_request_line_is_invalid_data() {
         let err = read_request(&mut BufReader::new(&b"\r\n\r\n"[..])).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn endless_request_line_is_refused_within_the_head_cap() {
+        let mut reader = BufReader::new(io::Cursor::new(vec![b'a'; 200_000]));
+        let err = read_request(&mut reader).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let consumed = reader.get_ref().position();
+        assert!(consumed < 32 * 1024, "buffered {consumed} bytes");
     }
 
     #[test]
