@@ -205,6 +205,9 @@ fn materialize(
         eval_plan(&stmt.plan, &mut ctx)?.into_owned()
     };
     stats.stmts_evaluated += 1;
+    // ... and after it: what the statement emitted counts against the
+    // tuple budget even when no later statement polls it
+    opts.check_tuples(stats.tuples_emitted)?;
     env.insert(id, rel);
     Ok(())
 }
@@ -284,6 +287,26 @@ mod tests {
         let mut stats = Stats::default();
         let err = prog.execute(&db(), opts, &mut stats).unwrap_err();
         assert_eq!(err, ExecError::DeadlineExceeded);
+    }
+
+    /// The tuple budget binds the last statement too: a program whose whole
+    /// output comes from one join, with no later boundary to poll at, aborts
+    /// instead of returning past its budget.
+    #[test]
+    fn tuple_budget_binds_the_final_statement() {
+        let mut prog = Program::new();
+        let t = prog.push(
+            Plan::Scan("E".into()).join_on(Plan::Scan("E".into()), 1, 0),
+            "E∘E",
+        );
+        prog.result = Some(t);
+        let run = |budget| {
+            let opts = ExecOptions::default().with_tuple_budget(budget);
+            prog.execute(&db(), opts, &mut Stats::default())
+        };
+        let err = run(0).unwrap_err();
+        assert!(matches!(err, ExecError::BudgetExceeded(_)), "{err:?}");
+        assert_eq!(run(1).unwrap().len(), 1, "one tuple fits a budget of one");
     }
 
     #[test]
