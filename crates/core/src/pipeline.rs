@@ -91,7 +91,8 @@ pub struct IntervalVariant {
     /// program).
     pub program: Program,
     /// Number of `IntervalJoin` nodes in the optimized program — each one
-    /// is an `LFP(descendant)` that became a range join.
+    /// is a `rec(A, B)` that became a range join: a CycleEX cell, or a
+    /// whole child-step `//` into `R_B`.
     pub rewrites: usize,
 }
 

@@ -57,12 +57,15 @@ pub struct ExternalRec {
 }
 
 /// A variable known to denote exactly `rec(A, B)` for one element-type
-/// pair: the final CycleEX table cell for `(A, B)` was a bare variable, so
-/// on a loaded instance the variable's relation (restricted to `A`-typed
-/// sources, which every use site guarantees) is precisely the set of
-/// ancestor/descendant node pairs `(x, y)` with `x` of type `A` and `y` of
-/// type `B`. The engine's interval fast path overrides these variables with
-/// a pre/post range join instead of an `LFP`.
+/// pair: on a loaded instance the variable's relation (restricted to
+/// `A`-typed sources, which every use site guarantees) is precisely the set
+/// of ancestor/descendant node pairs `(x, y)` with `x` of type `A` and `y`
+/// of type `B`. Two kinds of variable qualify: a final CycleEX table cell
+/// for `(A, B)` that was a bare variable, and the `(A, B)` entry of `//p`
+/// when `p` is one child step (`A//B`, `A//*`; `A//B[q]` puts `[q]` on
+/// after it). The engine's interval fast path overrides these variables
+/// with a pre/post range join instead of an `LFP`; for the second kind that
+/// is one range join for the whole `//` step.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RecHint {
     /// The variable (ids refer to the *unpruned* query; follow them through
@@ -172,8 +175,9 @@ struct X2e<'a> {
     cyclee_cache: HashMap<(TNode, TNode), Exp>,
     external_cache: HashMap<(TNode, TNode), Exp>,
     external_recs: Vec<ExternalRec>,
-    /// Variables observed as a whole final `rec(a, c)` cell, with conflict
-    /// detection: a variable seen for two different pairs maps to `None`.
+    /// Variables observed as a whole final `rec(a, c)` cell or as the
+    /// `(a, c)` entry of a child-step `//`, with conflict detection: a
+    /// variable seen for two different pairs maps to `None`.
     rec_vars: HashMap<VarId, Option<(TNode, TNode)>>,
 }
 
@@ -293,25 +297,29 @@ impl<'a> X2e<'a> {
                 self.bind_table(&mut out, "seq");
             }
             Path::Descendant(p1) => {
-                let t1 = self.translate(p1)?;
-                for a in 0..n {
-                    for c in self.g.reach_or_self_set(a) {
-                        let eps_free = self.rec_eps_free(a, c)?;
-                        for (&(c2, b), e1) in &t1.entries {
-                            if c2 != c {
-                                continue;
-                            }
-                            // rec(a,c) = (a==c ? ε) ∪ eps_free; distribute:
-                            let mut contribution = eps_free.clone().then(e1.clone());
-                            if a == c {
-                                contribution = e1.clone().or(contribution);
-                            }
-                            merge(&mut out.entries, (a, b), contribution);
-                        }
-                    }
-                    out.nullable.insert(a, t1.is_nullable(a));
+                // `//(p[q])` ≡ `(//p)[q]`. Under CycleEX, when `p` is a
+                // child step, the qualifiers go on after the descendant, so
+                // that each entry of `//p` is a whole rec(A, B) the interval
+                // path can replace with one range join.
+                let mut base: &Path = p1;
+                let mut quals = Vec::new();
+                while let Path::Qualified(inner, q) = base {
+                    quals.push(q);
+                    base = inner;
                 }
-                self.bind_table(&mut out, "descendant");
+                let t0 = self.translate(base)?;
+                let hoist = matches!(self.mode, RecMode::CycleEx) && self.is_child_step(&t0);
+                out = if hoist {
+                    self.descendant(&t0, true)?
+                } else {
+                    t0
+                };
+                for q in quals.into_iter().rev() {
+                    out = self.qualify(&out, q)?;
+                }
+                if !hoist {
+                    out = self.descendant(&out, false)?;
+                }
             }
             Path::Union(p1, p2) => {
                 let t1 = self.translate(p1)?;
@@ -328,23 +336,86 @@ impl<'a> X2e<'a> {
             }
             Path::Qualified(p1, q) => {
                 let t1 = self.translate(p1)?;
-                let quals = self.rew_qual(q)?;
-                for (&(a, b), e1) in &t1.entries {
-                    let q_at_b = quals.get(&b).cloned().unwrap_or(EQual::False);
-                    let qualified = e1.clone().qualified(q_at_b);
-                    if !qualified.is_empty_set() {
-                        merge(&mut out.entries, (a, b), qualified);
-                    }
-                }
-                for a in 0..n {
-                    let q_at_a = quals.get(&a).cloned().unwrap_or(EQual::False);
-                    out.nullable
-                        .insert(a, t1.is_nullable(a) && q_at_a == EQual::True);
-                }
-                self.bind_table(&mut out, "qualified");
+                out = self.qualify(&t1, q)?;
             }
         }
         Ok(out)
+    }
+
+    /// `//p` from the translation `t1` of `p`: every `rec(a, c)` composed
+    /// with `p`'s entries at `c`.
+    ///
+    /// When `t1` is one child step (`child_step`), the entry at `(a, b)` is
+    /// exactly the `b`-typed proper descendants of `a`-typed nodes, so its
+    /// variable is recorded as a `rec(a, b)` hint like the CycleEX cells
+    /// themselves.
+    fn descendant(&mut self, t1: &SubTable, child_step: bool) -> Result<SubTable, TranslateError> {
+        let n = self.g.len();
+        let mut out = SubTable::empty();
+        for a in 0..n {
+            for c in self.g.reach_or_self_set(a) {
+                let eps_free = self.rec_eps_free(a, c)?;
+                for (&(c2, b), e1) in &t1.entries {
+                    if c2 != c {
+                        continue;
+                    }
+                    // rec(a,c) = (a==c ? ε) ∪ eps_free; distribute:
+                    let mut contribution = eps_free.clone().then(e1.clone());
+                    if a == c {
+                        contribution = e1.clone().or(contribution);
+                    }
+                    merge(&mut out.entries, (a, b), contribution);
+                }
+            }
+            out.nullable.insert(a, t1.is_nullable(a));
+        }
+        let first_fresh = self.query.equations.len();
+        self.bind_table(&mut out, "descendant");
+        if child_step {
+            for (&(a, b), exp) in &out.entries {
+                // only a variable bound just now denotes this entry alone
+                if let Exp::Var(v) = exp {
+                    if v.0 as usize >= first_fresh {
+                        self.rec_vars.insert(*v, Some((a, b)));
+                    }
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// `p[q]` from the translation `t1` of `p`.
+    fn qualify(&mut self, t1: &SubTable, q: &Qual) -> Result<SubTable, TranslateError> {
+        let n = self.g.len();
+        let mut out = SubTable::empty();
+        let quals = self.rew_qual(q)?;
+        for (&(a, b), e1) in &t1.entries {
+            let q_at_b = quals.get(&b).cloned().unwrap_or(EQual::False);
+            let qualified = e1.clone().qualified(q_at_b);
+            if !qualified.is_empty_set() {
+                merge(&mut out.entries, (a, b), qualified);
+            }
+        }
+        for a in 0..n {
+            let q_at_a = quals.get(&a).cloned().unwrap_or(EQual::False);
+            out.nullable
+                .insert(a, t1.is_nullable(a) && q_at_a == EQual::True);
+        }
+        self.bind_table(&mut out, "qualified");
+        Ok(out)
+    }
+
+    /// Whether `t` is one child step: every entry at `(c, b)` is the bare
+    /// label `b` on a DTD edge `c → b`, and every edge into a reached `b`
+    /// has its entry. `b`, `*` and `(b | c)` are; `b[q]` with `q` not
+    /// statically true, `b/c` and `.` are not.
+    fn is_child_step(&self, t: &SubTable) -> bool {
+        t.entries.iter().all(|(&(c, b), e)| {
+            self.g.has_edge(c, b)
+                && matches!(e, Exp::Label(l) if l == self.g.name(b))
+                && (0..self.g.len())
+                    .all(|p| !self.g.has_edge(p, b) || t.entries.contains_key(&(p, b)))
+        })
     }
 
     /// `RewQual(q, B)` for every context `B` at once (Fig. 9).
@@ -702,6 +773,69 @@ mod tests {
         let got = pruned.eval_from_document(&t, &d);
         assert_eq!(native, got);
         assert_eq!(got.len(), 1, "the cs01 course qualifies");
+    }
+
+    /// `//(p[q])` is translated as `(//p)[q]` when `p` is a child step;
+    /// the native evaluator still agrees, qualifier stacks and all.
+    #[test]
+    fn qualifiers_after_a_child_step_descendant() {
+        let (d, t) = table1_doc();
+        for q in [
+            "dept//course[project][student]",
+            "dept//*[course]",
+            "dept//(student | project)[course]",
+            "//course[project]",
+            "dept//course[not(project)]",
+            "dept//course[.]",
+            "dept//course/student[course]",
+            "dept//(course/student)[course]",
+        ] {
+            check_equiv(&d, &t, q);
+        }
+    }
+
+    /// The `(A, B)` entry of `//p` is a `rec(A, B)` hint exactly when `p`
+    /// is a child step and `A` is an element; the interval path then
+    /// answers the whole `//` step with one range join per target type.
+    #[test]
+    fn child_step_descendants_are_whole_rec_hints() {
+        let d = samples::dept_simplified();
+        for (q, want) in [
+            ("dept//course", &["dept → course"][..]),
+            ("dept//course[project or student]", &["dept → course"]),
+            ("dept/course//course/project", &["course → course"]),
+            (
+                "dept//course[not(//project)]",
+                &["dept → course", "course → project"],
+            ),
+            (
+                "dept//*",
+                &["dept → course", "dept → student", "dept → project"],
+            ),
+            // not one child step, or sourced at the document
+            ("dept//(course/project)", &[]),
+            ("//course", &[]),
+        ] {
+            let tr = xpath_to_exp(&parse_xpath(q).unwrap(), &d, &RecMode::CycleEx).unwrap();
+            // every context gets an entry; the query reads those that
+            // survive pruning
+            let (_, survivors) = tr.query.pruned_with_map();
+            let mut got: Vec<String> = tr
+                .rec_hints
+                .iter()
+                .filter(|h| survivors.contains_key(&h.var))
+                .filter(|h| {
+                    tr.query.equations[h.var.0 as usize]
+                        .note
+                        .starts_with("x2e(descendant)")
+                })
+                .map(|h| format!("{} → {}", h.from, h.to))
+                .collect();
+            got.sort();
+            let mut want: Vec<String> = want.iter().map(|s| s.to_string()).collect();
+            want.sort();
+            assert_eq!(got, want, "{q}");
+        }
     }
 
     #[test]

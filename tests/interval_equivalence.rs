@@ -153,6 +153,47 @@ fn gedml_interval_equivalence() {
     );
 }
 
+/// A `//` whose operand is one child step (`A//B`, `A//B[q]`, `A//*`)
+/// runs as one range join per target type straight into `R_B`, with no
+/// fixpoint left in the interval program and no child join behind it; the
+/// answers still equal the native evaluator's.
+#[test]
+fn child_step_descendants_run_one_range_join_each() {
+    let d = samples::dept_simplified();
+    let tree = Generator::new(
+        &d,
+        GeneratorConfig::shaped(10, 4, Some(4_000)).with_seed(42),
+    )
+    .generate();
+    let db = edge_database(&tree, &d);
+    for (q, joins) in [
+        ("dept//project", 1),
+        ("dept//course", 1),
+        ("dept//course[project or student]", 1),
+        ("dept//student[course]", 1),
+        ("dept/course//course/project", 1),
+        ("dept//course[project][student]", 1),
+        ("dept//course[not //project]", 2),
+        ("dept//*", 3),
+        ("dept//(student | project)[course]", 2),
+    ] {
+        let path = parse_xpath(q).unwrap();
+        let tr = Translator::new(&d).translate(&path).unwrap();
+        let v = tr.interval.as_ref().expect("a labelled // step");
+        assert_eq!(v.rewrites, joins, "{q}: range joins");
+        assert_eq!(v.program.op_counts().lfp, 0, "{q}: no fixpoint left");
+        let native: BTreeSet<u32> = eval_from_document(&path, &tree, &d)
+            .into_iter()
+            .map(|n| n.0)
+            .collect();
+        let mut stats = Stats::default();
+        let got = tr.try_run(&db, ExecOptions::default(), &mut stats).unwrap();
+        assert_eq!(got, native, "{q}");
+        assert_eq!(stats.interval_rewrites, joins, "{q}: interval program ran");
+        assert_eq!(stats.lfp_invocations, 0, "{q}");
+    }
+}
+
 /// Seeded property test: random `A//B` and `A//B[C]` queries over the
 /// element types of each sample DTD. Many are empty (wrong root, no path
 /// between the types) — emptiness must agree across paths too.
