@@ -654,6 +654,13 @@ mod tests {
             "dept//course[project or student]",
             "dept//course[//project]",
             "dept//course[not //project]",
+            // `//(p[q])` translated as `(//p)[q]` when `p` is a child step
+            "dept//course[project][student]",
+            "dept//*[course]",
+            "dept//(student | project)[course]",
+            "//course[project]",
+            "dept//course[.]",
+            "dept//(course/student)[course]",
         ] {
             check_equiv(&d, &t, q);
         }
@@ -773,25 +780,6 @@ mod tests {
         let got = pruned.eval_from_document(&t, &d);
         assert_eq!(native, got);
         assert_eq!(got.len(), 1, "the cs01 course qualifies");
-    }
-
-    /// `//(p[q])` is translated as `(//p)[q]` when `p` is a child step;
-    /// the native evaluator still agrees, qualifier stacks and all.
-    #[test]
-    fn qualifiers_after_a_child_step_descendant() {
-        let (d, t) = table1_doc();
-        for q in [
-            "dept//course[project][student]",
-            "dept//*[course]",
-            "dept//(student | project)[course]",
-            "//course[project]",
-            "dept//course[not(project)]",
-            "dept//course[.]",
-            "dept//course/student[course]",
-            "dept//(course/student)[course]",
-        ] {
-            check_equiv(&d, &t, q);
-        }
     }
 
     /// The `(A, B)` entry of `//p` is a `rec(A, B)` hint exactly when `p`
