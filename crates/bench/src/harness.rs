@@ -230,7 +230,6 @@ mod tests {
         for push in [true, false] {
             let sql = SqlOptions {
                 push_selections: push,
-                root_filter_pushdown: push,
                 ..SqlOptions::default()
             };
             measure(Approach::CycleEx, &d, "a/b//c/d", &ds.db, sql, &expected, 1);

@@ -209,7 +209,6 @@ pub fn exp2(scale: f64, reps: usize) -> Vec<Table> {
             for (run, push) in [("Push-Selection", true), ("Selection", false)] {
                 let sql = SqlOptions {
                     push_selections: push,
-                    root_filter_pushdown: push,
                     ..SqlOptions::default()
                 };
                 let measured = measure(Approach::CycleEx, &d, query, &ds.db, sql, &expected, reps);
@@ -360,7 +359,6 @@ pub fn table5() -> Vec<Table> {
         // `benchmark/`'s `x2s-trace`.
         let count_opts = SqlOptions {
             push_selections: false,
-            root_filter_pushdown: false,
             optimize: OptLevel::None,
         };
         for from in dtd.ids() {

@@ -34,12 +34,10 @@ const ALL_NODES: &str = "R__nodes";
 /// set at `build`, so its plan cache keys on the normalized query alone.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct SqlOptions {
-    /// Push selections into LFP operators (§5.2). Default true.
+    /// Push selections into LFP operators and the document filter into the
+    /// result's leading scans (§5.2), instead of only filtering at the end.
+    /// Default true.
     pub push_selections: bool,
-    /// Compile the result expression with the document filter pushed into
-    /// its leading scans (instead of only filtering at the end). Default
-    /// true.
-    pub root_filter_pushdown: bool,
     /// Logical-optimizer level applied to the translated program
     /// ([`x2s_rel::opt`]). Default [`OptLevel::Full`];
     /// [`OptLevel::None`] preserves the raw `EXpToSQL` output
@@ -51,7 +49,6 @@ impl Default for SqlOptions {
     fn default() -> Self {
         SqlOptions {
             push_selections: true,
-            root_filter_pushdown: true,
             optimize: OptLevel::default(),
         }
     }
@@ -127,7 +124,7 @@ fn exp_to_sql_raw(
         };
         c.env.insert(eq.var, cval);
     }
-    let result = if opts.root_filter_pushdown {
+    let result = if opts.push_selections {
         // Seeded top-down compilation (§5.2 "pushing selections into lfp",
         // cases by union/conjunction/nest): the query runs from the
         // document, so every sub-plan is restricted to sources reachable
@@ -829,7 +826,6 @@ mod tests {
         for push in [true, false] {
             let opts = SqlOptions {
                 push_selections: push,
-                root_filter_pushdown: push,
                 ..SqlOptions::default()
             };
             let prog = exp_to_sql(&q, &opts, &HashMap::new()).unwrap();
@@ -923,7 +919,6 @@ mod tests {
                 &q,
                 &SqlOptions {
                     push_selections: true,
-                    root_filter_pushdown: true,
                     ..SqlOptions::default()
                 },
                 &HashMap::new(),
@@ -936,7 +931,6 @@ mod tests {
                 &q,
                 &SqlOptions {
                     push_selections: false,
-                    root_filter_pushdown: false,
                     ..SqlOptions::default()
                 },
                 &HashMap::new(),

@@ -763,6 +763,32 @@ mod tests {
     }
 
     #[test]
+    fn too_deep_document_is_an_xml_error() {
+        let d = samples::dept_simplified();
+        let mut engine = Engine::new(&d);
+        let nested = |levels: usize| {
+            let inner = levels - 1;
+            format!(
+                "<dept>{}{}</dept>",
+                "<course>".repeat(inner),
+                "</course>".repeat(inner)
+            )
+        };
+        // at the bound: parsed, validated and shredded
+        engine
+            .load_xml(&nested(x2s_xml::parser::MAX_DEPTH))
+            .unwrap();
+        assert_eq!(engine.doc_len, x2s_xml::parser::MAX_DEPTH);
+        let err = engine
+            .load_xml(&nested(x2s_xml::parser::MAX_DEPTH + 1))
+            .unwrap_err();
+        assert!(
+            matches!(err, EngineError::Xml(XmlError::TooDeep { .. })),
+            "got {err:?}"
+        );
+    }
+
+    #[test]
     fn normalization_unifies_spelling_variants() {
         let d = samples::dept_simplified();
         let mut engine = Engine::new(&d);

@@ -91,8 +91,8 @@ pub struct IntervalVariant {
     /// program).
     pub program: Program,
     /// Number of `IntervalJoin` nodes in the optimized program — each one
-    /// is a `rec(A, B)` that became a range join: a CycleEX cell, or a
-    /// whole child-step `//` into `R_B`.
+    /// is the `rec(A, B)` of a whole child-step `//` that became one range
+    /// join into `R_B`.
     pub rewrites: usize,
 }
 
@@ -199,11 +199,11 @@ impl<'a> Translator<'a> {
     /// Full pipeline: XPath → extended XPath → SQL program (optimized at
     /// [`SqlOptions::optimize`]).
     ///
-    /// When the query has whole-`rec(A, B)` variables ([`crate::x2e::RecHint`])
-    /// and the interval path is enabled, a second program is compiled with
-    /// those variables overridden by [`Plan::IntervalJoin`] range joins; the
-    /// main program stays pure LFP so schema-only translation and dialect
-    /// rendering are unchanged.
+    /// When the query has a child-step `//` below the document (one
+    /// [`crate::x2e::RecHint`] per entry) and the interval path is enabled,
+    /// a second program is compiled with those variables overridden by
+    /// [`Plan::IntervalJoin`] range joins; the main program stays pure LFP so
+    /// schema-only translation and dialect rendering are unchanged.
     pub fn translate(&self, path: &Path) -> Result<Translation, TranslateError> {
         let tr = xpath_to_exp(path, self.dtd, &self.rec_mode())?;
         let (extended, var_map) = tr.query.pruned_with_map();
@@ -288,7 +288,6 @@ mod tests {
                             .with_strategy(strategy.clone())
                             .with_sql_options(SqlOptions {
                                 push_selections: push,
-                                root_filter_pushdown: push,
                                 optimize,
                             })
                             .translate(&path)

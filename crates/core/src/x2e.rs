@@ -60,12 +60,12 @@ pub struct ExternalRec {
 /// pair: on a loaded instance the variable's relation (restricted to
 /// `A`-typed sources, which every use site guarantees) is precisely the set
 /// of ancestor/descendant node pairs `(x, y)` with `x` of type `A` and `y`
-/// of type `B`. Two kinds of variable qualify: a final CycleEX table cell
-/// for `(A, B)` that was a bare variable, and the `(A, B)` entry of `//p`
-/// when `p` is one child step (`A//B`, `A//*`; `A//B[q]` puts `[q]` on
-/// after it). The engine's interval fast path overrides these variables
-/// with a pre/post range join instead of an `LFP`; for the second kind that
-/// is one range join for the whole `//` step.
+/// of type `B`. It is the freshly bound `(A, B)` entry of a child-step `//`
+/// (`A//B`, `A//*`): under CycleEX every `//` is pushed down to such steps
+/// before it is translated, so `A//B[q]` puts `[q]` on after it and
+/// `A//(B/C)` reads `(A//B)/C`. The engine's interval fast path overrides
+/// the variable with one pre/post range join for the whole `//` step
+/// instead of an `LFP`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RecHint {
     /// The variable (ids refer to the *unpruned* query; follow them through
@@ -85,10 +85,10 @@ pub struct XpathTranslation {
     pub reach_result: Vec<TNode>,
     /// Placeholder `rec` variables (External mode only).
     pub external_recs: Vec<ExternalRec>,
-    /// Variables denoting a whole `rec(A, B)` between element types
-    /// (CycleEX mode only) — candidates for the interval fast path.
-    /// Document-sourced pairs and ambiguous variables (one variable observed
-    /// for two different pairs) are excluded.
+    /// Variables denoting a whole `rec(A, B)` between element types, one
+    /// per entry of a child-step `//` (CycleEX mode only) — candidates for
+    /// the interval fast path. Document-sourced entries are excluded: the
+    /// document node has no interval label (it is not stored).
     pub rec_hints: Vec<RecHint>,
 }
 
@@ -107,7 +107,7 @@ pub fn xpath_to_exp(
         cyclee_cache: HashMap::new(),
         external_cache: HashMap::new(),
         external_recs: Vec::new(),
-        rec_vars: HashMap::new(),
+        rec_hints: Vec::new(),
     };
     let table = tr.translate(path)?;
     let doc = g.doc();
@@ -123,45 +123,23 @@ pub fn xpath_to_exp(
     // non-element and contributes nothing to the answer set, but keeping it
     // is harmless; simplification tidies the union.
     tr.query.result = simplify(&result);
-    let rec_hints = tr
-        .rec_vars
-        .iter()
-        .filter_map(|(&var, pair)| {
-            let (a, c) = (*pair)?;
-            // doc-sourced pairs stay on the LFP path: the document node has
-            // no interval label (it is not stored)
-            g.elem(a)?;
-            g.elem(c)?;
-            Some(RecHint {
-                var,
-                from: g.name(a).to_string(),
-                to: g.name(c).to_string(),
-            })
-        })
-        .collect();
     Ok(XpathTranslation {
         query: tr.query,
         reach_result,
         external_recs: tr.external_recs,
-        rec_hints,
+        rec_hints: tr.rec_hints,
     })
 }
 
 /// Local translations of one sub-query: `x2e(p, A, B)` per pair plus static
 /// nullability (ε ∈ language) per context.
+#[derive(Default)]
 struct SubTable {
     entries: BTreeMap<(TNode, TNode), Exp>,
     nullable: BTreeMap<TNode, bool>,
 }
 
 impl SubTable {
-    fn empty() -> Self {
-        SubTable {
-            entries: BTreeMap::new(),
-            nullable: BTreeMap::new(),
-        }
-    }
-
     fn is_nullable(&self, a: TNode) -> bool {
         self.nullable.get(&a).copied().unwrap_or(false)
     }
@@ -175,10 +153,7 @@ struct X2e<'a> {
     cyclee_cache: HashMap<(TNode, TNode), Exp>,
     external_cache: HashMap<(TNode, TNode), Exp>,
     external_recs: Vec<ExternalRec>,
-    /// Variables observed as a whole final `rec(a, c)` cell or as the
-    /// `(a, c)` entry of a child-step `//`, with conflict detection: a
-    /// variable seen for two different pairs maps to `None`.
-    rec_vars: HashMap<VarId, Option<(TNode, TNode)>>,
+    rec_hints: Vec<RecHint>,
 }
 
 impl<'a> X2e<'a> {
@@ -193,18 +168,7 @@ impl<'a> X2e<'a> {
                         self.rec_table.get_or_insert(t)
                     }
                 };
-                let exp = table.rec_eps_free(a, c).clone();
-                if let Exp::Var(v) = exp {
-                    self.rec_vars
-                        .entry(v)
-                        .and_modify(|pair| {
-                            if *pair != Some((a, c)) {
-                                *pair = None;
-                            }
-                        })
-                        .or_insert(Some((a, c)));
-                }
-                Ok(exp)
+                Ok(table.rec_eps_free(a, c).clone())
             }
             RecMode::CycleE { cap } => {
                 if let Some(e) = self.cyclee_cache.get(&(a, c)) {
@@ -252,7 +216,7 @@ impl<'a> X2e<'a> {
 
     fn translate(&mut self, p: &Path) -> Result<SubTable, TranslateError> {
         let n = self.g.len();
-        let mut out = SubTable::empty();
+        let mut out = SubTable::default();
         match p {
             Path::Empty => {
                 for a in 0..n {
@@ -281,58 +245,19 @@ impl<'a> X2e<'a> {
             Path::Seq(p1, p2) => {
                 let t1 = self.translate(p1)?;
                 let t2 = self.translate(p2)?;
-                for (&(a, c), e1) in &t1.entries {
-                    for (&(c2, b), e2) in &t2.entries {
-                        if c2 != c {
-                            continue;
-                        }
-                        let comp = e1.clone().then(e2.clone());
-                        merge(&mut out.entries, (a, b), comp);
-                    }
-                }
-                for a in 0..n {
-                    out.nullable
-                        .insert(a, t1.is_nullable(a) && t2.is_nullable(a));
-                }
-                self.bind_table(&mut out, "seq");
+                out = self.seq(&t1, &t2);
+            }
+            Path::Descendant(p1) if matches!(self.mode, RecMode::CycleEx) => {
+                out = self.push_down(p1)?;
             }
             Path::Descendant(p1) => {
-                // `//(p[q])` ≡ `(//p)[q]`. Under CycleEX, when `p` is a
-                // child step, the qualifiers go on after the descendant, so
-                // that each entry of `//p` is a whole rec(A, B) the interval
-                // path can replace with one range join.
-                let mut base: &Path = p1;
-                let mut quals = Vec::new();
-                while let Path::Qualified(inner, q) = base {
-                    quals.push(q);
-                    base = inner;
-                }
-                let t0 = self.translate(base)?;
-                let hoist = matches!(self.mode, RecMode::CycleEx) && self.is_child_step(&t0);
-                out = if hoist {
-                    self.descendant(&t0, true)?
-                } else {
-                    t0
-                };
-                for q in quals.into_iter().rev() {
-                    out = self.qualify(&out, q)?;
-                }
-                if !hoist {
-                    out = self.descendant(&out, false)?;
-                }
+                let t1 = self.translate(p1)?;
+                out = self.descendant(&t1)?;
             }
             Path::Union(p1, p2) => {
                 let t1 = self.translate(p1)?;
                 let t2 = self.translate(p2)?;
-                for a in 0..n {
-                    out.nullable
-                        .insert(a, t1.is_nullable(a) || t2.is_nullable(a));
-                }
-                out.entries = t1.entries;
-                for ((a, b), e) in t2.entries {
-                    merge(&mut out.entries, (a, b), e);
-                }
-                self.bind_table(&mut out, "union");
+                out = self.union(t1, t2);
             }
             Path::Qualified(p1, q) => {
                 let t1 = self.translate(p1)?;
@@ -342,16 +267,91 @@ impl<'a> X2e<'a> {
         Ok(out)
     }
 
+    /// `p₁/p₂` from the translations of `p₁` and `p₂`.
+    fn seq(&mut self, t1: &SubTable, t2: &SubTable) -> SubTable {
+        let mut out = SubTable::default();
+        for (&(a, c), e1) in &t1.entries {
+            for (&(c2, b), e2) in &t2.entries {
+                if c2 != c {
+                    continue;
+                }
+                let comp = e1.clone().then(e2.clone());
+                merge(&mut out.entries, (a, b), comp);
+            }
+        }
+        for a in 0..self.g.len() {
+            out.nullable
+                .insert(a, t1.is_nullable(a) && t2.is_nullable(a));
+        }
+        self.bind_table(&mut out, "seq");
+        out
+    }
+
+    /// `p₁ | p₂` from the translations of `p₁` and `p₂`.
+    fn union(&mut self, t1: SubTable, t2: SubTable) -> SubTable {
+        let mut out = SubTable::default();
+        for a in 0..self.g.len() {
+            out.nullable
+                .insert(a, t1.is_nullable(a) || t2.is_nullable(a));
+        }
+        out.entries = t1.entries;
+        for ((a, b), e) in t2.entries {
+            merge(&mut out.entries, (a, b), e);
+        }
+        self.bind_table(&mut out, "union");
+        out
+    }
+
+    /// `//p` under CycleEX: distribute `//` over `p` until its operand is
+    /// one child step, then translate that with [`descendant`]. Each rule
+    /// holds on every tree, whatever the DTD:
+    ///
+    /// ```text
+    /// //(p₁/p₂) = (//p₁)/p₂     //(p₁ | p₂) = //p₁ | //p₂     //. = . | //*
+    /// //(//p)   = //p           //∅ = ∅                       //(p[q]) = (//p)[q]
+    /// ```
+    ///
+    /// [`descendant`]: X2e::descendant
+    fn push_down(&mut self, p: &Path) -> Result<SubTable, TranslateError> {
+        Ok(match p {
+            Path::Seq(p1, p2) => {
+                let t1 = self.push_down(p1)?;
+                let t2 = self.translate(p2)?;
+                self.seq(&t1, &t2)
+            }
+            Path::Union(p1, p2) => {
+                let t1 = self.push_down(p1)?;
+                let t2 = self.push_down(p2)?;
+                self.union(t1, t2)
+            }
+            Path::Empty => {
+                let t1 = self.translate(p)?;
+                let t2 = self.push_down(&Path::Wildcard)?;
+                self.union(t1, t2)
+            }
+            Path::Descendant(p1) => self.push_down(p1)?,
+            Path::EmptySet => SubTable::default(),
+            Path::Qualified(p1, q) => {
+                let t1 = self.push_down(p1)?;
+                self.qualify(&t1, q)?
+            }
+            Path::Label(_) | Path::Wildcard => {
+                let t1 = self.translate(p)?;
+                self.descendant(&t1)?
+            }
+        })
+    }
+
     /// `//p` from the translation `t1` of `p`: every `rec(a, c)` composed
     /// with `p`'s entries at `c`.
     ///
-    /// When `t1` is one child step (`child_step`), the entry at `(a, b)` is
-    /// exactly the `b`-typed proper descendants of `a`-typed nodes, so its
-    /// variable is recorded as a `rec(a, b)` hint like the CycleEX cells
-    /// themselves.
-    fn descendant(&mut self, t1: &SubTable, child_step: bool) -> Result<SubTable, TranslateError> {
+    /// Under CycleEX `p` is one child step ([`push_down`](X2e::push_down)),
+    /// so the entry at `(a, b)` is exactly the `b`-typed proper descendants
+    /// of `a`-typed nodes: each one bound to a fresh variable with `a` an
+    /// element is recorded as a [`RecHint`].
+    fn descendant(&mut self, t1: &SubTable) -> Result<SubTable, TranslateError> {
         let n = self.g.len();
-        let mut out = SubTable::empty();
+        let mut out = SubTable::default();
         for a in 0..n {
             for c in self.g.reach_or_self_set(a) {
                 let eps_free = self.rec_eps_free(a, c)?;
@@ -371,14 +371,20 @@ impl<'a> X2e<'a> {
         }
         let first_fresh = self.query.equations.len();
         self.bind_table(&mut out, "descendant");
-        if child_step {
-            for (&(a, b), exp) in &out.entries {
-                // only a variable bound just now denotes this entry alone
-                if let Exp::Var(v) = exp {
-                    if v.0 as usize >= first_fresh {
-                        self.rec_vars.insert(*v, Some((a, b)));
-                    }
+        if !matches!(self.mode, RecMode::CycleEx) {
+            return Ok(out);
+        }
+        for (&(a, b), exp) in &out.entries {
+            // only a variable bound just now denotes this entry alone
+            match exp {
+                Exp::Var(v) if v.0 as usize >= first_fresh && self.g.elem(a).is_some() => {
+                    self.rec_hints.push(RecHint {
+                        var: *v,
+                        from: self.g.name(a).to_string(),
+                        to: self.g.name(b).to_string(),
+                    })
                 }
+                _ => {}
             }
         }
         Ok(out)
@@ -387,7 +393,7 @@ impl<'a> X2e<'a> {
     /// `p[q]` from the translation `t1` of `p`.
     fn qualify(&mut self, t1: &SubTable, q: &Qual) -> Result<SubTable, TranslateError> {
         let n = self.g.len();
-        let mut out = SubTable::empty();
+        let mut out = SubTable::default();
         let quals = self.rew_qual(q)?;
         for (&(a, b), e1) in &t1.entries {
             let q_at_b = quals.get(&b).cloned().unwrap_or(EQual::False);
@@ -403,19 +409,6 @@ impl<'a> X2e<'a> {
         }
         self.bind_table(&mut out, "qualified");
         Ok(out)
-    }
-
-    /// Whether `t` is one child step: every entry at `(c, b)` is the bare
-    /// label `b` on a DTD edge `c → b`, and every edge into a reached `b`
-    /// has its entry. `b`, `*` and `(b | c)` are; `b[q]` with `q` not
-    /// statically true, `b/c` and `.` are not.
-    fn is_child_step(&self, t: &SubTable) -> bool {
-        t.entries.iter().all(|(&(c, b), e)| {
-            self.g.has_edge(c, b)
-                && matches!(e, Exp::Label(l) if l == self.g.name(b))
-                && (0..self.g.len())
-                    .all(|p| !self.g.has_edge(p, b) || t.entries.contains_key(&(p, b)))
-        })
     }
 
     /// `RewQual(q, B)` for every context `B` at once (Fig. 9).
@@ -626,6 +619,10 @@ mod tests {
             "dept//course//project",
             "dept//.",
             "//.",
+            // `//` pushed down to child steps under CycleEX
+            "dept//(course/project)",
+            "dept//(student | course/project)[course]",
+            "//(//student | course)",
         ] {
             check_equiv(&d, &t, q);
         }
@@ -782,9 +779,10 @@ mod tests {
         assert_eq!(got.len(), 1, "the cs01 course qualifies");
     }
 
-    /// The `(A, B)` entry of `//p` is a `rec(A, B)` hint exactly when `p`
-    /// is a child step and `A` is an element; the interval path then
-    /// answers the whole `//` step with one range join per target type.
+    /// The `(A, B)` entry of a child-step `//` is a `rec(A, B)` hint exactly
+    /// when `A` is an element; the interval path then answers the whole
+    /// `//` step with one range join per target type. Any other operand is
+    /// pushed down to child steps first.
     #[test]
     fn child_step_descendants_are_whole_rec_hints() {
         let d = samples::dept_simplified();
@@ -800,9 +798,11 @@ mod tests {
                 "dept//*",
                 &["dept → course", "dept → student", "dept → project"],
             ),
-            // not one child step, or sourced at the document
-            ("dept//(course/project)", &[]),
+            // `(dept//course)/project`
+            ("dept//(course/project)", &["dept → course"]),
+            // sourced at the document
             ("//course", &[]),
+            ("//(//student | course)", &[]),
         ] {
             let tr = xpath_to_exp(&parse_xpath(q).unwrap(), &d, &RecMode::CycleEx).unwrap();
             // every context gets an entry; the query reads those that

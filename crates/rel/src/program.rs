@@ -94,11 +94,6 @@ impl Program {
         Program::default()
     }
 
-    /// Allocate the next temporary id.
-    pub fn fresh_temp(&self) -> TempId {
-        TempId(self.stmts.len() as u32)
-    }
-
     /// Append a statement and return its target.
     pub fn push(&mut self, plan: Plan, comment: impl Into<String>) -> TempId {
         let target = TempId(self.stmts.len() as u32);

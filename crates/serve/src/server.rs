@@ -78,11 +78,6 @@ impl ShutdownHandle {
         // (or listener teardown) unblocks the acceptor instead.
         let _ = TcpStream::connect(self.addr);
     }
-
-    /// Whether shutdown has been requested.
-    pub fn is_triggered(&self) -> bool {
-        self.flag.load(Ordering::SeqCst)
-    }
 }
 
 /// The serving front end: a listener plus its admission state. Construct

@@ -103,7 +103,6 @@ impl<'a> SqlGenR<'a> {
             dtd,
             sql_options: SqlOptions {
                 push_selections: false,
-                root_filter_pushdown: false,
                 // the program *around* the recursion boxes still goes
                 // through the logical optimizer — only the boxes themselves
                 // are opaque, which is the §3.1 limitation being modelled

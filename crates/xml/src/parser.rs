@@ -9,6 +9,12 @@ use crate::tree::Tree;
 use std::fmt;
 use x2s_dtd::Dtd;
 
+/// Deepest element nesting the parser accepts (the root is at depth 1):
+/// it recurses once per element, so a deeper document is an error, not a
+/// stack overflow. At about 2.2 KiB of stack per level in a debug build, a
+/// 2 MiB thread holds some 900; generated documents stay below `X_L + 16`.
+pub const MAX_DEPTH: usize = 512;
+
 /// XML parsing errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum XmlError {
@@ -35,6 +41,11 @@ pub enum XmlError {
         /// The close tag's name.
         close: String,
     },
+    /// An element nested deeper than [`MAX_DEPTH`].
+    TooDeep {
+        /// Byte offset of the first element past the bound.
+        offset: usize,
+    },
 }
 
 impl fmt::Display for XmlError {
@@ -52,6 +63,12 @@ impl fmt::Display for XmlError {
                 close,
             } => {
                 write!(f, "mismatched </{close}> for <{open}> at byte {offset}")
+            }
+            XmlError::TooDeep { offset } => {
+                write!(
+                    f,
+                    "elements nest deeper than {MAX_DEPTH} levels at byte {offset}"
+                )
             }
         }
     }
@@ -74,7 +91,7 @@ pub fn parse_xml(dtd: &Dtd, input: &str) -> Result<Tree, XmlError> {
     let mut tree = Tree::with_root(root_label);
     let root = tree.root();
     if !self_closing {
-        p.content(dtd, &mut tree, root, &name)?;
+        p.content(dtd, &mut tree, root, &name, 1)?;
     }
     p.skip_misc();
     if !p.at_end() {
@@ -190,6 +207,7 @@ impl<'a> P<'a> {
         tree: &mut Tree,
         node: crate::tree::NodeId,
         open_name: &str,
+        depth: usize,
     ) -> Result<(), XmlError> {
         let mut text = String::new();
         loop {
@@ -223,6 +241,9 @@ impl<'a> P<'a> {
             }
             if self.b[self.pos] == b'<' {
                 let tag_offset = self.pos;
+                if depth == MAX_DEPTH {
+                    return Err(XmlError::TooDeep { offset: tag_offset });
+                }
                 let (name, self_closing) = self.open_tag()?;
                 let label = dtd.elem(&name).ok_or(XmlError::UnknownElement {
                     offset: tag_offset,
@@ -230,7 +251,7 @@ impl<'a> P<'a> {
                 })?;
                 let child = tree.add_child(node, label);
                 if !self_closing {
-                    self.content(dtd, tree, child, &name)?;
+                    self.content(dtd, tree, child, &name, depth + 1)?;
                 }
             } else {
                 let start = self.pos;

@@ -251,7 +251,6 @@ fn text_selections_agree_on_coded_and_uncoded_stores() {
             let tr = Translator::new(&dtd)
                 .with_sql_options(SqlOptions {
                     push_selections: push,
-                    root_filter_pushdown: push,
                     ..SqlOptions::default()
                 })
                 .translate(&path)

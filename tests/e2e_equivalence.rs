@@ -44,7 +44,6 @@ fn check_all_paths(dtd: &Dtd, tree: &Tree, queries: &[&str]) {
             let tr = Translator::new(dtd)
                 .with_sql_options(SqlOptions {
                     push_selections: push,
-                    root_filter_pushdown: push,
                     ..SqlOptions::default()
                 })
                 .translate(&path)

@@ -156,7 +156,9 @@ fn gedml_interval_equivalence() {
 /// A `//` whose operand is one child step (`A//B`, `A//B[q]`, `A//*`)
 /// runs as one range join per target type straight into `R_B`, with no
 /// fixpoint left in the interval program and no child join behind it; the
-/// answers still equal the native evaluator's.
+/// answers still equal the native evaluator's. Any other operand is pushed
+/// down to child steps first: `A//(B/C)` runs as `(A//B)/C`, `A//.` as
+/// `. | A//*`.
 #[test]
 fn child_step_descendants_run_one_range_join_each() {
     let d = samples::dept_simplified();
@@ -176,6 +178,10 @@ fn child_step_descendants_run_one_range_join_each() {
         ("dept//course[not //project]", 2),
         ("dept//*", 3),
         ("dept//(student | project)[course]", 2),
+        ("dept//(course/project)", 1),
+        ("dept//(student | course/project)", 2),
+        ("dept//(course/student)[course]", 1),
+        ("dept//.", 3),
     ] {
         let path = parse_xpath(q).unwrap();
         let tr = Translator::new(&d).translate(&path).unwrap();

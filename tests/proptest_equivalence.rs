@@ -128,7 +128,6 @@ fn check_one(dtd: &Dtd, tree: &xpath2sql::xml::Tree, db: &Database, query: &Path
             let tr = Translator::new(dtd)
                 .with_sql_options(SqlOptions {
                     push_selections: push,
-                    root_filter_pushdown: push,
                     optimize,
                 })
                 .translate(query)
