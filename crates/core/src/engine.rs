@@ -764,6 +764,7 @@ mod tests {
 
     #[test]
     fn too_deep_document_is_an_xml_error() {
+        use x2s_xml::parser::MAX_DEPTH;
         let d = samples::dept_simplified();
         let mut engine = Engine::new(&d);
         let nested = |levels: usize| {
@@ -775,13 +776,9 @@ mod tests {
             )
         };
         // at the bound: parsed, validated and shredded
-        engine
-            .load_xml(&nested(x2s_xml::parser::MAX_DEPTH))
-            .unwrap();
-        assert_eq!(engine.doc_len, x2s_xml::parser::MAX_DEPTH);
-        let err = engine
-            .load_xml(&nested(x2s_xml::parser::MAX_DEPTH + 1))
-            .unwrap_err();
+        engine.load_xml(&nested(MAX_DEPTH)).unwrap();
+        assert_eq!(engine.doc_len, MAX_DEPTH);
+        let err = engine.load_xml(&nested(MAX_DEPTH + 1)).unwrap_err();
         assert!(
             matches!(err, EngineError::Xml(XmlError::TooDeep { .. })),
             "got {err:?}"
