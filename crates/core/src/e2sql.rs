@@ -130,7 +130,7 @@ fn exp_to_sql_raw(
         // document, so every sub-plan is restricted to sources reachable
         // from the seed frontier, and closures run seed-restricted.
         let doc_seed = {
-            let mut rel = x2s_rel::Relation::new(vec!["N".into()]);
+            let mut rel = x2s_rel::Relation::new(1);
             rel.push(vec![Value::Doc]);
             Plan::Values(rel)
         };
@@ -173,11 +173,7 @@ impl CVal {
     }
 
     fn empty() -> CVal {
-        CVal::rel(
-            Plan::Values(x2s_rel::Relation::new(vec!["F".into(), "T".into()])),
-            false,
-            false,
-        )
+        CVal::rel(Plan::Values(x2s_rel::Relation::new(2)), false, false)
     }
 }
 
@@ -237,7 +233,7 @@ impl<'a> Compiler<'a> {
     fn compile(&mut self, e: &Exp) -> Result<CVal, TranslateError> {
         match e {
             Exp::Epsilon => Ok(CVal::rel(
-                Plan::Values(x2s_rel::Relation::new(vec!["F".into(), "T".into()])),
+                Plan::Values(x2s_rel::Relation::new(2)),
                 true,
                 false,
             )),
@@ -542,7 +538,7 @@ impl<'a> Compiler<'a> {
     fn qual_nodes(&mut self, q: &EQual) -> Result<Plan, TranslateError> {
         Ok(match q {
             EQual::True => Plan::Scan(ALL_NODES.into()).project(vec![(1, "N")]),
-            EQual::False => Plan::Values(x2s_rel::Relation::new(vec!["N".into()])),
+            EQual::False => Plan::Values(x2s_rel::Relation::new(1)),
             EQual::TextEq(c) => Plan::Scan(ALL_NODES.into())
                 .select(Pred::ColEqValue(2, Value::str(c)))
                 .project(vec![(1, "N")]),
@@ -884,7 +880,7 @@ mod tests {
         let v = q.push_equation(Exp::EmptySet, "external rec");
         q.result = Exp::label("dept").then(Exp::Var(v));
         // override: rec pairs from the dept node itself, faked as Values
-        let mut rel = Relation::new(vec!["F".into(), "T".into()]);
+        let mut rel = Relation::new(2);
         rel.push(vec![Value::Id(t.root().0), Value::Id(999)]);
         let mut overrides = HashMap::new();
         overrides.insert(v, Plan::Values(rel));

@@ -133,6 +133,12 @@ pub enum DtdError {
         /// Human-readable message.
         message: String,
     },
+    /// A content model nests groups deeper than
+    /// [`crate::parser::MAX_DEPTH`].
+    TooDeep {
+        /// Byte offset of the first `(` past the bound.
+        offset: usize,
+    },
 }
 
 impl fmt::Display for DtdError {
@@ -144,6 +150,11 @@ impl fmt::Display for DtdError {
             DtdError::Syntax { offset, message } => {
                 write!(f, "DTD syntax error at byte {offset}: {message}")
             }
+            DtdError::TooDeep { offset } => write!(
+                f,
+                "content model nests deeper than {} groups at byte {offset}",
+                crate::parser::MAX_DEPTH
+            ),
         }
     }
 }

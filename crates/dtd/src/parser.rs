@@ -9,11 +9,18 @@
 
 use crate::model::{Dtd, DtdBuilder, DtdError, ModelSpec};
 
+/// Deepest group nesting a content model may have (`((a))` nests 2): the
+/// parser recurses once per group, and building and validating recurse once
+/// per level of the model it yields, so a deeper model is an error, not a
+/// stack overflow. Real DTDs nest a handful of groups.
+pub const MAX_DEPTH: usize = 256;
+
 /// Parse DTD text into a [`Dtd`]. The first `<!ELEMENT>` is the root.
 pub fn parse_dtd(input: &str) -> Result<Dtd, DtdError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let mut decls: Vec<(String, ModelSpec)> = Vec::new();
     loop {
@@ -52,6 +59,8 @@ pub fn parse_dtd(input: &str) -> Result<Dtd, DtdError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Groups open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -193,10 +202,15 @@ impl<'a> Parser<'a> {
     fn atom(&mut self) -> Result<ModelSpec, DtdError> {
         self.skip_ws();
         let base = if self.peek() == Some(b'(') {
+            if self.depth == MAX_DEPTH {
+                return Err(DtdError::TooDeep { offset: self.pos });
+            }
             self.pos += 1;
+            self.depth += 1;
             let inner = self.choice()?;
             self.skip_ws();
             self.expect(b')')?;
+            self.depth -= 1;
             inner
         } else if self.eat_str("#PCDATA") {
             ModelSpec::Text
@@ -300,6 +314,20 @@ mod tests {
         assert!(parse_dtd("<!ELEMEN a (b)>").is_err());
         assert!(parse_dtd("<!ELEMENT a (b>").is_err());
         assert!(parse_dtd("").is_err());
+    }
+
+    /// `MAX_DEPTH` nested groups parse; one more is a typed error at the
+    /// offending `(`, not a stack overflow.
+    #[test]
+    fn group_nesting_is_bounded() {
+        let nested = |n: usize| format!("<!ELEMENT a {}b{}>", "(".repeat(n), ")".repeat(n));
+        let d = parse_dtd(&format!("{} <!ELEMENT b EMPTY>", nested(MAX_DEPTH))).unwrap();
+        assert_eq!(d.len(), 2);
+        let offset = "<!ELEMENT a ".len() + MAX_DEPTH;
+        assert_eq!(
+            parse_dtd(&nested(MAX_DEPTH + 1)).unwrap_err(),
+            DtdError::TooDeep { offset }
+        );
     }
 
     #[test]

@@ -883,7 +883,7 @@ mod tests {
     #[test]
     fn values_infer_types_skipping_nulls() {
         let rel = Relation::from_tuples(
-            vec!["a".into(), "b".into(), "c".into()],
+            3,
             vec![
                 vec![Value::Null, Value::Id(1), Value::str("x")],
                 vec![Value::Int(3), Value::Null, Value::Code(7)],

@@ -213,7 +213,7 @@ impl Database {
     /// A copy of `rel` with every dictionary code decoded back to its
     /// string — for rendering stored relations to humans.
     pub fn decoded(&self, rel: &Relation) -> Relation {
-        let mut out = Relation::new(rel.columns().to_vec());
+        let mut out = Relation::new(rel.arity());
         out.reserve(rel.len());
         for t in rel.rows() {
             out.push_iter(t.iter().map(|v| self.dict.decode(v)));
@@ -638,16 +638,13 @@ struct Fused<'p> {
 }
 
 impl Fused<'_> {
-    /// Column names of the fused output over a join with these inputs.
-    fn columns(&self, left: &Relation, right: &Relation, kind: JoinKind) -> Vec<String> {
-        if let Some(cols) = self.cols {
-            return cols.iter().map(|(_, n)| n.clone()).collect();
+    /// Arity of the fused output over a join with these inputs.
+    fn arity(&self, left: &Relation, right: &Relation, kind: JoinKind) -> usize {
+        match self.cols {
+            Some(cols) => cols.len(),
+            None if kind == JoinKind::Inner => left.arity() + right.arity(),
+            None => left.arity(),
         }
-        let mut c = left.columns().to_vec();
-        if kind == JoinKind::Inner {
-            c.extend(right.columns().iter().cloned());
-        }
-        c
     }
 
     /// Emit `left ++ right` (semi and anti joins pass an empty `right`).
@@ -694,7 +691,7 @@ pub fn eval_plan<'a>(
             let rel = eval_plan(input, ctx)?;
             ctx.stats.selects += 1;
             let compiled = CompiledPred::compile(pred, ctx.db.dict());
-            let mut out = Relation::new(rel.columns().to_vec());
+            let mut out = Relation::new(rel.arity());
             for t in rel.rows() {
                 if compiled.eval(t) {
                     out.push_row(t);
@@ -730,8 +727,7 @@ pub fn eval_plan<'a>(
                 cols.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
                 rel.arity()
             );
-            let names: Vec<String> = cols.iter().map(|(_, n)| n.clone()).collect();
-            let mut out = Relation::new(names);
+            let mut out = Relation::new(cols.len());
             out.reserve(rel.len());
             for t in rel.rows() {
                 out.push_iter(cols.iter().map(|(i, _)| t[*i].clone()));
@@ -763,10 +759,6 @@ pub fn eval_plan<'a>(
                 return Err(ExecError::SchemaMismatch("union arity".into()));
             }
             ctx.stats.unions += rels.len().saturating_sub(1);
-            let cols = rels
-                .first()
-                .map(|r| r.columns().to_vec())
-                .unwrap_or_default();
             // bulk merge: adopt the first owned buffer outright, then
             // reserve for the rest (reserving before an adopt would waste
             // the allocation — adopt replaces an empty relation's buffer)
@@ -775,12 +767,12 @@ pub fn eval_plan<'a>(
             let mut out = match inputs.next() {
                 Some(Cow::Owned(r)) => r,
                 Some(Cow::Borrowed(r)) => {
-                    let mut out = Relation::new(cols);
+                    let mut out = Relation::new(arity);
                     out.reserve(r.len());
                     out.extend_from(r);
                     out
                 }
-                None => Relation::new(cols),
+                None => Relation::new(arity),
             };
             out.reserve(rest_len);
             for r in inputs {
@@ -804,7 +796,7 @@ pub fn eval_plan<'a>(
             ctx.stats.set_ops += 1;
             let mut rset = fx_set_with_capacity::<&[Value]>(r.len());
             rset.extend(r.rows());
-            let mut out = Relation::new(l.columns().to_vec());
+            let mut out = Relation::new(l.arity());
             for t in l.rows() {
                 if !rset.contains(t) {
                     out.push_row(t);
@@ -822,7 +814,7 @@ pub fn eval_plan<'a>(
             ctx.stats.set_ops += 1;
             let mut rset = fx_set_with_capacity::<&[Value]>(r.len());
             rset.extend(r.rows());
-            let mut out = Relation::new(l.columns().to_vec());
+            let mut out = Relation::new(l.arity());
             for t in l.rows() {
                 if rset.contains(t) {
                     out.push_row(t);
@@ -1003,18 +995,17 @@ fn hash_join(
     fused: &Fused<'_>,
 ) -> Relation {
     stats.joins += 1;
-    let columns = fused.columns(left, right, kind);
     let out = if let (Some(idx), [(lcol, _)]) = (prebuilt, on) {
         // Cached-index path: no build phase at all.
         stats.join_index_reuses += 1;
-        probe(left, right, kind, fused, columns, |t| {
+        probe(left, right, kind, fused, |t| {
             let rows = non_null(&t[*lcol]).and_then(|v| idx.get(v));
             rows.unwrap_or_default().iter().copied()
         })
     } else if let [(lcol, rcol)] = *on {
         // fast path: borrowed single-column key
         let table = RowMultimap::build(right.len(), |i| non_null(&right.row(i)[rcol]));
-        probe(left, right, kind, fused, columns, |t| {
+        probe(left, right, kind, fused, |t| {
             table.rows_of(non_null(&t[lcol]).as_ref())
         })
     } else {
@@ -1024,7 +1015,7 @@ fn hash_join(
         let lcols: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
         let rcols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
         let table = RowMultimap::build(right.len(), |i| key_of(right.row(i), &rcols));
-        probe(left, right, kind, fused, columns, |t| {
+        probe(left, right, kind, fused, |t| {
             table.rows_of(key_of(t, &lcols).as_ref())
         })
     };
@@ -1040,10 +1031,9 @@ fn probe<'l, M: Iterator<Item = u32>>(
     right: &Relation,
     kind: JoinKind,
     fused: &Fused<'_>,
-    columns: Vec<String>,
     matches: impl Fn(&'l [Value]) -> M,
 ) -> Relation {
-    let mut out = Relation::new(columns);
+    let mut out = Relation::new(fused.arity(left, right, kind));
     for t in left.rows() {
         let mut matched = matches(t);
         match kind {
@@ -1072,8 +1062,8 @@ mod tests {
     use super::*;
     use crate::plan::Pred;
 
-    fn rel2(cols: [&str; 2], rows: &[(u32, u32)]) -> Relation {
-        let mut r = Relation::new(vec![cols[0].into(), cols[1].into()]);
+    fn rel2(rows: &[(u32, u32)]) -> Relation {
+        let mut r = Relation::new(2);
         for &(a, b) in rows {
             r.push(vec![Value::Id(a), Value::Id(b)]);
         }
@@ -1100,7 +1090,7 @@ mod tests {
 
     #[test]
     fn scan_and_select() {
-        let db = db_with("R", rel2(["F", "T"], &[(1, 2), (2, 3)]));
+        let db = db_with("R", rel2(&[(1, 2), (2, 3)]));
         let p = Plan::Scan("R".into()).select(Pred::ColEqValue(0, Value::Id(1)));
         let out = run(&p, &db);
         assert_eq!(out.len(), 1);
@@ -1109,7 +1099,7 @@ mod tests {
 
     #[test]
     fn scan_borrows_without_cloning() {
-        let db = db_with("R", rel2(["F", "T"], &[(1, 2)]));
+        let db = db_with("R", rel2(&[(1, 2)]));
         let env = HashMap::new();
         let mut stats = Stats::default();
         let mut ctx = ExecCtx {
@@ -1145,18 +1135,18 @@ mod tests {
 
     #[test]
     fn project_renames() {
-        let db = db_with("R", rel2(["F", "T"], &[(1, 2)]));
+        let db = db_with("R", rel2(&[(1, 2)]));
         let p = Plan::Scan("R".into()).project(vec![(1, "X")]);
         let out = run(&p, &db);
-        assert_eq!(out.columns(), &["X".to_string()]);
+        assert_eq!(out.arity(), 1);
         assert_eq!(out.row(0), &[Value::Id(2)]);
     }
 
     #[test]
     fn inner_join_concatenates() {
         let mut db = Database::new();
-        db.insert("A", rel2(["F", "T"], &[(1, 2), (1, 3)]));
-        db.insert("B", rel2(["F", "T"], &[(2, 9), (3, 8), (4, 7)]));
+        db.insert("A", rel2(&[(1, 2), (1, 3)]));
+        db.insert("B", rel2(&[(2, 9), (3, 8), (4, 7)]));
         // A.T = B.F
         let p = Plan::Scan("A".into()).join_on(Plan::Scan("B".into()), 1, 0);
         let out = run(&p, &db);
@@ -1175,8 +1165,8 @@ mod tests {
     #[test]
     fn cached_index_join_matches_fresh_build() {
         let mut db = Database::new();
-        db.insert("A", rel2(["F", "T"], &[(1, 2), (1, 3), (9, 9)]));
-        db.insert("B", rel2(["F", "T"], &[(2, 9), (3, 8), (4, 7)]));
+        db.insert("A", rel2(&[(1, 2), (1, 3), (9, 9)]));
+        db.insert("B", rel2(&[(2, 9), (3, 8), (4, 7)]));
         let plans = [
             Plan::Scan("A".into()).join_on(Plan::Scan("B".into()), 1, 0),
             Plan::Scan("A".into()).semi_join(Plan::Scan("B".into()), 1, 0),
@@ -1205,10 +1195,10 @@ mod tests {
     /// after the mutation already reflects the new rows.
     #[test]
     fn insert_invalidates_stale_index() {
-        let mut db = db_with("A", rel2(["F", "T"], &[(1, 2)]));
+        let mut db = db_with("A", rel2(&[(1, 2)]));
         db.build_indexes();
         assert!(db.index_of("A", 0).is_some());
-        db.insert("A", rel2(["F", "T"], &[(5, 6)]));
+        db.insert("A", rel2(&[(5, 6)]));
         assert_eq!(db.indexed_relations(), 0, "cached entry dropped");
         let idx = db.index_of("A", 0).expect("rebuilt lazily on next use");
         assert!(idx.get(&Value::Id(5)).is_some(), "fresh rows indexed");
@@ -1220,9 +1210,9 @@ mod tests {
     /// plain test databases keep exercising the index-free join path.
     #[test]
     fn never_indexed_store_stays_index_free() {
-        let mut db = db_with("A", rel2(["F", "T"], &[(1, 2)]));
+        let mut db = db_with("A", rel2(&[(1, 2)]));
         assert!(db.index_of("A", 0).is_none());
-        db.insert("A", rel2(["F", "T"], &[(5, 6)]));
+        db.insert("A", rel2(&[(5, 6)]));
         assert!(db.index_of("A", 0).is_none());
         assert_eq!(db.indexed_relations(), 0);
     }
@@ -1233,13 +1223,13 @@ mod tests {
     #[test]
     fn mutated_store_queries_are_fresh() {
         let mut db = Database::new();
-        db.insert("A", rel2(["F", "T"], &[(1, 2), (1, 3)]));
-        db.insert("B", rel2(["F", "T"], &[(2, 9), (3, 8)]));
+        db.insert("A", rel2(&[(1, 2), (1, 3)]));
+        db.insert("B", rel2(&[(2, 9), (3, 8)]));
         db.build_indexes();
         let p = Plan::Scan("A".into()).join_on(Plan::Scan("B".into()), 1, 0);
         assert_eq!(run(&p, &db).len(), 2);
         // replace B: old edge (2,9) gone, new edge (2,77) present
-        db.insert("B", rel2(["F", "T"], &[(2, 77)]));
+        db.insert("B", rel2(&[(2, 77)]));
         let out = run(&p, &db);
         assert_eq!(out.len(), 1);
         assert_eq!(
@@ -1254,7 +1244,7 @@ mod tests {
     /// against rows that carry no label.
     #[test]
     fn insert_drops_interval_labels() {
-        let mut db = db_with("A", rel2(["F", "T"], &[(0, 1)]));
+        let mut db = db_with("A", rel2(&[(0, 1)]));
         let mut labels = IntervalLabels::with_len(2);
         labels.set(0, 0, 30);
         labels.set(1, 10, 20);
@@ -1262,7 +1252,7 @@ mod tests {
         db.build_indexes();
         assert!(db.has_intervals());
         assert_eq!(db.interval_view("A").expect("view built").len(), 1);
-        db.insert("A", rel2(["F", "T"], &[(0, 1), (1, 2)]));
+        db.insert("A", rel2(&[(0, 1), (1, 2)]));
         assert!(!db.has_intervals(), "mutation clears the labels");
         assert!(db.interval_view("A").is_none(), "and the views");
     }
@@ -1270,8 +1260,8 @@ mod tests {
     #[test]
     fn semi_and_anti_join() {
         let mut db = Database::new();
-        db.insert("A", rel2(["F", "T"], &[(1, 2), (1, 3), (1, 4)]));
-        db.insert("B", rel2(["F", "T"], &[(2, 0), (4, 0)]));
+        db.insert("A", rel2(&[(1, 2), (1, 3), (1, 4)]));
+        db.insert("B", rel2(&[(2, 0), (4, 0)]));
         let semi = Plan::Scan("A".into()).semi_join(Plan::Scan("B".into()), 1, 0);
         let out = run(&semi, &db);
         assert_eq!(out.len(), 2);
@@ -1284,8 +1274,8 @@ mod tests {
     #[test]
     fn union_distinct_and_bag() {
         let mut db = Database::new();
-        db.insert("A", rel2(["F", "T"], &[(1, 2)]));
-        db.insert("B", rel2(["F", "T"], &[(1, 2), (3, 4)]));
+        db.insert("A", rel2(&[(1, 2)]));
+        db.insert("B", rel2(&[(1, 2), (3, 4)]));
         let bag = Plan::Union {
             inputs: vec![Plan::Scan("A".into()), Plan::Scan("B".into())],
             distinct: false,
@@ -1301,8 +1291,8 @@ mod tests {
     #[test]
     fn diff_and_intersect() {
         let mut db = Database::new();
-        db.insert("A", rel2(["F", "T"], &[(1, 2), (3, 4)]));
-        db.insert("B", rel2(["F", "T"], &[(3, 4)]));
+        db.insert("A", rel2(&[(1, 2), (3, 4)]));
+        db.insert("B", rel2(&[(3, 4)]));
         let diff = Plan::Diff {
             left: Box::new(Plan::Scan("A".into())),
             right: Box::new(Plan::Scan("B".into())),
@@ -1321,7 +1311,7 @@ mod tests {
 
     #[test]
     fn distinct_dedups() {
-        let db = db_with("A", rel2(["F", "T"], &[(1, 2), (1, 2)]));
+        let db = db_with("A", rel2(&[(1, 2), (1, 2)]));
         let p = Plan::Distinct(Box::new(Plan::Scan("A".into())));
         assert_eq!(run(&p, &db).len(), 1);
     }
@@ -1333,14 +1323,14 @@ mod tests {
     #[test]
     fn compiled_predicates_match_codes_and_strings() {
         let mut db = Database::new();
-        let mut coded = Relation::new(vec!["T".into(), "V".into()]);
+        let mut coded = Relation::new(2);
         let sel = db.intern_str("sel");
         let other = db.intern_str("other");
         coded.push(vec![Value::Id(1), sel.clone()]);
         coded.push(vec![Value::Id(2), other]);
         coded.push(vec![Value::Id(3), Value::Null]);
         db.insert("C", coded);
-        let mut raw = Relation::new(vec!["T".into(), "V".into()]);
+        let mut raw = Relation::new(2);
         raw.push(vec![Value::Id(1), Value::str("sel")]);
         raw.push(vec![Value::Id(2), Value::str("other")]);
         db.insert("S", raw);
@@ -1367,11 +1357,11 @@ mod tests {
     #[test]
     fn null_keys_never_match_in_joins() {
         let vt = |v: Value, t: u32| vec![v, Value::Id(t)];
-        let mut a = Relation::new(vec!["V".into(), "T".into()]);
+        let mut a = Relation::new(2);
         a.push(vt(Value::Null, 1));
         a.push(vt(Value::str("x"), 2));
         a.push(vt(Value::Null, 3));
-        let mut b = Relation::new(vec!["V".into(), "T".into()]);
+        let mut b = Relation::new(2);
         b.push(vt(Value::Null, 10));
         b.push(vt(Value::str("x"), 20));
         let mut db = Database::new();
@@ -1399,10 +1389,10 @@ mod tests {
     #[test]
     fn null_keys_never_match_multi_column() {
         let row = |a: Value, b: Value, id: u32| vec![a, b, Value::Id(id)];
-        let mut l = Relation::new(vec!["X".into(), "Y".into(), "T".into()]);
+        let mut l = Relation::new(3);
         l.push(row(Value::Id(1), Value::Null, 1));
         l.push(row(Value::Id(1), Value::str("y"), 2));
-        let mut r = Relation::new(vec!["X".into(), "Y".into(), "T".into()]);
+        let mut r = Relation::new(3);
         r.push(row(Value::Id(1), Value::Null, 10));
         r.push(row(Value::Id(1), Value::str("y"), 20));
         let mut db = Database::new();
@@ -1435,12 +1425,12 @@ mod tests {
     #[test]
     fn packed_and_mixed_keys_coexist() {
         let row = |a: Value, b: Value, id: u32| vec![a, b, Value::Id(id)];
-        let mut l = Relation::new(vec!["X".into(), "Y".into(), "T".into()]);
+        let mut l = Relation::new(3);
         l.push(row(Value::Id(1), Value::Id(2), 1)); // packs
         l.push(row(Value::Id(1), Value::str("s"), 2)); // mixed
         l.push(row(Value::Doc, Value::Int(7), 3)); // packs
         l.push(row(Value::Int(1 << 40), Value::Id(1), 4)); // big int: mixed
-        let mut r = Relation::new(vec!["X".into(), "Y".into(), "T".into()]);
+        let mut r = Relation::new(3);
         r.push(row(Value::Id(1), Value::Id(2), 10));
         r.push(row(Value::Id(1), Value::str("s"), 20));
         r.push(row(Value::Doc, Value::Int(7), 30));
@@ -1479,8 +1469,8 @@ mod tests {
     #[test]
     fn stats_count_joins() {
         let mut db = Database::new();
-        db.insert("A", rel2(["F", "T"], &[(1, 2)]));
-        db.insert("B", rel2(["F", "T"], &[(2, 3)]));
+        db.insert("A", rel2(&[(1, 2)]));
+        db.insert("B", rel2(&[(2, 3)]));
         let p = Plan::Scan("A".into()).join_on(Plan::Scan("B".into()), 1, 0);
         let env = HashMap::new();
         let mut stats = Stats::default();

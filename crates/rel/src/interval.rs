@@ -207,7 +207,7 @@ pub fn eval_interval_join<'a>(
     }
     lefts.sort_unstable();
     let entries = view.entries();
-    let mut out = Relation::new(vec!["F".into(), "T".into()]);
+    let mut out = Relation::new(2);
     let mut scanned: u64 = 0;
     let governed = ctx.opts.governed();
     if lefts.len() <= entries.len() / INL_RATIO {
@@ -342,12 +342,12 @@ mod tests {
     fn interval_join_matches_oracle_both_strategies() {
         let (labels, parent) = random_tree(300, 0xD00D);
         // right view: all nodes; left probe: a slice of nodes (col 1)
-        let mut all = Relation::new(vec!["F".into(), "T".into()]);
+        let mut all = Relation::new(2);
         for i in 0..300u32 {
             all.push_row(&[Value::Id(parent[i as usize]), Value::Id(i)]);
         }
         for probe_count in [5u32, 300] {
-            let mut probe = Relation::new(vec!["F".into(), "T".into()]);
+            let mut probe = Relation::new(2);
             for i in 0..probe_count {
                 let n = (i * 53) % 300;
                 probe.push_row(&[Value::Id(0), Value::Id(n)]);
@@ -405,7 +405,7 @@ mod tests {
     fn seeded_interval_join_equals_filtered_unrestricted_join() {
         use crate::plan::JoinKind;
         let (labels, parent) = random_tree(300, 0x5EED);
-        let mut all = Relation::new(vec!["F".into(), "T".into()]);
+        let mut all = Relation::new(2);
         for i in 0..300u32 {
             all.push_row(&[Value::Id(parent[i as usize]), Value::Id(i)]);
         }
@@ -425,7 +425,7 @@ mod tests {
             (19, false),
             (200, false),
         ] {
-            let mut seeds = Relation::new(vec!["X".into(), "N".into()]);
+            let mut seeds = Relation::new(2);
             for i in 0..seed_count {
                 seeds.push_row(&[Value::Null, Value::Id((i * 53) % 300)]);
             }
@@ -492,7 +492,7 @@ mod tests {
     #[test]
     fn missing_intervals_is_an_error() {
         let mut db = Database::new();
-        db.insert("R", Relation::new(vec!["F".into(), "T".into()]));
+        db.insert("R", Relation::new(2));
         let spec = IntervalJoinSpec {
             left: Box::new(Plan::Scan("R".into())),
             left_col: 1,

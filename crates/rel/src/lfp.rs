@@ -110,7 +110,7 @@ pub fn eval_lfp<'a>(
     }
 
     ctx.stats.lfp_peak_closure = ctx.stats.lfp_peak_closure.max(closure.len());
-    let mut out = Relation::new(vec!["F".into(), "T".into()]);
+    let mut out = Relation::new(2);
     out.reserve(closure.len());
     for &key in &closure {
         let (f, t) = unpack(key);
@@ -131,7 +131,7 @@ mod tests {
     use std::collections::{HashMap as Map, HashSet};
 
     fn edge_rel(pairs: &[(u32, u32)]) -> Relation {
-        let mut r = Relation::new(vec!["F".into(), "T".into()]);
+        let mut r = Relation::new(2);
         for &(f, t) in pairs {
             r.push(vec![Value::Id(f), Value::Id(t)]);
         }
@@ -205,7 +205,7 @@ mod tests {
     #[test]
     fn forward_push_restricts_sources() {
         let edges = [(1, 2), (2, 3), (9, 2)];
-        let mut seeds = Relation::new(vec!["S".into()]);
+        let mut seeds = Relation::new(1);
         seeds.push(vec![Value::Id(1)]);
         let push = PushSpec::Forward {
             seeds: Box::new(Plan::Values(seeds)),
@@ -218,7 +218,7 @@ mod tests {
     #[test]
     fn backward_push_restricts_targets() {
         let edges = [(1, 2), (2, 3), (2, 4)];
-        let mut targets = Relation::new(vec!["X".into()]);
+        let mut targets = Relation::new(1);
         targets.push(vec![Value::Id(3)]);
         let push = PushSpec::Backward {
             targets: Box::new(Plan::Values(targets)),
@@ -233,7 +233,7 @@ mod tests {
         let edges = [(1, 2), (2, 3), (3, 1), (2, 4), (4, 4), (5, 1)];
         let full = reference_closure(&edges);
         // forward from {2}
-        let mut seeds = Relation::new(vec!["S".into()]);
+        let mut seeds = Relation::new(1);
         seeds.push(vec![Value::Id(2)]);
         let (rel, _) = run_lfp(
             &edges,
@@ -245,7 +245,7 @@ mod tests {
         let expect: HashSet<(u32, u32)> = full.iter().copied().filter(|&(f, _)| f == 2).collect();
         assert_eq!(pairs_of(&rel), expect);
         // backward into {1}
-        let mut targets = Relation::new(vec!["X".into()]);
+        let mut targets = Relation::new(1);
         targets.push(vec![Value::Id(1)]);
         let (rel, _) = run_lfp(
             &edges,
@@ -278,7 +278,7 @@ mod tests {
             let full = reference_closure(&edges);
             // restriction nodes: two from the graph, one outside it
             let picked = [(next() % nodes) as u32, (next() % nodes) as u32, 999];
-            let mut rel = Relation::new(vec!["N".into()]);
+            let mut rel = Relation::new(1);
             for &v in &picked {
                 rel.push(vec![Value::Id(v)]);
             }
@@ -369,7 +369,7 @@ mod tests {
     fn closure_over_mixed_value_types() {
         // closure works over Doc/Id mixtures (the '_' marker participates)
         let mut db = Database::new();
-        let mut r = Relation::new(vec!["F".into(), "T".into()]);
+        let mut r = Relation::new(2);
         r.push(vec![Value::Doc, Value::Id(1)]);
         r.push(vec![Value::Id(1), Value::Id(2)]);
         db.insert("E", r);

@@ -33,8 +33,8 @@
 //!   IR with a deterministic rewrite-pass pipeline (CSE, dead-statement
 //!   elimination, predicate simplification/pushdown, projection narrowing,
 //!   LFP dedup) applied between translation and execution/rendering;
-//! * SQL text rendering in three dialects ([`sql`]): SQL'99 recursive CTEs,
-//!   Oracle `CONNECT BY`, and DB2 `WITH…RECURSIVE` (Fig. 4);
+//! * SQL text rendering in two dialects ([`sql`]): SQL'99 recursive CTEs
+//!   and Oracle `CONNECT BY` (Fig. 4);
 //! * a **static plan analyzer** ([`analyze`]): schema/type inference over
 //!   an abstract column lattice plus well-formedness verification (column
 //!   ranges, set-operation arities, dependency order, closure shapes),

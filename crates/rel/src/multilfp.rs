@@ -115,7 +115,7 @@ pub fn eval_multilfp<'a>(
     }
 
     ctx.stats.lfp_peak_closure = ctx.stats.lfp_peak_closure.max(result.len());
-    let mut out = Relation::new(vec!["S".into(), "T".into(), "Rid".into()]);
+    let mut out = Relation::new(3);
     out.reserve(result.len());
     for (key, tag) in result {
         let (s, t) = unpack(key);
@@ -139,7 +139,7 @@ mod tests {
     use std::collections::HashSet;
 
     fn edge_rel(pairs: &[(u32, u32)]) -> Relation {
-        let mut r = Relation::new(vec!["F".into(), "T".into()]);
+        let mut r = Relation::new(2);
         for &(f, t) in pairs {
             r.push(vec![Value::Id(f), Value::Id(t)]);
         }
@@ -154,7 +154,7 @@ mod tests {
         // a→b edges (even → odd), b→a edges (odd → even)
         db.insert("AB", edge_rel(&[(0, 1), (2, 3)]));
         db.insert("BA", edge_rel(&[(1, 2), (3, 4)]));
-        let mut init = Relation::new(vec!["S".into(), "T".into()]);
+        let mut init = Relation::new(2);
         init.push(vec![Value::Id(0), Value::Id(1)]);
         let spec = MultiLfpSpec {
             init: vec![("b".to_string(), Plan::Values(init))],
@@ -319,7 +319,7 @@ mod tests {
     #[test]
     fn empty_init_is_empty() {
         let db = Database::new();
-        let init = Relation::new(vec!["S".into(), "T".into()]);
+        let init = Relation::new(2);
         let spec = MultiLfpSpec {
             init: vec![("x".to_string(), Plan::Values(init))],
             edges: vec![],

@@ -223,7 +223,7 @@ mod tests {
     use crate::value::Value;
 
     fn edge_db() -> Database {
-        let mut rel = Relation::new(vec!["F".into(), "T".into()]);
+        let mut rel = Relation::new(2);
         for (f, t) in [(1u32, 2u32), (2, 3), (3, 4), (1, 4)] {
             rel.push(vec![Value::Id(f), Value::Id(t)]);
         }

@@ -214,7 +214,7 @@ mod tests {
     use crate::value::Value;
 
     fn edge_rel(pairs: &[(u32, u32)]) -> Relation {
-        let mut r = Relation::new(vec!["F".into(), "T".into()]);
+        let mut r = Relation::new(2);
         for &(f, t) in pairs {
             r.push(vec![Value::Id(f), Value::Id(t)]);
         }

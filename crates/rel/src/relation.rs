@@ -1,5 +1,6 @@
-//! Relations: named columns over [`Value`] tuples, stored columnar-style in
-//! one flat buffer.
+//! Relations: positional [`Value`] tuples of a fixed arity, stored
+//! columnar-style in one flat buffer. Columns are addressed by position, as
+//! the paper's algebra and the rendered SQL (`c0`, `c1`, …) address them.
 //!
 //! # Storage layout
 //!
@@ -14,10 +15,10 @@
 //!
 //! * `buf.len() == rows * arity` at every public-API boundary (the row
 //!   count is stored explicitly so zero-arity relations stay well-formed);
-//! * `Eq`/`Hash` compare columns and rows *in order* — two relations are
-//!   equal exactly when they would render identically. The optimizer relies
-//!   on this to hash-cons inline `Values` plans (which are always small:
-//!   seed markers and empty relations).
+//! * `Eq`/`Hash` compare arity and rows *in order* — two relations are
+//!   equal exactly when they hold the same rows of the same arity in the
+//!   same order. The optimizer relies on this to hash-cons inline `Values`
+//!   plans (which are always small: seed markers and empty relations).
 
 use crate::fxhash::{fx_hash_one, FxHashSet};
 use crate::multimap::RowMultimap;
@@ -27,21 +28,21 @@ use crate::value::Value;
 /// row slices; owned tuples appear at API edges (builders, tests).
 pub type Tuple = Vec<Value>;
 
-/// A relation with named columns over a flat tuple buffer. Duplicate rows
+/// A relation of a fixed arity over a flat tuple buffer. Duplicate rows
 /// are permitted (bags); set semantics are applied explicitly via
 /// [`Relation::dedup`] or the `Distinct` plan node, mirroring SQL.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Relation {
-    columns: Vec<String>,
+    arity: usize,
     buf: Vec<Value>,
     rows: usize,
 }
 
 impl Relation {
-    /// Empty relation with the given column names.
-    pub fn new(columns: Vec<String>) -> Self {
+    /// Empty relation of the given arity.
+    pub fn new(arity: usize) -> Self {
         Relation {
-            columns,
+            arity,
             buf: Vec::new(),
             rows: 0,
         }
@@ -49,30 +50,19 @@ impl Relation {
 
     /// Empty relation with the conventional shredded-edge schema `(F, T, V)`.
     pub fn edge_schema() -> Self {
-        Relation::new(vec!["F".into(), "T".into(), "V".into()])
+        Relation::new(3)
     }
 
     /// Relation over pre-built rows (convenience for tests and small
-    /// builders; flattens into the single buffer). Every row must match the
-    /// arity of `columns`.
-    pub fn from_tuples(columns: Vec<String>, tuples: Vec<Tuple>) -> Self {
-        let mut rel = Relation::new(columns);
+    /// builders; flattens into the single buffer). Every row must have
+    /// `arity` values.
+    pub fn from_tuples(arity: usize, tuples: Vec<Tuple>) -> Self {
+        let mut rel = Relation::new(arity);
         rel.reserve(tuples.len());
         for t in tuples {
             rel.push(t);
         }
         rel
-    }
-
-    /// Column names.
-    #[inline]
-    pub fn columns(&self) -> &[String] {
-        &self.columns
-    }
-
-    /// Index of a column by name.
-    pub fn col(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c == name)
     }
 
     /// Number of rows.
@@ -90,12 +80,12 @@ impl Relation {
     /// Arity.
     #[inline]
     pub fn arity(&self) -> usize {
-        self.columns.len()
+        self.arity
     }
 
     /// Append an owned row (must match arity).
     pub fn push(&mut self, tuple: Tuple) {
-        debug_assert_eq!(tuple.len(), self.columns.len(), "arity mismatch");
+        debug_assert_eq!(tuple.len(), self.arity, "arity mismatch");
         self.buf.extend(tuple);
         self.rows += 1;
     }
@@ -104,7 +94,7 @@ impl Relation {
     /// per-row emit (no intermediate `Vec` allocated).
     #[inline]
     pub fn push_row(&mut self, row: &[Value]) {
-        debug_assert_eq!(row.len(), self.columns.len(), "arity mismatch");
+        debug_assert_eq!(row.len(), self.arity, "arity mismatch");
         self.buf.extend_from_slice(row);
         self.rows += 1;
     }
@@ -113,7 +103,7 @@ impl Relation {
     /// `left ++ right` straight into the buffer).
     #[inline]
     pub fn push_concat(&mut self, left: &[Value], right: &[Value]) {
-        debug_assert_eq!(left.len() + right.len(), self.columns.len());
+        debug_assert_eq!(left.len() + right.len(), self.arity);
         self.buf.extend_from_slice(left);
         self.buf.extend_from_slice(right);
         self.rows += 1;
@@ -125,24 +115,20 @@ impl Relation {
     pub fn push_iter(&mut self, values: impl IntoIterator<Item = Value>) {
         let before = self.buf.len();
         self.buf.extend(values);
-        debug_assert_eq!(
-            self.buf.len() - before,
-            self.columns.len(),
-            "arity mismatch"
-        );
+        debug_assert_eq!(self.buf.len() - before, self.arity, "arity mismatch");
         self.rows += 1;
     }
 
     /// Reserve space for `additional` more rows.
     #[inline]
     pub fn reserve(&mut self, additional: usize) {
-        self.buf.reserve(additional * self.columns.len());
+        self.buf.reserve(additional * self.arity);
     }
 
     /// Row `i` as a borrowed slice.
     #[inline]
     pub fn row(&self, i: usize) -> &[Value] {
-        let arity = self.columns.len();
+        let arity = self.arity;
         &self.buf[i * arity..(i + 1) * arity]
     }
 
@@ -151,7 +137,7 @@ impl Relation {
     pub fn rows(&self) -> RowsIter<'_> {
         RowsIter {
             buf: &self.buf,
-            arity: self.columns.len(),
+            arity: self.arity,
             remaining: self.rows,
         }
     }
@@ -192,7 +178,7 @@ impl Relation {
     /// cloned into a side table (the old layout cloned every row into a
     /// `HashSet<Tuple>`).
     pub fn dedup(&mut self) {
-        let arity = self.columns.len();
+        let arity = self.arity;
         if self.rows <= 1 {
             return;
         }
@@ -236,49 +222,6 @@ impl Relation {
     /// join build tables use borrowed keys and need no helper here.)
     pub fn value_set(&self, col: usize) -> FxHashSet<&Value> {
         self.rows().map(|t| &t[col]).collect()
-    }
-
-    /// Render as an aligned ASCII table (for examples reproducing the
-    /// paper's Tables 1–3). Dictionary codes render as `@n`; decode via
-    /// [`crate::Database::decoded`] first when showing text values.
-    pub fn to_ascii_table(&self) -> String {
-        let mut widths: Vec<usize> = self.columns.iter().map(|c| c.len()).collect();
-        let rendered: Vec<Vec<String>> = self
-            .rows()
-            .map(|t| t.iter().map(|v| v.to_string()).collect())
-            .collect();
-        for row in &rendered {
-            for (i, cell) in row.iter().enumerate() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-        let mut out = String::new();
-        let header: Vec<String> = self
-            .columns
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{:w$}", c, w = widths[i]))
-            .collect();
-        out.push_str(&header.join(" | "));
-        out.push('\n');
-        out.push_str(
-            &widths
-                .iter()
-                .map(|w| "-".repeat(*w))
-                .collect::<Vec<_>>()
-                .join("-+-"),
-        );
-        out.push('\n');
-        for row in &rendered {
-            let line: Vec<String> = row
-                .iter()
-                .enumerate()
-                .map(|(i, c)| format!("{:w$}", c, w = widths[i]))
-                .collect();
-            out.push_str(&line.join(" | "));
-            out.push('\n');
-        }
-        out
     }
 
     /// Rows sorted lexicographically, in owned form (for deterministic
@@ -332,7 +275,7 @@ mod tests {
     use super::*;
 
     fn ft(pairs: &[(u32, u32)]) -> Relation {
-        let mut r = Relation::new(vec!["F".into(), "T".into()]);
+        let mut r = Relation::new(2);
         for &(f, t) in pairs {
             r.push(vec![Value::Id(f), Value::Id(t)]);
         }
@@ -343,8 +286,6 @@ mod tests {
     fn push_and_columns() {
         let r = ft(&[(1, 2), (2, 3)]);
         assert_eq!(r.len(), 2);
-        assert_eq!(r.col("T"), Some(1));
-        assert_eq!(r.col("zzz"), None);
         assert_eq!(r.arity(), 2);
     }
 
@@ -354,7 +295,7 @@ mod tests {
             vec![Value::Id(1), Value::Id(2)],
             vec![Value::Id(2), Value::Id(3)],
         ];
-        let r = Relation::from_tuples(vec!["F".into(), "T".into()], rows);
+        let r = Relation::from_tuples(2, rows);
         assert_eq!(r.len(), 2);
         assert!(r.set_eq(&ft(&[(1, 2), (2, 3)])));
     }
@@ -372,13 +313,13 @@ mod tests {
 
     #[test]
     fn push_variants_agree() {
-        let mut a = Relation::new(vec!["F".into(), "T".into()]);
+        let mut a = Relation::new(2);
         a.push(vec![Value::Id(1), Value::Id(2)]);
-        let mut b = Relation::new(vec!["F".into(), "T".into()]);
+        let mut b = Relation::new(2);
         b.push_row(&[Value::Id(1), Value::Id(2)]);
-        let mut c = Relation::new(vec!["F".into(), "T".into()]);
+        let mut c = Relation::new(2);
         c.push_iter([Value::Id(1), Value::Id(2)]);
-        let mut d = Relation::new(vec!["F".into(), "T".into()]);
+        let mut d = Relation::new(2);
         d.push_concat(&[Value::Id(1)], &[Value::Id(2)]);
         assert_eq!(a, b);
         assert_eq!(b, c);
@@ -398,7 +339,7 @@ mod tests {
         // into an empty relation `adopt` moves the buffer: same allocation,
         // no copy (what `Union` relies on for its first owned input)
         let ptr = b.values_flat().as_ptr();
-        let mut empty = Relation::new(vec!["F".into(), "T".into()]);
+        let mut empty = Relation::new(2);
         empty.adopt(b);
         assert!(std::ptr::eq(ptr, empty.values_flat().as_ptr()));
         assert_eq!(empty.len(), 2);
@@ -455,7 +396,7 @@ mod tests {
             x
         };
         for rows in [0usize, 1, 2, 300] {
-            let mut r = Relation::new(vec!["A".into(), "B".into()]);
+            let mut r = Relation::new(2);
             for _ in 0..rows {
                 let a = pool[(next() % pool.len() as u64) as usize].clone();
                 let b = pool[(next() % pool.len() as u64) as usize].clone();
@@ -489,13 +430,5 @@ mod tests {
         assert!(a.set_eq(&b));
         let c = ft(&[(1, 2)]);
         assert!(!a.set_eq(&c));
-    }
-
-    #[test]
-    fn ascii_table_renders() {
-        let r = ft(&[(1, 22)]);
-        let s = r.to_ascii_table();
-        assert!(s.contains("F"));
-        assert!(s.contains("#22"));
     }
 }

@@ -1,11 +1,9 @@
 //! SQL text rendering of statement programs.
 //!
-//! Three dialects mirror Fig. 4 of the paper:
+//! Two dialects mirror Fig. 4 of the paper:
 //!
 //! * [`SqlDialect::Sql99`] — recursive common table expressions (the
 //!   portable form; also what SQL Server's common tables accept);
-//! * [`SqlDialect::Db2`] — DB2's `WITH…AS` recursion, written in the
-//!   `SELECT … FROM R, LFP` join style of Fig. 4(b);
 //! * [`SqlDialect::Oracle`] — `START WITH … CONNECT BY PRIOR` (Fig. 4(a)).
 //!
 //! Rendering is purely syntactic; semantic correctness of the underlying
@@ -23,8 +21,6 @@ pub enum SqlDialect {
     /// SQL'99 recursive CTEs (the portable default).
     #[default]
     Sql99,
-    /// IBM DB2 `WITH…RECURSIVE` style.
-    Db2,
     /// Oracle `CONNECT BY`.
     Oracle,
 }
@@ -205,7 +201,7 @@ fn render_lfp(spec: &crate::plan::LfpSpec, dialect: SqlDialect, level: usize) ->
                 "{push_comment}{pad}SELECT CONNECT_BY_ROOT e.c{f} AS F, e.c{t} AS T FROM (\n{edges}\n{pad}) e\n{start}{pad}CONNECT BY NOCYCLE PRIOR e.c{t} = e.c{f}"
             )
         }
-        SqlDialect::Sql99 | SqlDialect::Db2 => {
+        SqlDialect::Sql99 => {
             let seed_filter = match &spec.push {
                 Some(PushSpec::Forward { seeds, col }) => format!(
                     " WHERE e.c{f} IN (SELECT s.c{col} FROM (\n{}\n{pad}  ) s)",
@@ -335,7 +331,7 @@ mod tests {
             "pushed",
         );
         prog.result = Some(lfp);
-        let sql = render_program(&prog, SqlDialect::Db2);
+        let sql = render_program(&prog, SqlDialect::Sql99);
         assert!(sql.contains("pushed selection"));
         assert!(sql.contains("IN (SELECT"));
     }
@@ -391,11 +387,11 @@ mod tests {
 
     #[test]
     fn values_render_inline() {
-        let mut rel = crate::relation::Relation::new(vec!["F".into()]);
+        let mut rel = crate::relation::Relation::new(1);
         rel.push(vec![Value::Id(3)]);
         let s = render_plan(&Plan::Values(rel), SqlDialect::Sql99, 0);
         assert!(s.contains("VALUES (3)"));
-        let empty = crate::relation::Relation::new(vec!["F".into()]);
+        let empty = crate::relation::Relation::new(1);
         let s = render_plan(&Plan::Values(empty), SqlDialect::Sql99, 0);
         assert!(s.contains("WHERE 1 = 0"));
     }

@@ -160,7 +160,7 @@ impl InlinedDatabase {
         let mut rels: HashMap<ElemId, Relation> = schema
             .roots
             .iter()
-            .map(|&r| (r, Relation::new(schema.columns[&r].clone())))
+            .map(|&r| (r, Relation::new(schema.columns[&r].len())))
             .collect();
 
         // For every root-typed node: build one tuple. Walk its inlined
@@ -318,6 +318,12 @@ mod tests {
         assert!(s.has_parent_code[&course]);
     }
 
+    /// Position of column `name` in the relation hosted by `root`.
+    fn col_of(idb: &InlinedDatabase, d: &Dtd, root: &str, name: &str) -> usize {
+        let cols = &idb.schema.columns[&d.elem(root).unwrap()];
+        cols.iter().position(|c| c == name).unwrap()
+    }
+
     #[test]
     fn shreds_document_with_inlined_values() {
         let d = samples::dept();
@@ -329,11 +335,11 @@ mod tests {
         let idb = InlinedDatabase::shred(&t, &d);
         let ic = idb.db.get("I_course").unwrap();
         assert_eq!(ic.len(), 1);
-        let cno_col = ic.col("cno").unwrap();
+        let cno_col = col_of(&idb, &d, "course", "cno");
         assert_eq!(ic.row(0)[cno_col], Value::str("cs66"));
         let is = idb.db.get("I_student").unwrap();
         assert_eq!(is.len(), 1);
-        let name_col = is.col("name").unwrap();
+        let name_col = col_of(&idb, &d, "student", "name");
         assert_eq!(is.row(0)[name_col], Value::str("ann"));
     }
 
@@ -351,7 +357,7 @@ mod tests {
         let idb = InlinedDatabase::shred(&t, &d);
         let ic = idb.db.get("I_course").unwrap();
         assert_eq!(ic.len(), 2);
-        let code_col = ic.col("parentCode").unwrap();
+        let code_col = col_of(&idb, &d, "course", "parentCode");
         let outer = ic
             .rows()
             .find(|tp| tp[code_col] == Value::str("dept"))

@@ -22,7 +22,7 @@ use x2s_xpath::Path;
 pub fn build_rec_plan(g: &TransGraph<'_>, a: TNode, b: TNode) -> Plan {
     let region = g.nodes_on_paths(a, b);
     if region.is_empty() || !region.contains(&b) {
-        return Plan::Values(Relation::new(vec!["F".into(), "T".into()]));
+        return Plan::Values(Relation::new(2));
     }
 
     // init: edges out of `a` into the region.

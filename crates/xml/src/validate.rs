@@ -278,6 +278,27 @@ mod tests {
         validate(&parse_xml(&d, "<a><b/><b/></a>").unwrap(), &d).unwrap();
     }
 
+    /// A content model at the DTD parser's nesting bound, two levels per
+    /// group (`(b, (b, …)?)?`), parses, builds and validates a conforming
+    /// document on a 2 MiB thread: `deriv`/`nullable` recurse over the
+    /// same depth the parser bounds.
+    #[test]
+    fn model_at_the_parser_bound_validates_on_a_small_stack() {
+        use x2s_dtd::parser::MAX_DEPTH;
+        let run = || {
+            let mut model = String::from("b");
+            for _ in 0..MAX_DEPTH {
+                model = format!("(b, {model})?");
+            }
+            let d =
+                x2s_dtd::parse_dtd(&format!("<!ELEMENT a {model}> <!ELEMENT b EMPTY>")).unwrap();
+            let t = parse_xml(&d, &format!("<a>{}</a>", "<b/>".repeat(MAX_DEPTH + 1))).unwrap();
+            validate(&t, &d).unwrap();
+        };
+        let worker = std::thread::Builder::new().stack_size(2 << 20);
+        worker.spawn(run).unwrap().join().unwrap();
+    }
+
     #[test]
     fn matches_model_direct() {
         use x2s_dtd::model::cm;

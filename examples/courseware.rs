@@ -112,15 +112,15 @@ fn main() {
     );
     assert_eq!(answers_r, answers_x);
 
-    // ——— the generated SQL, in the three dialects of Fig. 4 ———
+    // ——— the generated SQL, in the two dialects of Fig. 4 ———
     println!("\n== Q1 SQL (Oracle CONNECT BY flavour, excerpt) ==");
     let oracle = q1_prepared.sql(SqlDialect::Oracle);
     for line in oracle.lines().filter(|l| l.contains("CONNECT")).take(4) {
         println!("  {line}");
     }
-    println!("== Q1 SQL (DB2 recursive CTE flavour, excerpt) ==");
-    let db2 = q1_prepared.sql(SqlDialect::Db2);
-    for line in db2.lines().filter(|l| l.contains("RECURSIVE")).take(4) {
+    println!("== Q1 SQL (SQL'99 recursive CTE flavour, excerpt) ==");
+    let sql99 = q1_prepared.sql(SqlDialect::Sql99);
+    for line in sql99.lines().filter(|l| l.contains("RECURSIVE")).take(4) {
         println!("  {line}");
     }
 

@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // cached program renders in any dialect of paper Fig. 4.
     let q = engine.prepare("dept//project")?;
     println!("answers: {:?}", q.execute()?);
-    for dialect in [SqlDialect::Sql99, SqlDialect::Db2, SqlDialect::Oracle] {
+    for dialect in [SqlDialect::Sql99, SqlDialect::Oracle] {
         let sql = q.sql(dialect);
         let rec = sql
             .lines()

@@ -11,6 +11,9 @@
 //! Everything is deterministic in the seeds; failures print the query and
 //! document seed for replay.
 
+mod support;
+
+use support::arb_path;
 use xpath2sql::core::{OptLevel, SqlOptions, Translator};
 use xpath2sql::dtd::{samples, Dtd};
 use xpath2sql::rel::{
@@ -19,69 +22,12 @@ use xpath2sql::rel::{
 use xpath2sql::shred::edge_database;
 use xpath2sql::xml::rng::SplitMix64;
 use xpath2sql::xml::{Generator, GeneratorConfig};
-use xpath2sql::xpath::{Path, Qual};
+use xpath2sql::xpath::Path;
 
 const CASES_PER_SEED: usize = 12;
 
-/// Same weighted query grammar as `proptest_equivalence.rs`: leaves are
-/// 4:1:1 label/wildcard/empty (labels include undeclared ones to exercise
-/// ∅ folding); inner nodes are 3:2:1:1 seq/descendant/union/qualified.
-fn arb_path(rng: &mut SplitMix64, labels: &[&str], depth: u32) -> Path {
-    if depth == 0 {
-        return arb_leaf(rng, labels);
-    }
-    match rng.gen_range(0..9) {
-        0..=2 => Path::Seq(
-            Box::new(arb_path(rng, labels, depth - 1)),
-            Box::new(arb_path(rng, labels, depth - 1)),
-        ),
-        3..=4 => Path::Descendant(Box::new(arb_path(rng, labels, depth - 1))),
-        5 => Path::Union(
-            Box::new(arb_path(rng, labels, depth - 1)),
-            Box::new(arb_path(rng, labels, depth - 1)),
-        ),
-        6 => {
-            let p = arb_path(rng, labels, depth - 1);
-            let q = arb_qual(rng, labels, depth - 1, 2);
-            Path::Qualified(Box::new(p), q)
-        }
-        _ => arb_leaf(rng, labels),
-    }
-}
-
-fn arb_leaf(rng: &mut SplitMix64, labels: &[&str]) -> Path {
-    match rng.gen_range(0..6) {
-        0..=3 => Path::label(labels[rng.gen_range(0..labels.len())]),
-        4 => Path::Wildcard,
-        _ => Path::Empty,
-    }
-}
-
-fn arb_qual(rng: &mut SplitMix64, labels: &[&str], depth: u32, qdepth: u32) -> Qual {
-    if qdepth > 0 && rng.gen_bool(0.4) {
-        return match rng.gen_range(0..4) {
-            0..=1 => Qual::not(arb_qual(rng, labels, depth, qdepth - 1)),
-            2 => arb_qual(rng, labels, depth, qdepth - 1).and(arb_qual(
-                rng,
-                labels,
-                depth,
-                qdepth - 1,
-            )),
-            _ => arb_qual(rng, labels, depth, qdepth - 1).or(arb_qual(
-                rng,
-                labels,
-                depth,
-                qdepth - 1,
-            )),
-        };
-    }
-    if rng.gen_range(0..5) < 4 {
-        Qual::path(arb_path(rng, labels, depth.min(2)))
-    } else {
-        let consts = ["v0", "v1", "sel"];
-        Qual::TextEq(consts[rng.gen_range(0..consts.len())].into())
-    }
-}
+/// Text literals for `text() = "…"`.
+const LITERALS: &[&str] = &["v0", "v1", "sel"];
 
 /// The property itself: analyzer acceptance ⇒ schema-clean execution with
 /// the inferred result arity.
@@ -139,7 +85,7 @@ fn accepted_programs_execute_schema_clean_on_cross() {
         for case in 0..CASES_PER_SEED {
             let mut rng =
                 SplitMix64::seed_from_u64(0xA11A_1000u64 ^ (seed << 16).wrapping_add(case as u64));
-            let query = arb_path(&mut rng, &labels, 3);
+            let query = arb_path(&mut rng, &labels, LITERALS, 3);
             check_one(&dtd, &db, &query, seed);
         }
     }
@@ -159,7 +105,7 @@ fn accepted_programs_execute_schema_clean_on_dept() {
         for case in 0..CASES_PER_SEED {
             let mut rng =
                 SplitMix64::seed_from_u64(0xA11A_2000u64 ^ (seed << 16).wrapping_add(case as u64));
-            let query = arb_path(&mut rng, &labels, 3);
+            let query = arb_path(&mut rng, &labels, LITERALS, 3);
             check_one(&dtd, &db, &query, seed);
         }
     }
@@ -179,7 +125,7 @@ fn accepted_programs_execute_schema_clean_on_gedml() {
         for case in 0..CASES_PER_SEED {
             let mut rng =
                 SplitMix64::seed_from_u64(0xA11A_3000u64 ^ (seed << 16).wrapping_add(case as u64));
-            let query = arb_path(&mut rng, &labels, 2);
+            let query = arb_path(&mut rng, &labels, LITERALS, 2);
             check_one(&dtd, &db, &query, seed);
         }
     }

@@ -337,7 +337,7 @@ fn random_keyed_relation(rows: u32, next: &mut impl FnMut() -> u64) -> Relation 
         Value::str("s"),
         Value::str("t"),
     ];
-    let mut rel = Relation::new(vec!["K1".into(), "K2".into(), "P".into()]);
+    let mut rel = Relation::new(3);
     for i in 0..rows {
         let k1 = pool[(next() % pool.len() as u64) as usize].clone();
         // K2 from a three-value corner of the pool, so two-column keys

@@ -129,14 +129,14 @@ fn plan_cache_holds_its_configured_capacity() {
 #[test]
 fn dialect_rendering_and_one_shot_sql() {
     let dtd = samples::dept_simplified();
-    let engine = Engine::builder(&dtd).dialect(SqlDialect::Db2).build();
+    let engine = Engine::builder(&dtd).dialect(SqlDialect::Oracle).build();
     let prepared = engine.prepare("dept//project").unwrap();
     assert!(prepared.sql(SqlDialect::Oracle).contains("CONNECT BY"));
     assert!(prepared.sql(SqlDialect::Sql99).contains("WITH RECURSIVE"));
-    assert_eq!(prepared.sql_text(), prepared.sql(SqlDialect::Db2));
+    assert_eq!(prepared.sql_text(), prepared.sql(SqlDialect::Oracle));
     // `Engine::sql` renders without a loaded document, through the cache.
     let sql = engine.sql("dept//project").unwrap();
-    assert_eq!(sql, prepared.sql(SqlDialect::Db2));
+    assert_eq!(sql, prepared.sql(SqlDialect::Oracle));
     assert_eq!(engine.stats().plan_cache_hits, 1);
 }
 

@@ -1,6 +1,7 @@
 //! Seeded fuzzing of the two parsers a client reaches: the HTTP request
 //! reader and the XPath parser, the latter followed down the chain a
-//! `/query` runs (normalize → sat gate → translate → execute).
+//! `/query` runs (normalize → sat gate → translate → execute). The DTD
+//! parser, which an operator reaches, is fuzzed the same way.
 //!
 //! Every input must come back as a value or a typed error: never a panic,
 //! and never more input consumed than the request caps allow. A query
@@ -12,7 +13,8 @@
 use std::collections::BTreeSet;
 
 use xpath2sql::core::Engine;
-use xpath2sql::dtd::samples;
+use xpath2sql::dtd::parser::MAX_DEPTH;
+use xpath2sql::dtd::{parse_dtd, samples, DtdError, DtdGraph};
 use xpath2sql::serve::read_request;
 use xpath2sql::xml::rng::SplitMix64;
 use xpath2sql::xml::{Generator, GeneratorConfig};
@@ -162,4 +164,90 @@ fn query_chain_survives_random_token_strings() {
         }
     }
     assert!(executed > 100, "the alphabet must reach the executor");
+}
+
+/// The DTD alphabet: declarations, model syntax and a few element names.
+const DTD_TOKENS: [&str; 22] = [
+    "<!ELEMENT a ",
+    "<!ELEMENT b ",
+    "<!ELEMENT",
+    "<!ATTLIST a id CDATA #IMPLIED>",
+    "<!--",
+    "-->",
+    ">",
+    "(",
+    ")",
+    ",",
+    "|",
+    "*",
+    "+",
+    "?",
+    "#PCDATA",
+    "EMPTY",
+    "ANY",
+    "a",
+    "b",
+    "c",
+    "(b)",
+    "(a | b)*",
+];
+
+/// One DTD token, or now and then a declaration opening up to four times
+/// as many groups as the parser's nesting bound.
+fn arb_dtd_token(rng: &mut SplitMix64) -> String {
+    if rng.gen_range(0..50) == 0 {
+        return format!(
+            "<!ELEMENT a {}",
+            "(".repeat(rng.gen_range(1..4 * MAX_DEPTH))
+        );
+    }
+    DTD_TOKENS[rng.gen_range(0..DTD_TOKENS.len())].to_string()
+}
+
+#[test]
+fn dtd_parser_survives_random_and_mutated_text() {
+    let valid: Vec<String> = [samples::dept(), samples::cross(), samples::gedml()]
+        .iter()
+        .map(|d| d.to_dtd_text())
+        .collect();
+    let mut rng = SplitMix64::seed_from_u64(0xf022_0003);
+    let (mut parsed, mut too_deep) = (0usize, 0usize);
+    for i in 0..20_000 {
+        let text = if i % 2 == 0 {
+            (0..rng.gen_range(1..=12))
+                .map(|_| arb_dtd_token(&mut rng) + if rng.gen_bool(0.3) { " " } else { "" })
+                .collect()
+        } else {
+            // a sample DTD with up to three tokens spliced in at char
+            // boundaries (the text is ASCII)
+            let mut text = valid[rng.gen_range(0..valid.len())].clone();
+            for _ in 0..rng.gen_range(0..=3) {
+                let at = rng.gen_range(0..=text.len());
+                text.insert_str(at, &arb_dtd_token(&mut rng));
+            }
+            text
+        };
+        match parse_dtd(&text) {
+            Ok(dtd) => {
+                DtdGraph::of(&dtd);
+                parsed += 1;
+            }
+            Err(DtdError::Syntax { offset, .. }) => assert!(offset <= text.len(), "{text:?}"),
+            Err(DtdError::TooDeep { offset }) => {
+                assert_eq!(&text[offset..offset + 1], "(", "{text:?}");
+                too_deep += 1;
+            }
+            Err(_) => {}
+        }
+    }
+    assert!(parsed > 100, "the alphabet must reach a built DTD");
+    assert!(too_deep > 100, "deep nesting must reach the bound");
+    // 100 000 nested groups (about 200 KB): unbounded recursion over this
+    // overflows even an 8 MiB stack
+    let deep = format!(
+        "<!ELEMENT a {}a{}>",
+        "(".repeat(100_000),
+        ")".repeat(100_000)
+    );
+    assert!(matches!(parse_dtd(&deep), Err(DtdError::TooDeep { .. })));
 }

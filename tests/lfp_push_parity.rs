@@ -21,14 +21,13 @@ use xpath2sql::rel::{
 use xpath2sql::shred::edge_database;
 use xpath2sql::xml::{Generator, GeneratorConfig};
 
-/// All child edges (F, T) of a shredded store, as one relation.
+/// All child edges (F, T) of a shredded store — columns 0 and 1 of every
+/// edge relation — as one relation.
 fn all_edges(db: &Database) -> Relation {
-    let mut out = Relation::new(vec!["F".into(), "T".into()]);
+    let mut out = Relation::new(2);
     for name in db.names() {
-        let rel = db.get(name).unwrap();
-        let (f, t) = (rel.col("F").unwrap(), rel.col("T").unwrap());
-        for tuple in rel.rows() {
-            out.push_row(&[tuple[f].clone(), tuple[t].clone()]);
+        for tuple in db.get(name).unwrap().rows() {
+            out.push_row(&tuple[..2]);
         }
     }
     out
@@ -68,7 +67,7 @@ fn check_parity(dtd: &xpath2sql::dtd::Dtd, elements: usize, seed: u64) {
     let full = closure(&edges, None);
 
     // restriction sets: a spread of node values that actually occur
-    let mut restrict = Relation::new(vec!["S".into()]);
+    let mut restrict = Relation::new(1);
     for (i, t) in edges.rows().enumerate() {
         if i % 7 == 0 {
             restrict.push(vec![t[0].clone()]);

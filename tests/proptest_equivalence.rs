@@ -10,15 +10,17 @@
 //! failures report the offending query and seed, so a failing case can be
 //! replayed by rerunning the test.
 
+mod support;
+
 use std::collections::BTreeSet;
+use support::{arb_path, case_rng};
 use xpath2sql::core::{OptLevel, SqlOptions, Translator};
 use xpath2sql::dtd::{samples, Dtd};
 use xpath2sql::rel::{Database, ExecOptions, Stats};
 use xpath2sql::shred::edge_database;
 use xpath2sql::sqlgenr::SqlGenR;
-use xpath2sql::xml::rng::SplitMix64;
 use xpath2sql::xml::{Generator, GeneratorConfig};
-use xpath2sql::xpath::{eval_from_document, Path, Qual};
+use xpath2sql::xpath::{eval_from_document, Path};
 
 /// Cases per (property, document-seed) pair, sized so every property runs at
 /// least the 48 cases the original proptest configuration did: 16 × 4 seeds
@@ -28,82 +30,20 @@ const CASES_PER_SEED: usize = 16;
 /// gedml only has two document seeds, so it takes more queries per seed.
 const GEDML_CASES: usize = 24;
 
-/// Random path expression over a fixed label alphabet (including labels the
-/// DTD does not declare, exercising the ∅ folding). Mirrors the original
-/// `prop_oneof!` weights: leaves are 4:1:1 label/wildcard/empty; inner nodes
-/// are 3:2:1:1 seq/descendant/union/qualified (with 2 extra leaf weights so
-/// expressions stay small, as `prop_recursive`'s size budget did).
-fn arb_path(rng: &mut SplitMix64, labels: &[&str], depth: u32) -> Path {
-    if depth == 0 {
-        return arb_leaf(rng, labels);
-    }
-    match rng.gen_range(0..9) {
-        0..=2 => Path::Seq(
-            Box::new(arb_path(rng, labels, depth - 1)),
-            Box::new(arb_path(rng, labels, depth - 1)),
-        ),
-        3..=4 => Path::Descendant(Box::new(arb_path(rng, labels, depth - 1))),
-        5 => Path::Union(
-            Box::new(arb_path(rng, labels, depth - 1)),
-            Box::new(arb_path(rng, labels, depth - 1)),
-        ),
-        6 => {
-            let p = arb_path(rng, labels, depth - 1);
-            let q = arb_qual(rng, labels, depth - 1, 2);
-            Path::Qualified(Box::new(p), q)
-        }
-        _ => arb_leaf(rng, labels),
-    }
-}
-
-fn arb_leaf(rng: &mut SplitMix64, labels: &[&str]) -> Path {
-    match rng.gen_range(0..6) {
-        0..=3 => Path::label(labels[rng.gen_range(0..labels.len())]),
-        4 => Path::Wildcard,
-        _ => Path::Empty,
-    }
-}
-
-/// Random qualifier: 4:1 path-existence vs text comparison at the leaves,
-/// with up to `qdepth` boolean connectives (2:1:1 not/and/or) above them.
-fn arb_qual(rng: &mut SplitMix64, labels: &[&str], depth: u32, qdepth: u32) -> Qual {
-    if qdepth > 0 && rng.gen_bool(0.4) {
-        return match rng.gen_range(0..4) {
-            0..=1 => Qual::not(arb_qual(rng, labels, depth, qdepth - 1)),
-            2 => arb_qual(rng, labels, depth, qdepth - 1).and(arb_qual(
-                rng,
-                labels,
-                depth,
-                qdepth - 1,
-            )),
-            _ => arb_qual(rng, labels, depth, qdepth - 1).or(arb_qual(
-                rng,
-                labels,
-                depth,
-                qdepth - 1,
-            )),
-        };
-    }
-    if rng.gen_range(0..5) < 4 {
-        Qual::path(arb_path(rng, labels, depth.min(2)))
-    } else {
-        // Beside document values, literals holding either quote (never
-        // both: no XPath 1.0 literal can), `]`, `|` and spaces — the
-        // characters a printer could confuse with query syntax.
-        let consts = [
-            "v0",
-            "v1",
-            "sel",
-            "it's",
-            r#"say "hi""#,
-            r#"x"][text()="y"#,
-            "a]b",
-            "x|y",
-            " two  words ",
-        ];
-        Qual::TextEq(consts[rng.gen_range(0..consts.len())].into())
-    }
-}
+/// Text literals for `text() = "…"`: beside document values, literals
+/// holding either quote (never both: no XPath 1.0 literal can), `]`, `|`
+/// and spaces — the characters a printer could confuse with query syntax.
+const LITERALS: &[&str] = &[
+    "v0",
+    "v1",
+    "sel",
+    "it's",
+    r#"say "hi""#,
+    r#"x"][text()="y"#,
+    "a]b",
+    "x|y",
+    " two  words ",
+];
 
 fn check_one(dtd: &Dtd, tree: &xpath2sql::xml::Tree, db: &Database, query: &Path, seed: u64) {
     let native: BTreeSet<u32> = eval_from_document(query, tree, dtd)
@@ -155,16 +95,6 @@ fn check_one(dtd: &Dtd, tree: &xpath2sql::xml::Tree, db: &Database, query: &Path
     );
 }
 
-/// Distinct query-generator seed per (property, document seed, case index).
-fn case_rng(property: u64, seed: u64, case: usize) -> SplitMix64 {
-    SplitMix64::seed_from_u64(
-        property
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(seed.wrapping_mul(1 << 20))
-            .wrapping_add(case as u64),
-    )
-}
-
 #[test]
 fn random_queries_on_cross() {
     let labels = ["a", "b", "c", "d", "zzz"];
@@ -178,7 +108,7 @@ fn random_queries_on_cross() {
         let db = edge_database(&tree, &dtd);
         for case in 0..CASES_PER_SEED {
             let mut rng = case_rng(1, seed, case);
-            let query = arb_path(&mut rng, &labels, 3);
+            let query = arb_path(&mut rng, &labels, LITERALS, 3);
             check_one(&dtd, &tree, &db, &query, seed);
         }
     }
@@ -197,7 +127,7 @@ fn random_queries_on_dept() {
         let db = edge_database(&tree, &dtd);
         for case in 0..CASES_PER_SEED {
             let mut rng = case_rng(2, seed, case);
-            let query = arb_path(&mut rng, &labels, 3);
+            let query = arb_path(&mut rng, &labels, LITERALS, 3);
             check_one(&dtd, &tree, &db, &query, seed);
         }
     }
@@ -216,7 +146,7 @@ fn random_queries_on_gedml() {
         let db = edge_database(&tree, &dtd);
         for case in 0..GEDML_CASES {
             let mut rng = case_rng(3, seed, case);
-            let query = arb_path(&mut rng, &labels, 2);
+            let query = arb_path(&mut rng, &labels, LITERALS, 2);
             check_one(&dtd, &tree, &db, &query, seed);
         }
     }
@@ -235,7 +165,7 @@ fn pruning_preserves_semantics() {
         .generate();
         for case in 0..CASES_PER_SEED {
             let mut rng = case_rng(4, seed, case);
-            let query = arb_path(&mut rng, &labels, 3);
+            let query = arb_path(&mut rng, &labels, LITERALS, 3);
             let raw = xpath2sql::core::xpath_to_exp(
                 &query,
                 &dtd,
@@ -276,7 +206,7 @@ fn display_round_trip_over_random_queries() {
     for seed in 40u64..44 {
         for case in 0..CASES_PER_SEED {
             let mut rng = case_rng(5, seed, case);
-            let query = arb_path(&mut rng, &labels, 3);
+            let query = arb_path(&mut rng, &labels, LITERALS, 3);
             let printed = query.to_string();
             let reparsed = parse_xpath(&printed)
                 .unwrap_or_else(|e| panic!("rendering {printed:?} did not re-parse: {e}"));

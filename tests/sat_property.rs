@@ -19,85 +19,20 @@
 //!   `Engine::prepare`, a statically-empty verdict always agrees with the
 //!   oracle on the loaded document.
 
+mod support;
+
 use std::collections::BTreeSet;
+use support::{arb_path, case_rng};
 
 use xpath2sql::core::Engine;
 use xpath2sql::dtd::{samples, Dtd};
-use xpath2sql::xml::rng::SplitMix64;
 use xpath2sql::xml::{Generator, GeneratorConfig, Tree};
-use xpath2sql::xpath::{eval_from_document, Path, Qual, Sat, SatAnalyzer};
+use xpath2sql::xpath::{eval_from_document, Path, Sat, SatAnalyzer};
 
 const CASES_PER_SEED: usize = 24;
 
-/// Random path expression over a fixed label alphabet (including labels the
-/// DTD does not declare). Same weighted grammar as the translation
-/// property suite.
-fn arb_path(rng: &mut SplitMix64, labels: &[&str], depth: u32) -> Path {
-    if depth == 0 {
-        return arb_leaf(rng, labels);
-    }
-    match rng.gen_range(0..9) {
-        0..=2 => Path::Seq(
-            Box::new(arb_path(rng, labels, depth - 1)),
-            Box::new(arb_path(rng, labels, depth - 1)),
-        ),
-        3..=4 => Path::Descendant(Box::new(arb_path(rng, labels, depth - 1))),
-        5 => Path::Union(
-            Box::new(arb_path(rng, labels, depth - 1)),
-            Box::new(arb_path(rng, labels, depth - 1)),
-        ),
-        6 => {
-            let p = arb_path(rng, labels, depth - 1);
-            let q = arb_qual(rng, labels, depth - 1, 2);
-            Path::Qualified(Box::new(p), q)
-        }
-        _ => arb_leaf(rng, labels),
-    }
-}
-
-fn arb_leaf(rng: &mut SplitMix64, labels: &[&str]) -> Path {
-    match rng.gen_range(0..6) {
-        0..=3 => Path::label(labels[rng.gen_range(0..labels.len())]),
-        4 => Path::Wildcard,
-        _ => Path::Empty,
-    }
-}
-
-fn arb_qual(rng: &mut SplitMix64, labels: &[&str], depth: u32, qdepth: u32) -> Qual {
-    if qdepth > 0 && rng.gen_bool(0.4) {
-        return match rng.gen_range(0..4) {
-            0..=1 => Qual::not(arb_qual(rng, labels, depth, qdepth - 1)),
-            2 => arb_qual(rng, labels, depth, qdepth - 1).and(arb_qual(
-                rng,
-                labels,
-                depth,
-                qdepth - 1,
-            )),
-            _ => arb_qual(rng, labels, depth, qdepth - 1).or(arb_qual(
-                rng,
-                labels,
-                depth,
-                qdepth - 1,
-            )),
-        };
-    }
-    if rng.gen_range(0..5) < 4 {
-        Qual::path(arb_path(rng, labels, depth.min(2)))
-    } else {
-        let consts = ["v0", "v1", "sel"];
-        Qual::TextEq(consts[rng.gen_range(0..consts.len())].into())
-    }
-}
-
-/// Distinct query-generator seed per (property, document seed, case index).
-fn case_rng(property: u64, seed: u64, case: usize) -> SplitMix64 {
-    SplitMix64::seed_from_u64(
-        property
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(seed.wrapping_mul(1 << 20))
-            .wrapping_add(case as u64),
-    )
-}
+/// Text literals for `text() = "…"`.
+const LITERALS: &[&str] = &["v0", "v1", "sel"];
 
 fn oracle(query: &Path, tree: &Tree, dtd: &Dtd) -> BTreeSet<u32> {
     eval_from_document(query, tree, dtd)
@@ -121,7 +56,7 @@ fn check_soundness(dtd: &Dtd, labels: &[&str], property: u64, seeds: std::ops::R
         .generate();
         for case in 0..CASES_PER_SEED {
             let mut rng = case_rng(property, seed, case);
-            let query = arb_path(&mut rng, labels, 3);
+            let query = arb_path(&mut rng, labels, LITERALS, 3);
             total += 1;
             let answers = oracle(&query, &tree, dtd);
             match analyzer.check(&query) {
@@ -192,7 +127,7 @@ fn normalization_preserves_oracle_semantics() {
         .generate();
         for case in 0..CASES_PER_SEED {
             let mut rng = case_rng(14, seed, case);
-            let query = arb_path(&mut rng, &labels, 3);
+            let query = arb_path(&mut rng, &labels, LITERALS, 3);
             let normal = analyzer.normalize(&query);
             assert_eq!(
                 oracle(&normal, &tree, &dtd),
@@ -217,7 +152,7 @@ fn engine_never_falsely_prunes() {
     for seed in 60u64..63 {
         for case in 0..CASES_PER_SEED {
             let mut rng = case_rng(15, seed, case);
-            let query = arb_path(&mut rng, &labels, 3);
+            let query = arb_path(&mut rng, &labels, LITERALS, 3);
             let prepared = engine
                 .prepare_path(&engine.normalize_path(&query))
                 .expect("queries prepare");
