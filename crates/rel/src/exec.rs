@@ -25,12 +25,15 @@
 //!   `push(R1, R0)`, for the range join): its sweep-or-nested-loop choice is
 //!   made on the seeds and it emits exactly the pairs the semi-join keeps.
 //! * **Load-time base-edge indexes** — the [`Database`] carries per-relation
-//!   hash indexes on the edge columns (`F` → rows, `T` → rows), built once
-//!   at load under the `Arc`. A join whose *build* (right) side is a plain
-//!   base-table scan probes the cached index instead of building a table
-//!   ([`Stats::join_index_reuses`] counts them). The translator's child
-//!   steps are `SemiJoin(Scan R_x, small)` — the scan on the *probe* side —
-//!   so none of the ten benchmark queries reaches an index today
+//!   indexes on the edge columns (`F` → rows, `T` → rows): the same
+//!   `RowMultimap` a join would build, built by [`Database::build_indexes`]
+//!   before the store goes behind its `Arc`. A relation has one iff
+//!   `build_indexes` ran after its last [`Database::insert`]. A join whose
+//!   *build* (right) side is a plain base-table scan probes that index
+//!   instead of building a table ([`Stats::join_index_reuses`] counts
+//!   them). The translator's child steps are `SemiJoin(Scan R_x, small)`
+//!   — the scan on the *probe* side — so none of the ten benchmark
+//!   queries reaches an index today
 //!   (`rel.exec.join_index_reuses = 0`); driving those joins from the small
 //!   side through the index is the follow-up (ROADMAP item 5).
 //! * **Integer-dominated keys** — text values are dictionary-coded at load
@@ -39,7 +42,7 @@
 //!   `u128` when every component is a node id / code / small int.
 
 use crate::dict::Dictionary;
-use crate::fxhash::{fx_map_with_capacity, fx_set_with_capacity, FxHashMap, FxHashSet};
+use crate::fxhash::{fx_set_with_capacity, FxHashSet};
 use crate::interval::{eval_interval_join, IntervalLabels, IntervalView};
 use crate::lfp::eval_lfp;
 use crate::multilfp::eval_multilfp;
@@ -52,105 +55,41 @@ use crate::value::Value;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
-
-/// Acquire a read lock, recovering the data from a poisoned lock (the
-/// caches hold derived data that is rebuilt deterministically, so a
-/// panicked writer cannot leave them logically inconsistent).
-fn read_lock<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    lock.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Acquire a write lock, recovering from poisoning (see [`read_lock`]).
-fn write_lock<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    lock.write().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// A per-column hash index over a stored relation: value → row indexes.
-/// NULL keys are excluded (they can never compare equal in a join).
-#[derive(Clone, Debug, Default)]
-pub struct ColIndex {
-    map: FxHashMap<Value, Vec<u32>>,
-}
-
-impl ColIndex {
-    fn build(rel: &Relation, col: usize) -> Self {
-        let mut map: FxHashMap<Value, Vec<u32>> = fx_map_with_capacity(rel.len());
-        for (i, t) in rel.rows().enumerate() {
-            if t[col] != Value::Null {
-                map.entry(t[col].clone()).or_default().push(i as u32);
-            }
-        }
-        ColIndex { map }
-    }
-
-    /// Row indexes holding `v` in the indexed column.
-    #[inline]
-    pub fn get(&self, v: &Value) -> Option<&[u32]> {
-        self.map.get(v).map(Vec::as_slice)
-    }
-
-    /// Number of distinct indexed values.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
+use std::sync::Arc;
 
 /// A database: named base relations (the shredded store), their load-time
-/// string [`Dictionary`], cached per-relation edge indexes, and — when the
-/// store was shredded from a document — per-node pre/post
-/// [`IntervalLabels`] with per-relation sorted interval views.
+/// string [`Dictionary`], per-relation edge indexes, and — when the store
+/// was shredded from a document — per-node pre/post [`IntervalLabels`] with
+/// per-relation sorted interval views.
+///
+/// Plain data: the indexes and views are **derived**, and only the calls
+/// that change the store change them — reads never build anything.
 ///
 /// # Invariants
 ///
 /// * Dictionary codes ([`Value::Code`]) stored in the relations are
 ///   load-scoped to this database's dictionary;
-/// * cached indexes and interval views are **derived** data:
-///   [`Database::insert`] drops the replaced relation's cache entries and
-///   the document-wide interval labels (inserted rows carry no label), and
-///   the next use rebuilds indexes lazily — a mutated store never serves
-///   stale index results;
-/// * lazy rebuilds only happen on stores that opted into indexing via
-///   [`Database::build_indexes`] — a never-indexed database keeps
-///   returning `None` from [`Database::index_of`].
-#[derive(Debug, Default)]
+/// * interval views exist iff interval labels do: [`Database::set_intervals`]
+///   builds one per arity ≥ 2 relation, and [`Database::insert`] drops the
+///   labels (inserted rows carry none) and with them every view;
+/// * a relation has an index iff [`Database::build_indexes`] ran after its
+///   last [`Database::insert`] — a mutated store never serves a stale
+///   index; until the next `build_indexes` its joins build a fresh table.
+#[derive(Clone, Debug, Default)]
 pub struct Database {
     relations: HashMap<String, Relation>,
     dict: Dictionary,
     /// name → (index on col 0, index on col 1), for arity ≥ 2 relations.
-    /// Interior-mutable so invalidated entries rebuild lazily on next use
-    /// (`&self`), even behind an `Arc`.
-    indexes: RwLock<HashMap<String, [Arc<ColIndex>; 2]>>,
-    /// Whether [`Database::build_indexes`] has run — the opt-in that
-    /// enables lazy index (re)builds in [`Database::index_of`].
-    indexed: bool,
+    indexes: HashMap<String, [Arc<RowMultimap<Value>>; 2]>,
     /// Pre/post interval labels from the shredder's DFS, or `None` for
     /// stores that were not shredded from a document — or were mutated
     /// after shredding (any [`Database::insert`] clears this, which makes
     /// executions fall back to the LFP path).
     intervals: Option<Arc<IntervalLabels>>,
     /// name → that relation's `T`-column nodes sorted by `start` label
-    /// (the sort-merge side of [`Plan::IntervalJoin`]); built alongside
-    /// the hash indexes, rebuilt lazily like them.
-    interval_views: RwLock<HashMap<String, Arc<IntervalView>>>,
-}
-
-impl Clone for Database {
-    fn clone(&self) -> Self {
-        Database {
-            relations: self.relations.clone(),
-            dict: self.dict.clone(),
-            indexes: RwLock::new(read_lock(&self.indexes).clone()),
-            indexed: self.indexed,
-            intervals: self.intervals.clone(),
-            interval_views: RwLock::new(read_lock(&self.interval_views).clone()),
-        }
-    }
+    /// (the sort-merge side of [`Plan::IntervalJoin`]); built with the
+    /// labels, dropped with them.
+    interval_views: HashMap<String, Arc<IntervalView>>,
 }
 
 impl Database {
@@ -159,16 +98,15 @@ impl Database {
         Database::default()
     }
 
-    /// Register a base relation. Drops the replaced relation's cached
-    /// index and interval view, and clears the document-wide interval
-    /// labels — rows inserted after shredding carry no pre/post label, so
-    /// the interval fast path must not run against a mutated store.
-    /// Hash indexes rebuild lazily on next use (if
-    /// [`Database::build_indexes`] ever ran); interval labels only come
-    /// back via a fresh [`Database::set_intervals`].
+    /// Register a base relation. Drops the replaced relation's index and
+    /// the document-wide interval labels with every view built from them —
+    /// rows inserted after shredding carry no pre/post label, so the
+    /// interval fast path must not run against a mutated store. The index
+    /// comes back with the next [`Database::build_indexes`], the labels
+    /// only with a fresh [`Database::set_intervals`].
     pub fn insert(&mut self, name: &str, rel: Relation) {
-        write_lock(&self.indexes).remove(name);
-        write_lock(&self.interval_views).remove(name);
+        self.indexes.remove(name);
+        self.interval_views.clear();
         self.intervals = None;
         self.relations.insert(name.to_string(), rel);
     }
@@ -222,73 +160,44 @@ impl Database {
     }
 
     /// Build the per-relation edge-column indexes (`F` → rows, `T` → rows)
-    /// for every arity ≥ 2 relation that does not have one yet — and, when
-    /// interval labels are present, the per-relation sorted interval views
-    /// alongside them. Loaders call this once before the store goes behind
-    /// an `Arc`; idempotent. It also opts the store into *lazy* rebuilds:
-    /// after a later [`Database::insert`], the next [`Database::index_of`]
-    /// on the replaced relation rebuilds its index on the fly.
+    /// for every arity ≥ 2 relation that does not have one yet. Loaders
+    /// call this before the store goes behind an `Arc`; idempotent. A
+    /// relation inserted afterwards has no index until the next call.
     pub fn build_indexes(&mut self) {
-        self.indexed = true;
-        let mut indexes = write_lock(&self.indexes);
-        let mut views = write_lock(&self.interval_views);
         for (name, rel) in &self.relations {
-            if rel.arity() < 2 {
-                continue;
-            }
-            if !indexes.contains_key(name) {
-                indexes.insert(
-                    name.clone(),
-                    [
-                        Arc::new(ColIndex::build(rel, 0)),
-                        Arc::new(ColIndex::build(rel, 1)),
-                    ],
-                );
-            }
-            if let Some(labels) = &self.intervals {
-                if !views.contains_key(name) {
-                    views.insert(name.clone(), Arc::new(IntervalView::build(rel, labels)));
-                }
+            if rel.arity() >= 2 && !self.indexes.contains_key(name) {
+                let index = |col: usize| {
+                    Arc::new(RowMultimap::build(rel.len(), |i| {
+                        non_null(&rel.row(i)[col]).cloned()
+                    }))
+                };
+                self.indexes.insert(name.clone(), [index(0), index(1)]);
             }
         }
     }
 
-    /// The index of `name` on column `col` (0 = `F`, 1 = `T`), if this
-    /// store is indexed ([`Database::build_indexes`]). A relation whose
-    /// cached entry was invalidated by [`Database::insert`] is re-indexed
-    /// here, lazily, so callers never observe a stale index.
-    pub fn index_of(&self, name: &str, col: usize) -> Option<Arc<ColIndex>> {
-        if col > 1 || !self.indexed {
-            return None;
-        }
-        if let Some(pair) = read_lock(&self.indexes).get(name) {
-            return Some(Arc::clone(&pair[col]));
-        }
-        let rel = self.relations.get(name)?;
-        if rel.arity() < 2 {
-            return None;
-        }
-        let pair = [
-            Arc::new(ColIndex::build(rel, 0)),
-            Arc::new(ColIndex::build(rel, 1)),
-        ];
-        let got = Arc::clone(&pair[col]);
-        // A racing rebuild of the same relation produces an identical
-        // index; either insert order yields a correct cache.
-        write_lock(&self.indexes).insert(name.to_string(), pair);
-        Some(got)
+    /// The index of `name` on column `col` (0 = `F`, 1 = `T`): `Some` iff
+    /// [`Database::build_indexes`] ran after `name`'s last
+    /// [`Database::insert`].
+    pub(crate) fn index_of(&self, name: &str, col: usize) -> Option<&RowMultimap<Value>> {
+        self.indexes.get(name)?.get(col).map(Arc::as_ref)
     }
 
-    /// Number of relations with cached edge indexes.
+    /// Number of relations with edge indexes.
     pub fn indexed_relations(&self) -> usize {
-        read_lock(&self.indexes).len()
+        self.indexes.len()
     }
 
     /// Attach the shredder's per-node pre/post interval labels, replacing
-    /// any previous labels and dropping every cached interval view (views
-    /// are derived from the labels).
+    /// any previous labels, and build every arity ≥ 2 relation's sorted
+    /// interval view from them.
     pub fn set_intervals(&mut self, labels: IntervalLabels) {
-        write_lock(&self.interval_views).clear();
+        self.interval_views = self
+            .relations
+            .iter()
+            .filter(|(_, rel)| rel.arity() >= 2)
+            .map(|(name, rel)| (name.clone(), Arc::new(IntervalView::build(rel, &labels))))
+            .collect();
         self.intervals = Some(Arc::new(labels));
     }
 
@@ -304,18 +213,10 @@ impl Database {
         self.intervals.as_ref()
     }
 
-    /// The sorted interval view of `name`'s `T` column, building (or
-    /// lazily rebuilding, after an invalidation) on first use. `None` when
-    /// the store has no interval labels or no such relation.
-    pub fn interval_view(&self, name: &str) -> Option<Arc<IntervalView>> {
-        let labels = self.intervals.as_ref()?;
-        if let Some(view) = read_lock(&self.interval_views).get(name) {
-            return Some(Arc::clone(view));
-        }
-        let rel = self.relations.get(name)?;
-        let view = Arc::new(IntervalView::build(rel, labels));
-        write_lock(&self.interval_views).insert(name.to_string(), Arc::clone(&view));
-        Some(view)
+    /// The sorted interval view of `name`'s `T` column: `Some` iff the
+    /// store has interval labels and `name` is an arity ≥ 2 relation.
+    pub fn interval_view(&self, name: &str) -> Option<&IntervalView> {
+        self.interval_views.get(name).map(Arc::as_ref)
     }
 }
 
@@ -904,13 +805,7 @@ fn eval_join<'a>(
         l.arity() + r.arity()
     );
     Ok(hash_join(
-        &l,
-        &r,
-        join.on,
-        join.kind,
-        ctx.stats,
-        prebuilt.as_deref(),
-        &fused,
+        &l, &r, join.on, join.kind, ctx.stats, prebuilt, &fused,
     ))
 }
 
@@ -991,7 +886,7 @@ fn hash_join(
     on: &[(usize, usize)],
     kind: JoinKind,
     stats: &mut Stats,
-    prebuilt: Option<&ColIndex>,
+    prebuilt: Option<&RowMultimap<Value>>,
     fused: &Fused<'_>,
 ) -> Relation {
     stats.joins += 1;
@@ -999,8 +894,7 @@ fn hash_join(
         // Cached-index path: no build phase at all.
         stats.join_index_reuses += 1;
         probe(left, right, kind, fused, |t| {
-            let rows = non_null(&t[*lcol]).and_then(|v| idx.get(v));
-            rows.unwrap_or_default().iter().copied()
+            idx.rows_of(non_null(&t[*lcol]))
         })
     } else if let [(lcol, rcol)] = *on {
         // fast path: borrowed single-column key
@@ -1190,23 +1084,35 @@ mod tests {
         }
     }
 
-    /// An insert must never leave a stale index observable: the replaced
-    /// relation's index rebuilds lazily on next use, so the first lookup
-    /// after the mutation already reflects the new rows.
+    /// An insert drops the replaced relation's index, and nothing rebuilds
+    /// it behind the caller's back: it is gone until the next
+    /// `build_indexes`, which then indexes exactly the new rows — every row
+    /// under its own key, in ascending order, and no stale row.
     #[test]
     fn insert_invalidates_stale_index() {
         let mut db = db_with("A", rel2(&[(1, 2)]));
         db.build_indexes();
         assert!(db.index_of("A", 0).is_some());
-        db.insert("A", rel2(&[(5, 6)]));
-        assert_eq!(db.indexed_relations(), 0, "cached entry dropped");
-        let idx = db.index_of("A", 0).expect("rebuilt lazily on next use");
-        assert!(idx.get(&Value::Id(5)).is_some(), "fresh rows indexed");
-        assert!(idx.get(&Value::Id(1)).is_none(), "no stale rows");
-        assert_eq!(db.indexed_relations(), 1, "lazy rebuild cached");
+        db.insert("A", rel2(&[(5, 6), (5, 7), (8, 6)]));
+        assert_eq!(db.indexed_relations(), 0, "index dropped");
+        assert!(db.index_of("A", 0).is_none(), "and not rebuilt on a read");
+        db.build_indexes();
+        let rel = db.get("A").unwrap();
+        for col in 0..2 {
+            let idx = db.index_of("A", col).expect("rebuilt by build_indexes");
+            for (i, t) in rel.rows().enumerate() {
+                let want: Vec<u32> = (0..rel.len() as u32)
+                    .filter(|&j| rel.row(j as usize)[col] == t[col])
+                    .collect();
+                let got: Vec<u32> = idx.rows_of(Some(&t[col])).collect();
+                assert_eq!(got, want, "col {col}, key of row {i}");
+            }
+            assert_eq!(idx.rows_of(Some(&Value::Id(1))).count(), 0, "no stale rows");
+        }
+        assert_eq!(db.indexed_relations(), 1);
     }
 
-    /// A store that never called `build_indexes` must not index lazily —
+    /// A store that never called `build_indexes` has no index —
     /// plain test databases keep exercising the index-free join path.
     #[test]
     fn never_indexed_store_stays_index_free() {
@@ -1217,29 +1123,110 @@ mod tests {
         assert_eq!(db.indexed_relations(), 0);
     }
 
-    /// A query against a mutated store must see the mutation — the join
-    /// result served through the lazily rebuilt index equals a fresh
-    /// index-free evaluation (the regression ISSUE 9 satellite pins).
+    /// The derived data's lifecycle, step by step on a small store: after
+    /// every `insert`, `set_intervals` and `build_indexes`, each relation
+    /// has an interval view iff the store has labels, an index iff
+    /// `build_indexes` ran after its last `insert`, and every join answers
+    /// row for row what the index-free evaluation answers — a mutated store
+    /// never serves a stale index.
     #[test]
     fn mutated_store_queries_are_fresh() {
+        enum Step {
+            Insert(&'static str, Relation),
+            Label,
+            Index,
+        }
+        let labels = || {
+            let mut labels = IntervalLabels::with_len(10);
+            for n in 0..10u32 {
+                labels.set(n, u64::from(n) * 10, u64::from(n) * 10 + 5);
+            }
+            labels
+        };
+        let steps = [
+            Step::Insert("A", rel2(&[(1, 2), (1, 3)])),
+            Step::Insert("B", rel2(&[(2, 9), (3, 8)])),
+            Step::Label,
+            Step::Index,
+            // replace B: old edge (2,9) gone, new edge (2,7) present
+            Step::Insert("B", rel2(&[(2, 7)])),
+            Step::Label,
+            Step::Index,
+            Step::Insert("A", rel2(&[(4, 2), (4, 4)])),
+            Step::Index,
+            Step::Label,
+        ];
+        // each join with the relation on its build (right) side
+        let plans = [
+            (
+                Plan::Scan("A".into()).join_on(Plan::Scan("B".into()), 1, 0),
+                "B",
+            ),
+            (
+                Plan::Scan("A".into()).semi_join(Plan::Scan("B".into()), 1, 0),
+                "B",
+            ),
+            (
+                Plan::Scan("A".into()).anti_join(Plan::Scan("B".into()), 1, 0),
+                "B",
+            ),
+            (
+                Plan::Scan("B".into()).join_on(Plan::Scan("A".into()), 0, 1),
+                "A",
+            ),
+        ];
         let mut db = Database::new();
-        db.insert("A", rel2(&[(1, 2), (1, 3)]));
-        db.insert("B", rel2(&[(2, 9), (3, 8)]));
-        db.build_indexes();
-        let p = Plan::Scan("A".into()).join_on(Plan::Scan("B".into()), 1, 0);
-        assert_eq!(run(&p, &db).len(), 2);
-        // replace B: old edge (2,9) gone, new edge (2,77) present
-        db.insert("B", rel2(&[(2, 77)]));
-        let out = run(&p, &db);
-        assert_eq!(out.len(), 1);
+        let mut indexed: HashMap<&str, bool> = HashMap::new();
+        for (at, step) in steps.into_iter().enumerate() {
+            match step {
+                Step::Insert(name, rel) => {
+                    db.insert(name, rel);
+                    indexed.insert(name, false);
+                }
+                Step::Label => db.set_intervals(labels()),
+                Step::Index => {
+                    db.build_indexes();
+                    indexed.values_mut().for_each(|i| *i = true);
+                }
+            }
+            for (&name, &want) in &indexed {
+                let view = db.interval_view(name).is_some();
+                assert_eq!(view, db.has_intervals(), "step {at}: {name} view");
+                for col in 0..2 {
+                    let index = db.index_of(name, col).is_some();
+                    assert_eq!(index, want, "step {at}: {name} index on {col}");
+                }
+            }
+            if indexed.len() < 2 {
+                continue;
+            }
+            let mut bare = Database::new();
+            for name in db.names() {
+                bare.insert(name, db.get(name).unwrap().clone());
+            }
+            for (p, build_side) in &plans {
+                let env = HashMap::new();
+                let mut stats = Stats::default();
+                let mut ctx = ExecCtx {
+                    db: &db,
+                    env: &env,
+                    opts: ExecOptions::default(),
+                    stats: &mut stats,
+                };
+                let got = eval_plan(p, &mut ctx).unwrap().into_owned();
+                assert_eq!(got, run(p, &bare), "step {at}: {p:?}");
+                let reused = usize::from(indexed[build_side]);
+                assert_eq!(stats.join_index_reuses, reused, "step {at}: {p:?}");
+            }
+        }
         assert_eq!(
-            out.row(0),
-            &[Value::Id(1), Value::Id(2), Value::Id(2), Value::Id(77)],
-            "the rebuilt index serves the mutated rows, not the stale ones"
+            run(&plans[0].0, &db).sorted_tuples(),
+            vec![vec![Value::Id(4), Value::Id(2), Value::Id(2), Value::Id(7)]],
+            "the store serves the mutated rows, not the stale ones"
         );
     }
 
-    /// Mutation drops interval labels and cached views: the fast path's
+    /// Mutation drops interval labels and every view: the fast path's
     /// gate (`has_intervals`) closes, so interval programs can never run
     /// against rows that carry no label.
     #[test]
@@ -1249,12 +1236,11 @@ mod tests {
         labels.set(0, 0, 30);
         labels.set(1, 10, 20);
         db.set_intervals(labels);
-        db.build_indexes();
         assert!(db.has_intervals());
         assert_eq!(db.interval_view("A").expect("view built").len(), 1);
-        db.insert("A", rel2(&[(0, 1), (1, 2)]));
+        db.insert("B", rel2(&[(0, 1), (1, 2)]));
         assert!(!db.has_intervals(), "mutation clears the labels");
-        assert!(db.interval_view("A").is_none(), "and the views");
+        assert!(db.interval_view("A").is_none(), "and every view");
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub use analyze::{
     AnalyzeErrorKind, AnalyzeWarning, ColType, Schema,
 };
 pub use dict::Dictionary;
-pub use exec::{ColIndex, Database, ExecError, ExecOptions};
+pub use exec::{Database, ExecError, ExecOptions};
 pub use explain::{explain_opt_report, explain_plan, explain_program};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use interval::{IntervalLabels, IntervalView, LABEL_GAP};
@@ -73,6 +73,6 @@ pub use plan::{
 };
 pub use program::{OpCounts, Program, Stmt, TempId};
 pub use relation::Relation;
-pub use sql::{render_program, render_program_checked, SqlDialect};
+pub use sql::{render_program, SqlDialect};
 pub use stats::{SharedStats, Stats};
 pub use value::Value;

@@ -7,8 +7,9 @@
 //!
 //! * [`RowMultimap`] chains the rows instead: a hash map from the key to the
 //!   **first** row holding it plus one `next` array threading each row to the
-//!   next one with an equal key. It serves the hash-join build sides and
-//!   `Relation::dedup`, whose keys are arbitrary values.
+//!   next one with an equal key. It serves the hash-join build sides, the
+//!   `Database`'s load-time F/T indexes and `Relation::dedup`, whose keys
+//!   are arbitrary values.
 //! * [`Csr`] is the same idea for keys that are already dense `u32` codes
 //!   (the interned nodes of the fixpoint operators): offsets + targets, no
 //!   hashing at all, neighbours contiguous.
@@ -27,6 +28,7 @@ const NO_ROW: u32 = u32::MAX;
 
 /// A multimap from keys to row numbers: `head[key]` is the first row of the
 /// key's chain, `next[row]` the row after it.
+#[derive(Debug)]
 pub(crate) struct RowMultimap<K> {
     head: FxHashMap<K, u32>,
     next: Vec<u32>,

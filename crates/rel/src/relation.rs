@@ -218,8 +218,8 @@ impl Relation {
 
     /// Set of (borrowed) values in one column — no `Value` clones.
     /// (Per-column *indexes* — value → row ids — live on the
-    /// [`crate::Database`] as load-time [`crate::ColIndex`]es; transient
-    /// join build tables use borrowed keys and need no helper here.)
+    /// [`crate::Database`] as load-time F/T indexes; transient join build
+    /// tables use borrowed keys and need no helper here.)
     pub fn value_set(&self, col: usize) -> FxHashSet<&Value> {
         self.rows().map(|t| &t[col]).collect()
     }

@@ -25,24 +25,13 @@ pub enum SqlDialect {
     Oracle,
 }
 
-/// [`render_program`], gated on the static analyzer: refuses to render an
-/// ill-formed program (every dialect renders only verified programs).
-pub fn render_program_checked(
-    prog: &Program,
-    dialect: SqlDialect,
-) -> Result<String, crate::analyze::AnalyzeError> {
-    crate::analyze::analyze_program(prog)?;
-    Ok(render_program(prog, dialect))
-}
-
 /// Render a whole program as a SQL script: one `CREATE TEMPORARY TABLE`
 /// statement per temp, ending with a `SELECT` of the result.
 ///
 /// In debug builds, complete programs (ones naming a result) are verified
 /// by the static analyzer first — rendering an ill-formed program panics
 /// with its diagnostic. Result-less fragments render unchecked (useful for
-/// tests and debugging partial programs); [`render_program_checked`]
-/// returns the diagnostic instead of panicking.
+/// tests and debugging partial programs).
 pub fn render_program(prog: &Program, dialect: SqlDialect) -> String {
     #[cfg(debug_assertions)]
     if prog.result.is_some() {

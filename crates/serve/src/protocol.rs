@@ -38,7 +38,8 @@ impl Request {
 }
 
 /// Percent-decode `s`, mapping `+` to space (query-string convention).
-/// Malformed escapes are passed through literally.
+/// Malformed escapes — `%` not followed by two ASCII hex digits — are
+/// passed through literally.
 pub fn percent_decode(s: &str) -> String {
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
@@ -50,17 +51,13 @@ pub fn percent_decode(s: &str) -> String {
                 i += 1;
             }
             b'%' => {
-                let hex = bytes.get(i + 1..i + 3);
-                match hex.and_then(|h| {
-                    std::str::from_utf8(h)
-                        .ok()
-                        .and_then(|h| u8::from_str_radix(h, 16).ok())
-                }) {
-                    Some(byte) => {
-                        out.push(byte);
+                let digit = |k: usize| bytes.get(i + k).and_then(|&b| char::from(b).to_digit(16));
+                match (digit(1), digit(2)) {
+                    (Some(hi), Some(lo)) => {
+                        out.push((hi * 16 + lo) as u8);
                         i += 3;
                     }
-                    None => {
+                    _ => {
                         out.push(b'%');
                         i += 1;
                     }
@@ -239,8 +236,12 @@ mod tests {
 
     #[test]
     fn plus_and_percent_decode_in_params() {
-        let req = parse("GET /query?q=a+b%5B1%5D HTTP/1.1\r\n\r\n");
+        let req = parse("GET /query?q=a+b%5B1%5D&s=%+41&m=%-4&t=%4 HTTP/1.1\r\n\r\n");
         assert_eq!(req.param("q"), Some("a b[1]"));
+        // a sign is not a hex digit: the escape passes through literally
+        assert_eq!(req.param("s"), Some("% 41"));
+        assert_eq!(req.param("m"), Some("%-4"));
+        assert_eq!(req.param("t"), Some("%4"));
     }
 
     #[test]

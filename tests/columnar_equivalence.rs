@@ -392,7 +392,7 @@ fn join_kernels_equal_a_nested_loop_reference_as_ordered_bags() {
     plain.insert("L", left.clone());
     plain.insert("R", right.clone());
     // the same store with load-time indexes: single-column joins on K1/K2
-    // then probe the cached `ColIndex` instead of building a table
+    // then probe the store's F/T index instead of building a table
     let mut indexed = plain.clone();
     indexed.build_indexes();
 
