@@ -45,12 +45,15 @@ impl fmt::Display for CycleEError {
 
 impl std::error::Error for CycleEError {}
 
-/// Compute `rec(a, b)` as a plain regular expression, with intermediate
-/// results capped at `cap` AST nodes.
+/// Compute `rec(a, b)` for every node pair at once, as plain regular
+/// expressions, with intermediate results capped at `cap` AST nodes:
+/// `rec_matrix(g, cap)?[a][b]` is `rec(a, b)`. This is the paper's
+/// algorithm as stated — one fill of the whole matrix, whose cost Lemma
+/// 4.1 bounds — and every cell a translation reads comes from that fill.
 ///
 /// The document node never has incoming edges, so it is skipped as an
 /// intermediate node `k` (harmless: no path routes through it).
-pub fn rec_regular(g: &TransGraph<'_>, a: TNode, b: TNode, cap: usize) -> Result<Exp, CycleEError> {
+pub fn rec_matrix(g: &TransGraph<'_>, cap: usize) -> Result<Vec<Vec<Exp>>, CycleEError> {
     let n = g.len();
     // M[i][j] for the current level; level 0 = direct edges (+ ε on the
     // diagonal).
@@ -96,7 +99,9 @@ pub fn rec_regular(g: &TransGraph<'_>, a: TNode, b: TNode, cap: usize) -> Result
         }
         m = next;
     }
-    Ok(simplify(&m[a][b]))
+    Ok(m.iter()
+        .map(|row| row.iter().map(simplify).collect())
+        .collect())
 }
 
 /// Word-language helpers for validating `rec(A,B)` constructions: they
@@ -197,11 +202,109 @@ pub mod words {
 }
 
 #[cfg(test)]
+/// The per-pair reference [`rec_matrix`] is tested against: the whole
+/// elimination, then one cell.
+pub(crate) fn rec_regular(
+    g: &TransGraph<'_>,
+    a: TNode,
+    b: TNode,
+    cap: usize,
+) -> Result<Exp, CycleEError> {
+    let n = g.len();
+    let mut m: Vec<Vec<Exp>> = vec![vec![Exp::EmptySet; n]; n];
+    for (i, row) in m.iter_mut().enumerate() {
+        for (j, cell) in row.iter_mut().enumerate() {
+            let mut e = if g.has_edge(i, j) {
+                Exp::label(g.name(j))
+            } else {
+                Exp::EmptySet
+            };
+            if i == j {
+                e = Exp::Epsilon.or(e);
+            }
+            *cell = e;
+        }
+    }
+    for k in 0..n {
+        if g.elem(k).is_none() {
+            continue;
+        }
+        let loop_k = m[k][k].clone().star();
+        let mut next = m.clone();
+        for i in 0..n {
+            if m[i][k].is_empty_set() {
+                continue;
+            }
+            for j in 0..n {
+                if m[k][j].is_empty_set() {
+                    continue;
+                }
+                let via = m[i][k].clone().then(loop_k.clone()).then(m[k][j].clone());
+                let combined = simplify(&m[i][j].clone().or(via));
+                let size = combined.size();
+                if size > cap {
+                    return Err(CycleEError::TooLarge { cap, reached: size });
+                }
+                next[i][j] = combined;
+            }
+        }
+        m = next;
+    }
+    Ok(simplify(&m[a][b]))
+}
+
+/// Every sample DTD but the 14-type `dept`, whose per-pair reference is
+/// slow in debug builds.
+#[cfg(test)]
+pub(crate) fn samples_but_dept() -> Vec<x2s_dtd::Dtd> {
+    use x2s_dtd::samples;
+    vec![
+        samples::dept_simplified(),
+        samples::cross(),
+        samples::bioml_a(),
+        samples::bioml_b(),
+        samples::bioml_c(),
+        samples::bioml_d(),
+        samples::gedml(),
+        samples::example_3_2_view(),
+        samples::example_3_2_source(),
+    ]
+}
+
+#[cfg(test)]
 mod tests {
     use super::words::{exp_words, path_words};
     use super::*;
     use std::collections::BTreeSet;
     use x2s_dtd::samples;
+
+    /// Every cell of the matrix equals the per-pair reference.
+    fn assert_matrix_matches_reference(dtd: &x2s_dtd::Dtd) {
+        let g = TransGraph::new(dtd);
+        let matrix = rec_matrix(&g, 1_000_000).unwrap();
+        assert_eq!(matrix.len(), g.len());
+        for (a, row) in matrix.iter().enumerate() {
+            for (b, cell) in row.iter().enumerate() {
+                let want = rec_regular(&g, a, b, 1_000_000).unwrap();
+                assert_eq!(*cell, want, "rec({}, {})", g.name(a), g.name(b));
+            }
+        }
+    }
+
+    #[test]
+    fn matrix_cells_equal_the_per_pair_reference() {
+        for dtd in samples_but_dept() {
+            assert_matrix_matches_reference(&dtd);
+        }
+        assert_matrix_matches_reference(&samples::complete_dag(5));
+    }
+
+    /// The 14-type `dept` costs 15² whole eliminations here.
+    #[test]
+    #[ignore = "slow in debug builds: run with --ignored"]
+    fn matrix_cells_equal_the_per_pair_reference_on_dept() {
+        assert_matrix_matches_reference(&samples::dept());
+    }
 
     fn check_language(dtd: &x2s_dtd::Dtd, from: &str, to: &str, max_len: usize) {
         let g = TransGraph::new(dtd);
@@ -211,7 +314,7 @@ mod tests {
             g.node(dtd.elem(from).unwrap())
         };
         let b = g.node(dtd.elem(to).unwrap());
-        let exp = rec_regular(&g, a, b, 1_000_000).unwrap();
+        let exp = rec_matrix(&g, 1_000_000).unwrap()[a][b].clone();
         let expect = path_words(&g, a, b, max_len);
         let got = exp_words(&exp, max_len);
         assert_eq!(got, expect, "language mismatch for rec({from},{to})");
@@ -239,10 +342,9 @@ mod tests {
         let g = TransGraph::new(&d);
         let a = g.node(d.elem("a").unwrap());
         let dd = g.node(d.elem("d").unwrap());
-        let same = rec_regular(&g, a, a, 1_000_000).unwrap();
-        assert!(exp_words(&same, 0).contains(&vec![]), "ε ∈ rec(a,a)");
-        let diff = rec_regular(&g, a, dd, 1_000_000).unwrap();
-        assert!(!exp_words(&diff, 0).contains(&vec![]), "ε ∉ rec(a,d)");
+        let m = rec_matrix(&g, 1_000_000).unwrap();
+        assert!(exp_words(&m[a][a], 0).contains(&vec![]), "ε ∈ rec(a,a)");
+        assert!(!exp_words(&m[a][dd], 0).contains(&vec![]), "ε ∉ rec(a,d)");
     }
 
     #[test]
@@ -251,8 +353,8 @@ mod tests {
         let g = TransGraph::new(&d);
         let dd = g.node(d.elem("d").unwrap());
         // d reaches c (d→c) but nothing reaches #doc
-        let e = rec_regular(&g, dd, g.doc(), 1_000_000);
-        assert!(matches!(e, Ok(exp) if exp.is_empty_set()));
+        let m = rec_matrix(&g, 1_000_000).unwrap();
+        assert!(m[dd][g.doc()].is_empty_set());
     }
 
     #[test]
@@ -260,9 +362,7 @@ mod tests {
         // Example 3.3 / 4.2: CycleE blows up on the complete DAG family.
         let d = samples::complete_dag(14);
         let g = TransGraph::new(&d);
-        let a1 = g.node(d.elem("A1").unwrap());
-        let an = g.node(d.elem("A14").unwrap());
-        let r = rec_regular(&g, a1, an, 2_000);
+        let r = rec_matrix(&g, 2_000);
         assert!(matches!(r, Err(CycleEError::TooLarge { .. })));
     }
 
@@ -273,8 +373,8 @@ mod tests {
         let g = TransGraph::new(&d);
         let a1 = g.node(d.elem("A1").unwrap());
         let a4 = g.node(d.elem("A4").unwrap());
-        let exp = rec_regular(&g, a1, a4, 100_000).unwrap();
-        let words = exp_words(&exp, 4);
+        let exp = &rec_matrix(&g, 100_000).unwrap()[a1][a4];
+        let words = exp_words(exp, 4);
         let expect: BTreeSet<Vec<String>> = [
             vec!["A4"],
             vec!["A2", "A4"],

@@ -122,7 +122,7 @@ fn bind_if_large(query: &mut ExtendedQuery, exp: Exp, note: impl FnOnce() -> Str
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cyclee::rec_regular;
+    use crate::cyclee::rec_matrix;
     use crate::cyclee::words::{exp_words, path_words};
     use x2s_dtd::samples;
     use x2s_exp::to_regular;
@@ -175,16 +175,17 @@ mod tests {
         // CycleE and CycleEX must denote the same languages (bounded check).
         let d = samples::bioml_b();
         let g = TransGraph::new(&d);
+        let cyclee = rec_matrix(&g, 1_000_000).unwrap();
         for from in ["gene", "dna", "clone", "locus"] {
             for to in ["gene", "dna", "clone", "locus"] {
                 let a = g.node(d.elem(from).unwrap());
                 let b = g.node(d.elem(to).unwrap());
-                let e_exp = rec_regular(&g, a, b, 1_000_000).unwrap();
+                let e_exp = &cyclee[a][b];
                 let (mut q, table) = RecTable::standalone(&g);
                 q.result = table.rec_full(a, b);
                 let ex_exp = to_regular(&q.pruned(), 5_000_000).unwrap();
                 assert_eq!(
-                    exp_words(&e_exp, 5),
+                    exp_words(e_exp, 5),
                     exp_words(&ex_exp, 5),
                     "mismatch rec({from},{to})"
                 );
@@ -208,10 +209,7 @@ mod tests {
             "CycleEX query unexpectedly large: {}",
             pruned.size()
         );
-        assert!(
-            rec_regular(&g, a1, a14, 2_000).is_err(),
-            "CycleE blows the same cap"
-        );
+        assert!(rec_matrix(&g, 2_000).is_err(), "CycleE blows the same cap");
     }
 
     #[test]

@@ -515,7 +515,7 @@ impl<'a> Compiler<'a> {
         let filtered = Plan::Join {
             left: Box::new(m.plan),
             right: Box::new(nodes.clone()),
-            on: vec![(1, 0)],
+            on: (1, 0),
             kind: JoinKind::Semi,
         };
         if !m.refl {
@@ -598,7 +598,7 @@ impl<'a> Compiler<'a> {
                 let restricted = Plan::Join {
                     left: Box::new(flat),
                     right: Box::new(seeds.clone()),
-                    on: vec![(0, 0)],
+                    on: (0, 0),
                     kind: JoinKind::Semi,
                 };
                 return Ok(CVal::rel(
@@ -613,7 +613,7 @@ impl<'a> Compiler<'a> {
             let restricted = Plan::Join {
                 left: Box::new(m.plan),
                 right: Box::new(seeds.clone()),
-                on: vec![(0, 0)],
+                on: (0, 0),
                 kind: JoinKind::Semi,
             };
             return Ok(CVal::rel(restricted, false, m.has_v));
@@ -630,7 +630,7 @@ impl<'a> Compiler<'a> {
                 Plan::Join {
                     left: Box::new(Plan::Scan(format!("R_{name}"))),
                     right: Box::new(seeds.clone()),
-                    on: vec![(0, 0)],
+                    on: (0, 0),
                     kind: JoinKind::Semi,
                 },
                 false,
@@ -644,7 +644,7 @@ impl<'a> Compiler<'a> {
                         Plan::Join {
                             left: Box::new(bound),
                             right: Box::new(seeds.clone()),
-                            on: vec![(0, 0)],
+                            on: (0, 0),
                             kind: JoinKind::Semi,
                         },
                         false,
@@ -741,7 +741,7 @@ impl<'a> Compiler<'a> {
                     Plan::Join {
                         left: Box::new(lfp),
                         right: Box::new(seeds.clone()),
-                        on: vec![(0, 0)],
+                        on: (0, 0),
                         kind: JoinKind::Semi,
                     }
                 };

@@ -46,7 +46,7 @@ pub mod pipeline;
 pub mod views;
 pub mod x2e;
 
-pub use cyclee::{rec_regular, CycleEError};
+pub use cyclee::{rec_matrix, CycleEError};
 pub use cycleex::RecTable;
 pub use e2sql::{exp_to_sql, exp_to_sql_with_report, SqlOptions};
 pub use engine::{Engine, EngineBuilder, EngineError, PreparedQuery};

@@ -22,7 +22,7 @@
 //! contains ε fold to `true`, and Boolean connectives constant-fold —
 //! removing structural joins before any SQL exists.
 
-use crate::cyclee::{rec_regular, CycleEError};
+use crate::cyclee::{rec_matrix, CycleEError};
 use crate::cycleex::RecTable;
 use crate::graph::{TNode, TransGraph};
 use crate::pipeline::TranslateError;
@@ -36,7 +36,8 @@ use x2s_xpath::{Path, Qual};
 pub enum RecMode {
     /// CycleEX (Fig. 7): shared all-pairs table.
     CycleEx,
-    /// CycleE (Fig. 6): per-pair regular expressions, capped.
+    /// CycleE (Fig. 6): regular expressions from one all-pairs matrix
+    /// per translation, capped.
     CycleE {
         /// AST-node cap before reporting blowup.
         cap: usize,
@@ -99,36 +100,7 @@ pub fn xpath_to_exp(
     mode: &RecMode,
 ) -> Result<XpathTranslation, TranslateError> {
     let g = TransGraph::new(dtd);
-    let mut tr = X2e {
-        g: &g,
-        mode: mode.clone(),
-        query: ExtendedQuery::default(),
-        rec_table: None,
-        cyclee_cache: HashMap::new(),
-        external_cache: HashMap::new(),
-        external_recs: Vec::new(),
-        rec_hints: Vec::new(),
-    };
-    let table = tr.translate(path)?;
-    let doc = g.doc();
-    let mut result = Exp::EmptySet;
-    let mut reach_result = Vec::new();
-    for (&(a, b), exp) in &table.entries {
-        if a == doc {
-            result = result.or(exp.clone());
-            reach_result.push(b);
-        }
-    }
-    // ε at the document (query matching the document node itself) denotes a
-    // non-element and contributes nothing to the answer set, but keeping it
-    // is harmless; simplification tidies the union.
-    tr.query.result = simplify(&result);
-    Ok(XpathTranslation {
-        query: tr.query,
-        reach_result,
-        external_recs: tr.external_recs,
-        rec_hints: tr.rec_hints,
-    })
+    X2e::new(&g, mode).run(path)
 }
 
 /// Local translations of one sub-query: `x2e(p, A, B)` per pair plus static
@@ -150,13 +122,53 @@ struct X2e<'a> {
     mode: RecMode,
     query: ExtendedQuery,
     rec_table: Option<RecTable>,
-    cyclee_cache: HashMap<(TNode, TNode), Exp>,
+    /// CycleE's whole `rec` matrix, ε-free parts, filled on the first
+    /// `rec` this translation asks for.
+    cyclee_matrix: Option<Vec<Vec<Exp>>>,
     external_cache: HashMap<(TNode, TNode), Exp>,
     external_recs: Vec<ExternalRec>,
     rec_hints: Vec<RecHint>,
 }
 
 impl<'a> X2e<'a> {
+    fn new(g: &'a TransGraph<'a>, mode: &RecMode) -> Self {
+        X2e {
+            g,
+            mode: mode.clone(),
+            query: ExtendedQuery::default(),
+            rec_table: None,
+            cyclee_matrix: None,
+            external_cache: HashMap::new(),
+            external_recs: Vec::new(),
+            rec_hints: Vec::new(),
+        }
+    }
+
+    /// Translate `path` and assemble the whole query's answer from the
+    /// document's entries.
+    fn run(mut self, path: &Path) -> Result<XpathTranslation, TranslateError> {
+        let table = self.translate(path)?;
+        let doc = self.g.doc();
+        let mut result = Exp::EmptySet;
+        let mut reach_result = Vec::new();
+        for (&(a, b), exp) in &table.entries {
+            if a == doc {
+                result = result.or(exp.clone());
+                reach_result.push(b);
+            }
+        }
+        // ε at the document (query matching the document node itself)
+        // denotes a non-element and contributes nothing to the answer set,
+        // but keeping it is harmless; simplification tidies the union.
+        self.query.result = simplify(&result);
+        Ok(XpathTranslation {
+            query: self.query,
+            reach_result,
+            external_recs: self.external_recs,
+            rec_hints: self.rec_hints,
+        })
+    }
+
     /// ε-free part of `rec(a, c)` (ε is implicit exactly when `a == c`).
     fn rec_eps_free(&mut self, a: TNode, c: TNode) -> Result<Exp, TranslateError> {
         match self.mode.clone() {
@@ -171,18 +183,23 @@ impl<'a> X2e<'a> {
                 Ok(table.rec_eps_free(a, c).clone())
             }
             RecMode::CycleE { cap } => {
-                if let Some(e) = self.cyclee_cache.get(&(a, c)) {
-                    return Ok(e.clone());
-                }
-                let full = rec_regular(self.g, a, c, cap).map_err(
-                    |CycleEError::TooLarge { cap, reached }| TranslateError::RecBlowup {
-                        cap,
-                        reached,
-                    },
-                )?;
-                let (_, eps_free) = split_eps(full);
-                self.cyclee_cache.insert((a, c), eps_free.clone());
-                Ok(eps_free)
+                let matrix = match &self.cyclee_matrix {
+                    Some(m) => m,
+                    None => {
+                        let m = rec_matrix(self.g, cap).map_err(
+                            |CycleEError::TooLarge { cap, reached }| TranslateError::RecBlowup {
+                                cap,
+                                reached,
+                            },
+                        )?;
+                        let eps_free = m
+                            .into_iter()
+                            .map(|row| row.into_iter().map(|e| split_eps(e).1).collect())
+                            .collect();
+                        self.cyclee_matrix.get_or_insert(eps_free)
+                    }
+                };
+                Ok(matrix[a][c].clone())
             }
             RecMode::External => {
                 if let Some(e) = self.external_cache.get(&(a, c)) {
@@ -561,6 +578,37 @@ mod tests {
     use x2s_dtd::samples;
     use x2s_xml::{parse_xml, NodeId, Tree};
     use x2s_xpath::{eval_from_document, parse_xpath};
+
+    /// Under CycleE every `rec` cell comes from one matrix per translation,
+    /// and the extended query is the one the per-pair reference gives: for
+    /// every `//A//B` over every sample DTD, the text is identical.
+    #[test]
+    fn cyclee_queries_equal_the_per_pair_reference() {
+        use crate::cyclee::{rec_regular, samples_but_dept};
+        let mode = RecMode::CycleE { cap: 1_000_000 };
+        for dtd in samples_but_dept() {
+            let g = TransGraph::new(&dtd);
+            let reference: Vec<Vec<Exp>> = (0..g.len())
+                .map(|a| {
+                    (0..g.len())
+                        .map(|b| split_eps(rec_regular(&g, a, b, 1_000_000).unwrap()).1)
+                        .collect()
+                })
+                .collect();
+            for a in dtd.ids() {
+                for b in dtd.ids() {
+                    let q = format!("//{}//{}", dtd.name(a), dtd.name(b));
+                    let path = parse_xpath(&q).unwrap();
+                    let got = xpath_to_exp(&path, &dtd, &mode).unwrap();
+                    let mut tr = X2e::new(&g, &mode);
+                    tr.cyclee_matrix = Some(reference.clone());
+                    let want = tr.run(&path).unwrap();
+                    assert_eq!(got.query.to_string(), want.query.to_string(), "{q}");
+                    assert_eq!(got.reach_result, want.reach_result, "{q}");
+                }
+            }
+        }
+    }
 
     fn table1_doc() -> (Dtd, Tree) {
         let d = samples::dept_simplified();

@@ -21,14 +21,13 @@
 //! | [`Value::Id`], [`Value::Doc`]     | `NodeId`             |
 //! | [`Value::Str`], [`Value::Code`]   | `Text`               |
 //! | `MultiLfp` `Rid` tag              | `Tag` (⊑ `Text`)     |
-//! | [`Value::Int`]                    | `Int`                |
 //! | [`Value::Null`]                   | (no information)     |
 //! | anything / conflicting            | `Top`                |
 //!
 //! ```text
-//!            Top
-//!          /  |  \
-//!     NodeId Text Int
+//!         Top
+//!        /   \
+//!    NodeId  Text
 //!             |
 //!            Tag
 //! ```
@@ -43,7 +42,7 @@
 //!   push-seed column) or a [`MultiLfpEdge`](crate::plan::MultiLfpEdge) is
 //!   in range of its input's
 //!   inferred arity ([`AnalyzeErrorKind::ColumnOutOfRange`]).
-//! * **Set-operation arity** — `Union` / `Diff` / `Intersect` arms agree
+//! * **Union arity** — every `Union` arm has the same arity
 //!   ([`AnalyzeErrorKind::ArityMismatch`]).
 //! * **Dependency order** — a statement references only *earlier* targets
 //!   ([`AnalyzeErrorKind::ForwardTempRef`]), every referenced temporary is
@@ -99,8 +98,6 @@ pub enum ColType {
     /// A `MultiLfp` `Rid` tag — a string drawn from the fixpoint's tag
     /// alphabet. `Tag ⊑ Text`.
     Tag,
-    /// An integer ([`Value::Int`]).
-    Int,
     /// No static information (or conflicting information).
     Top,
 }
@@ -122,7 +119,6 @@ impl ColType {
             Value::Null => None,
             Value::Doc | Value::Id(_) => Some(ColType::NodeId),
             Value::Str(_) | Value::Code(_) => Some(ColType::Text),
-            Value::Int(_) => Some(ColType::Int),
         }
     }
 }
@@ -133,7 +129,6 @@ impl fmt::Display for ColType {
             ColType::NodeId => "NodeId",
             ColType::Text => "Text",
             ColType::Tag => "Tag",
-            ColType::Int => "Int",
             ColType::Top => "Top",
         };
         write!(f, "{s}")
@@ -499,21 +494,15 @@ impl Ctx<'_> {
             } => {
                 let l = self.infer(left)?;
                 let r = self.infer(right)?;
-                for (lc, rc) in on {
-                    if let Some(arity) = l.arity() {
-                        if *lc >= arity {
+                for (col, s, context) in [
+                    (on.0, &l, "join key (left)"),
+                    (on.1, &r, "join key (right)"),
+                ] {
+                    if let Some(arity) = s.arity() {
+                        if col >= arity {
                             return Err(AnalyzeErrorKind::ColumnOutOfRange {
-                                context: "join key (left)".into(),
-                                col: *lc,
-                                arity,
-                            });
-                        }
-                    }
-                    if let Some(arity) = r.arity() {
-                        if *rc >= arity {
-                            return Err(AnalyzeErrorKind::ColumnOutOfRange {
-                                context: "join key (right)".into(),
-                                col: *rc,
+                                context: context.into(),
+                                col,
                                 arity,
                             });
                         }
@@ -542,10 +531,6 @@ impl Ctx<'_> {
                     arms.push(self.infer(p)?);
                 }
                 merge_arms(&arms, "union arms")
-            }
-            Plan::Diff { left, right } => self.infer_pairwise(left, right, "difference arms"),
-            Plan::Intersect { left, right } => {
-                self.infer_pairwise(left, right, "intersection arms")
             }
             Plan::Distinct(input) => self.infer(input),
             Plan::Lfp(spec) => self.infer_lfp(spec),
@@ -582,31 +567,6 @@ impl Ctx<'_> {
             }
         }
         Ok(Schema::known(vec![ColType::NodeId, ColType::NodeId]))
-    }
-
-    /// Diff / Intersect: equal arities; result rows come from the left.
-    fn infer_pairwise(
-        &self,
-        left: &Plan,
-        right: &Plan,
-        context: &str,
-    ) -> Result<Schema, AnalyzeErrorKind> {
-        let l = self.infer(left)?;
-        let r = self.infer(right)?;
-        if let (Some(la), Some(ra)) = (l.arity(), r.arity()) {
-            if la != ra {
-                return Err(AnalyzeErrorKind::ArityMismatch {
-                    context: context.into(),
-                    left: la,
-                    right: ra,
-                });
-            }
-        }
-        match (l.cols(), r.cols()) {
-            (Some(_), _) => Ok(l),
-            (None, Some(rc)) => Ok(Schema::known(vec![ColType::Top; rc.len()])),
-            (None, None) => Ok(Schema::unknown()),
-        }
     }
 
     fn infer_lfp(&self, spec: &LfpSpec) -> Result<Schema, AnalyzeErrorKind> {
@@ -773,33 +733,17 @@ fn infer_values(rel: &crate::relation::Relation) -> Schema {
 
 /// Check every column index a predicate mentions against the input arity.
 fn check_pred(pred: &Pred, arity: usize) -> Result<(), AnalyzeErrorKind> {
-    let out_of_range = |col: usize| AnalyzeErrorKind::ColumnOutOfRange {
-        context: "predicate".into(),
-        col,
-        arity,
-    };
     match pred {
-        Pred::True => Ok(()),
-        Pred::ColEqValue(c, _) => {
-            if *c >= arity {
-                return Err(out_of_range(*c));
-            }
-            Ok(())
-        }
-        Pred::ColEqCol(a, b) => {
-            if *a >= arity {
-                return Err(out_of_range(*a));
-            }
-            if *b >= arity {
-                return Err(out_of_range(*b));
-            }
-            Ok(())
-        }
-        Pred::And(a, b) | Pred::Or(a, b) => {
+        Pred::ColEqValue(col, _) if *col >= arity => Err(AnalyzeErrorKind::ColumnOutOfRange {
+            context: "predicate".into(),
+            col: *col,
+            arity,
+        }),
+        Pred::ColEqValue(..) => Ok(()),
+        Pred::And(a, b) => {
             check_pred(a, arity)?;
             check_pred(b, arity)
         }
-        Pred::Not(p) => check_pred(p, arity),
     }
 }
 
@@ -831,15 +775,15 @@ mod tests {
     #[test]
     fn lattice_join_laws() {
         use ColType::*;
-        for t in [NodeId, Text, Tag, Int, Top] {
+        for t in [NodeId, Text, Tag, Top] {
             assert_eq!(t.join(t), t, "idempotent");
             assert_eq!(t.join(Top), Top, "Top absorbs");
-            for u in [NodeId, Text, Tag, Int, Top] {
+            for u in [NodeId, Text, Tag, Top] {
                 assert_eq!(t.join(u), u.join(t), "commutative");
             }
         }
         assert_eq!(Tag.join(Text), Text);
-        assert_eq!(NodeId.join(Int), Top);
+        assert_eq!(NodeId.join(Text), Top);
     }
 
     #[test]
@@ -886,21 +830,24 @@ mod tests {
             3,
             vec![
                 vec![Value::Null, Value::Id(1), Value::str("x")],
-                vec![Value::Int(3), Value::Null, Value::Code(7)],
+                vec![Value::Doc, Value::Null, Value::Code(7)],
             ],
         );
         let p = prog(vec![(Plan::Values(rel), "vals")], Some(0));
         let a = analyze_program(&p).expect("well-formed");
         assert_eq!(
             a.result,
-            Schema::known(vec![ColType::Int, ColType::NodeId, ColType::Text])
+            Schema::known(vec![ColType::NodeId, ColType::NodeId, ColType::Text])
         );
     }
 
     #[test]
     fn rejects_predicate_column_out_of_range() {
         let p = prog(
-            vec![(edge_scan("R_a").select(Pred::ColEqCol(0, 9)), "bad pred")],
+            vec![(
+                edge_scan("R_a").select(Pred::ColEqValue(9, Value::Doc)),
+                "bad pred",
+            )],
             Some(0),
         );
         let e = analyze_program_with(&p, &edge_scan_schema).expect_err("must reject");
@@ -934,7 +881,7 @@ mod tests {
         // scans of unknown relations can't be range-checked…
         let ok = prog(
             vec![(
-                Plan::Scan("mystery".into()).select(Pred::ColEqCol(0, 9)),
+                Plan::Scan("mystery".into()).select(Pred::ColEqValue(9, Value::Doc)),
                 "",
             )],
             Some(0),
@@ -945,7 +892,7 @@ mod tests {
             vec![(
                 Plan::Scan("mystery".into())
                     .project(vec![(0, "A")])
-                    .select(Pred::ColEqCol(0, 1)),
+                    .select(Pred::ColEqValue(1, Value::Doc)),
                 "",
             )],
             Some(0),
@@ -982,30 +929,6 @@ mod tests {
                 ..
             }
         ));
-    }
-
-    #[test]
-    fn rejects_diff_and_intersect_mismatch() {
-        for mk in [
-            (|l, r| Plan::Diff {
-                left: Box::new(l),
-                right: Box::new(r),
-            }) as fn(Plan, Plan) -> Plan,
-            |l, r| Plan::Intersect {
-                left: Box::new(l),
-                right: Box::new(r),
-            },
-        ] {
-            let p = prog(
-                vec![(
-                    mk(edge_scan("R_a"), edge_scan("R_b").project(vec![(0, "F")])),
-                    "",
-                )],
-                Some(0),
-            );
-            let e = analyze_program_with(&p, &edge_scan_schema).expect_err("must reject");
-            assert!(matches!(e.kind, AnalyzeErrorKind::ArityMismatch { .. }));
-        }
     }
 
     #[test]

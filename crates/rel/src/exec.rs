@@ -8,8 +8,8 @@
 //!   or `Temp` borrows the stored relation instead of cloning it, so
 //!   operators read base relations in place and only materialize what they
 //!   actually produce.
-//! * **One row-multimap under every build table** — a hash-join build side
-//!   (single- or multi-column key) is a `crate::multimap::RowMultimap`: a
+//! * **One row-multimap under every build table** — a hash-join build side,
+//!   keyed on its one join column, is a `crate::multimap::RowMultimap`: a
 //!   hash map from the key to its first row plus one `next` array chaining
 //!   the rows with an equal key, in ascending row order. Two allocations per
 //!   table instead of one `Vec` per distinct key; `Relation::dedup` uses the
@@ -37,12 +37,12 @@
 //!   (`rel.exec.join_index_reuses = 0`); driving those joins from the small
 //!   side through the index is the follow-up (ROADMAP item 5).
 //! * **Integer-dominated keys** — text values are dictionary-coded at load
-//!   ([`crate::dict`]), executor tables hash with the internal Fx hasher
-//!   ([`crate::fxhash`]), and multi-column join keys pack into a single
-//!   `u128` when every component is a node id / code / small int.
+//!   ([`crate::dict`]), so a join key is a node id, a code or the document
+//!   marker, and executor tables hash it with the internal Fx hasher
+//!   ([`crate::fxhash`]).
 
 use crate::dict::Dictionary;
-use crate::fxhash::{fx_set_with_capacity, FxHashSet};
+use crate::fxhash::FxHashSet;
 use crate::interval::{eval_interval_join, IntervalLabels, IntervalView};
 use crate::lfp::eval_lfp;
 use crate::multilfp::eval_multilfp;
@@ -410,23 +410,18 @@ impl ExecCtx<'_> {
 /// literal may still meet runtime-produced [`Value::Str`]s (the
 /// multi-fixpoint's `Rid` tags), which the compiled form matches by text.
 enum CompiledPred {
-    True,
     ColEqValue(usize, Value),
     ColEqStr {
         col: usize,
         code: Option<u32>,
         lit: Arc<str>,
     },
-    ColEqCol(usize, usize),
     And(Box<CompiledPred>, Box<CompiledPred>),
-    Or(Box<CompiledPred>, Box<CompiledPred>),
-    Not(Box<CompiledPred>),
 }
 
 impl CompiledPred {
     fn compile(pred: &Pred, dict: &Dictionary) -> CompiledPred {
         match pred {
-            Pred::True => CompiledPred::True,
             Pred::ColEqValue(c, Value::Str(s)) => {
                 let code = dict.code_of(s);
                 if let Some(code) = code {
@@ -439,16 +434,10 @@ impl CompiledPred {
                 }
             }
             Pred::ColEqValue(c, v) => CompiledPred::ColEqValue(*c, v.clone()),
-            Pred::ColEqCol(a, b) => CompiledPred::ColEqCol(*a, *b),
             Pred::And(a, b) => CompiledPred::And(
                 Box::new(CompiledPred::compile(a, dict)),
                 Box::new(CompiledPred::compile(b, dict)),
             ),
-            Pred::Or(a, b) => CompiledPred::Or(
-                Box::new(CompiledPred::compile(a, dict)),
-                Box::new(CompiledPred::compile(b, dict)),
-            ),
-            Pred::Not(p) => CompiledPred::Not(Box::new(CompiledPred::compile(p, dict))),
         }
     }
 
@@ -466,7 +455,6 @@ impl CompiledPred {
             );
         }
         match self {
-            CompiledPred::True => true,
             CompiledPred::ColEqValue(c, v) => {
                 check(*c, tuple);
                 tuple.col(*c) == v
@@ -479,14 +467,7 @@ impl CompiledPred {
                     _ => false,
                 }
             }
-            CompiledPred::ColEqCol(a, b) => {
-                check(*a, tuple);
-                check(*b, tuple);
-                tuple.col(*a) == tuple.col(*b)
-            }
             CompiledPred::And(a, b) => a.eval(tuple) && b.eval(tuple),
-            CompiledPred::Or(a, b) => a.eval(tuple) || b.eval(tuple),
-            CompiledPred::Not(p) => !p.eval(tuple),
         }
     }
 }
@@ -645,7 +626,7 @@ pub fn eval_plan<'a>(
             let join = JoinNode {
                 left,
                 right,
-                on,
+                on: *on,
                 kind: *kind,
             };
             Ok(Cow::Owned(eval_join(join, Fused::default(), ctx)?))
@@ -688,42 +669,6 @@ pub fn eval_plan<'a>(
             ctx.stats.tuples_emitted += out.len() as u64;
             Ok(Cow::Owned(out))
         }
-        Plan::Diff { left, right } => {
-            let l = eval_plan(left, ctx)?;
-            let r = eval_plan(right, ctx)?;
-            if l.arity() != r.arity() {
-                return Err(ExecError::SchemaMismatch("difference arity".into()));
-            }
-            ctx.stats.set_ops += 1;
-            let mut rset = fx_set_with_capacity::<&[Value]>(r.len());
-            rset.extend(r.rows());
-            let mut out = Relation::new(l.arity());
-            for t in l.rows() {
-                if !rset.contains(t) {
-                    out.push_row(t);
-                }
-            }
-            ctx.stats.tuples_emitted += out.len() as u64;
-            Ok(Cow::Owned(out))
-        }
-        Plan::Intersect { left, right } => {
-            let l = eval_plan(left, ctx)?;
-            let r = eval_plan(right, ctx)?;
-            if l.arity() != r.arity() {
-                return Err(ExecError::SchemaMismatch("intersection arity".into()));
-            }
-            ctx.stats.set_ops += 1;
-            let mut rset = fx_set_with_capacity::<&[Value]>(r.len());
-            rset.extend(r.rows());
-            let mut out = Relation::new(l.arity());
-            for t in l.rows() {
-                if rset.contains(t) {
-                    out.push_row(t);
-                }
-            }
-            ctx.stats.tuples_emitted += out.len() as u64;
-            Ok(Cow::Owned(out))
-        }
         Plan::Distinct(input) => {
             let mut rel = eval_plan(input, ctx)?.into_owned();
             rel.dedup();
@@ -740,7 +685,7 @@ pub fn eval_plan<'a>(
 struct JoinNode<'a> {
     left: &'a Plan,
     right: &'a Plan,
-    on: &'a [(usize, usize)],
+    on: (usize, usize),
     kind: JoinKind,
 }
 
@@ -757,7 +702,7 @@ impl<'a> JoinNode<'a> {
             } => Some(JoinNode {
                 left,
                 right,
-                on,
+                on: *on,
                 kind: JoinKind::Inner,
             }),
             _ => None,
@@ -774,7 +719,7 @@ fn eval_join<'a>(
     // Join boundary: the cheapest place to poll the token before
     // committing to a potentially large build/probe.
     ctx.check_cancel()?;
-    if let (JoinKind::Semi, Plan::IntervalJoin(spec), [(0, seed_col)]) =
+    if let (JoinKind::Semi, Plan::IntervalJoin(spec), (0, seed_col)) =
         (join.kind, join.left, join.on)
     {
         // Seed push-down (the paper's `push(R1, R0)` for the range join):
@@ -784,15 +729,15 @@ fn eval_join<'a>(
         // Non-id seed values (NULL, the document marker) equal no ancestor.
         let seeds = eval_plan(join.right, ctx)?;
         ctx.stats.joins += 1;
-        let seeds: FxHashSet<u32> = seeds.rows().filter_map(|t| t[*seed_col].as_id()).collect();
+        let seeds: FxHashSet<u32> = seeds.rows().filter_map(|t| t[seed_col].as_id()).collect();
         return eval_interval_join(spec, Some(&seeds), ctx);
     }
     let l = eval_plan(join.left, ctx)?;
-    // Cached-index fast path: a single-column join whose build side is a
-    // raw base-table scan on an indexed column reuses the load-time index
-    // instead of building a hash table.
-    let prebuilt = match (join.right, join.on) {
-        (Plan::Scan(name), [(_, rcol)]) => ctx.db.index_of(name, *rcol),
+    // Cached-index fast path: a join whose build side is a raw base-table
+    // scan on an indexed column reuses the load-time index instead of
+    // building a hash table.
+    let prebuilt = match join.right {
+        Plan::Scan(name) => ctx.db.index_of(name, join.on.1),
         _ => None,
     };
     let r = eval_plan(join.right, ctx)?;
@@ -809,71 +754,16 @@ fn eval_join<'a>(
     ))
 }
 
-/// A multi-column join key. When every component is a node id, dictionary
-/// code, document marker or small integer (the hot case — join columns are
-/// ids), an arity ≤ 2 key packs into one `u128` and the table hashes one
-/// word. Otherwise the key falls back to a borrowed composite. The variant
-/// is a deterministic function of the component *values*, so equal logical
-/// keys always land in the same variant and `Eq`/`Hash` stay consistent.
-#[derive(PartialEq, Eq, Hash)]
-enum JoinKey<'a> {
-    Packed(u128),
-    Mixed(Vec<&'a Value>),
-}
-
-/// Pack one key component into a tagged 64-bit word, or `None` when the
-/// value doesn't fit (strings, large integers).
-#[inline]
-fn pack_component(v: &Value) -> Option<u64> {
-    match v {
-        Value::Doc => Some(1 << 32),
-        Value::Id(n) => Some((2 << 32) | u64::from(*n)),
-        Value::Code(c) => Some((3 << 32) | u64::from(*c)),
-        Value::Int(i) => u32::try_from(*i).ok().map(|u| (4 << 32) | u64::from(u)),
-        Value::Null | Value::Str(_) => None,
-    }
-}
-
-/// Borrowed multi-column join key, or `None` if any key column is NULL (a
-/// NULL key can never compare equal to anything). Keys of arity ≤ 2 with
-/// packable components allocate nothing (one table only ever holds keys of
-/// one arity, so 1- and 2-component packings cannot collide).
-fn key_of<'a>(t: &'a [Value], cols: &[usize]) -> Option<JoinKey<'a>> {
-    for &c in cols {
-        if t[c] == Value::Null {
-            return None;
-        }
-    }
-    if cols.len() <= 2 {
-        let mut packed: u128 = 0;
-        let mut all_packable = true;
-        for &c in cols {
-            match pack_component(&t[c]) {
-                Some(w) => packed = (packed << 64) | u128::from(w),
-                None => {
-                    all_packable = false;
-                    break;
-                }
-            }
-        }
-        if all_packable {
-            return Some(JoinKey::Packed(packed));
-        }
-    }
-    Some(JoinKey::Mixed(cols.iter().map(|&c| &t[c]).collect()))
-}
-
 /// `v` as a join key: NULL is none.
 #[inline]
 fn non_null(v: &Value) -> Option<&Value> {
     (*v != Value::Null).then_some(v)
 }
 
-/// Hash join. Builds on the right input — or reads `prebuilt`, the
-/// database's cached base-edge index of `right` on the single join column,
-/// instead of building — probes with the left, and applies the σ/π `fused`
-/// to every row it emits. The common single-column equijoin path avoids
-/// per-row key allocation.
+/// Hash join on `left.c_l = right.c_r`. Builds on the right input — or
+/// reads `prebuilt`, the database's cached base-edge index of `right` on
+/// `c_r`, instead of building — probes with the left, and applies the σ/π
+/// `fused` to every row it emits.
 ///
 /// Join keys follow SQL comparison semantics: `NULL = NULL` is *not* true,
 /// so [`Value::Null`] keys never match. Build rows with NULL keys are
@@ -883,34 +773,23 @@ fn non_null(v: &Value) -> Option<&Value> {
 fn hash_join(
     left: &Relation,
     right: &Relation,
-    on: &[(usize, usize)],
+    (lcol, rcol): (usize, usize),
     kind: JoinKind,
     stats: &mut Stats,
     prebuilt: Option<&RowMultimap<Value>>,
     fused: &Fused<'_>,
 ) -> Relation {
     stats.joins += 1;
-    let out = if let (Some(idx), [(lcol, _)]) = (prebuilt, on) {
+    let out = if let Some(idx) = prebuilt {
         // Cached-index path: no build phase at all.
         stats.join_index_reuses += 1;
         probe(left, right, kind, fused, |t| {
-            idx.rows_of(non_null(&t[*lcol]))
+            idx.rows_of(non_null(&t[lcol]))
         })
-    } else if let [(lcol, rcol)] = *on {
-        // fast path: borrowed single-column key
+    } else {
         let table = RowMultimap::build(right.len(), |i| non_null(&right.row(i)[rcol]));
         probe(left, right, kind, fused, |t| {
             table.rows_of(non_null(&t[lcol]).as_ref())
-        })
-    } else {
-        // general path: multi-column keys, packed into one word when
-        // possible; `key_of` is None when the key contains a NULL and can
-        // never compare equal to anything
-        let lcols: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
-        let rcols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
-        let table = RowMultimap::build(right.len(), |i| key_of(right.row(i), &rcols));
-        probe(left, right, kind, fused, |t| {
-            table.rows_of(key_of(t, &lcols).as_ref())
         })
     };
     stats.tuples_emitted += out.len() as u64;
@@ -1275,27 +1154,6 @@ mod tests {
     }
 
     #[test]
-    fn diff_and_intersect() {
-        let mut db = Database::new();
-        db.insert("A", rel2(&[(1, 2), (3, 4)]));
-        db.insert("B", rel2(&[(3, 4)]));
-        let diff = Plan::Diff {
-            left: Box::new(Plan::Scan("A".into())),
-            right: Box::new(Plan::Scan("B".into())),
-        };
-        let out = run(&diff, &db);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out.row(0)[0], Value::Id(1));
-        let inter = Plan::Intersect {
-            left: Box::new(Plan::Scan("A".into())),
-            right: Box::new(Plan::Scan("B".into())),
-        };
-        let out = run(&inter, &db);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out.row(0)[0], Value::Id(3));
-    }
-
-    #[test]
     fn distinct_dedups() {
         let db = db_with("A", rel2(&[(1, 2), (1, 2)]));
         let p = Plan::Distinct(Box::new(Plan::Scan("A".into())));
@@ -1304,8 +1162,8 @@ mod tests {
 
     /// String selections work identically against dictionary-coded columns
     /// (the loaded store) and raw `Str` columns (runtime-produced
-    /// relations) — including under negation when the literal is absent
-    /// from the dictionary.
+    /// relations) — including a literal absent from the dictionary, which
+    /// matches no row.
     #[test]
     fn compiled_predicates_match_codes_and_strings() {
         let mut db = Database::new();
@@ -1325,14 +1183,9 @@ mod tests {
             let out = run(&p, &db);
             assert_eq!(out.len(), 1, "{rel}: one 'sel' row");
             assert_eq!(out.row(0)[0], Value::Id(1));
-            // negation with a literal the dictionary has never seen: every
-            // row passes (no row carries that text)
-            let p = Plan::Scan(rel.into()).select(Pred::Not(Box::new(Pred::ColEqValue(
-                1,
-                Value::str("absent"),
-            ))));
-            let out = run(&p, &db);
-            assert_eq!(out.len(), db.get(rel).unwrap().len(), "{rel}: ¬absent");
+            // a literal the dictionary has never seen: no row carries it
+            let p = Plan::Scan(rel.into()).select(Pred::ColEqValue(1, Value::str("absent")));
+            assert!(run(&p, &db).is_empty(), "{rel}: absent");
         }
         assert_eq!(db.decode_value(&sel), Value::str("sel"));
     }
@@ -1368,88 +1221,6 @@ mod tests {
         let out = run(&anti, &db);
         let kept: Vec<_> = out.rows().map(|t| t[1].clone()).collect();
         assert_eq!(kept, vec![Value::Id(1), Value::Id(3)]);
-    }
-
-    /// The multi-column key path must apply the same NULL rule: a key with
-    /// any NULL component matches nothing.
-    #[test]
-    fn null_keys_never_match_multi_column() {
-        let row = |a: Value, b: Value, id: u32| vec![a, b, Value::Id(id)];
-        let mut l = Relation::new(3);
-        l.push(row(Value::Id(1), Value::Null, 1));
-        l.push(row(Value::Id(1), Value::str("y"), 2));
-        let mut r = Relation::new(3);
-        r.push(row(Value::Id(1), Value::Null, 10));
-        r.push(row(Value::Id(1), Value::str("y"), 20));
-        let mut db = Database::new();
-        db.insert("L", l);
-        db.insert("R", r);
-        let p = Plan::Join {
-            left: Box::new(Plan::Scan("L".into())),
-            right: Box::new(Plan::Scan("R".into())),
-            on: vec![(0, 0), (1, 1)],
-            kind: JoinKind::Inner,
-        };
-        let out = run(&p, &db);
-        assert_eq!(out.len(), 1, "only (1,'y') matches (1,'y')");
-        assert_eq!(out.row(0)[2], Value::Id(2));
-        let anti = Plan::Join {
-            left: Box::new(Plan::Scan("L".into())),
-            right: Box::new(Plan::Scan("R".into())),
-            on: vec![(0, 0), (1, 1)],
-            kind: JoinKind::Anti,
-        };
-        let out = run(&anti, &db);
-        assert_eq!(out.len(), 1, "the NULL-key probe row is kept by anti");
-        assert_eq!(out.row(0)[2], Value::Id(1));
-    }
-
-    /// Two-column keys over ids/codes pack into one `u128` word; mixed
-    /// rows with strings fall back to the composite key. Both must agree
-    /// with each other (equal logical keys → same variant) and join
-    /// correctly together in one table.
-    #[test]
-    fn packed_and_mixed_keys_coexist() {
-        let row = |a: Value, b: Value, id: u32| vec![a, b, Value::Id(id)];
-        let mut l = Relation::new(3);
-        l.push(row(Value::Id(1), Value::Id(2), 1)); // packs
-        l.push(row(Value::Id(1), Value::str("s"), 2)); // mixed
-        l.push(row(Value::Doc, Value::Int(7), 3)); // packs
-        l.push(row(Value::Int(1 << 40), Value::Id(1), 4)); // big int: mixed
-        let mut r = Relation::new(3);
-        r.push(row(Value::Id(1), Value::Id(2), 10));
-        r.push(row(Value::Id(1), Value::str("s"), 20));
-        r.push(row(Value::Doc, Value::Int(7), 30));
-        r.push(row(Value::Int(1 << 40), Value::Id(1), 40));
-        r.push(row(Value::Id(9), Value::Id(9), 50));
-        let mut db = Database::new();
-        db.insert("L", l);
-        db.insert("R", r);
-        let p = Plan::Join {
-            left: Box::new(Plan::Scan("L".into())),
-            right: Box::new(Plan::Scan("R".into())),
-            on: vec![(0, 0), (1, 1)],
-            kind: JoinKind::Inner,
-        };
-        let out = run(&p, &db);
-        assert_eq!(out.len(), 4, "every left row finds exactly its match");
-        // key components must not cross-match between types (Id vs Code vs
-        // Int with equal payloads)
-        assert_eq!(pack_component(&Value::Id(5)), Some((2 << 32) | 5));
-        assert_ne!(
-            pack_component(&Value::Id(5)),
-            pack_component(&Value::Code(5))
-        );
-        assert_ne!(
-            pack_component(&Value::Id(5)),
-            pack_component(&Value::Int(5))
-        );
-        assert_eq!(
-            pack_component(&Value::Int(1 << 40)),
-            None,
-            "big int falls back"
-        );
-        assert_eq!(pack_component(&Value::Null), None);
     }
 
     #[test]

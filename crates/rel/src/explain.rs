@@ -95,8 +95,7 @@ fn explain_into(plan: &Plan, level: usize, out: &mut String) {
                 JoinKind::Semi => "SemiJoin",
                 JoinKind::Anti => "AntiJoin",
             };
-            let conds: Vec<String> = on.iter().map(|(l, r)| format!("l.c{l}=r.c{r}")).collect();
-            let _ = writeln!(out, "{pad}{kind_text} on {}", conds.join(" ∧ "));
+            let _ = writeln!(out, "{pad}{kind_text} on l.c{}=r.c{}", on.0, on.1);
             explain_into(left, level + 1, out);
             explain_into(right, level + 1, out);
         }
@@ -110,16 +109,6 @@ fn explain_into(plan: &Plan, level: usize, out: &mut String) {
             for p in inputs {
                 explain_into(p, level + 1, out);
             }
-        }
-        Plan::Diff { left, right } => {
-            let _ = writeln!(out, "{pad}Except");
-            explain_into(left, level + 1, out);
-            explain_into(right, level + 1, out);
-        }
-        Plan::Intersect { left, right } => {
-            let _ = writeln!(out, "{pad}Intersect");
-            explain_into(left, level + 1, out);
-            explain_into(right, level + 1, out);
         }
         Plan::Distinct(input) => {
             let _ = writeln!(out, "{pad}Distinct");
@@ -178,12 +167,8 @@ fn explain_into(plan: &Plan, level: usize, out: &mut String) {
 
 fn pred_text(pred: &Pred) -> String {
     match pred {
-        Pred::True => "true".into(),
         Pred::ColEqValue(c, v) => format!("c{c} = {}", v.to_sql_literal()),
-        Pred::ColEqCol(a, b) => format!("c{a} = c{b}"),
         Pred::And(a, b) => format!("({} ∧ {})", pred_text(a), pred_text(b)),
-        Pred::Or(a, b) => format!("({} ∨ {})", pred_text(a), pred_text(b)),
-        Pred::Not(p) => format!("¬({})", pred_text(p)),
     }
 }
 
@@ -251,7 +236,7 @@ mod tests {
         let mut prog = Program::new();
         let t = prog.push(
             Plan::Scan("E".into())
-                .select(Pred::True)
+                .select(Pred::ColEqValue(0, Value::Doc))
                 .project(vec![(0, "F"), (1, "T")])
                 .project(vec![(0, "F")]),
             "messy",
@@ -268,10 +253,10 @@ mod tests {
 
     #[test]
     fn pred_rendering() {
-        let p = Pred::Or(
-            Box::new(Pred::Not(Box::new(Pred::True))),
-            Box::new(Pred::ColEqCol(1, 2)),
+        let p = Pred::And(
+            Box::new(Pred::ColEqValue(0, Value::Doc)),
+            Box::new(Pred::ColEqValue(2, Value::str("cs66"))),
         );
-        assert_eq!(pred_text(&p), "(¬(true) ∨ c1 = c2)");
+        assert_eq!(pred_text(&p), "(c0 = '_' ∧ c2 = 'cs66')");
     }
 }

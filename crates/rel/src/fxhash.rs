@@ -77,12 +77,6 @@ impl Hasher for FxHasher {
     }
 
     #[inline]
-    fn write_u128(&mut self, i: u128) {
-        self.add_to_hash(i as u64);
-        self.add_to_hash((i >> 64) as u64);
-    }
-
-    #[inline]
     fn write_usize(&mut self, i: usize) {
         self.add_to_hash(i as u64);
     }

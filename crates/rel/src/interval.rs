@@ -446,7 +446,7 @@ mod tests {
             let semi = Plan::Join {
                 left: Box::new(Plan::IntervalJoin(spec.clone())),
                 right: Box::new(Plan::Values(seeds)),
-                on: vec![(0, 1)],
+                on: (0, 1),
                 kind: JoinKind::Semi,
             };
             let env = HashMap::new();

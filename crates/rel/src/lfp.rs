@@ -318,9 +318,9 @@ mod tests {
         let mut db = Database::new();
         db.insert("E", edge_rel(&[(1, 2), (2, 3), (3, 1)]));
         let spec = LfpSpec {
-            // Select(True) re-emits the edges so `tuples_emitted` is
+            // the projection re-emits the edges so `tuples_emitted` is
             // non-zero before the first round check.
-            input: Box::new(Plan::Scan("E".into()).select(crate::plan::Pred::True)),
+            input: Box::new(Plan::Scan("E".into()).project(vec![(0, "F"), (1, "T")])),
             from_col: 0,
             to_col: 1,
             push: None,

@@ -14,8 +14,9 @@
 //!   base-table join build sides are reused across executions;
 //! * an internal Fx-style hasher ([`fxhash`]) for every executor-side
 //!   hash table;
-//! * relational-algebra plans ([`plan`]): scan, select, project, inner/semi/
-//!   anti hash joins, union, difference, intersection, distinct;
+//! * relational-algebra plans ([`plan`]): scan, select on constants,
+//!   project, inner/semi/anti hash equijoins on one column pair, union,
+//!   distinct;
 //! * the paper's **simple LFP operator `Φ(R)`** over a *single* input
 //!   relation ([`lfp`], §3.3 Eq. 2) — with optional *pushed selections*
 //!   (§5.2): seed-restricted (forward) and target-restricted (backward)

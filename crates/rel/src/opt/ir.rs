@@ -52,8 +52,8 @@ pub enum Node {
         left: NodeId,
         /// Right input.
         right: NodeId,
-        /// Equality conditions.
-        on: Vec<(usize, usize)>,
+        /// The equality condition `(left col, right col)`.
+        on: (usize, usize),
         /// Inner / semi / anti.
         kind: JoinKind,
     },
@@ -63,20 +63,6 @@ pub enum Node {
         inputs: Vec<NodeId>,
         /// Set semantics.
         distinct: bool,
-    },
-    /// Set difference.
-    Diff {
-        /// Left input.
-        left: NodeId,
-        /// Right input.
-        right: NodeId,
-    },
-    /// Set intersection.
-    Intersect {
-        /// Left input.
-        left: NodeId,
-        /// Right input.
-        right: NodeId,
     },
     /// Duplicate elimination.
     Distinct(NodeId),
@@ -149,9 +135,7 @@ impl Node {
             Node::Select { input, .. } | Node::Project { input, .. } | Node::Distinct(input) => {
                 vec![*input]
             }
-            Node::Join { left, right, .. }
-            | Node::Diff { left, right }
-            | Node::Intersect { left, right } => vec![*left, *right],
+            Node::Join { left, right, .. } => vec![*left, *right],
             Node::Union { inputs, .. } => inputs.clone(),
             Node::Lfp { input, push, .. } => {
                 let mut v = vec![*input];
@@ -197,14 +181,6 @@ impl Node {
             Node::Union { inputs, distinct } => Node::Union {
                 inputs: inputs.into_iter().map(f).collect(),
                 distinct,
-            },
-            Node::Diff { left, right } => Node::Diff {
-                left: f(left),
-                right: f(right),
-            },
-            Node::Intersect { left, right } => Node::Intersect {
-                left: f(left),
-                right: f(right),
             },
             Node::Distinct(input) => Node::Distinct(f(input)),
             Node::Lfp {
@@ -404,7 +380,7 @@ impl ProgramIr {
             } => Node::Join {
                 left: self.intern_plan(left, env)?,
                 right: self.intern_plan(right, env)?,
-                on: on.clone(),
+                on: *on,
                 kind: *kind,
             },
             Plan::Union { inputs, distinct } => {
@@ -417,14 +393,6 @@ impl ProgramIr {
                     distinct: *distinct,
                 }
             }
-            Plan::Diff { left, right } => Node::Diff {
-                left: self.intern_plan(left, env)?,
-                right: self.intern_plan(right, env)?,
-            },
-            Plan::Intersect { left, right } => Node::Intersect {
-                left: self.intern_plan(left, env)?,
-                right: self.intern_plan(right, env)?,
-            },
             Plan::Distinct(input) => Node::Distinct(self.intern_plan(input, env)?),
             Plan::Lfp(spec) => Node::Lfp {
                 input: self.intern_plan(&spec.input, env)?,
@@ -514,7 +482,6 @@ impl ProgramIr {
                 JoinKind::Semi | JoinKind::Anti => self.arity(*left),
             },
             Node::Union { inputs, .. } => inputs.iter().find_map(|&i| self.arity(i)),
-            Node::Diff { left, .. } | Node::Intersect { left, .. } => self.arity(*left),
             Node::Lfp { .. } => Some(2),
             Node::MultiLfp { .. } => Some(3),
             Node::IntervalJoin { .. } => Some(2),
@@ -661,7 +628,7 @@ impl ProgramIr {
             } => Plan::Join {
                 left: Box::new(self.emit(*left, uses, prog, temp_of)),
                 right: Box::new(self.emit(*right, uses, prog, temp_of)),
-                on: on.clone(),
+                on: *on,
                 kind: *kind,
             },
             Node::Union { inputs, distinct } => Plan::Union {
@@ -670,14 +637,6 @@ impl ProgramIr {
                     .map(|&i| self.emit(i, uses, prog, temp_of))
                     .collect(),
                 distinct: *distinct,
-            },
-            Node::Diff { left, right } => Plan::Diff {
-                left: Box::new(self.emit(*left, uses, prog, temp_of)),
-                right: Box::new(self.emit(*right, uses, prog, temp_of)),
-            },
-            Node::Intersect { left, right } => Plan::Intersect {
-                left: Box::new(self.emit(*left, uses, prog, temp_of)),
-                right: Box::new(self.emit(*right, uses, prog, temp_of)),
             },
             Node::Distinct(input) => {
                 Plan::Distinct(Box::new(self.emit(*input, uses, prog, temp_of)))

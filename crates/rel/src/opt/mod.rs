@@ -20,8 +20,8 @@
 //! * **Dead-statement elimination** — export only walks what the result
 //!   transitively references; statements nothing reaches disappear.
 //! * **Predicate simplification & pushdown** —
-//!   [`passes::SimplifyPredicates`] folds `¬¬p`, `true ∧ p`, merges
-//!   adjacent selections; [`passes::PushdownPredicates`] moves `σ` through
+//!   [`passes::SimplifyPredicates`] merges adjacent selections into one
+//!   conjunction and folds `p ∧ p`; [`passes::PushdownPredicates`] moves `σ` through
 //!   projections and `Distinct` and into the matching side of joins
 //!   (§5.2's "pushing selections", applied at the relational level).
 //! * **Projection narrowing** — [`passes::NarrowProjections`] fuses
@@ -70,8 +70,7 @@ pub struct OptStats {
     /// Selections pushed through a projection, a `Distinct`, or into a
     /// join side.
     pub preds_pushed: usize,
-    /// Predicate folds (`¬¬`, `true ∧ …`, duplicate conjuncts) and
-    /// eliminated/merged selection operators.
+    /// Duplicate conjuncts folded and adjacent selections merged.
     pub preds_simplified: usize,
     /// Projection chains fused, redundant `Distinct`s dropped, union
     /// branches deduplicated or flattened.
@@ -253,7 +252,10 @@ mod tests {
         let mut prog = Program::new();
         let dead = prog.push(Plan::Scan("E".into()).project(vec![(0, "F")]), "dead");
         let _ = dead;
-        let t = prog.push(Plan::Scan("E".into()).select(Pred::True), "messy");
+        let t = prog.push(
+            Plan::Scan("E".into()).select(Pred::ColEqValue(0, Value::Id(1))),
+            "messy",
+        );
         prog.result = Some(t);
         let (out, report) = optimize(&prog, OptLevel::None);
         assert_eq!(
@@ -271,13 +273,10 @@ mod tests {
         let dead = prog.push(Plan::Scan("E".into()).project(vec![(0, "F")]), "dead temp");
         let _ = dead;
         let messy = Plan::Scan("E".into())
-            .select(Pred::True)
             .project(vec![(0, "F"), (1, "T")])
             .project(vec![(1, "T"), (0, "F")])
-            .select(Pred::Not(Box::new(Pred::Not(Box::new(Pred::ColEqValue(
-                1,
-                Value::Id(1),
-            ))))));
+            .select(Pred::ColEqValue(1, Value::Id(1)))
+            .select(Pred::ColEqValue(1, Value::Id(1)));
         let t = prog.push(messy, "messy chain");
         prog.result = Some(t);
         let baseline = run(&prog);
@@ -323,15 +322,13 @@ mod tests {
         // a grab-bag of shapes, including ones no rule improves
         let shapes: Vec<Plan> = vec![
             Plan::Scan("E".into()),
-            Plan::Scan("E".into()).select(Pred::ColEqCol(0, 1)),
-            Plan::Diff {
-                left: Box::new(Plan::Scan("E".into())),
-                right: Box::new(Plan::Scan("E".into()).select(Pred::ColEqValue(0, Value::Id(1)))),
-            },
-            Plan::Intersect {
-                left: Box::new(Plan::Scan("E".into())),
-                right: Box::new(Plan::Scan("E".into())),
-            },
+            Plan::Scan("E".into()).select(Pred::ColEqValue(1, Value::Id(4))),
+            Plan::Scan("E".into()).anti_join(
+                Plan::Scan("E".into()).select(Pred::ColEqValue(0, Value::Id(1))),
+                0,
+                0,
+            ),
+            Plan::Scan("E".into()).semi_join(Plan::Scan("E".into()), 1, 0),
             Plan::Union {
                 inputs: vec![Plan::Scan("E".into()), Plan::Scan("E".into())],
                 distinct: false,
@@ -361,7 +358,10 @@ mod tests {
             "edges",
         );
         let _dead = prog.push(closure_of_temp(edges), "dead Φ");
-        let live = prog.push(Plan::Temp(edges).select(Pred::ColEqCol(0, 1)), "live");
+        let live = prog.push(
+            Plan::Temp(edges).select(Pred::ColEqValue(0, Value::Id(1))),
+            "live",
+        );
         prog.result = Some(live);
         let (out, report) = optimize(&prog, OptLevel::Full);
         assert_eq!(out.op_counts().lfp, 0, "the dead closure is gone");

@@ -37,9 +37,8 @@ pub fn default_passes() -> Vec<Box<dyn Pass>> {
     ]
 }
 
-/// Fold predicates algebraically and eliminate trivial selections:
-/// `¬¬p → p`, `true ∧ p → p`, `true ∨ p → true`, `p ∧ p → p`, `p ∨ p → p`,
-/// `σ_true(x) → x`, and adjacent selections merge into one conjunction.
+/// Merge adjacent selections into one conjunction and fold repeated
+/// conjuncts: `σ_p2(σ_p1(x)) → σ_{p1 ∧ p2}(x)` and `p ∧ p → p`.
 pub struct SimplifyPredicates;
 
 impl Pass for SimplifyPredicates {
@@ -54,11 +53,6 @@ impl Pass for SimplifyPredicates {
                 return None;
             };
             let (pred2, folds) = simplify_pred(pred);
-            if pred2 == Pred::True {
-                // σ_true is the identity: drop the operator entirely
-                simplified += folds + 1;
-                return Some(ir.node(*input).clone());
-            }
             // σ_p2(σ_p1(x)) = σ_{p1 ∧ p2}(x) — one operator instead of two
             if !ctx.shared(*input) {
                 if let Node::Select {
@@ -87,40 +81,17 @@ impl Pass for SimplifyPredicates {
     }
 }
 
-/// Algebraic predicate folding; returns the folded predicate and how many
-/// rules fired.
+/// Fold `p ∧ p → p` throughout a predicate; returns the folded predicate
+/// and how many folds fired.
 fn simplify_pred(p: &Pred) -> (Pred, usize) {
     match p {
-        Pred::Not(inner) => {
-            let (i, n) = simplify_pred(inner);
-            if let Pred::Not(x) = i {
-                (*x, n + 1)
-            } else {
-                (Pred::Not(Box::new(i)), n)
-            }
-        }
         Pred::And(a, b) => {
             let (a, na) = simplify_pred(a);
             let (b, nb) = simplify_pred(b);
-            let n = na + nb;
-            if a == Pred::True {
-                (b, n + 1)
-            } else if b == Pred::True || a == b {
-                (a, n + 1)
+            if a == b {
+                (a, na + nb + 1)
             } else {
-                (Pred::And(Box::new(a), Box::new(b)), n)
-            }
-        }
-        Pred::Or(a, b) => {
-            let (a, na) = simplify_pred(a);
-            let (b, nb) = simplify_pred(b);
-            let n = na + nb;
-            if a == Pred::True || b == Pred::True {
-                (Pred::True, n + 1)
-            } else if a == b {
-                (a, n + 1)
-            } else {
-                (Pred::Or(Box::new(a), Box::new(b)), n)
+                (Pred::And(Box::new(a), Box::new(b)), na + nb)
             }
         }
         leaf => (leaf.clone(), 0),
@@ -242,17 +213,11 @@ fn pred_cols(p: &Pred) -> Vec<usize> {
 
 fn collect_pred_cols(p: &Pred, out: &mut Vec<usize>) {
     match p {
-        Pred::True => {}
         Pred::ColEqValue(c, _) => out.push(*c),
-        Pred::ColEqCol(a, b) => {
-            out.push(*a);
-            out.push(*b);
-        }
-        Pred::And(a, b) | Pred::Or(a, b) => {
+        Pred::And(a, b) => {
             collect_pred_cols(a, out);
             collect_pred_cols(b, out);
         }
-        Pred::Not(inner) => collect_pred_cols(inner, out),
     }
 }
 
@@ -260,12 +225,8 @@ fn collect_pred_cols(p: &Pred, out: &mut Vec<usize>) {
 /// image (the rule then simply does not fire).
 fn remap_pred(p: &Pred, map: &impl Fn(usize) -> Option<usize>) -> Option<Pred> {
     Some(match p {
-        Pred::True => Pred::True,
         Pred::ColEqValue(c, v) => Pred::ColEqValue(map(*c)?, v.clone()),
-        Pred::ColEqCol(a, b) => Pred::ColEqCol(map(*a)?, map(*b)?),
         Pred::And(a, b) => Pred::And(Box::new(remap_pred(a, map)?), Box::new(remap_pred(b, map)?)),
-        Pred::Or(a, b) => Pred::Or(Box::new(remap_pred(a, map)?), Box::new(remap_pred(b, map)?)),
-        Pred::Not(inner) => Pred::Not(Box::new(remap_pred(inner, map)?)),
     })
 }
 
@@ -385,27 +346,27 @@ mod tests {
 
     #[test]
     fn pred_folding_rules() {
-        let p = Pred::Not(Box::new(Pred::Not(Box::new(Pred::ColEqCol(0, 1)))));
-        assert_eq!(simplify_pred(&p).0, Pred::ColEqCol(0, 1));
-        let p = Pred::And(Box::new(Pred::True), Box::new(Pred::ColEqCol(0, 1)));
-        assert_eq!(simplify_pred(&p).0, Pred::ColEqCol(0, 1));
-        let p = Pred::Or(Box::new(Pred::ColEqCol(0, 1)), Box::new(Pred::True));
-        assert_eq!(simplify_pred(&p).0, Pred::True);
-        let dup = Pred::And(
-            Box::new(Pred::ColEqValue(0, Value::Id(1))),
-            Box::new(Pred::ColEqValue(0, Value::Id(1))),
+        let lit = || Pred::ColEqValue(0, Value::Id(1));
+        let dup = Pred::And(Box::new(lit()), Box::new(lit()));
+        assert_eq!(simplify_pred(&dup), (lit(), 1));
+        let nested = Pred::And(Box::new(dup), Box::new(Pred::ColEqValue(2, Value::Doc)));
+        assert_eq!(
+            simplify_pred(&nested),
+            (
+                Pred::And(Box::new(lit()), Box::new(Pred::ColEqValue(2, Value::Doc))),
+                1
+            )
         );
-        assert_eq!(simplify_pred(&dup).0, Pred::ColEqValue(0, Value::Id(1)));
     }
 
     #[test]
-    fn select_true_is_dropped_and_selects_merge() {
+    fn adjacent_selects_merge() {
         let mut prog = Program::new();
         let t = prog.push(
             Plan::Scan("E".into())
                 .select(Pred::ColEqValue(0, Value::Id(1)))
-                .select(Pred::ColEqCol(0, 1))
-                .select(Pred::True),
+                .select(Pred::ColEqValue(2, Value::str("v")))
+                .select(Pred::ColEqValue(0, Value::Id(1))),
             "three selects",
         );
         prog.result = Some(t);

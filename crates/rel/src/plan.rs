@@ -14,18 +14,10 @@ use crate::value::Value;
 /// structurally; [`Value`] is already `Eq + Hash`.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Pred {
-    /// Always true.
-    True,
     /// `col = literal`.
     ColEqValue(usize, Value),
-    /// `col₁ = col₂`.
-    ColEqCol(usize, usize),
     /// Conjunction.
     And(Box<Pred>, Box<Pred>),
-    /// Disjunction.
-    Or(Box<Pred>, Box<Pred>),
-    /// Negation.
-    Not(Box<Pred>),
 }
 
 impl Pred {
@@ -37,7 +29,6 @@ impl Pred {
     /// The release path is unchanged.
     pub fn eval(&self, tuple: &[Value]) -> bool {
         match self {
-            Pred::True => true,
             Pred::ColEqValue(c, v) => {
                 debug_assert!(
                     *c < tuple.len(),
@@ -47,18 +38,7 @@ impl Pred {
                 );
                 &tuple[*c] == v
             }
-            Pred::ColEqCol(a, b) => {
-                debug_assert!(
-                    *a < tuple.len() && *b < tuple.len(),
-                    "predicate columns {a}/{b} out of range (tuple arity {}); \
-                     the plan bypassed the static analyzer",
-                    tuple.len()
-                );
-                tuple[*a] == tuple[*b]
-            }
             Pred::And(a, b) => a.eval(tuple) && b.eval(tuple),
-            Pred::Or(a, b) => a.eval(tuple) || b.eval(tuple),
-            Pred::Not(p) => !p.eval(tuple),
         }
     }
 }
@@ -184,14 +164,14 @@ pub enum Plan {
         /// (source column, output name) pairs.
         cols: Vec<(usize, String)>,
     },
-    /// Hash join on equality of column pairs.
+    /// Hash equijoin on one column pair.
     Join {
         /// Left input.
         left: Box<Plan>,
         /// Right input.
         right: Box<Plan>,
-        /// Equality conditions `(left col, right col)`.
-        on: Vec<(usize, usize)>,
+        /// The equality condition `(left col, right col)`.
+        on: (usize, usize),
         /// Inner / semi / anti.
         kind: JoinKind,
     },
@@ -201,20 +181,6 @@ pub enum Plan {
         inputs: Vec<Plan>,
         /// Deduplicate the result.
         distinct: bool,
-    },
-    /// Set difference `left \ right` (equal schemas).
-    Diff {
-        /// Left input.
-        left: Box<Plan>,
-        /// Right input.
-        right: Box<Plan>,
-    },
-    /// Set intersection (equal schemas).
-    Intersect {
-        /// Left input.
-        left: Box<Plan>,
-        /// Right input.
-        right: Box<Plan>,
     },
     /// Duplicate elimination.
     Distinct(Box<Plan>),
@@ -248,7 +214,7 @@ impl Plan {
         Plan::Join {
             left: Box::new(self),
             right: Box::new(right),
-            on: vec![(left_col, right_col)],
+            on: (left_col, right_col),
             kind: JoinKind::Inner,
         }
     }
@@ -258,7 +224,7 @@ impl Plan {
         Plan::Join {
             left: Box::new(self),
             right: Box::new(right),
-            on: vec![(left_col, right_col)],
+            on: (left_col, right_col),
             kind: JoinKind::Semi,
         }
     }
@@ -268,7 +234,7 @@ impl Plan {
         Plan::Join {
             left: Box::new(self),
             right: Box::new(right),
-            on: vec![(left_col, right_col)],
+            on: (left_col, right_col),
             kind: JoinKind::Anti,
         }
     }
@@ -288,9 +254,7 @@ impl Plan {
             Plan::Scan(_) | Plan::Temp(_) | Plan::Values(_) => {}
             Plan::Select { input, .. } | Plan::Distinct(input) => input.visit(f),
             Plan::Project { input, .. } => input.visit(f),
-            Plan::Join { left, right, .. }
-            | Plan::Diff { left, right }
-            | Plan::Intersect { left, right } => {
+            Plan::Join { left, right, .. } => {
                 left.visit(f);
                 right.visit(f);
             }
@@ -338,7 +302,6 @@ mod tests {
     #[test]
     fn pred_eval() {
         let t = vec![Value::Id(1), Value::str("x")];
-        assert!(Pred::True.eval(&t));
         assert!(Pred::ColEqValue(0, Value::Id(1)).eval(&t));
         assert!(!Pred::ColEqValue(1, Value::str("y")).eval(&t));
         let both = Pred::And(
@@ -346,19 +309,18 @@ mod tests {
             Box::new(Pred::ColEqValue(1, Value::str("x"))),
         );
         assert!(both.eval(&t));
-        assert!(Pred::Not(Box::new(Pred::ColEqCol(0, 1))).eval(&t));
-        let either = Pred::Or(
-            Box::new(Pred::ColEqValue(0, Value::Id(9))),
-            Box::new(Pred::True),
+        let neither = Pred::And(
+            Box::new(Pred::ColEqValue(0, Value::Id(1))),
+            Box::new(Pred::ColEqValue(1, Value::str("y"))),
         );
-        assert!(either.eval(&t));
+        assert!(!neither.eval(&t));
     }
 
     #[test]
     fn referenced_temps_collected() {
         let p = Plan::Temp(TempId(1))
             .join_on(Plan::Temp(TempId(2)), 1, 0)
-            .select(Pred::True);
+            .select(Pred::ColEqValue(0, Value::Doc));
         let mut temps = p.referenced_temps();
         temps.sort();
         assert_eq!(temps, vec![TempId(1), TempId(2)]);

@@ -147,11 +147,7 @@ impl Program {
                 }
                 Plan::Join { .. } | Plan::IntervalJoin(_) => c.joins += 1,
                 Plan::Union { inputs, .. } => c.unions += inputs.len().saturating_sub(1),
-                Plan::Select { .. }
-                | Plan::Project { .. }
-                | Plan::Diff { .. }
-                | Plan::Intersect { .. }
-                | Plan::Distinct(_) => c.other += 1,
+                Plan::Select { .. } | Plan::Project { .. } | Plan::Distinct(_) => c.other += 1,
                 Plan::Scan(_) | Plan::Temp(_) | Plan::Values(_) => {}
             });
         }
@@ -392,7 +388,7 @@ mod tests {
                     crate::plan::MultiLfpEdge {
                         src_tag: "a".into(),
                         dst_tag: "b".into(),
-                        rel: Plan::Scan("AB".into()).select(Pred::True),
+                        rel: Plan::Scan("AB".into()).select(Pred::ColEqValue(2, Value::Null)),
                     },
                     crate::plan::MultiLfpEdge {
                         src_tag: "b".into(),

@@ -384,8 +384,8 @@ mod tests {
             Value::Doc,
             Value::Id(1),
             Value::Code(1),
-            Value::Int(1),
-            Value::Int(1 << 40),
+            Value::Id(2),
+            Value::Code(2),
             Value::str("1"),
         ];
         let mut x = 0xDED0_u64;

@@ -98,8 +98,7 @@ pub fn render_plan(plan: &Plan, dialect: SqlDialect, level: usize) -> String {
             on,
             kind,
         } => {
-            let conds: Vec<String> = on.iter().map(|(l, r)| format!("l.c{l} = r.c{r}")).collect();
-            let cond = conds.join(" AND ");
+            let cond = format!("l.c{} = r.c{}", on.0, on.1);
             match kind {
                 JoinKind::Inner => format!(
                     "{pad}SELECT l.*, r.* FROM (\n{}\n{pad}) l JOIN (\n{}\n{pad}) r ON {cond}",
@@ -126,16 +125,6 @@ pub fn render_plan(plan: &Plan, dialect: SqlDialect, level: usize) -> String {
                 .collect();
             parts.join(&format!("\n{pad}{op}\n"))
         }
-        Plan::Diff { left, right } => format!(
-            "{}\n{pad}EXCEPT\n{}",
-            render_plan(left, dialect, level + 1),
-            render_plan(right, dialect, level + 1)
-        ),
-        Plan::Intersect { left, right } => format!(
-            "{}\n{pad}INTERSECT\n{}",
-            render_plan(left, dialect, level + 1),
-            render_plan(right, dialect, level + 1)
-        ),
         Plan::Distinct(input) => format!(
             "{pad}SELECT DISTINCT * FROM (\n{}\n{pad}) d",
             render_plan(input, dialect, level + 1)
@@ -251,12 +240,8 @@ fn render_multilfp(spec: &crate::plan::MultiLfpSpec, dialect: SqlDialect, level:
 
 fn render_pred(pred: &Pred, alias: &str) -> String {
     match pred {
-        Pred::True => "1 = 1".to_string(),
         Pred::ColEqValue(c, v) => format!("{alias}.c{c} = {}", v.to_sql_literal()),
-        Pred::ColEqCol(a, b) => format!("{alias}.c{a} = {alias}.c{b}"),
         Pred::And(a, b) => format!("({} AND {})", render_pred(a, alias), render_pred(b, alias)),
-        Pred::Or(a, b) => format!("({} OR {})", render_pred(a, alias), render_pred(b, alias)),
-        Pred::Not(p) => format!("NOT ({})", render_pred(p, alias)),
     }
 }
 
@@ -368,10 +353,10 @@ mod tests {
     fn preds_render() {
         let p = Pred::And(
             Box::new(Pred::ColEqValue(2, Value::str("cs66"))),
-            Box::new(Pred::Not(Box::new(Pred::ColEqCol(0, 1)))),
+            Box::new(Pred::ColEqValue(0, Value::Doc)),
         );
         let s = render_pred(&p, "x");
-        assert_eq!(s, "(x.c2 = 'cs66' AND NOT (x.c0 = x.c1))");
+        assert_eq!(s, "(x.c2 = 'cs66' AND x.c0 = '_')");
     }
 
     #[test]

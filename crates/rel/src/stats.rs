@@ -101,8 +101,6 @@ counters! {
     selects: usize, sum;
     /// Projections executed.
     projects: usize, sum;
-    /// Set differences / intersections executed.
-    set_ops: usize, sum;
     /// Simple LFP operator invocations.
     lfp_invocations: usize, sum;
     /// Total LFP iterations across invocations.

@@ -27,8 +27,6 @@ pub enum Value {
     /// against the store they were loaded into; decode with
     /// [`crate::Database::decode_value`] before showing to a human.
     Code(u32),
-    /// An integer.
-    Int(i64),
 }
 
 impl Value {
@@ -72,7 +70,6 @@ impl Value {
             Value::Id(n) => n.to_string(),
             Value::Str(s) => format!("'{}'", s.replace('\'', "''")),
             Value::Code(c) => format!("'@{c}'"),
-            Value::Int(i) => i.to_string(),
         }
     }
 }
@@ -85,7 +82,6 @@ impl fmt::Display for Value {
             Value::Id(n) => write!(f, "#{n}"),
             Value::Str(s) => write!(f, "{s}"),
             Value::Code(c) => write!(f, "@{c}"),
-            Value::Int(i) => write!(f, "{i}"),
         }
     }
 }
@@ -97,7 +93,7 @@ mod tests {
     #[test]
     fn ordering_and_equality() {
         assert_eq!(Value::Id(3), Value::Id(3));
-        assert_ne!(Value::Id(3), Value::Int(3));
+        assert_ne!(Value::Id(3), Value::Code(3));
         assert_eq!(Value::str("x"), Value::str("x"));
         assert!(Value::Id(1) < Value::Id(2));
     }
@@ -108,7 +104,6 @@ mod tests {
         assert_eq!(Value::Doc.to_sql_literal(), "'_'");
         assert_eq!(Value::Id(7).to_sql_literal(), "7");
         assert_eq!(Value::str("o'brien").to_sql_literal(), "'o''brien'");
-        assert_eq!(Value::Int(-4).to_sql_literal(), "-4");
     }
 
     #[test]

@@ -526,9 +526,13 @@ impl<'d> SatAnalyzer<'d> {
     }
 
     /// Does `p` reach at least one node from `at` in every valid document?
-    /// Only plain child-label chains over required children qualify;
-    /// anything else conservatively answers `false`.
+    /// Only plain child-label chains over required children qualify, and
+    /// unions of which one arm does; anything else conservatively answers
+    /// `false`.
     fn must_exist(&self, p: &Path, at: Option<ElemId>) -> bool {
+        if let Path::Union(a, b) = p {
+            return self.must_exist(a, at) || self.must_exist(b, at);
+        }
         let mut steps = Vec::new();
         flatten_steps(p, &mut steps);
         let mut cur = at;
@@ -770,6 +774,17 @@ mod tests {
             empty_kind(&cross, "a[b][not b]"),
             WitnessKind::ContradictoryQualifiers
         );
+        // `.` always holds, so a negated union with it never does
+        for q in [
+            "dept/course[not(. | project)]",
+            "dept/course[not(project | .)]",
+        ] {
+            assert_eq!(
+                empty_kind(&dept, q),
+                WitnessKind::QualifierNeverHolds,
+                "{q}"
+            );
+        }
         assert_eq!(empty_kind(&cross, "∅"), WitnessKind::EmptySetLiteral);
         assert_eq!(empty_kind(&cross, "."), WitnessKind::DocumentOnly);
     }
@@ -820,6 +835,8 @@ mod tests {
             norm(&dtd, "dept/course/takenBy/student[sno]"),
             "dept/course/takenBy/student"
         );
+        // a union holds where one of its arms must
+        assert_eq!(norm(&dtd, "dept/course[. | project]"), "dept/course");
         // starred children are not required
         assert_eq!(norm(&dtd, "dept/course[project]"), "dept/course[project]");
         assert_eq!(
@@ -870,6 +887,7 @@ mod tests {
             "dept//course[takenBy/student/sno]",
             "dept/course[not zzz2]",
             "(dept/project | dept/course)",
+            "dept/course[. | project]",
         ];
         for seed in [7u64, 41] {
             let tree = Generator::new(

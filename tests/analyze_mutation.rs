@@ -99,9 +99,7 @@ fn for_each_plan_mut(plan: &mut Plan, f: &mut dyn FnMut(&mut Plan)) {
         Plan::Select { input, .. } | Plan::Distinct(input) | Plan::Project { input, .. } => {
             for_each_plan_mut(input, f)
         }
-        Plan::Join { left, right, .. }
-        | Plan::Diff { left, right }
-        | Plan::Intersect { left, right } => {
+        Plan::Join { left, right, .. } => {
             for_each_plan_mut(left, f);
             for_each_plan_mut(right, f);
         }

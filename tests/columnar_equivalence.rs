@@ -13,10 +13,11 @@
 //!   repeated runs are byte-identical (execution is deterministic — order
 //!   is pinned wherever the engine pins it).
 //! * **Join kernels** against a nested-loop reference, as ordered bags:
-//!   inner/semi/anti × one/two key columns × bare, under σ, under π, under
-//!   π(σ), under δ(π) — the shapes the executor fuses into the join's emit —
-//!   over seeded random relations with duplicate, NULL and every other kind
-//!   of key value, on plain stores and on stores with cached edge indexes.
+//!   inner/semi/anti × three key-column pairs × bare, under σ, under π,
+//!   under π(σ), under δ(π) — the shapes the executor fuses into the join's
+//!   emit — over seeded random relations with duplicate, NULL and every
+//!   other kind of key value, on plain stores and on stores with cached
+//!   edge indexes.
 //! * **Dictionary round-tripping** over the seeded XML generator: every
 //!   text value a generated document carries survives encode → store →
 //!   decode exactly, a decoded store equals an uncoded reference shredding
@@ -319,48 +320,39 @@ fn cached_indexes_serve_joins_without_changing_answers() {
     assert_eq!(without_idx.join_index_reuses, 0);
 }
 
-/// A seeded random relation `(K1, K2, P)`: the two key columns draw from a
-/// small pool — so keys repeat on both sides — holding every kind of value
-/// a join key can be: ids, codes and small ints (which pack into one word),
-/// a big int and strings (which do not), the document marker, and NULL
-/// (which must never match, not even another NULL). `P` numbers the rows.
-fn random_keyed_relation(rows: u32, next: &mut impl FnMut() -> u64) -> Relation {
-    let pool = [
-        Value::Null,
-        Value::Doc,
-        Value::Id(1),
-        Value::Id(2),
-        Value::Code(1),
-        Value::Code(2),
-        Value::Int(1),
-        Value::Int(1 << 40),
-        Value::str("s"),
-        Value::str("t"),
-    ];
+/// A seeded random relation `(K, S, P)`. `K` draws from a small pool — so
+/// keys repeat on both sides — holding every kind of value a join key can
+/// be: NULL (which must never match, not even another NULL), the document
+/// marker, ids, dictionary codes and runtime strings. `S` is a text column
+/// drawn from `texts` (NULL included). `P` numbers the rows.
+fn random_keyed_relation(
+    rows: u32,
+    keys: &[Value],
+    texts: &[Value],
+    next: &mut impl FnMut() -> u64,
+) -> Relation {
+    let mut pick = |pool: &[Value]| pool[(next() % pool.len() as u64) as usize].clone();
     let mut rel = Relation::new(3);
     for i in 0..rows {
-        let k1 = pool[(next() % pool.len() as u64) as usize].clone();
-        // K2 from a three-value corner of the pool, so two-column keys
-        // still collide often
-        let k2 = pool[(next() % 3) as usize * 4].clone();
-        rel.push_row(&[k1, k2, Value::Id(i)]);
+        let row = [pick(keys), pick(texts), Value::Id(i)];
+        rel.push_row(&row);
     }
     rel
 }
 
 /// The reference join: for each left row in order, the right rows in order
-/// whose key columns are pairwise equal and non-NULL.
+/// whose key column equals the left row's, which must not be NULL.
 fn nested_loop_join(
     left: &Relation,
     right: &Relation,
-    on: &[(usize, usize)],
+    (a, b): (usize, usize),
     kind: JoinKind,
 ) -> Vec<Vec<Value>> {
     let mut out = Vec::new();
     for l in left.rows() {
         let matches: Vec<&[Value]> = right
             .rows()
-            .filter(|r| on.iter().all(|&(a, b)| l[a] != Value::Null && l[a] == r[b]))
+            .filter(|r| l[a] != Value::Null && l[a] == r[b])
             .collect();
         match kind {
             JoinKind::Inner => out.extend(matches.iter().map(|r| [l, r].concat())),
@@ -376,7 +368,10 @@ fn nested_loop_join(
 /// *as an ordered bag*: same rows, same multiplicities, same order. The
 /// chained build table hands matches back in ascending row order and NULL
 /// keys match nothing; running its build loop front to back, or dropping
-/// the NULL check, fails here.
+/// the NULL check, fails here. The σ is a conjunction of `col = 'text'`
+/// tests that meets the text both as a dictionary code (the left side's
+/// `S`) and as a runtime string (the right side's `S`); the reference
+/// evaluates it with `Pred::eval` on decoded rows.
 #[test]
 fn join_kernels_equal_a_nested_loop_reference_as_ordered_bags() {
     let mut x = 0x5EED_0021_u64;
@@ -386,37 +381,53 @@ fn join_kernels_equal_a_nested_loop_reference_as_ordered_bags() {
         x ^= x << 17;
         x
     };
-    let left = random_keyed_relation(70, &mut next);
-    let right = random_keyed_relation(90, &mut next);
     let mut plain = Database::new();
+    let (code_s, code_t) = (plain.intern_str("s"), plain.intern_str("t"));
+    let keys = [
+        Value::Null,
+        Value::Doc,
+        Value::Id(1),
+        Value::Id(2),
+        code_s.clone(),
+        code_t.clone(),
+        Value::str("s"),
+        Value::str("t"),
+    ];
+    let left = random_keyed_relation(90, &keys, &[Value::Null, code_s, code_t], &mut next);
+    // the right side's keys hold no runtime string, so anti joins on `K`
+    // keep rows the σ below can select
+    let texts = [Value::Null, Value::str("s"), Value::str("t")];
+    let right = random_keyed_relation(110, &keys[..6], &texts, &mut next);
     plain.insert("L", left.clone());
     plain.insert("R", right.clone());
-    // the same store with load-time indexes: single-column joins on K1/K2
-    // then probe the store's F/T index instead of building a table
+    // the same store with load-time indexes: joins then probe the store's
+    // F/T index on the right key column instead of building a table
     let mut indexed = plain.clone();
     indexed.build_indexes();
+    let decoded = |t: &[Value]| -> Vec<Value> { t.iter().map(|v| plain.decode_value(v)).collect() };
+    let text_is = |col: usize, text: &str| Pred::ColEqValue(col, Value::str(text));
 
     for kind in [JoinKind::Inner, JoinKind::Semi, JoinKind::Anti] {
-        for on in [vec![(0, 0)], vec![(0, 0), (1, 1)]] {
-            let joined = nested_loop_join(&left, &right, &on, kind);
+        // keys: mixed against mixed, codes against mixed, mixed against
+        // runtime strings — on the right's F and T columns alike
+        for on in [(0, 0), (1, 0), (0, 1)] {
+            let joined = nested_loop_join(&left, &right, on, kind);
             let join = Plan::Join {
                 left: Box::new(Plan::Scan("L".into())),
                 right: Box::new(Plan::Scan("R".into())),
-                on: on.clone(),
+                on,
                 kind,
             };
             // σ and π over the joined arity: 6 columns for inner, 3 otherwise
             let (pred, cols) = if kind == JoinKind::Inner {
                 (
-                    Pred::Or(
-                        Box::new(Pred::ColEqCol(1, 4)),
-                        Box::new(Pred::Not(Box::new(Pred::ColEqValue(3, Value::str("s"))))),
-                    ),
+                    Pred::And(Box::new(text_is(1, "s")), Box::new(text_is(4, "t"))),
                     vec![(4, "a"), (0, "b"), (2, "c")],
                 )
             } else {
+                // `K` holds the text both coded and as a runtime string
                 (
-                    Pred::Not(Box::new(Pred::ColEqValue(1, Value::Doc))),
+                    Pred::And(Box::new(text_is(0, "s")), Box::new(text_is(1, "t"))),
                     vec![(1, "a"), (0, "b")],
                 )
             };
@@ -425,8 +436,18 @@ fn join_kernels_equal_a_nested_loop_reference_as_ordered_bags() {
                     .map(|t| cols.iter().map(|&(c, _)| t[c].clone()).collect())
                     .collect()
             };
-            let selected: Vec<Vec<Value>> =
-                joined.iter().filter(|t| pred.eval(t)).cloned().collect();
+            let selected: Vec<Vec<Value>> = joined
+                .iter()
+                .filter(|t| pred.eval(&decoded(t)))
+                .cloned()
+                .collect();
+            // every code in `S` has a match in the right's `K`, so that anti
+            // join keeps only the rows whose `S` is NULL
+            assert_eq!(
+                selected.is_empty(),
+                (kind, on) == (JoinKind::Anti, (1, 0)),
+                "{kind:?} on {on:?}: the σ keeps rows"
+            );
             let mut seen = std::collections::HashSet::new();
             let distinct: Vec<Vec<Value>> = project(&joined)
                 .into_iter()
@@ -473,16 +494,12 @@ fn join_kernels_equal_a_nested_loop_reference_as_ordered_bags() {
                     );
                     assert_eq!(
                         stats.join_index_reuses,
-                        usize::from(store == "indexed" && on.len() == 1),
+                        usize::from(store == "indexed"),
                         "{ctx}"
                     );
                 }
             }
         }
-        assert!(
-            !nested_loop_join(&left, &right, &[(0, 0)], kind).is_empty(),
-            "{kind:?}: the fixture produces rows"
-        );
     }
     // σ/π above an inner join never materialise the joined rows
     let mut prog = Program::new();

@@ -183,7 +183,7 @@ fn example_4_1_dag_equations() {
 #[test]
 fn example_4_2_growth_contrast() {
     // CycleEX stays polynomial where CycleE grows exponentially.
-    use xpath2sql::core::{rec_regular, RecTable, TransGraph};
+    use xpath2sql::core::{rec_matrix, RecTable, TransGraph};
     let mut cyclee_sizes = Vec::new();
     let mut cycleex_sizes = Vec::new();
     for n in [6usize, 8, 10] {
@@ -191,7 +191,7 @@ fn example_4_2_growth_contrast() {
         let g = TransGraph::new(&d);
         let a1 = g.node(d.elem("A1").unwrap());
         let an = g.node(d.elem(&format!("A{n}")).unwrap());
-        let e = rec_regular(&g, a1, an, 50_000_000).unwrap();
+        let e = &rec_matrix(&g, 50_000_000).unwrap()[a1][an];
         cyclee_sizes.push(e.size());
         let (mut q, t) = RecTable::standalone(&g);
         q.result = t.rec_full(a1, an);
@@ -262,13 +262,11 @@ fn fig_4_dialect_rendering() {
 
 #[test]
 fn lemma_4_1_cyclee_blowup_observed() {
-    use xpath2sql::core::{rec_regular, CycleEError, TransGraph};
+    use xpath2sql::core::{rec_matrix, CycleEError, TransGraph};
     let d = samples::complete_dag(16);
     let g = TransGraph::new(&d);
-    let a1 = g.node(d.elem("A1").unwrap());
-    let an = g.node(d.elem("A16").unwrap());
     assert!(matches!(
-        rec_regular(&g, a1, an, 10_000),
+        rec_matrix(&g, 10_000),
         Err(CycleEError::TooLarge { .. })
     ));
 }
