@@ -21,10 +21,10 @@
 use crate::pipeline::TranslateError;
 use std::collections::HashMap;
 use x2s_exp::{EQual, Exp, ExtendedQuery, VarId};
-use x2s_rel::opt::{optimize, OptLevel, OptReport};
+use x2s_rel::opt::{default_passes, optimize_with, OptLevel, OptReport};
 use x2s_rel::{
-    analyze_program_with, edge_scan_schema, JoinKind, LfpSpec, Plan, Pred, Program, PushSpec,
-    TempId, Value,
+    analyze_program_with, edge_scan_schema, AnalyzeWarning, JoinKind, LfpSpec, Plan, Pred, Program,
+    PushSpec, TempId, Value,
 };
 
 /// Name of the all-nodes relation provided by edge shredding.
@@ -78,11 +78,27 @@ pub fn exp_to_sql_with_report(
     opts: &SqlOptions,
     overrides: &HashMap<VarId, Plan>,
 ) -> Result<(Program, OptReport), TranslateError> {
+    let (program, report, _) = exp_to_sql_checked(query, opts, overrides)?;
+    Ok((program, report))
+}
+
+/// [`exp_to_sql_with_report`] plus the analyzer's warnings on the returned
+/// program.
+///
+/// The program is analyzed twice at most: as it leaves the compiler,
+/// against the edge-shredding catalog (every `R_*` scan is
+/// `(F: NodeId, T: NodeId, V: Text)`), and once more by the optimizer on
+/// its output.
+pub fn exp_to_sql_checked(
+    query: &ExtendedQuery,
+    opts: &SqlOptions,
+    overrides: &HashMap<VarId, Plan>,
+) -> Result<(Program, OptReport, Vec<AnalyzeWarning>), TranslateError> {
     let raw = exp_to_sql_raw(query, opts, overrides)?;
+    let analysis = analyze_program_with(&raw, &edge_scan_schema)?;
     if opts.optimize == OptLevel::None {
         // skip the optimizer entirely — `raw` is returned byte-identical,
         // without even the clone `optimize` would make
-        analyze_program_with(&raw, &edge_scan_schema).map_err(TranslateError::Analyze)?;
         let counts = raw.op_counts();
         let report = OptReport {
             level: OptLevel::None,
@@ -90,14 +106,11 @@ pub fn exp_to_sql_with_report(
             after: counts,
             ..OptReport::default()
         };
-        return Ok((raw, report));
+        return Ok((raw, report, analysis.warnings));
     }
-    let (optimized, report) = optimize(&raw, opts.optimize);
-    // Post-translation gate: every program leaving the translator — raw or
-    // optimized — is verified against the edge-shredding catalog (every
-    // `R_*` scan is `(F: NodeId, T: NodeId, V: Text)`).
-    analyze_program_with(&optimized, &edge_scan_schema).map_err(TranslateError::Analyze)?;
-    Ok((optimized, report))
+    let (optimized, report, checked) = optimize_with(&raw, opts.optimize, &default_passes());
+    let warnings = checked.map_or(analysis.warnings, |a| a.warnings);
+    Ok((optimized, report, warnings))
 }
 
 /// The raw `EXpToSQL` compiler (Fig. 10), without the optimizer.
@@ -139,13 +152,13 @@ fn exp_to_sql_raw(
     } else {
         c.compile(&query.result)?
     };
-    let result = c.materialize(result);
+    let result = c.to_mat(result);
     // Paper line 26: σ_{F='_'} — keep only document-rooted pairs, then
     // project the answer node ids.
     let rooted = result.plan.select(Pred::ColEqValue(0, Value::Doc));
     let answer = Plan::Distinct(Box::new(rooted.project(vec![(1, "T")])));
     let t = c.prog.push(answer, "answer: σ_{F='_'} then π_T");
-    c.prog.result = Some(t);
+    c.prog.set_result(t);
     Ok(c.prog)
 }
 
@@ -214,7 +227,7 @@ impl<'a> Compiler<'a> {
 
     /// Turn a value into a materialized relation; a `StarOf` becomes a full
     /// (unpushed) closure with the reflexive flag.
-    fn materialize(&mut self, val: CVal) -> Mat {
+    fn to_mat(&mut self, val: CVal) -> Mat {
         match val {
             CVal::Rel { plan, refl, has_v } => Mat { plan, refl, has_v },
             CVal::StarOf { edges } => Mat {
@@ -259,7 +272,7 @@ impl<'a> Compiler<'a> {
                 let mut mats = Vec::new();
                 for p in parts {
                     let v = self.compile(p)?;
-                    let m = self.materialize(v);
+                    let m = self.to_mat(v);
                     refl |= m.refl;
                     has_v &= m.has_v;
                     mats.push(m);
@@ -374,7 +387,7 @@ impl<'a> Compiler<'a> {
             ) => {
                 if lrefl {
                     // (L ∪ Id)/(Φ ∪ Id) needs the bare Φ — no pushing.
-                    let star = self.materialize(CVal::StarOf { edges });
+                    let star = self.to_mat(CVal::StarOf { edges });
                     return self.compose(
                         CVal::Rel {
                             plan: lp,
@@ -423,7 +436,7 @@ impl<'a> Compiler<'a> {
                 },
             ) => {
                 if rrefl {
-                    let star = self.materialize(CVal::StarOf { edges });
+                    let star = self.to_mat(CVal::StarOf { edges });
                     return self.compose(
                         CVal::Rel {
                             plan: star.plan,
@@ -464,7 +477,7 @@ impl<'a> Compiler<'a> {
                 ))
             }
             (l @ CVal::StarOf { .. }, r @ CVal::StarOf { .. }) => {
-                let lm = self.materialize(l);
+                let lm = self.to_mat(l);
                 self.compose(
                     CVal::Rel {
                         plan: lm.plan,
@@ -484,7 +497,7 @@ impl<'a> Compiler<'a> {
             EQual::False => Ok(CVal::empty()),
             // a direct text test on a value-carrying relation is a plain σ
             EQual::TextEq(c) => {
-                let m = self.materialize(val);
+                let m = self.to_mat(val);
                 if m.has_v && !m.refl {
                     return Ok(CVal::rel(
                         m.plan.select(Pred::ColEqValue(2, Value::str(c))),
@@ -510,7 +523,7 @@ impl<'a> Compiler<'a> {
     /// Restrict a relation's targets to a node set; handles the reflexive
     /// part by materializing identity pairs over the (filtered) node set.
     fn semijoin_nodes(&mut self, val: CVal, nodes: Plan) -> Result<CVal, TranslateError> {
-        let m = self.materialize(val);
+        let m = self.to_mat(val);
         let nodes = self.bind(nodes, "qualifier node set");
         let filtered = Plan::Join {
             left: Box::new(m.plan),
@@ -544,7 +557,7 @@ impl<'a> Compiler<'a> {
                 .project(vec![(1, "N")]),
             EQual::Exp(e) => {
                 let v = self.compile(e)?;
-                let m = self.materialize(v);
+                let m = self.to_mat(v);
                 if m.refl {
                     // ε ∈ e: every node satisfies [e]
                     Plan::Scan(ALL_NODES.into()).project(vec![(1, "N")])
@@ -591,7 +604,7 @@ impl<'a> Compiler<'a> {
         if depth > 64 || self.inline_budget == 0 {
             // fall back: unrestricted compile, then restrict sources
             let v = self.compile(e)?;
-            let m = self.materialize(v);
+            let m = self.to_mat(v);
             if m.refl {
                 let id_part = seeds.clone().project(vec![(0, "F"), (0, "T")]);
                 let flat = self.harmonize(m.plan, m.has_v, false);
@@ -664,14 +677,14 @@ impl<'a> Compiler<'a> {
                 let mut acc = self.compile_from(&parts[0], seeds, depth + 1)?;
                 for p in &parts[1..] {
                     // frontier of the prefix = its reached nodes
-                    let m = self.materialize(acc);
+                    let m = self.to_mat(acc);
                     let bound = self.bind(m.plan, "seeded prefix");
                     let next_seeds = self.bind(
                         Plan::Distinct(Box::new(bound.clone().project(vec![(1, "N")]))),
                         "frontier",
                     );
                     let rhs = self.compile_from(p, &next_seeds, depth + 1)?;
-                    let rm = self.materialize(rhs);
+                    let rm = self.to_mat(rhs);
                     // compose: (x, m) ⋈ (m, y)
                     let l_ar = if m.has_v { 3 } else { 2 };
                     let mut cols = vec![(0usize, "F"), (l_ar + 1, "T")];
@@ -689,7 +702,7 @@ impl<'a> Compiler<'a> {
                 let mut mats = Vec::new();
                 for p in parts {
                     let v = self.compile_from(p, seeds, depth + 1)?;
-                    let m = self.materialize(v);
+                    let m = self.to_mat(v);
                     has_v &= m.has_v;
                     mats.push(m);
                 }

@@ -65,10 +65,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use x2s_dtd::Dtd;
-use x2s_rel::{
-    analyze_program_with, edge_scan_schema, render_program, AnalyzeError, Database, ExecError,
-    ExecOptions, SharedStats, SqlDialect, Stats,
-};
+use x2s_rel::{render_program, Database, ExecError, ExecOptions, SharedStats, SqlDialect, Stats};
 use x2s_shred::edge_database;
 use x2s_xml::{parse_xml, validate, Tree, ValidationError, XmlError};
 use x2s_xpath::{parse_xpath, ParseError, Path, Sat, SatAnalyzer, Witness};
@@ -101,9 +98,6 @@ pub enum EngineError {
     /// flight isolation, never by the engine itself; every coalesced
     /// caller of the poisoned flight receives this error.
     ExecutionPanicked,
-    /// The static plan analyzer rejected the translated program on the
-    /// prepare path ([`x2s_rel::analyze`]).
-    Analyze(AnalyzeError),
     /// `execute`/`query` was called before any document was loaded.
     NoDocument,
 }
@@ -120,9 +114,6 @@ impl fmt::Display for EngineError {
             EngineError::BudgetExceeded(m) => write!(f, "execution budget exceeded: {m}"),
             EngineError::ExecutionPanicked => {
                 write!(f, "query execution panicked (contained; worker survived)")
-            }
-            EngineError::Analyze(e) => {
-                write!(f, "static analysis rejected the translated program: {e}")
             }
             EngineError::NoDocument => {
                 write!(
@@ -142,7 +133,6 @@ impl std::error::Error for EngineError {
             EngineError::Validate(e) => Some(e),
             EngineError::Translate(e) => Some(e),
             EngineError::Exec(e) => Some(e),
-            EngineError::Analyze(e) => Some(e),
             EngineError::DeadlineExceeded
             | EngineError::BudgetExceeded(_)
             | EngineError::ExecutionPanicked => None,
@@ -180,11 +170,6 @@ impl From<ExecError> for EngineError {
             ExecError::BudgetExceeded(m) => EngineError::BudgetExceeded(m),
             e => EngineError::Exec(e),
         }
-    }
-}
-impl From<AnalyzeError> for EngineError {
-    fn from(e: AnalyzeError) -> Self {
-        EngineError::Analyze(e)
     }
 }
 
@@ -505,10 +490,9 @@ impl<'d> Engine<'d> {
                 .translate(path)?,
         );
         // Static-analyzer gate: no program enters the plan cache (where it
-        // would be re-served indefinitely) without passing verification
-        // against the edge-shredding catalog.
-        let analysis = analyze_program_with(&translation.program, &edge_scan_schema)?;
-        self.stats.analyze_check(analysis.warnings.len());
+        // would be re-served indefinitely) without the translator's
+        // verification; count it with its warnings.
+        self.stats.analyze_check(translation.warnings.len());
         // Pass-level optimizer counters accumulate with the execution
         // counters — only on misses, since a cache hit re-serves the same
         // already-optimized program.

@@ -48,7 +48,7 @@ pub mod x2e;
 
 pub use cyclee::{rec_matrix, CycleEError};
 pub use cycleex::RecTable;
-pub use e2sql::{exp_to_sql, exp_to_sql_with_report, SqlOptions};
+pub use e2sql::{exp_to_sql, exp_to_sql_checked, exp_to_sql_with_report, SqlOptions};
 pub use engine::{Engine, EngineBuilder, EngineError, PreparedQuery};
 pub use graph::{TransGraph, DOC};
 pub use pipeline::{IntervalVariant, RecStrategy, TranslateError, Translation, Translator};

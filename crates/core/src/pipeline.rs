@@ -1,13 +1,15 @@
 //! The end-to-end translator (paper Fig. 5): XPath → extended XPath → SQL.
 
-use crate::e2sql::{exp_to_sql_with_report, SqlOptions};
+use crate::e2sql::{exp_to_sql_checked, exp_to_sql_with_report, SqlOptions};
 use crate::x2e::{xpath_to_exp, RecMode, XpathTranslation};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use x2s_dtd::Dtd;
 use x2s_exp::ExtendedQuery;
 use x2s_rel::opt::OptReport;
-use x2s_rel::{Database, ExecError, ExecOptions, IntervalJoinSpec, Plan, Program, Stats};
+use x2s_rel::{
+    AnalyzeWarning, Database, ExecError, ExecOptions, IntervalJoinSpec, Node, Plan, Program, Stats,
+};
 use x2s_xpath::Path;
 
 /// Which algorithm instantiates `rec(A, B)` for the descendant axis. An
@@ -109,6 +111,9 @@ pub struct Translation {
     /// What the optimizer did: operator counts before/after and pass-level
     /// counters ([`x2s_rel::opt::OptStats`]).
     pub opt: OptReport,
+    /// The static analyzer's non-fatal warnings on [`Translation::program`]
+    /// (dead statements), from the analysis the translator ran.
+    pub warnings: Vec<AnalyzeWarning>,
     /// Interval fast-path variant, when the query has at least one
     /// rewritable `rec(A, B)` and the translator has the path enabled.
     pub interval: Option<IntervalVariant>,
@@ -207,12 +212,14 @@ impl<'a> Translator<'a> {
     pub fn translate(&self, path: &Path) -> Result<Translation, TranslateError> {
         let tr = xpath_to_exp(path, self.dtd, &self.rec_mode())?;
         let (extended, var_map) = tr.query.pruned_with_map();
-        let (program, opt) = exp_to_sql_with_report(&extended, &self.sql_options, &HashMap::new())?;
+        let (program, opt, warnings) =
+            exp_to_sql_checked(&extended, &self.sql_options, &HashMap::new())?;
         let interval = self.compile_interval_variant(&tr, &extended, &var_map)?;
         Ok(Translation {
             extended,
             program,
             opt,
+            warnings,
             interval,
         })
     }
@@ -248,14 +255,11 @@ impl<'a> Translator<'a> {
             return Ok(None);
         }
         let (program, _) = exp_to_sql_with_report(extended, &self.sql_options, &overrides)?;
-        let mut rewrites = 0usize;
-        for stmt in &program.stmts {
-            stmt.plan.visit(&mut |p| {
-                if matches!(p, Plan::IntervalJoin(_)) {
-                    rewrites += 1;
-                }
-            });
-        }
+        let rewrites = program
+            .nodes()
+            .iter()
+            .filter(|n| matches!(n, Node::IntervalJoin(_)))
+            .count();
         if rewrites == 0 {
             return Ok(None);
         }

@@ -1,13 +1,16 @@
-//! Plan execution: databases, the evaluator, and execution options.
+//! Program execution: databases, the evaluator, and execution options.
 //!
 //! # Columnar execution core
 //!
 //! What shapes this module's hot path:
 //!
-//! * **Borrowed scans** — [`eval_plan`] returns `Cow<Relation>`: a `Scan`
-//!   or `Temp` borrows the stored relation instead of cloning it, so
-//!   operators read base relations in place and only materialize what they
-//!   actually produce.
+//! * **A loop, not a recursion** — a statement's nodes are evaluated in
+//!   arena order (children first), each into a slot that its one consumer
+//!   takes or frees; a read of an earlier statement borrows that statement's
+//!   slot. Stack use does not grow with the program's depth.
+//! * **Borrowed scans** — a `Scan` or `Values` node's slot borrows the
+//!   stored relation instead of cloning it, so operators read base relations
+//!   in place and only materialize what they actually produce.
 //! * **One row-multimap under every build table** — a hash-join build side,
 //!   keyed on its one join column, is a `crate::multimap::RowMultimap`: a
 //!   hash map from the key to its first row plus one `next` array chaining
@@ -15,7 +18,8 @@
 //!   table instead of one `Vec` per distinct key; `Relation::dedup` uses the
 //!   same table, and the fixpoint operators the dense-key variant (CSR).
 //! * **σ/π fused into the join below** — a `Project`, a `Select`, or
-//!   `Project(Select(…))` directly above an inner `Join` is applied while
+//!   `Project(Select(…))` directly above an inner `Join` of the same
+//!   statement is applied while
 //!   the join emits: a joined row failing the predicate is never built, and
 //!   of one that passes only the projected columns are copied
 //!   ([`Stats::tuples_emitted`] counts the narrow rows; `joins`, `selects`
@@ -31,7 +35,8 @@
 //!   `build_indexes` ran after its last [`Database::insert`]. A join whose
 //!   *build* (right) side is a plain base-table scan probes that index
 //!   instead of building a table ([`Stats::join_index_reuses`] counts
-//!   them). The translator's child steps are `SemiJoin(Scan R_x, small)`
+//!   them); a temporary on the build side builds one, even when its
+//!   statement is a bare scan. The translator's child steps are `SemiJoin(Scan R_x, small)`
 //!   — the scan on the *probe* side — so none of the ten benchmark
 //!   queries reaches an index today
 //!   (`rel.exec.join_index_reuses = 0`); driving those joins from the small
@@ -47,8 +52,8 @@ use crate::interval::{eval_interval_join, IntervalLabels, IntervalView};
 use crate::lfp::eval_lfp;
 use crate::multilfp::eval_multilfp;
 use crate::multimap::RowMultimap;
-use crate::plan::{JoinKind, Plan, Pred};
-use crate::program::TempId;
+use crate::plan::{JoinKind, Pred};
+use crate::program::{Node, NodeId, Program, TempId};
 use crate::relation::Relation;
 use crate::stats::Stats;
 use crate::value::Value;
@@ -87,7 +92,7 @@ pub struct Database {
     /// executions fall back to the LFP path).
     intervals: Option<Arc<IntervalLabels>>,
     /// name → that relation's `T`-column nodes sorted by `start` label
-    /// (the sort-merge side of [`Plan::IntervalJoin`]); built with the
+    /// (the sort-merge side of [`Node::IntervalJoin`]); built with the
     /// labels, dropped with them.
     interval_views: HashMap<String, Arc<IntervalView>>,
 }
@@ -346,11 +351,11 @@ impl ExecOptions {
 pub enum ExecError {
     /// A scan referenced an unknown base relation.
     UnknownRelation(String),
-    /// A plan referenced a temporary that has not been produced.
-    UnknownTemp(TempId),
+    /// The program names no result statement.
+    NoResult,
     /// Schema mismatch in a set operation.
     SchemaMismatch(String),
-    /// An [`Plan::IntervalJoin`] ran against a store without interval
+    /// An [`Node::IntervalJoin`] ran against a store without interval
     /// labels (never shredded, or mutated since shredding). The engine
     /// selects the LFP program for such stores; hitting this means a
     /// caller executed an interval program against the wrong database.
@@ -368,7 +373,7 @@ impl fmt::Display for ExecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ExecError::UnknownRelation(n) => write!(f, "unknown base relation {n}"),
-            ExecError::UnknownTemp(t) => write!(f, "unknown temporary {t:?}"),
+            ExecError::NoResult => write!(f, "program has no result statement"),
             ExecError::SchemaMismatch(m) => write!(f, "schema mismatch: {m}"),
             ExecError::MissingIntervals(n) => {
                 write!(
@@ -384,22 +389,20 @@ impl fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// Mutable execution context threaded through evaluation.
-pub struct ExecCtx<'a> {
+/// Mutable execution context the operators share.
+pub(crate) struct ExecCtx<'a> {
     /// The database of base relations.
-    pub db: &'a Database,
-    /// Materialized temporaries.
-    pub env: &'a HashMap<TempId, Relation>,
+    pub(crate) db: &'a Database,
     /// Options.
-    pub opts: ExecOptions,
+    pub(crate) opts: ExecOptions,
     /// Statistics accumulator.
-    pub stats: &'a mut Stats,
+    pub(crate) stats: &'a mut Stats,
 }
 
 impl ExecCtx<'_> {
     /// Poll this execution's cancellation token (deadline + tuple budget).
     #[inline]
-    pub fn check_cancel(&self) -> Result<(), ExecError> {
+    pub(crate) fn check_cancel(&self) -> Result<(), ExecError> {
         self.opts.check_cancel(self.stats)
     }
 }
@@ -543,34 +546,228 @@ impl Fused<'_> {
     }
 }
 
-/// Evaluate one plan to a relation. `Scan`/`Temp`/`Values` borrow their
-/// stored relation (no clone); operator nodes produce owned results.
-pub fn eval_plan<'a>(
-    plan: &'a Plan,
+/// What one node holds while its statement runs.
+enum Slot<'a> {
+    /// Not evaluated yet, or freed once its one consumer read it.
+    Empty,
+    /// Evaluated inside its consumer (see [`Shape`]).
+    Fused,
+    /// Its relation: borrowed for `Scan` and `Values`, owned otherwise.
+    Rel(Cow<'a, Relation>),
+}
+
+/// How a node evaluates, given the statement it belongs to starts at `lo`.
+enum Shape<'p> {
+    /// On its own, from its inputs' relations.
+    Plain,
+    /// As the inner join `join` below it — with the σ `select` between
+    /// when there is one — emitting through `pred` and `cols`.
+    Fused {
+        join: NodeId,
+        select: Option<NodeId>,
+        pred: Option<&'p Pred>,
+        cols: Option<&'p [(usize, String)]>,
+    },
+    /// `Semi(IntervalJoin, seeds)` joining on the pairs' ancestor column:
+    /// the interval join `interval` runs on the seeds only (§5.2's
+    /// `push(R1, R0)` for the range join), and emits exactly the pairs the
+    /// semi-join keeps.
+    Seeded { interval: NodeId },
+}
+
+impl<'p> Shape<'p> {
+    /// The shape of `nodes[id]`. Only a node of the same statement fuses:
+    /// a temporary is read as it is.
+    fn of(nodes: &'p [Node], lo: NodeId, id: NodeId) -> Shape<'p> {
+        let local = |c: NodeId| c >= lo;
+        let inner_join = |c: NodeId| {
+            local(c)
+                && matches!(
+                    nodes[c as usize],
+                    Node::Join {
+                        kind: JoinKind::Inner,
+                        ..
+                    }
+                )
+        };
+        match &nodes[id as usize] {
+            Node::Select { input, pred } if inner_join(*input) => Shape::Fused {
+                join: *input,
+                select: None,
+                pred: Some(pred),
+                cols: None,
+            },
+            Node::Project { input, cols } if inner_join(*input) => Shape::Fused {
+                join: *input,
+                select: None,
+                pred: None,
+                cols: Some(cols),
+            },
+            Node::Project { input, cols } if local(*input) => match &nodes[*input as usize] {
+                Node::Select { input: join, pred } if inner_join(*join) => Shape::Fused {
+                    join: *join,
+                    select: Some(*input),
+                    pred: Some(pred),
+                    cols: Some(cols),
+                },
+                _ => Shape::Plain,
+            },
+            Node::Join {
+                left,
+                kind: JoinKind::Semi,
+                on: (0, _),
+                ..
+            } if local(*left) && matches!(nodes[*left as usize], Node::IntervalJoin(_)) => {
+                Shape::Seeded { interval: *left }
+            }
+            _ => Shape::Plain,
+        }
+    }
+}
+
+/// Execute `prog`: evaluate the statements the result reads, in order, and
+/// return the result's relation (borrowed when the result statement is a
+/// bare scan).
+pub(crate) fn run<'a>(
+    prog: &'a Program,
+    db: &'a Database,
+    opts: ExecOptions,
+    stats: &'a mut Stats,
+) -> Result<Cow<'a, Relation>, ExecError> {
+    let result = prog.result().ok_or(ExecError::NoResult)?;
+    let live = prog.live_stmts(result);
+    let nodes = prog.nodes();
+    let mut slots: Vec<Slot<'a>> = Vec::new();
+    slots.resize_with(nodes.len(), || Slot::Empty);
+    let mut evaluated = 0;
+    let mut ctx = ExecCtx { db, opts, stats };
+    for (s, stmt) in prog.stmts()[..=result.0 as usize].iter().enumerate() {
+        if !live[s] {
+            continue;
+        }
+        // Statement boundary: poll the cancellation token between statements
+        // so a multi-statement program cannot outlive its deadline by more
+        // than one statement.
+        ctx.check_cancel()?;
+        let lo = prog.first_node(TempId(s as u32));
+        for id in lo..=stmt.root {
+            match Shape::of(nodes, lo, id) {
+                Shape::Fused { join, select, .. } => {
+                    slots[join as usize] = Slot::Fused;
+                    if let Some(select) = select {
+                        slots[select as usize] = Slot::Fused;
+                    }
+                }
+                Shape::Seeded { interval } => slots[interval as usize] = Slot::Fused,
+                Shape::Plain => {}
+            }
+        }
+        for id in lo..=stmt.root {
+            if matches!(slots[id as usize], Slot::Fused) {
+                continue;
+            }
+            let (done, rest) = slots.split_at_mut(id as usize);
+            rest[0] = Slot::Rel(eval_node(nodes, lo, id, done, &mut ctx)?);
+        }
+        ctx.stats.stmts_evaluated += 1;
+        evaluated += 1;
+        // ... and after it: what the statement emitted counts against the
+        // tuple budget even when no later statement polls it
+        ctx.opts.check_tuples(ctx.stats.tuples_emitted)?;
+    }
+    // `stats` may carry earlier executions: skipped = this program's
+    // statements minus what *this* execution evaluated
+    ctx.stats.stmts_skipped += prog.len().saturating_sub(evaluated);
+    Ok(take(&mut slots, prog.stmt(result).root))
+}
+
+/// The relation node `c` evaluated to.
+fn rel<'s>(done: &'s [Slot<'_>], c: NodeId) -> &'s Relation {
+    match &done[c as usize] {
+        Slot::Rel(r) => r,
+        _ => unreachable!("node {c} is read before it is evaluated"),
+    }
+}
+
+/// Move node `c`'s relation out of its slot.
+fn take<'a>(done: &mut [Slot<'a>], c: NodeId) -> Cow<'a, Relation> {
+    match std::mem::replace(&mut done[c as usize], Slot::Empty) {
+        Slot::Rel(r) => r,
+        _ => unreachable!("node {c} is read before it is evaluated"),
+    }
+}
+
+/// Free what `nodes[id]` read from its own statement (at or after `lo`):
+/// each such input has no other consumer.
+fn free(nodes: &[Node], lo: NodeId, id: NodeId, done: &mut [Slot<'_>]) {
+    nodes[id as usize].for_each_child(|c| {
+        if c >= lo {
+            done[c as usize] = Slot::Empty;
+        }
+    });
+}
+
+/// Evaluate `nodes[id]` from its inputs' slots in `done`, freeing the ones
+/// of its own statement.
+fn eval_node<'a>(
+    nodes: &'a [Node],
+    lo: NodeId,
+    id: NodeId,
+    done: &mut [Slot<'a>],
     ctx: &mut ExecCtx<'a>,
 ) -> Result<Cow<'a, Relation>, ExecError> {
-    match plan {
-        Plan::Scan(name) => ctx
-            .db
-            .get(name)
-            .map(Cow::Borrowed)
-            .ok_or_else(|| ExecError::UnknownRelation(name.clone())),
-        Plan::Temp(t) => ctx
-            .env
-            .get(t)
-            .map(Cow::Borrowed)
-            .ok_or(ExecError::UnknownTemp(*t)),
-        Plan::Values(rel) => Ok(Cow::Borrowed(rel)),
-        Plan::Select { input, pred } => {
-            if let Some(join) = JoinNode::fusable(input) {
-                ctx.stats.selects += 1;
-                let fused = Fused {
-                    pred: Some(CompiledPred::compile(pred, ctx.db.dict())),
-                    cols: None,
-                };
-                return Ok(Cow::Owned(eval_join(join, fused, ctx)?));
+    let out = match (&nodes[id as usize], Shape::of(nodes, lo, id)) {
+        (
+            _,
+            Shape::Fused {
+                join,
+                select,
+                pred,
+                cols,
+            },
+        ) => {
+            ctx.stats.selects += usize::from(pred.is_some());
+            ctx.stats.projects += usize::from(cols.is_some());
+            let fused = Fused {
+                pred: pred.map(|p| CompiledPred::compile(p, ctx.db.dict())),
+                cols,
+            };
+            let out = eval_join(nodes, lo, join, &fused, done, ctx)?;
+            free(nodes, lo, join, done);
+            if let Some(select) = select {
+                done[select as usize] = Slot::Empty;
             }
-            let rel = eval_plan(input, ctx)?;
+            done[join as usize] = Slot::Empty;
+            out
+        }
+        (Node::Join { right, on, .. }, Shape::Seeded { interval }) => {
+            // Join boundary, as for any join.
+            ctx.check_cancel()?;
+            let Node::IntervalJoin(spec) = &nodes[interval as usize] else {
+                unreachable!("a seeded shape sits over an interval join")
+            };
+            ctx.stats.joins += 1;
+            // Non-id seed values (NULL, the document marker) equal no
+            // ancestor.
+            let seeds: FxHashSet<u32> = rel(done, *right)
+                .rows()
+                .filter_map(|t| t[on.1].as_id())
+                .collect();
+            let out = eval_interval_join(spec, rel(done, spec.left), Some(&seeds), ctx)?;
+            free(nodes, lo, interval, done);
+            done[interval as usize] = Slot::Empty;
+            out
+        }
+        (Node::Scan(name), _) => {
+            return ctx
+                .db
+                .get(name)
+                .map(Cow::Borrowed)
+                .ok_or_else(|| ExecError::UnknownRelation(name.clone()))
+        }
+        (Node::Values(rel), _) => return Ok(Cow::Borrowed(rel)),
+        (Node::Select { input, pred }, _) => {
+            let rel = rel(done, *input);
             ctx.stats.selects += 1;
             let compiled = CompiledPred::compile(pred, ctx.db.dict());
             let mut out = Relation::new(rel.arity());
@@ -580,32 +777,18 @@ pub fn eval_plan<'a>(
                 }
             }
             ctx.stats.tuples_emitted += out.len() as u64;
-            Ok(Cow::Owned(out))
+            out
         }
-        Plan::Project { input, cols } => {
-            // π, or π over σ, directly above an inner join
-            let (below, pred) = match &**input {
-                Plan::Select { input, pred } => (&**input, Some(pred)),
-                other => (other, None),
-            };
-            if let Some(join) = JoinNode::fusable(below) {
-                ctx.stats.projects += 1;
-                ctx.stats.selects += usize::from(pred.is_some());
-                let fused = Fused {
-                    pred: pred.map(|p| CompiledPred::compile(p, ctx.db.dict())),
-                    cols: Some(cols),
-                };
-                return Ok(Cow::Owned(eval_join(join, fused, ctx)?));
-            }
-            let rel = eval_plan(input, ctx)?;
+        (Node::Project { input, cols }, _) => {
+            let rel = rel(done, *input);
             ctx.stats.projects += 1;
             // Source columns are verified statically by [`crate::analyze`];
             // debug builds re-check once per projection (not per row) so an
-            // unanalyzed plan fails with a diagnostic, not a slice panic.
+            // unanalyzed program fails with a diagnostic, not a slice panic.
             debug_assert!(
                 rel.is_empty() || cols.iter().all(|(i, _)| *i < rel.arity()),
                 "projection source column out of range ({:?} over arity {}); \
-                 the plan bypassed the static analyzer",
+                 the program bypassed the static analyzer",
                 cols.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
                 rel.arity()
             );
@@ -615,26 +798,27 @@ pub fn eval_plan<'a>(
                 out.push_iter(cols.iter().map(|(i, _)| t[*i].clone()));
             }
             ctx.stats.tuples_emitted += out.len() as u64;
-            Ok(Cow::Owned(out))
+            out
         }
-        Plan::Join {
-            left,
-            right,
-            on,
-            kind,
-        } => {
-            let join = JoinNode {
-                left,
-                right,
-                on: *on,
-                kind: *kind,
-            };
-            Ok(Cow::Owned(eval_join(join, Fused::default(), ctx)?))
-        }
-        Plan::Union { inputs, distinct } => {
-            let mut rels = Vec::with_capacity(inputs.len());
-            for p in inputs {
-                rels.push(eval_plan(p, ctx)?);
+        (Node::Join { .. }, _) => eval_join(nodes, lo, id, &Fused::default(), done, ctx)?,
+        (Node::Union { inputs, distinct }, _) => {
+            // inputs of this statement are taken (an owned one is adopted
+            // below), temporaries borrowed
+            let taken: Vec<Cow<'a, Relation>> = inputs
+                .iter()
+                .map(|&c| {
+                    if c >= lo {
+                        take(done, c)
+                    } else {
+                        Cow::Owned(Relation::new(0))
+                    }
+                })
+                .collect();
+            let mut rels: Vec<Cow<'_, Relation>> = taken;
+            for (slot, &c) in rels.iter_mut().zip(inputs) {
+                if c < lo {
+                    *slot = Cow::Borrowed(rel(done, c));
+                }
             }
             let arity = rels.first().map(|r| r.arity()).unwrap_or(0);
             if rels.iter().any(|r| r.arity() != arity) {
@@ -667,91 +851,67 @@ pub fn eval_plan<'a>(
                 out.dedup();
             }
             ctx.stats.tuples_emitted += out.len() as u64;
-            Ok(Cow::Owned(out))
+            out
         }
-        Plan::Distinct(input) => {
-            let mut rel = eval_plan(input, ctx)?.into_owned();
+        (Node::Distinct(input), _) => {
+            let mut rel = if *input >= lo {
+                take(done, *input).into_owned()
+            } else {
+                rel(done, *input).clone()
+            };
             rel.dedup();
             ctx.stats.tuples_emitted += rel.len() as u64;
-            Ok(Cow::Owned(rel))
+            rel
         }
-        Plan::Lfp(spec) => Ok(Cow::Owned(eval_lfp(spec, ctx)?)),
-        Plan::MultiLfp(spec) => Ok(Cow::Owned(eval_multilfp(spec, ctx)?)),
-        Plan::IntervalJoin(spec) => Ok(Cow::Owned(eval_interval_join(spec, None, ctx)?)),
-    }
-}
-
-/// The fields of a [`Plan::Join`].
-struct JoinNode<'a> {
-    left: &'a Plan,
-    right: &'a Plan,
-    on: (usize, usize),
-    kind: JoinKind,
-}
-
-impl<'a> JoinNode<'a> {
-    /// `plan` as the join a σ/π directly above it fuses into: an inner join
-    /// (semi and anti joins emit stored left rows as they are).
-    fn fusable(plan: &'a Plan) -> Option<Self> {
-        match plan {
-            Plan::Join {
-                left,
-                right,
-                on,
-                kind: JoinKind::Inner,
-            } => Some(JoinNode {
-                left,
-                right,
-                on: *on,
-                kind: JoinKind::Inner,
-            }),
-            _ => None,
+        (Node::Lfp(spec), _) => {
+            let push = spec.push.as_ref().map(|p| rel(done, *p.input().0));
+            eval_lfp(spec, rel(done, spec.input), push, ctx)?
         }
-    }
+        (Node::MultiLfp(spec), _) => eval_multilfp(spec, |c| rel(done, c), ctx)?,
+        (Node::IntervalJoin(spec), _) => eval_interval_join(spec, rel(done, spec.left), None, ctx)?,
+    };
+    free(nodes, lo, id, done);
+    Ok(Cow::Owned(out))
 }
 
-/// Evaluate a join, applying `fused` to every row it emits.
-fn eval_join<'a>(
-    join: JoinNode<'a>,
-    fused: Fused<'a>,
-    ctx: &mut ExecCtx<'a>,
+/// Evaluate the join `nodes[join]`, applying `fused` to every row it emits.
+fn eval_join(
+    nodes: &[Node],
+    lo: NodeId,
+    join: NodeId,
+    fused: &Fused<'_>,
+    done: &[Slot<'_>],
+    ctx: &mut ExecCtx<'_>,
 ) -> Result<Relation, ExecError> {
+    let Node::Join {
+        left,
+        right,
+        on,
+        kind,
+    } = &nodes[join as usize]
+    else {
+        unreachable!("node {join} is a join")
+    };
     // Join boundary: the cheapest place to poll the token before
     // committing to a potentially large build/probe.
     ctx.check_cancel()?;
-    if let (JoinKind::Semi, Plan::IntervalJoin(spec), (0, seed_col)) =
-        (join.kind, join.left, join.on)
-    {
-        // Seed push-down (the paper's `push(R1, R0)` for the range join):
-        // a semi-join keeps the (ancestor, descendant) pairs whose ancestor
-        // is in `right`, so only those ancestors enter the interval join —
-        // it then emits exactly the pairs the semi-join would have kept.
-        // Non-id seed values (NULL, the document marker) equal no ancestor.
-        let seeds = eval_plan(join.right, ctx)?;
-        ctx.stats.joins += 1;
-        let seeds: FxHashSet<u32> = seeds.rows().filter_map(|t| t[seed_col].as_id()).collect();
-        return eval_interval_join(spec, Some(&seeds), ctx);
-    }
-    let l = eval_plan(join.left, ctx)?;
     // Cached-index fast path: a join whose build side is a raw base-table
     // scan on an indexed column reuses the load-time index instead of
     // building a hash table.
-    let prebuilt = match join.right {
-        Plan::Scan(name) => ctx.db.index_of(name, join.on.1),
+    let prebuilt = match &nodes[*right as usize] {
+        Node::Scan(name) if *right >= lo => ctx.db.index_of(name, on.1),
         _ => None,
     };
-    let r = eval_plan(join.right, ctx)?;
+    let (l, r) = (rel(done, *left), rel(done, *right));
     debug_assert!(
         fused
             .cols
             .is_none_or(|cols| cols.iter().all(|(i, _)| *i < l.arity() + r.arity())),
         "projection source column out of range over join arity {}; \
-         the plan bypassed the static analyzer",
+         the program bypassed the static analyzer",
         l.arity() + r.arity()
     );
-    Ok(hash_join(
-        &l, &r, join.on, join.kind, ctx.stats, prebuilt, &fused,
-    ))
+    Ok(hash_join(l, r, *on, *kind, ctx.stats, prebuilt, fused))
 }
 
 /// `v` as a join key: NULL is none.
@@ -833,7 +993,7 @@ fn probe<'l, M: Iterator<Item = u32>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::Pred;
+    use crate::plan::{Plan, Pred};
 
     fn rel2(rows: &[(u32, u32)]) -> Relation {
         let mut r = Relation::new(2);
@@ -843,16 +1003,24 @@ mod tests {
         r
     }
 
-    fn run(plan: &Plan, db: &Database) -> Relation {
-        let env = HashMap::new();
+    /// `plan` as the one statement of a program.
+    fn program(plan: &Plan) -> Program {
+        let mut prog = Program::new();
+        let t = prog.push(plan.clone(), "test");
+        prog.set_result(t);
+        prog
+    }
+
+    fn run_stats(plan: &Plan, db: &Database) -> (Relation, Stats) {
         let mut stats = Stats::default();
-        let mut ctx = ExecCtx {
-            db,
-            env: &env,
-            opts: ExecOptions::default(),
-            stats: &mut stats,
-        };
-        eval_plan(plan, &mut ctx).unwrap().into_owned()
+        let out = program(plan)
+            .execute(db, ExecOptions::default(), &mut stats)
+            .unwrap();
+        (out, stats)
+    }
+
+    fn run(plan: &Plan, db: &Database) -> Relation {
+        run_stats(plan, db).0
     }
 
     fn db_with(name: &str, rel: Relation) -> Database {
@@ -873,16 +1041,9 @@ mod tests {
     #[test]
     fn scan_borrows_without_cloning() {
         let db = db_with("R", rel2(&[(1, 2)]));
-        let env = HashMap::new();
         let mut stats = Stats::default();
-        let mut ctx = ExecCtx {
-            db: &db,
-            env: &env,
-            opts: ExecOptions::default(),
-            stats: &mut stats,
-        };
-        let plan = Plan::Scan("R".into());
-        let out = eval_plan(&plan, &mut ctx).unwrap();
+        let prog = program(&Plan::Scan("R".into()));
+        let out = super::run(&prog, &db, ExecOptions::default(), &mut stats).unwrap();
         assert!(
             matches!(out, Cow::Borrowed(_)),
             "a raw scan must not copy the base relation"
@@ -893,16 +1054,9 @@ mod tests {
     #[test]
     fn unknown_relation_errors() {
         let db = Database::new();
-        let env = HashMap::new();
-        let mut stats = Stats::default();
-        let mut ctx = ExecCtx {
-            db: &db,
-            env: &env,
-            opts: ExecOptions::default(),
-            stats: &mut stats,
-        };
-        let plan = Plan::Scan("missing".into());
-        let err = eval_plan(&plan, &mut ctx).unwrap_err();
+        let err = program(&Plan::Scan("missing".into()))
+            .execute(&db, ExecOptions::default(), &mut Stats::default())
+            .unwrap_err();
         assert_eq!(err, ExecError::UnknownRelation("missing".into()));
     }
 
@@ -949,15 +1103,7 @@ mod tests {
         db.build_indexes();
         assert_eq!(db.indexed_relations(), 2);
         for (p, want) in plans.iter().zip(&fresh) {
-            let env = HashMap::new();
-            let mut stats = Stats::default();
-            let mut ctx = ExecCtx {
-                db: &db,
-                env: &env,
-                opts: ExecOptions::default(),
-                stats: &mut stats,
-            };
-            let got = eval_plan(p, &mut ctx).unwrap().into_owned();
+            let (got, stats) = run_stats(p, &db);
             assert_eq!(got.sorted_tuples(), want.sorted_tuples());
             assert_eq!(stats.join_index_reuses, 1, "cached index was used");
         }
@@ -1084,15 +1230,7 @@ mod tests {
                 bare.insert(name, db.get(name).unwrap().clone());
             }
             for (p, build_side) in &plans {
-                let env = HashMap::new();
-                let mut stats = Stats::default();
-                let mut ctx = ExecCtx {
-                    db: &db,
-                    env: &env,
-                    opts: ExecOptions::default(),
-                    stats: &mut stats,
-                };
-                let got = eval_plan(p, &mut ctx).unwrap().into_owned();
+                let (got, stats) = run_stats(p, &db);
                 assert_eq!(got, run(p, &bare), "step {at}: {p:?}");
                 let reused = usize::from(indexed[build_side]);
                 assert_eq!(stats.join_index_reuses, reused, "step {at}: {p:?}");
@@ -1229,15 +1367,7 @@ mod tests {
         db.insert("A", rel2(&[(1, 2)]));
         db.insert("B", rel2(&[(2, 3)]));
         let p = Plan::Scan("A".into()).join_on(Plan::Scan("B".into()), 1, 0);
-        let env = HashMap::new();
-        let mut stats = Stats::default();
-        let mut ctx = ExecCtx {
-            db: &db,
-            env: &env,
-            opts: ExecOptions::default(),
-            stats: &mut stats,
-        };
-        eval_plan(&p, &mut ctx).unwrap();
+        let (_, stats) = run_stats(&p, &db);
         assert_eq!(stats.joins, 1);
     }
 }

@@ -1,10 +1,11 @@
-//! `EXPLAIN`-style rendering of plans and programs: a compact indented
-//! operator tree, independent of SQL dialect. Useful for inspecting what a
+//! `EXPLAIN`-style rendering of programs: a compact indented operator tree
+//! per statement, walked over the program's nodes, independent of SQL
+//! dialect. Useful for inspecting what a
 //! translation produced (`examples/`, debugging) without reading full SQL.
 
 use crate::opt::OptReport;
-use crate::plan::{JoinKind, Plan, Pred, PushSpec};
-use crate::program::{OpCounts, Program};
+use crate::plan::{JoinKind, Pred, PushSpec};
+use crate::program::{Node, NodeId, OpCounts, Program, TempId};
 use std::fmt::Write as _;
 
 /// Render an optimizer report as a before/after operator-count table plus
@@ -43,48 +44,47 @@ pub fn explain_opt_report(report: &OptReport) -> String {
     out
 }
 
-/// Render a whole program as indented operator trees.
+/// Render a whole program as indented operator trees, one per statement;
+/// a read of an earlier statement shows as `Temp T<i>`.
 pub fn explain_program(prog: &Program) -> String {
     let mut out = String::new();
-    for stmt in &prog.stmts {
-        let _ = writeln!(out, "T{} := {}", stmt.target.0, stmt.comment);
-        explain_into(&stmt.plan, 1, &mut out);
+    for (t, stmt) in prog.stmts().iter().enumerate() {
+        let _ = writeln!(out, "T{t} := {}", stmt.comment);
+        let lo = prog.first_node(TempId(t as u32));
+        explain_into(prog, lo, stmt.root, 1, &mut out);
     }
-    if let Some(result) = prog.result {
+    if let Some(result) = prog.result() {
         let _ = writeln!(out, "result: T{}", result.0);
     }
     out
 }
 
-/// Render one plan as an indented operator tree.
-pub fn explain_plan(plan: &Plan) -> String {
-    let mut out = String::new();
-    explain_into(plan, 0, &mut out);
-    out
-}
-
-fn explain_into(plan: &Plan, level: usize, out: &mut String) {
+fn explain_into(prog: &Program, lo: NodeId, id: NodeId, level: usize, out: &mut String) {
     let pad = "  ".repeat(level);
-    match plan {
-        Plan::Scan(name) => {
+    if id < lo {
+        if let Some(t) = prog.stmt_at(id) {
+            let _ = writeln!(out, "{pad}Temp T{}", t.0);
+            return;
+        }
+    }
+    let child = |c: NodeId, level: usize, out: &mut String| explain_into(prog, lo, c, level, out);
+    match prog.node(id) {
+        Node::Scan(name) => {
             let _ = writeln!(out, "{pad}Scan {name}");
         }
-        Plan::Temp(t) => {
-            let _ = writeln!(out, "{pad}Temp T{}", t.0);
-        }
-        Plan::Values(rel) => {
+        Node::Values(rel) => {
             let _ = writeln!(out, "{pad}Values ({} rows)", rel.len());
         }
-        Plan::Select { input, pred } => {
+        Node::Select { input, pred } => {
             let _ = writeln!(out, "{pad}Select {}", pred_text(pred));
-            explain_into(input, level + 1, out);
+            child(*input, level + 1, out);
         }
-        Plan::Project { input, cols } => {
+        Node::Project { input, cols } => {
             let cols_text: Vec<String> = cols.iter().map(|(i, n)| format!("c{i}→{n}")).collect();
             let _ = writeln!(out, "{pad}Project [{}]", cols_text.join(", "));
-            explain_into(input, level + 1, out);
+            child(*input, level + 1, out);
         }
-        Plan::Join {
+        Node::Join {
             left,
             right,
             on,
@@ -96,49 +96,49 @@ fn explain_into(plan: &Plan, level: usize, out: &mut String) {
                 JoinKind::Anti => "AntiJoin",
             };
             let _ = writeln!(out, "{pad}{kind_text} on l.c{}=r.c{}", on.0, on.1);
-            explain_into(left, level + 1, out);
-            explain_into(right, level + 1, out);
+            child(*left, level + 1, out);
+            child(*right, level + 1, out);
         }
-        Plan::Union { inputs, distinct } => {
+        Node::Union { inputs, distinct } => {
             let _ = writeln!(
                 out,
                 "{pad}Union{} ({} inputs)",
                 if *distinct { " distinct" } else { "" },
                 inputs.len()
             );
-            for p in inputs {
-                explain_into(p, level + 1, out);
+            for &p in inputs {
+                child(p, level + 1, out);
             }
         }
-        Plan::Distinct(input) => {
+        Node::Distinct(input) => {
             let _ = writeln!(out, "{pad}Distinct");
-            explain_into(input, level + 1, out);
+            child(*input, level + 1, out);
         }
-        Plan::Lfp(spec) => {
+        Node::Lfp(spec) => {
             let push_text = match &spec.push {
-                None => String::new(),
-                Some(PushSpec::Forward { .. }) => " [pushed: forward seeds]".into(),
-                Some(PushSpec::Backward { .. }) => " [pushed: backward targets]".into(),
+                None => "",
+                Some(PushSpec::Forward { .. }) => " [pushed: forward seeds]",
+                Some(PushSpec::Backward { .. }) => " [pushed: backward targets]",
             };
             let _ = writeln!(
                 out,
                 "{pad}Φ LFP closure (c{}→c{}){push_text}",
                 spec.from_col, spec.to_col
             );
-            explain_into(&spec.input, level + 1, out);
+            child(spec.input, level + 1, out);
             match &spec.push {
                 Some(PushSpec::Forward { seeds, .. }) => {
                     let _ = writeln!(out, "{pad}  seeds:");
-                    explain_into(seeds, level + 2, out);
+                    child(*seeds, level + 2, out);
                 }
                 Some(PushSpec::Backward { targets, .. }) => {
                     let _ = writeln!(out, "{pad}  targets:");
-                    explain_into(targets, level + 2, out);
+                    child(*targets, level + 2, out);
                 }
                 None => {}
             }
         }
-        Plan::MultiLfp(spec) => {
+        Node::MultiLfp(spec) => {
             let _ = writeln!(
                 out,
                 "{pad}φ multi-relation fixpoint ({} init parts, {} edge rules)",
@@ -147,20 +147,20 @@ fn explain_into(plan: &Plan, level: usize, out: &mut String) {
             );
             for (tag, p) in &spec.init {
                 let _ = writeln!(out, "{pad}  init[{tag}]:");
-                explain_into(p, level + 2, out);
+                child(*p, level + 2, out);
             }
             for e in &spec.edges {
                 let _ = writeln!(out, "{pad}  rule {} → {}:", e.src_tag, e.dst_tag);
-                explain_into(&e.rel, level + 2, out);
+                child(e.rel, level + 2, out);
             }
         }
-        Plan::IntervalJoin(spec) => {
+        Node::IntervalJoin(spec) => {
             let _ = writeln!(
                 out,
                 "{pad}IntervalJoin pre/post range (c{} ⊐ {}) [no fixpoint]",
                 spec.left_col, spec.right
             );
-            explain_into(&spec.left, level + 1, out);
+            child(spec.left, level + 1, out);
         }
     }
 }
@@ -175,12 +175,20 @@ fn pred_text(pred: &Pred) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{LfpSpec, MultiLfpEdge, MultiLfpSpec};
-    use crate::program::Program;
+    use crate::plan::{LfpSpec, MultiLfpEdge, MultiLfpSpec, Plan};
     use crate::value::Value;
+
+    /// `plan` explained as the last statement of `prog`.
+    fn explain(mut prog: Program, plan: Plan) -> String {
+        let t = prog.push(plan, "plan");
+        prog.set_result(t);
+        explain_program(&prog)
+    }
 
     #[test]
     fn explains_nested_plan() {
+        let mut prog = Program::new();
+        let seeds = prog.push(Plan::Scan("R_c".into()).project(vec![(1, "T")]), "seeds");
         let plan = Plan::Scan("R_a".into())
             .select(Pred::ColEqValue(0, Value::Doc))
             .join_on(
@@ -189,20 +197,20 @@ mod tests {
                     from_col: 0,
                     to_col: 1,
                     push: Some(PushSpec::Forward {
-                        seeds: Box::new(Plan::Temp(crate::TempId(3))),
+                        seeds: Box::new(Plan::Temp(seeds)),
                         col: 0,
                     }),
                 }),
                 1,
                 0,
             );
-        let text = explain_plan(&plan);
-        assert!(text.contains("Join on l.c1=r.c0"));
+        let text = explain(prog, plan);
+        assert!(text.contains("\n  Join on l.c1=r.c0"));
         assert!(text.contains("Select c0 = '_'"));
         assert!(text.contains("Φ LFP closure (c0→c1) [pushed: forward seeds]"));
-        assert!(text.contains("seeds:"));
-        // indentation reflects nesting
-        assert!(text.contains("\n  Select") || text.starts_with("Join"));
+        // indentation reflects nesting; the seeds are read as a temporary
+        assert!(text.contains("\n    Select"));
+        assert!(text.contains("seeds:\n        Temp T0\n"), "{text}");
     }
 
     #[test]
@@ -215,7 +223,7 @@ mod tests {
                 rel: Plan::Scan("R_s".into()),
             }],
         });
-        let text = explain_plan(&plan);
+        let text = explain(Program::new(), plan);
         assert!(text.contains("φ multi-relation fixpoint (1 init parts, 1 edge rules)"));
         assert!(text.contains("rule c → s:"));
         assert!(text.contains("init[c]:"));
@@ -225,7 +233,7 @@ mod tests {
     fn explains_program_with_result() {
         let mut prog = Program::new();
         let t = prog.push(Plan::Scan("R_x".into()), "base");
-        prog.result = Some(t);
+        prog.set_result(t);
         let text = explain_program(&prog);
         assert!(text.contains("T0 := base"));
         assert!(text.contains("result: T0"));
@@ -241,7 +249,7 @@ mod tests {
                 .project(vec![(0, "F")]),
             "messy",
         );
-        prog.result = Some(t);
+        prog.set_result(t);
         let (_, report) = crate::opt::optimize(&prog, crate::opt::OptLevel::Full);
         let text = explain_opt_report(&report);
         assert!(text.contains("optimizer: Full"));

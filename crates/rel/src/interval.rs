@@ -23,11 +23,12 @@
 //! follow-up). `u64` headroom is ample: a document would need on the order
 //! of 2⁴³ nodes before `2·nodes·LABEL_GAP` overflows.
 //!
-//! [`IntervalJoin`]: crate::plan::Plan::IntervalJoin
+//! [`IntervalJoin`]: crate::program::Node::IntervalJoin
 
-use crate::exec::{eval_plan, ExecCtx, ExecError};
+use crate::exec::{ExecCtx, ExecError};
 use crate::fxhash::{fx_set_with_capacity, FxHashSet};
 use crate::plan::IntervalJoinSpec;
+use crate::program::NodeId;
 use crate::relation::Relation;
 use crate::value::Value;
 
@@ -152,9 +153,8 @@ const INL_RATIO: usize = 16;
 /// chunk's worth of work.
 const CANCEL_CHECK_CHUNK: u64 = 4_096;
 
-/// Evaluate a [`Plan::IntervalJoin`](crate::plan::Plan::IntervalJoin):
-/// all `(x, y)` with `x` drawn from the left
-/// input's `left_col`, `y` a `T`-column node of the `right` base relation,
+/// Evaluate an interval join: all `(x, y)` with `x` drawn from `left`'s
+/// `left_col`, `y` a `T`-column node of the `right` base relation,
 /// and `y` a proper descendant of `x`.
 ///
 /// Two physical strategies over the pre-sorted view:
@@ -176,12 +176,12 @@ const CANCEL_CHECK_CHUNK: u64 = 4_096;
 /// pushed in (§5.2's `push(R1, R0)` for the range join). The strategy is
 /// then chosen on the seeded candidates, and the output is exactly the
 /// pairs of the unrestricted join whose ancestor is a seed.
-pub fn eval_interval_join<'a>(
-    spec: &'a IntervalJoinSpec,
+pub(crate) fn eval_interval_join(
+    spec: &IntervalJoinSpec<NodeId>,
+    left: &Relation,
     seeds: Option<&FxHashSet<u32>>,
-    ctx: &mut ExecCtx<'a>,
+    ctx: &mut ExecCtx<'_>,
 ) -> Result<Relation, ExecError> {
-    let left = eval_plan(&spec.left, ctx)?;
     let labels = ctx
         .db
         .intervals()
@@ -270,8 +270,18 @@ mod tests {
     use super::*;
     use crate::exec::{Database, ExecOptions};
     use crate::plan::Plan;
+    use crate::program::Program;
     use crate::stats::Stats;
-    use std::collections::HashMap;
+
+    /// Execute `plan` as the one statement of a program.
+    fn run(db: &Database, plan: Plan) -> (Result<Relation, ExecError>, Stats) {
+        let mut prog = Program::new();
+        let t = prog.push(plan, "plan");
+        prog.set_result(t);
+        let mut stats = Stats::default();
+        let out = prog.execute(db, ExecOptions::default(), &mut stats);
+        (out, stats)
+    }
 
     /// A random-ish tree's DFS labels plus its node relation; returns
     /// (labels, parent array) for `n` nodes, node 0 the root.
@@ -362,15 +372,8 @@ mod tests {
                 left_col: 1,
                 right: "ALL".into(),
             };
-            let env = HashMap::new();
-            let mut stats = Stats::default();
-            let mut ctx = ExecCtx {
-                db: &db,
-                env: &env,
-                opts: ExecOptions::default(),
-                stats: &mut stats,
-            };
-            let got = eval_interval_join(&spec, None, &mut ctx).unwrap();
+            let (got, stats) = run(&db, Plan::IntervalJoin(spec));
+            let got = got.unwrap();
             let mut got: Vec<(u32, u32)> = got
                 .rows()
                 .map(|t| match (&t[0], &t[1]) {
@@ -449,27 +452,13 @@ mod tests {
                 on: (0, 1),
                 kind: JoinKind::Semi,
             };
-            let env = HashMap::new();
-            let mut full_stats = Stats::default();
-            let mut ctx = ExecCtx {
-                db: &db,
-                env: &env,
-                opts: ExecOptions::default(),
-                stats: &mut full_stats,
-            };
-            let full = eval_interval_join(&spec, None, &mut ctx).unwrap();
+            let full = run(&db, Plan::IntervalJoin(spec)).0.unwrap();
             let mut want: Vec<(u32, u32)> = pairs_of(&full)
                 .into_iter()
                 .filter(|(x, _)| seed_ids.contains(x))
                 .collect();
-            let mut stats = Stats::default();
-            let mut ctx = ExecCtx {
-                db: &db,
-                env: &env,
-                opts: ExecOptions::default(),
-                stats: &mut stats,
-            };
-            let got = eval_plan(&semi, &mut ctx).unwrap();
+            let (got, stats) = run(&db, semi);
+            let got = got.unwrap();
             if !inl {
                 // same strategy as the unrestricted join: same order too
                 assert_eq!(pairs_of(&got), want, "{seed_count} seeds, in order");
@@ -498,15 +487,7 @@ mod tests {
             left_col: 1,
             right: "R".into(),
         };
-        let env = HashMap::new();
-        let mut stats = Stats::default();
-        let mut ctx = ExecCtx {
-            db: &db,
-            env: &env,
-            opts: ExecOptions::default(),
-            stats: &mut stats,
-        };
-        let err = eval_interval_join(&spec, None, &mut ctx).unwrap_err();
+        let err = run(&db, Plan::IntervalJoin(spec)).0.unwrap_err();
         assert!(matches!(err, ExecError::MissingIntervals(_)));
     }
 }

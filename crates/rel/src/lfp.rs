@@ -27,36 +27,35 @@
 //! `u64` pair keys (see [`crate::intern`]) — the counterpart of the
 //! integer-keyed indexes the paper's DB2 setup would use.
 
-use crate::exec::{eval_plan, ExecCtx};
+use crate::exec::ExecCtx;
 use crate::fxhash::{fx_set_with_capacity, FxHashSet};
 use crate::intern::{pack, unpack, Interner};
 use crate::multimap::Csr;
 use crate::plan::{LfpSpec, PushSpec};
+use crate::program::NodeId;
 use crate::relation::Relation;
 
-/// Evaluate `Φ(R)`: closure pairs `(F, T)` over the edge set produced by
-/// `spec.input`, possibly seed-/target-restricted.
-pub fn eval_lfp<'a>(
-    spec: &'a LfpSpec,
-    ctx: &mut ExecCtx<'a>,
+/// Evaluate `Φ(R)`: closure pairs `(F, T)` over `edges`, the relation of
+/// `spec.input`, restricted to the relation `push` of `spec.push`'s seeds or
+/// targets when there is one.
+pub(crate) fn eval_lfp(
+    spec: &LfpSpec<NodeId>,
+    edges: &Relation,
+    push: Option<&Relation>,
+    ctx: &mut ExecCtx<'_>,
 ) -> Result<Relation, crate::ExecError> {
-    let edges = eval_plan(&spec.input, ctx)?;
     ctx.stats.lfp_invocations += 1;
 
     let mut interner = Interner::new();
     let backward = matches!(spec.push, Some(PushSpec::Backward { .. }));
 
     // Restriction set (interned codes); None = unrestricted.
-    let restrict: Option<FxHashSet<u32>> = match &spec.push {
-        None => None,
-        Some(PushSpec::Forward { seeds, col }) => {
-            let rel = eval_plan(seeds, ctx)?;
-            Some(rel.rows().map(|t| interner.intern(&t[*col])).collect())
+    let restrict: Option<FxHashSet<u32>> = match (&spec.push, push) {
+        (Some(p), Some(rel)) => {
+            let col = p.input().1;
+            Some(rel.rows().map(|t| interner.intern(&t[col])).collect())
         }
-        Some(PushSpec::Backward { targets, col }) => {
-            let rel = eval_plan(targets, ctx)?;
-            Some(rel.rows().map(|t| interner.intern(&t[*col])).collect())
-        }
+        _ => None,
     };
 
     // Adjacency over interned codes: forward (f→t) normally, reversed when
@@ -123,12 +122,20 @@ pub fn eval_lfp<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{Database, ExecOptions};
+    use crate::exec::{Database, ExecError, ExecOptions};
     use crate::plan::Plan;
-    use crate::program::TempId;
+    use crate::program::Program;
     use crate::stats::Stats;
     use crate::value::Value;
-    use std::collections::{HashMap as Map, HashSet};
+    use std::collections::HashSet;
+
+    /// Run `Φ` per `spec` as the one statement of a program.
+    fn exec_lfp(db: &Database, spec: &LfpSpec, opts: ExecOptions) -> Result<Relation, ExecError> {
+        let mut prog = Program::new();
+        let t = prog.push(Plan::Lfp(spec.clone()), "Φ");
+        prog.set_result(t);
+        prog.execute(db, opts, &mut Stats::default())
+    }
 
     fn edge_rel(pairs: &[(u32, u32)]) -> Relation {
         let mut r = Relation::new(2);
@@ -147,15 +154,13 @@ mod tests {
             to_col: 1,
             push,
         };
-        let env: Map<TempId, Relation> = Map::new();
+        let mut prog = Program::new();
+        let t = prog.push(Plan::Lfp(spec), "Φ");
+        prog.set_result(t);
         let mut stats = Stats::default();
-        let mut ctx = ExecCtx {
-            db: &db,
-            env: &env,
-            opts: ExecOptions::default(),
-            stats: &mut stats,
-        };
-        let rel = eval_lfp(&spec, &mut ctx).unwrap();
+        let rel = prog
+            .execute(&db, ExecOptions::default(), &mut stats)
+            .unwrap();
         (rel, stats)
     }
 
@@ -325,30 +330,17 @@ mod tests {
             to_col: 1,
             push: None,
         };
-        let env: Map<TempId, Relation> = Map::new();
-        let run = |opts: ExecOptions| {
-            let mut stats = Stats::default();
-            let mut ctx = ExecCtx {
-                db: &db,
-                env: &env,
-                opts,
-                stats: &mut stats,
-            };
-            eval_lfp(&spec, &mut ctx)
-        };
+        let run = |opts: ExecOptions| exec_lfp(&db, &spec, opts);
         let base = ExecOptions::default();
         let err = run(base.with_deadline(std::time::Instant::now())).unwrap_err();
-        assert_eq!(err, crate::ExecError::DeadlineExceeded);
+        assert_eq!(err, ExecError::DeadlineExceeded);
         let err = run(base.with_closure_budget(1)).unwrap_err();
         assert!(
-            matches!(err, crate::ExecError::BudgetExceeded(_)),
+            matches!(err, ExecError::BudgetExceeded(_)),
             "closure budget"
         );
         let err = run(base.with_tuple_budget(1)).unwrap_err();
-        assert!(
-            matches!(err, crate::ExecError::BudgetExceeded(_)),
-            "tuple budget"
-        );
+        assert!(matches!(err, ExecError::BudgetExceeded(_)), "tuple budget");
         // generous limits don't disturb the result
         let ok = run(base
             .with_timeout(std::time::Duration::from_secs(60))
@@ -379,15 +371,7 @@ mod tests {
             to_col: 1,
             push: None,
         };
-        let env: Map<TempId, Relation> = Map::new();
-        let mut stats = Stats::default();
-        let mut ctx = ExecCtx {
-            db: &db,
-            env: &env,
-            opts: ExecOptions::default(),
-            stats: &mut stats,
-        };
-        let rel = eval_lfp(&spec, &mut ctx).unwrap();
+        let rel = exec_lfp(&db, &spec, ExecOptions::default()).unwrap();
         assert_eq!(rel.len(), 3);
         assert!(rel
             .rows()

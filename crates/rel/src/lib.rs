@@ -6,9 +6,8 @@
 //! The engine provides exactly the machinery the translation needs and the
 //! evaluation measures:
 //!
-//! * named-column relations over [`Value`] tuples, stored in a single flat
-//!   buffer with an arity stride ([`relation`]) — one allocation per
-//!   relation, not per row;
+//! * positional relations over [`Value`] tuples: an arity and one flat row
+//!   buffer ([`relation`]) — one allocation per relation, not per row;
 //! * a load-time string [`dict`]ionary and cached base-edge indexes on the
 //!   [`Database`], so hot-path comparisons are integer equalities and
 //!   base-table join build sides are reused across executions;
@@ -16,7 +15,7 @@
 //!   hash table;
 //! * relational-algebra plans ([`plan`]): scan, select on constants,
 //!   project, inner/semi/anti hash equijoins on one column pair, union,
-//!   distinct;
+//!   distinct — the syntax programs are written in;
 //! * the paper's **simple LFP operator `Φ(R)`** over a *single* input
 //!   relation ([`lfp`], §3.3 Eq. 2) — with optional *pushed selections*
 //!   (§5.2): seed-restricted (forward) and target-restricted (backward)
@@ -25,21 +24,25 @@
 //!   `WITH…RECURSIVE` requires ([`multilfp`], §3.1 Eq. 1) — used by the
 //!   SQLGen-R baseline, paying k joins and k unions over the whole
 //!   accumulated relation per iteration;
-//! * statement *programs* `R_e ← e2s(e)` with lazy top–down evaluation
-//!   ([`program`], §5.2 "Top–down evaluation");
+//! * statement *programs* `R_e ← e2s(e)` ([`program`], §5.1): one node
+//!   arena in topological order that the executor, the analyzer, the SQL
+//!   renderer, `explain` and the optimizer all read, evaluated lazily
+//!   top–down by a loop over the nodes (§5.2 "Top–down evaluation");
 //! * execution statistics ([`stats`]) counting joins, unions, LFP
 //!   invocations and iterations — the quantities behind Table 5 and the
 //!   relative timings of Figs. 12–17;
-//! * a **logical optimizer** ([`opt`]): an arena-based, hash-consed program
-//!   IR with a deterministic rewrite-pass pipeline (CSE, dead-statement
-//!   elimination, predicate simplification/pushdown, projection narrowing,
-//!   LFP dedup) applied between translation and execution/rendering;
+//! * a **logical optimizer** ([`opt`]): the program's arena hash-consed in
+//!   one pass, a deterministic rewrite-pass pipeline over it (CSE,
+//!   dead-statement elimination, predicate simplification/pushdown,
+//!   projection narrowing, LFP dedup) applied between translation and
+//!   execution/rendering, and a compacted program out;
 //! * SQL text rendering in two dialects ([`sql`]): SQL'99 recursive CTEs
 //!   and Oracle `CONNECT BY` (Fig. 4);
-//! * a **static plan analyzer** ([`analyze`]): schema/type inference over
-//!   an abstract column lattice plus well-formedness verification (column
-//!   ranges, set-operation arities, dependency order, closure shapes),
-//!   gating translation, every optimizer pass, and SQL rendering.
+//! * a **static plan analyzer** ([`analyze`]): one forward pass over the
+//!   nodes inferring a schema per node over an abstract column lattice,
+//!   plus well-formedness verification (column ranges, union arities,
+//!   closure shapes), gating translation, every optimizer pass, and SQL
+//!   rendering.
 
 pub mod analyze;
 pub mod dict;
@@ -65,14 +68,14 @@ pub use analyze::{
 };
 pub use dict::Dictionary;
 pub use exec::{Database, ExecError, ExecOptions};
-pub use explain::{explain_opt_report, explain_plan, explain_program};
+pub use explain::{explain_opt_report, explain_program};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use interval::{IntervalLabels, IntervalView, LABEL_GAP};
 pub use opt::{optimize, OptLevel, OptReport, OptStats};
 pub use plan::{
     IntervalJoinSpec, JoinKind, LfpSpec, MultiLfpEdge, MultiLfpSpec, Plan, Pred, PushSpec,
 };
-pub use program::{OpCounts, Program, Stmt, TempId};
+pub use program::{Node, NodeId, OpCounts, Program, Stmt, TempId};
 pub use relation::Relation;
 pub use sql::{render_program, SqlDialect};
 pub use stats::{SharedStats, Stats};

@@ -25,20 +25,22 @@
 //! *pairs* are produced, as the evaluation requires), the reached node `T`,
 //! and the tag.
 
-use crate::exec::{eval_plan, ExecCtx};
+use crate::exec::ExecCtx;
 use crate::fxhash::FxHashSet;
 use crate::intern::{pack, unpack, Interner};
 use crate::multimap::Csr;
 use crate::plan::MultiLfpSpec;
+use crate::program::NodeId;
 use crate::relation::Relation;
 use crate::value::Value;
 
-/// Evaluate the multi-relation fixpoint. The iteration runs over interned
-/// node codes with packed pair keys plus a small tag code (see
-/// [`crate::intern`]).
-pub fn eval_multilfp<'a>(
-    spec: &'a MultiLfpSpec,
-    ctx: &mut ExecCtx<'a>,
+/// Evaluate the multi-relation fixpoint; `input` gives the relation of each
+/// init part and edge rule. The iteration runs over interned node codes with
+/// packed pair keys plus a small tag code (see [`crate::intern`]).
+pub(crate) fn eval_multilfp<'r>(
+    spec: &MultiLfpSpec<NodeId>,
+    input: impl Fn(NodeId) -> &'r Relation,
+    ctx: &mut ExecCtx<'_>,
 ) -> Result<Relation, crate::ExecError> {
     ctx.stats.multilfp_invocations += 1;
 
@@ -62,7 +64,7 @@ pub fn eval_multilfp<'a>(
     }
     let mut rules: Vec<EdgeRule> = Vec::with_capacity(spec.edges.len());
     for e in &spec.edges {
-        let rel = eval_plan(&e.rel, ctx)?;
+        let rel = input(e.rel);
         let pairs: Vec<(u32, u32)> = rel
             .rows()
             .map(|t| (nodes.intern(&t[0]), nodes.intern(&t[1])))
@@ -77,8 +79,8 @@ pub fn eval_multilfp<'a>(
     }
 
     let mut result: FxHashSet<(u64, u32)> = FxHashSet::default();
-    for (tag, plan) in &spec.init {
-        let init = eval_plan(plan, ctx)?;
+    for (tag, part) in &spec.init {
+        let init = input(*part);
         let tag = tag_code(&mut tags, tag);
         for t in init.rows() {
             result.insert((pack(nodes.intern(&t[0]), nodes.intern(&t[1])), tag));
@@ -134,9 +136,21 @@ mod tests {
     use super::*;
     use crate::exec::{Database, ExecOptions};
     use crate::plan::{MultiLfpEdge, Plan};
-    use crate::program::TempId;
+    use crate::program::Program;
     use crate::stats::Stats;
     use std::collections::HashSet;
+
+    /// Run `φ` per `spec` as the one statement of a program.
+    fn run(db: &Database, spec: MultiLfpSpec) -> (Relation, Stats) {
+        let mut prog = Program::new();
+        let t = prog.push(Plan::MultiLfp(spec), "φ");
+        prog.set_result(t);
+        let mut stats = Stats::default();
+        let out = prog
+            .execute(db, ExecOptions::default(), &mut stats)
+            .unwrap();
+        (out, stats)
+    }
 
     fn edge_rel(pairs: &[(u32, u32)]) -> Relation {
         let mut r = Relation::new(2);
@@ -171,15 +185,7 @@ mod tests {
                 },
             ],
         };
-        let env = std::collections::HashMap::<TempId, Relation>::new();
-        let mut stats = Stats::default();
-        let mut ctx = ExecCtx {
-            db: &db,
-            env: &env,
-            opts: ExecOptions::default(),
-            stats: &mut stats,
-        };
-        let out = eval_multilfp(&spec, &mut ctx).unwrap();
+        let (out, stats) = run(&db, spec);
         // reachable from 0: 1(b), 2(a), 3(b), 4(a)
         let reached: HashSet<(u32, String)> = out
             .rows()
@@ -280,15 +286,7 @@ mod tests {
                     })
                     .collect(),
             };
-            let env = std::collections::HashMap::<TempId, Relation>::new();
-            let mut stats = Stats::default();
-            let mut ctx = ExecCtx {
-                db: &db,
-                env: &env,
-                opts: ExecOptions::default(),
-                stats: &mut stats,
-            };
-            let out = eval_multilfp(&spec, &mut ctx).unwrap();
+            let (out, _) = run(&db, spec);
 
             let want = tagged_reachability(&init, &rules);
             let got: HashSet<(u32, u32, usize)> = out
@@ -324,15 +322,7 @@ mod tests {
             init: vec![("x".to_string(), Plan::Values(init))],
             edges: vec![],
         };
-        let env = std::collections::HashMap::<TempId, Relation>::new();
-        let mut stats = Stats::default();
-        let mut ctx = ExecCtx {
-            db: &db,
-            env: &env,
-            opts: ExecOptions::default(),
-            stats: &mut stats,
-        };
-        let out = eval_multilfp(&spec, &mut ctx).unwrap();
+        let (out, _) = run(&db, spec);
         assert!(out.is_empty());
     }
 }

@@ -1,241 +1,23 @@
-//! Arena-based program IR with hash-consed plan nodes.
+//! The optimizer's hash-consed arena.
 //!
-//! [`ProgramIr::import`] interns every statement of a [`Program`] bottom-up
-//! into one DAG: `Temp` references are resolved to the node of the defining
-//! statement, and structurally identical subplans collapse into a single
-//! arena node (hash-consing). Rewrite passes ([`crate::opt::Pass`]) produce
-//! new interned nodes; [`ProgramIr::export`] walks the DAG from the result
-//! and emits a fresh dependency-ordered [`Program`].
+//! [`Dag::from_program`] hash-conses a [`Program`]'s nodes in one pass over
+//! them: a node whose children map to already-interned nodes and that is
+//! structurally equal to one interned before collapses onto it, so equal
+//! subplans — across statements too — become one node. Rewrite passes
+//! ([`crate::opt::Pass`]) intern new nodes into the same arena; nothing is
+//! removed until [`Dag::into_program`] compacts it into a fresh program.
 //!
-//! The export policy is where common-subexpression elimination and
+//! The statement choice there is where common-subexpression elimination and
 //! dead-statement elimination fall out for free: a statement is created
 //! only for (a) the result, (b) fixpoint operators (the natural statement
 //! boundary of the paper's `R_e ← e2s(e)` programs, §5.1), and (c) nodes
 //! the DAG *shares* — everything else inlines into its single consumer, and
 //! anything the result does not reach is simply never visited.
 
-use crate::plan::{
-    IntervalJoinSpec, JoinKind, LfpSpec, MultiLfpEdge, MultiLfpSpec, Plan, Pred, PushSpec,
-};
-use crate::program::{Program, TempId};
-use crate::relation::Relation;
+use crate::analyze::{infer_nodes, AnalyzeError, Schema};
+use crate::plan::JoinKind;
+use crate::program::{Node, NodeId, Program, TempId};
 use std::collections::HashMap;
-
-/// Index of a node in the arena.
-pub type NodeId = u32;
-
-/// One hash-consed plan operator; children are arena ids. Mirrors
-/// [`Plan`], with `Temp` references already resolved away.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub enum Node {
-    /// Scan of a base relation.
-    Scan(String),
-    /// Inline constant relation.
-    Values(Relation),
-    /// `σ_pred(input)`.
-    Select {
-        /// Input node.
-        input: NodeId,
-        /// Filter predicate.
-        pred: Pred,
-    },
-    /// `π_cols(input)`.
-    Project {
-        /// Input node.
-        input: NodeId,
-        /// (source column, output name) pairs.
-        cols: Vec<(usize, String)>,
-    },
-    /// Hash join.
-    Join {
-        /// Left input.
-        left: NodeId,
-        /// Right input.
-        right: NodeId,
-        /// The equality condition `(left col, right col)`.
-        on: (usize, usize),
-        /// Inner / semi / anti.
-        kind: JoinKind,
-    },
-    /// Union of equal-arity inputs.
-    Union {
-        /// Inputs.
-        inputs: Vec<NodeId>,
-        /// Set semantics.
-        distinct: bool,
-    },
-    /// Duplicate elimination.
-    Distinct(NodeId),
-    /// Simple LFP `Φ(R)`.
-    Lfp {
-        /// Edge relation node.
-        input: NodeId,
-        /// Column holding edge sources.
-        from_col: usize,
-        /// Column holding edge targets.
-        to_col: usize,
-        /// Optional pushed selection (§5.2).
-        push: Option<Push>,
-    },
-    /// Multi-relation fixpoint `φ(R, R₁…R_k)`.
-    MultiLfp {
-        /// Tagged initialization parts.
-        init: Vec<(String, NodeId)>,
-        /// Edge rules.
-        edges: Vec<Edge>,
-    },
-    /// Pre/post interval descendant join (the instance fast path that
-    /// replaces an `LFP(descendant)` closure on labeled stores).
-    IntervalJoin {
-        /// Probe side: node producing the ancestor candidates.
-        left: NodeId,
-        /// Column of `left` holding the ancestor node ids.
-        left_col: usize,
-        /// Base relation whose sorted interval view supplies descendants.
-        right: String,
-    },
-}
-
-/// Pushed selection of an LFP node (mirrors [`PushSpec`]).
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub enum Push {
-    /// Seed-restricted closure.
-    Forward {
-        /// Node producing the seed relation.
-        seeds: NodeId,
-        /// Seed column.
-        col: usize,
-    },
-    /// Target-restricted closure.
-    Backward {
-        /// Node producing the target relation.
-        targets: NodeId,
-        /// Target column.
-        col: usize,
-    },
-}
-
-/// One edge rule of a multi-relation fixpoint.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct Edge {
-    /// Source tag.
-    pub src_tag: String,
-    /// Destination tag.
-    pub dst_tag: String,
-    /// Edge relation node.
-    pub rel: NodeId,
-}
-
-impl Node {
-    /// Children in structural order (including push seeds and fixpoint
-    /// init/edge plans).
-    pub fn children(&self) -> Vec<NodeId> {
-        match self {
-            Node::Scan(_) | Node::Values(_) => Vec::new(),
-            Node::Select { input, .. } | Node::Project { input, .. } | Node::Distinct(input) => {
-                vec![*input]
-            }
-            Node::Join { left, right, .. } => vec![*left, *right],
-            Node::Union { inputs, .. } => inputs.clone(),
-            Node::Lfp { input, push, .. } => {
-                let mut v = vec![*input];
-                match push {
-                    Some(Push::Forward { seeds, .. }) => v.push(*seeds),
-                    Some(Push::Backward { targets, .. }) => v.push(*targets),
-                    None => {}
-                }
-                v
-            }
-            Node::MultiLfp { init, edges } => init
-                .iter()
-                .map(|(_, n)| *n)
-                .chain(edges.iter().map(|e| e.rel))
-                .collect(),
-            Node::IntervalJoin { left, .. } => vec![*left],
-        }
-    }
-
-    /// Rebuild this node with every child id passed through `f`.
-    pub fn map_children(self, f: &mut impl FnMut(NodeId) -> NodeId) -> Node {
-        match self {
-            leaf @ (Node::Scan(_) | Node::Values(_)) => leaf,
-            Node::Select { input, pred } => Node::Select {
-                input: f(input),
-                pred,
-            },
-            Node::Project { input, cols } => Node::Project {
-                input: f(input),
-                cols,
-            },
-            Node::Join {
-                left,
-                right,
-                on,
-                kind,
-            } => Node::Join {
-                left: f(left),
-                right: f(right),
-                on,
-                kind,
-            },
-            Node::Union { inputs, distinct } => Node::Union {
-                inputs: inputs.into_iter().map(f).collect(),
-                distinct,
-            },
-            Node::Distinct(input) => Node::Distinct(f(input)),
-            Node::Lfp {
-                input,
-                from_col,
-                to_col,
-                push,
-            } => Node::Lfp {
-                input: f(input),
-                from_col,
-                to_col,
-                push: push.map(|p| match p {
-                    Push::Forward { seeds, col } => Push::Forward {
-                        seeds: f(seeds),
-                        col,
-                    },
-                    Push::Backward { targets, col } => Push::Backward {
-                        targets: f(targets),
-                        col,
-                    },
-                }),
-            },
-            Node::MultiLfp { init, edges } => Node::MultiLfp {
-                init: init.into_iter().map(|(t, n)| (t, f(n))).collect(),
-                edges: edges
-                    .into_iter()
-                    .map(|e| Edge {
-                        src_tag: e.src_tag,
-                        dst_tag: e.dst_tag,
-                        rel: f(e.rel),
-                    })
-                    .collect(),
-            },
-            Node::IntervalJoin {
-                left,
-                left_col,
-                right,
-            } => Node::IntervalJoin {
-                left: f(left),
-                left_col,
-                right,
-            },
-        }
-    }
-
-    /// Leaves never become statements of their own.
-    pub fn is_leaf(&self) -> bool {
-        matches!(self, Node::Scan(_) | Node::Values(_))
-    }
-
-    /// Fixpoints always become statements (the natural §5.1 boundary).
-    pub fn is_fixpoint(&self) -> bool {
-        matches!(self, Node::Lfp { .. } | Node::MultiLfp { .. })
-    }
-}
 
 /// Sharing information handed to rewrite rules: a rule that *destructures*
 /// a child (select merge, pushdown through a projection or join, union
@@ -243,7 +25,7 @@ impl Node {
 /// otherwise the rewrite duplicates the child for one parent while the
 /// other parents keep the original, growing the program.
 pub struct RewriteCtx<'a> {
-    counts: &'a HashMap<NodeId, usize>,
+    counts: &'a [usize],
     reverse: &'a HashMap<NodeId, NodeId>,
 }
 
@@ -255,74 +37,75 @@ impl RewriteCtx<'_> {
     /// of the original are remapped to it), and a node the pass invented
     /// from scratch has exactly the one consumer that invented it.
     pub fn shared(&self, id: NodeId) -> bool {
+        let count = |n: NodeId| self.counts.get(n as usize).copied().unwrap_or(0);
         let old = self.reverse.get(&id).copied();
-        let mut uses = 0usize;
-        if let Some(o) = old {
-            uses += self.counts.get(&o).copied().unwrap_or(0);
-        }
+        let mut uses = old.map_or(0, count);
         if old != Some(id) {
-            uses += self.counts.get(&id).copied().unwrap_or(0);
+            uses += count(id);
         }
         uses > 1
     }
 }
 
-/// The hash-consing arena for one program.
-pub struct ProgramIr {
+/// The hash-consing arena for one program: nodes in topological order
+/// (interning only ever appends a node over existing ones), each with its
+/// output arity.
+pub struct Dag {
     nodes: Vec<Node>,
     cache: HashMap<Node, NodeId>,
+    /// Output arity of each node, when statically known — the analyzer's
+    /// rule over unknown base relations, read off the children's at intern.
+    arity: Vec<Option<usize>>,
     result: NodeId,
     /// Original statement comments, for readable exported programs.
     comments: HashMap<NodeId, String>,
-    consed_on_import: usize,
-    consed_fixpoints: usize,
-    /// Memoized [`ProgramIr::arity`] results; node ids are stable and nodes
-    /// immutable once interned, so entries never invalidate.
-    arity_memo: std::cell::RefCell<HashMap<NodeId, Option<usize>>>,
 }
 
 /// Rewrite-rule application cap per node — a safety net against a rule pair
 /// that cycles; well-formed rules strictly shrink or sink and never hit it.
 const MAX_RULE_APPLICATIONS: usize = 64;
 
-impl ProgramIr {
-    /// Import a program, hash-consing every plan. Returns `None` when the
-    /// program has no result or references an undefined temporary (such
-    /// programs are left untouched by the optimizer).
-    pub fn import(prog: &Program) -> Option<ProgramIr> {
-        let result_temp = prog.result?;
-        let mut ir = ProgramIr {
+/// What hash-consing a program found: structurally new occurrences that
+/// collapsed onto an existing node (leaves excluded — re-scanning the same
+/// base relation is not a shared plan worth reporting), and how many of
+/// those were `Φ`/`φ` fixpoints (the LFP-dedup count).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Consed {
+    /// Non-leaf nodes that collapsed onto an existing node.
+    pub(crate) plans: usize,
+    /// Fixpoint nodes among them.
+    pub(crate) fixpoints: usize,
+}
+
+impl Dag {
+    /// Hash-cons `prog`'s nodes in one pass. `None` when the program has no
+    /// result (such programs are left untouched by the optimizer).
+    pub(crate) fn from_program(prog: &Program) -> Option<(Dag, Consed)> {
+        let result = prog.result()?;
+        let mut dag = Dag {
             nodes: Vec::new(),
             cache: HashMap::new(),
+            arity: Vec::new(),
             result: 0,
             comments: HashMap::new(),
-            consed_on_import: 0,
-            consed_fixpoints: 0,
-            arity_memo: std::cell::RefCell::new(HashMap::new()),
         };
-        let mut env: HashMap<TempId, NodeId> = HashMap::new();
-        for stmt in &prog.stmts {
-            let id = ir.intern_plan(&stmt.plan, &env)?;
-            ir.comments
-                .entry(id)
-                .or_insert_with(|| stmt.comment.clone());
-            env.insert(stmt.target, id);
+        let mut consed = Consed::default();
+        let mut map: Vec<NodeId> = Vec::with_capacity(prog.nodes().len());
+        for node in prog.nodes() {
+            let node = node.clone().map_children(&mut |c| map[c as usize]);
+            if dag.cache.contains_key(&node) {
+                consed.plans += usize::from(!node.is_leaf());
+                consed.fixpoints += usize::from(node.is_fixpoint());
+            }
+            map.push(dag.intern(node));
         }
-        ir.result = *env.get(&result_temp)?;
-        Some(ir)
-    }
-
-    /// Structurally new occurrences that collapsed onto an existing node
-    /// during import (leaves excluded — re-scanning the same base relation
-    /// is not a shared plan worth reporting).
-    pub fn consed_on_import(&self) -> usize {
-        self.consed_on_import
-    }
-
-    /// `Φ`/`φ` occurrences that collapsed onto a structurally identical
-    /// fixpoint node during import — the LFP-dedup count.
-    pub fn consed_fixpoints(&self) -> usize {
-        self.consed_fixpoints
+        for stmt in prog.stmts() {
+            dag.comments
+                .entry(map[stmt.root as usize])
+                .or_insert_with(|| stmt.comment.clone());
+        }
+        dag.result = map[prog.stmt(result).root as usize];
+        Some((dag, consed))
     }
 
     /// The result node.
@@ -340,152 +123,54 @@ impl ProgramIr {
         if let Some(&id) = self.cache.get(&node) {
             return id;
         }
+        let arity = |c: NodeId| self.arity[c as usize];
+        let a = match &node {
+            Node::Scan(_) => None,
+            Node::Values(rel) => Some(rel.arity()),
+            Node::Select { input, .. } | Node::Distinct(input) => arity(*input),
+            Node::Project { cols, .. } => Some(cols.len()),
+            Node::Join {
+                left, right, kind, ..
+            } => match kind {
+                JoinKind::Inner => arity(*left).zip(arity(*right)).map(|(l, r)| l + r),
+                JoinKind::Semi | JoinKind::Anti => arity(*left),
+            },
+            Node::Union { inputs, .. } => inputs.iter().find_map(|&i| arity(i)),
+            Node::Lfp(_) | Node::IntervalJoin(_) => Some(2),
+            Node::MultiLfp(_) => Some(3),
+        };
         let id = self.nodes.len() as NodeId;
         self.nodes.push(node.clone());
+        self.arity.push(a);
         self.cache.insert(node, id);
         id
     }
 
-    fn intern_counting(&mut self, node: Node) -> NodeId {
-        if let Some(&id) = self.cache.get(&node) {
-            if !node.is_leaf() {
-                self.consed_on_import += 1;
-            }
-            if node.is_fixpoint() {
-                self.consed_fixpoints += 1;
-            }
-            return id;
-        }
-        self.intern(node)
+    /// Output arity of a node, when statically known. `Scan` arities are
+    /// unknown (base-relation schemas live in the database, not the plan),
+    /// so rules that need an arity simply skip those shapes.
+    pub fn arity(&self, id: NodeId) -> Option<usize> {
+        self.arity[id as usize]
     }
 
-    fn intern_plan(&mut self, plan: &Plan, env: &HashMap<TempId, NodeId>) -> Option<NodeId> {
-        let node = match plan {
-            Plan::Scan(name) => Node::Scan(name.clone()),
-            Plan::Temp(t) => return env.get(t).copied(),
-            Plan::Values(rel) => Node::Values(rel.clone()),
-            Plan::Select { input, pred } => Node::Select {
-                input: self.intern_plan(input, env)?,
-                pred: pred.clone(),
-            },
-            Plan::Project { input, cols } => Node::Project {
-                input: self.intern_plan(input, env)?,
-                cols: cols.clone(),
-            },
-            Plan::Join {
-                left,
-                right,
-                on,
-                kind,
-            } => Node::Join {
-                left: self.intern_plan(left, env)?,
-                right: self.intern_plan(right, env)?,
-                on: *on,
-                kind: *kind,
-            },
-            Plan::Union { inputs, distinct } => {
-                let mut ids = Vec::with_capacity(inputs.len());
-                for p in inputs {
-                    ids.push(self.intern_plan(p, env)?);
-                }
-                Node::Union {
-                    inputs: ids,
-                    distinct: *distinct,
-                }
-            }
-            Plan::Distinct(input) => Node::Distinct(self.intern_plan(input, env)?),
-            Plan::Lfp(spec) => Node::Lfp {
-                input: self.intern_plan(&spec.input, env)?,
-                from_col: spec.from_col,
-                to_col: spec.to_col,
-                push: match &spec.push {
-                    None => None,
-                    Some(PushSpec::Forward { seeds, col }) => Some(Push::Forward {
-                        seeds: self.intern_plan(seeds, env)?,
-                        col: *col,
-                    }),
-                    Some(PushSpec::Backward { targets, col }) => Some(Push::Backward {
-                        targets: self.intern_plan(targets, env)?,
-                        col: *col,
-                    }),
-                },
-            },
-            Plan::MultiLfp(spec) => {
-                let mut init = Vec::with_capacity(spec.init.len());
-                for (tag, p) in &spec.init {
-                    init.push((tag.clone(), self.intern_plan(p, env)?));
-                }
-                let mut edges = Vec::with_capacity(spec.edges.len());
-                for e in &spec.edges {
-                    edges.push(Edge {
-                        src_tag: e.src_tag.clone(),
-                        dst_tag: e.dst_tag.clone(),
-                        rel: self.intern_plan(&e.rel, env)?,
-                    });
-                }
-                Node::MultiLfp { init, edges }
-            }
-            Plan::IntervalJoin(spec) => Node::IntervalJoin {
-                left: self.intern_plan(&spec.left, env)?,
-                left_col: spec.left_col,
-                right: spec.right.clone(),
-            },
-        };
-        Some(self.intern_counting(node))
-    }
-
-    /// Consumer counts over the DAG reachable from the result: each
-    /// (parent, child) edge counts once, duplicate edges from the same
-    /// parent count separately.
-    pub fn use_counts(&self) -> HashMap<NodeId, usize> {
-        let mut counts: HashMap<NodeId, usize> = HashMap::new();
-        counts.insert(self.result, 1);
+    /// Consumer counts over the DAG reachable from the result, by node id:
+    /// each (parent, child) edge counts once, duplicate edges from the same
+    /// parent count separately, and the result counts one use.
+    pub(crate) fn use_counts(&self) -> Vec<usize> {
+        let mut counts = vec![0; self.nodes.len()];
         let mut visited = vec![false; self.nodes.len()];
+        counts[self.result as usize] = 1;
         let mut stack = vec![self.result];
         while let Some(id) = stack.pop() {
             if std::mem::replace(&mut visited[id as usize], true) {
                 continue;
             }
-            for c in self.node(id).children() {
-                *counts.entry(c).or_insert(0) += 1;
+            self.node(id).for_each_child(|c| {
+                counts[c as usize] += 1;
                 stack.push(c);
-            }
+            });
         }
         counts
-    }
-
-    /// Output arity of a node, when statically known. `Scan` arities are
-    /// unknown (base-relation schemas live in the database, not the plan),
-    /// so rules that need an arity simply skip those shapes. Memoized —
-    /// the hash-consed DAG shares subtrees aggressively, and an unmemoized
-    /// walk would revisit a shared subtree once per reference (exponential
-    /// on self-join ladders).
-    pub fn arity(&self, id: NodeId) -> Option<usize> {
-        if let Some(&a) = self.arity_memo.borrow().get(&id) {
-            return a;
-        }
-        let a = self.arity_uncached(id);
-        self.arity_memo.borrow_mut().insert(id, a);
-        a
-    }
-
-    fn arity_uncached(&self, id: NodeId) -> Option<usize> {
-        match self.node(id) {
-            Node::Scan(_) => None,
-            Node::Values(rel) => Some(rel.arity()),
-            Node::Select { input, .. } | Node::Distinct(input) => self.arity(*input),
-            Node::Project { cols, .. } => Some(cols.len()),
-            Node::Join {
-                left, right, kind, ..
-            } => match kind {
-                JoinKind::Inner => Some(self.arity(*left)? + self.arity(*right)?),
-                JoinKind::Semi | JoinKind::Anti => self.arity(*left),
-            },
-            Node::Union { inputs, .. } => inputs.iter().find_map(|&i| self.arity(i)),
-            Node::Lfp { .. } => Some(2),
-            Node::MultiLfp { .. } => Some(3),
-            Node::IntervalJoin { .. } => Some(2),
-        }
     }
 
     /// Whether a node's output is duplicate-free by construction (closure
@@ -497,9 +182,24 @@ impl ProgramIr {
             self.node(id),
             Node::Distinct(_)
                 | Node::Union { distinct: true, .. }
-                | Node::Lfp { .. }
-                | Node::IntervalJoin { .. }
+                | Node::Lfp(_)
+                | Node::IntervalJoin(_)
         )
+    }
+
+    /// Analyze the nodes the result reaches, in place and over unknown base
+    /// relations — the optimizer's per-pass debug gate.
+    pub(crate) fn check(&self) -> Result<(), AnalyzeError> {
+        let uses = self.use_counts();
+        infer_nodes(&self.nodes, |id| uses[id as usize] > 0, &|_| {
+            Schema::unknown()
+        })
+        .map(|_| ())
+        .map_err(|(id, kind)| AnalyzeError {
+            stmt: None,
+            comment: self.comments.get(&id).cloned().unwrap_or_default(),
+            kind,
+        })
     }
 
     /// One bottom-up rewrite sweep from the result. `rule` is applied to
@@ -509,10 +209,10 @@ impl ProgramIr {
     /// anything changed.
     pub fn rewrite(
         &mut self,
-        rule: &mut dyn FnMut(&mut ProgramIr, &RewriteCtx<'_>, &Node) -> Option<Node>,
+        rule: &mut dyn FnMut(&mut Dag, &RewriteCtx<'_>, &Node) -> Option<Node>,
     ) -> bool {
         let counts = self.use_counts();
-        let mut memo: HashMap<NodeId, NodeId> = HashMap::new();
+        let mut memo: Vec<Option<NodeId>> = vec![None; self.nodes.len()];
         let mut reverse: HashMap<NodeId, NodeId> = HashMap::new();
         let mut changed = false;
         let result = self.rewrite_node(
@@ -530,13 +230,13 @@ impl ProgramIr {
     fn rewrite_node(
         &mut self,
         id: NodeId,
-        counts: &HashMap<NodeId, usize>,
-        memo: &mut HashMap<NodeId, NodeId>,
+        counts: &[usize],
+        memo: &mut [Option<NodeId>],
         reverse: &mut HashMap<NodeId, NodeId>,
-        rule: &mut dyn FnMut(&mut ProgramIr, &RewriteCtx<'_>, &Node) -> Option<Node>,
+        rule: &mut dyn FnMut(&mut Dag, &RewriteCtx<'_>, &Node) -> Option<Node>,
         changed: &mut bool,
     ) -> NodeId {
-        if let Some(&n) = memo.get(&id) {
+        if let Some(n) = memo[id as usize] {
             return n;
         }
         let node = self.node(id).clone();
@@ -565,26 +265,74 @@ impl ProgramIr {
                 self.comments.entry(new_id).or_insert(c);
             }
         }
-        memo.insert(id, new_id);
+        memo[id as usize] = Some(new_id);
         reverse.entry(new_id).or_insert(id);
         new_id
     }
 
-    /// Emit a fresh dependency-ordered [`Program`]: statements for the
-    /// result, for fixpoints, and for shared non-leaf nodes; everything
-    /// else inlines. Unreachable nodes are never visited (dead-statement
-    /// elimination).
-    pub fn export(&self) -> Program {
+    /// Compact the DAG into a fresh program: statements for the result, for
+    /// fixpoints, and for shared non-leaf nodes, in the order a depth-first
+    /// walk from the result finishes them; everything else inlines into its
+    /// one consumer (a leaf into each of its consumers). Unreachable nodes
+    /// are never visited (dead-statement elimination).
+    pub(crate) fn into_program(self) -> Program {
         let uses = self.use_counts();
+        let mut roots = Vec::new();
+        let mut is_root = vec![false; self.nodes.len()];
+        self.pick_roots(self.result, &uses, &mut is_root, &mut roots);
+        if !is_root[self.result as usize] {
+            is_root[self.result as usize] = true;
+            roots.push(self.result);
+        }
         let mut prog = Program::new();
-        let mut temp_of: HashMap<NodeId, TempId> = HashMap::new();
-        let plan = self.emit(self.result, &uses, &mut prog, &mut temp_of);
-        let result = match plan {
-            Plan::Temp(t) => t,
-            plan => prog.push(plan, self.comment_for(self.result)),
-        };
-        prog.result = Some(result);
+        let mut new_id: Vec<NodeId> = vec![0; self.nodes.len()];
+        for &root in &roots {
+            let id = self.emit(root, root, &is_root, &new_id, &mut prog);
+            new_id[root as usize] = id;
+            prog.push_stmt(self.comment_for(root));
+        }
+        prog.set_result(TempId(roots.len() as u32 - 1));
         prog
+    }
+
+    /// Mark the statement roots under `id`, appending each once its
+    /// children's are.
+    fn pick_roots(
+        &self,
+        id: NodeId,
+        uses: &[usize],
+        is_root: &mut [bool],
+        roots: &mut Vec<NodeId>,
+    ) {
+        if is_root[id as usize] {
+            return;
+        }
+        let node = self.node(id);
+        node.for_each_child(|c| self.pick_roots(c, uses, is_root, roots));
+        if (uses[id as usize] > 1 && !node.is_leaf()) || node.is_fixpoint() {
+            is_root[id as usize] = true;
+            roots.push(id);
+        }
+    }
+
+    /// Append the nodes of the statement rooted at `top` under `id`, children
+    /// first; another statement's root is read, not copied.
+    fn emit(
+        &self,
+        id: NodeId,
+        top: NodeId,
+        is_root: &[bool],
+        new_id: &[NodeId],
+        prog: &mut Program,
+    ) -> NodeId {
+        if id != top && is_root[id as usize] {
+            return new_id[id as usize];
+        }
+        let node = self
+            .node(id)
+            .clone()
+            .map_children(&mut |c| self.emit(c, top, is_root, new_id, prog));
+        prog.push_node(node)
     }
 
     fn comment_for(&self, id: NodeId) -> String {
@@ -592,107 +340,9 @@ impl ProgramIr {
             return c.clone();
         }
         match self.node(id) {
-            Node::Lfp { .. } => "opt: Φ closure".to_string(),
-            Node::MultiLfp { .. } => "opt: φ fixpoint".to_string(),
+            Node::Lfp(_) => "opt: Φ closure".to_string(),
+            Node::MultiLfp(_) => "opt: φ fixpoint".to_string(),
             _ => "opt: shared subplan (cse)".to_string(),
-        }
-    }
-
-    fn emit(
-        &self,
-        id: NodeId,
-        uses: &HashMap<NodeId, usize>,
-        prog: &mut Program,
-        temp_of: &mut HashMap<NodeId, TempId>,
-    ) -> Plan {
-        if let Some(&t) = temp_of.get(&id) {
-            return Plan::Temp(t);
-        }
-        let node = self.node(id);
-        let plan = match node {
-            Node::Scan(name) => Plan::Scan(name.clone()),
-            Node::Values(rel) => Plan::Values(rel.clone()),
-            Node::Select { input, pred } => Plan::Select {
-                input: Box::new(self.emit(*input, uses, prog, temp_of)),
-                pred: pred.clone(),
-            },
-            Node::Project { input, cols } => Plan::Project {
-                input: Box::new(self.emit(*input, uses, prog, temp_of)),
-                cols: cols.clone(),
-            },
-            Node::Join {
-                left,
-                right,
-                on,
-                kind,
-            } => Plan::Join {
-                left: Box::new(self.emit(*left, uses, prog, temp_of)),
-                right: Box::new(self.emit(*right, uses, prog, temp_of)),
-                on: *on,
-                kind: *kind,
-            },
-            Node::Union { inputs, distinct } => Plan::Union {
-                inputs: inputs
-                    .iter()
-                    .map(|&i| self.emit(i, uses, prog, temp_of))
-                    .collect(),
-                distinct: *distinct,
-            },
-            Node::Distinct(input) => {
-                Plan::Distinct(Box::new(self.emit(*input, uses, prog, temp_of)))
-            }
-            Node::Lfp {
-                input,
-                from_col,
-                to_col,
-                push,
-            } => Plan::Lfp(LfpSpec {
-                input: Box::new(self.emit(*input, uses, prog, temp_of)),
-                from_col: *from_col,
-                to_col: *to_col,
-                push: push.as_ref().map(|p| match p {
-                    Push::Forward { seeds, col } => PushSpec::Forward {
-                        seeds: Box::new(self.emit(*seeds, uses, prog, temp_of)),
-                        col: *col,
-                    },
-                    Push::Backward { targets, col } => PushSpec::Backward {
-                        targets: Box::new(self.emit(*targets, uses, prog, temp_of)),
-                        col: *col,
-                    },
-                }),
-            }),
-            Node::MultiLfp { init, edges } => Plan::MultiLfp(MultiLfpSpec {
-                init: init
-                    .iter()
-                    .map(|(tag, n)| (tag.clone(), self.emit(*n, uses, prog, temp_of)))
-                    .collect(),
-                edges: edges
-                    .iter()
-                    .map(|e| MultiLfpEdge {
-                        src_tag: e.src_tag.clone(),
-                        dst_tag: e.dst_tag.clone(),
-                        rel: self.emit(e.rel, uses, prog, temp_of),
-                    })
-                    .collect(),
-            }),
-            Node::IntervalJoin {
-                left,
-                left_col,
-                right,
-            } => Plan::IntervalJoin(IntervalJoinSpec {
-                left: Box::new(self.emit(*left, uses, prog, temp_of)),
-                left_col: *left_col,
-                right: right.clone(),
-            }),
-        };
-        let node = self.node(id);
-        let shared = uses.get(&id).copied().unwrap_or(0) > 1 && !node.is_leaf();
-        if shared || node.is_fixpoint() {
-            let t = prog.push(plan, self.comment_for(id));
-            temp_of.insert(id, t);
-            Plan::Temp(t)
-        } else {
-            plan
         }
     }
 }
@@ -700,25 +350,28 @@ impl ProgramIr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::Pred;
+    use crate::plan::{Plan, Pred};
     use crate::value::Value;
 
+    fn dag_of(prog: &Program) -> (Dag, Consed) {
+        Dag::from_program(prog).expect("test programs have a result")
+    }
+
     #[test]
-    fn import_resolves_temps_and_export_round_trips() {
+    fn temps_resolve_and_single_uses_inline() {
         let mut prog = Program::new();
         let base = prog.push(Plan::Scan("E".into()), "base");
         let sel = prog.push(
             Plan::Temp(base).select(Pred::ColEqValue(0, Value::Id(1))),
             "sel",
         );
-        prog.result = Some(sel);
-        let ir = ProgramIr::import(&prog).unwrap();
-        let out = ir.export();
+        prog.set_result(sel);
+        let out = dag_of(&prog).0.into_program();
         // base is used once: inlined into the single result statement
         assert_eq!(out.len(), 1);
         assert!(matches!(
-            &out.stmts[0].plan,
-            Plan::Select { input, .. } if matches!(**input, Plan::Scan(_))
+            out.node(out.stmts()[0].root),
+            Node::Select { input, .. } if matches!(out.node(*input), Node::Scan(_))
         ));
     }
 
@@ -728,14 +381,17 @@ mod tests {
         let a = prog.push(Plan::Scan("E".into()).project(vec![(0, "F")]), "a");
         let b = prog.push(Plan::Scan("E".into()).project(vec![(0, "F")]), "b");
         let j = prog.push(Plan::Temp(a).join_on(Plan::Temp(b), 0, 0), "join");
-        prog.result = Some(j);
-        let ir = ProgramIr::import(&prog).unwrap();
-        assert_eq!(ir.consed_on_import(), 1, "the duplicate projection");
-        let out = ir.export();
+        prog.set_result(j);
+        let (dag, consed) = dag_of(&prog);
+        assert_eq!(consed.plans, 1, "the duplicate projection");
+        let out = dag.into_program();
         // the shared projection becomes one temp, read twice
         assert_eq!(out.len(), 2);
-        let temps = out.stmts.last().unwrap().plan.referenced_temps();
-        assert_eq!(temps, vec![out.stmts[0].target, out.stmts[0].target]);
+        let shared = out.stmts()[0].root;
+        assert!(matches!(
+            out.node(out.stmts()[1].root),
+            Node::Join { left, right, .. } if *left == shared && *right == shared
+        ));
     }
 
     #[test]
@@ -743,11 +399,10 @@ mod tests {
         let mut prog = Program::new();
         let _dead = prog.push(Plan::Scan("E".into()).project(vec![(0, "F")]), "dead");
         let live = prog.push(Plan::Scan("E".into()), "live");
-        prog.result = Some(live);
-        let ir = ProgramIr::import(&prog).unwrap();
-        let out = ir.export();
+        prog.set_result(live);
+        let out = dag_of(&prog).0.into_program();
         assert_eq!(out.len(), 1);
-        assert!(matches!(out.stmts[0].plan, Plan::Scan(_)));
+        assert_eq!(out.nodes(), &[Node::Scan("E".into())]);
     }
 
     #[test]
@@ -763,11 +418,10 @@ mod tests {
                 ),
             "self join of the same projection",
         );
-        prog.result = Some(t);
-        let ir = ProgramIr::import(&prog).unwrap();
-        let counts = ir.use_counts();
+        prog.set_result(t);
+        let counts = dag_of(&prog).0.use_counts();
         // the hash-consed projection is referenced twice by the join
-        assert!(counts.values().any(|&c| c == 2));
+        assert!(counts.contains(&2));
     }
 
     #[test]
@@ -777,19 +431,20 @@ mod tests {
             Plan::Scan("E".into()).project(vec![(0, "F"), (1, "T"), (2, "V")]),
             "proj",
         );
-        prog.result = Some(t);
-        let ir = ProgramIr::import(&prog).unwrap();
-        assert_eq!(ir.arity(ir.result()), Some(3));
-        let scan = match ir.node(ir.result()) {
+        prog.set_result(t);
+        let dag = dag_of(&prog).0;
+        assert_eq!(dag.arity(dag.result()), Some(3));
+        let scan = match dag.node(dag.result()) {
             Node::Project { input, .. } => *input,
             _ => unreachable!(),
         };
-        assert_eq!(ir.arity(scan), None, "base-relation schemas are unknown");
+        assert_eq!(dag.arity(scan), None, "base-relation schemas are unknown");
     }
 
     #[test]
-    fn import_bails_on_programs_without_result() {
-        let prog = Program::new();
-        assert!(ProgramIr::import(&prog).is_none());
+    fn programs_without_result_are_not_hash_consed() {
+        let mut prog = Program::new();
+        prog.push(Plan::Scan("E".into()), "no result");
+        assert!(Dag::from_program(&prog).is_none());
     }
 }

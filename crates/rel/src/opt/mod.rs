@@ -1,6 +1,6 @@
-//! The logical optimizer: an arena-based, hash-consed program IR plus a
-//! deterministic rewrite-pass pipeline, shared by the native executor and
-//! every SQL dialect renderer.
+//! The logical optimizer: a hash-consed copy of the program's node arena
+//! plus a deterministic rewrite-pass pipeline, shared by the native executor
+//! and every SQL dialect renderer.
 //!
 //! # Why (paper §5.2)
 //!
@@ -12,13 +12,13 @@
 //! *relational program* after translation, the same way fixpoint-aware
 //! systems simplify before evaluation:
 //!
-//! * **Hash-consing / CSE** — [`ir::ProgramIr`] interns every subplan into
-//!   one DAG; structurally identical plans (including structurally
+//! * **Hash-consing / CSE** — [`ir::Dag`] interns the program's nodes in
+//!   one pass; structurally identical subplans (including structurally
 //!   identical `Φ` closures — the LFP dedup that `multilfp`'s shared-edge
-//!   tagging started) collapse into a single node, exported once as a
-//!   shared temporary.
-//! * **Dead-statement elimination** — export only walks what the result
-//!   transitively references; statements nothing reaches disappear.
+//!   tagging started) collapse into a single node, which becomes one shared
+//!   temporary.
+//! * **Dead-statement elimination** — the compacted program holds only what
+//!   the result transitively reads; statements nothing reaches disappear.
 //! * **Predicate simplification & pushdown** —
 //!   [`passes::SimplifyPredicates`] merges adjacent selections into one
 //!   conjunction and folds `p ∧ p`; [`passes::PushdownPredicates`] moves `σ` through
@@ -36,14 +36,17 @@
 //! [`OptLevel::None`] bypasses the optimizer entirely — the program is
 //! returned byte-identical, which keeps an ablation baseline and the
 //! pre-optimizer behaviour reachable. [`OptLevel::Full`] (the default) runs
-//! the whole pipeline to a fixpoint.
+//! the whole pipeline to a fixpoint, then compacts the arena into a fresh
+//! program and analyzes it once.
 
 pub mod ir;
 pub mod passes;
 
-pub use ir::{Node, NodeId, ProgramIr, RewriteCtx};
+pub use crate::program::{Node, NodeId};
+pub use ir::{Dag, RewriteCtx};
 pub use passes::{default_passes, NarrowProjections, Pass, PushdownPredicates, SimplifyPredicates};
 
+use crate::analyze::{analyze_program, Analysis};
 use crate::program::{OpCounts, Program};
 use std::fmt;
 
@@ -65,7 +68,7 @@ pub struct OptStats {
     /// inlining of single-use temporaries).
     pub stmts_eliminated: usize,
     /// Structurally duplicate subplans that collapsed onto an existing
-    /// arena node during import (hash-consing hits, leaves excluded).
+    /// node when the program was hash-consed (leaves excluded).
     pub plans_hash_consed: usize,
     /// Selections pushed through a projection, a `Distinct`, or into a
     /// join side.
@@ -126,18 +129,25 @@ const MAX_ROUNDS: usize = 12;
 /// Optimize a statement program at `level` with the default pass pipeline.
 ///
 /// `OptLevel::None` returns the program unchanged (a clone). Programs
-/// without a result (or with dangling temporaries) are returned unchanged
-/// too — there is nothing sound to optimize against.
+/// without a result are returned unchanged too — there is nothing sound to
+/// optimize against.
 pub fn optimize(prog: &Program, level: OptLevel) -> (Program, OptReport) {
-    optimize_with(prog, level, &default_passes())
+    let (out, report, _) = optimize_with(prog, level, &default_passes());
+    (out, report)
 }
 
-/// [`optimize`] with an explicit pass list (pipeline experiments, tests).
+/// [`optimize`] with an explicit pass list (pipeline experiments, tests),
+/// also returning the analysis of the optimized program — the one analyzer
+/// run after the pipeline, over unknown base relations. It is `None` when
+/// the program came back unchanged: at `OptLevel::None`, without a result,
+/// or because the optimized program failed that analysis (release builds
+/// then fall back to the input rather than abort the query; debug builds
+/// panic when the input itself was well-formed).
 pub fn optimize_with(
     prog: &Program,
     level: OptLevel,
     passes: &[Box<dyn Pass>],
-) -> (Program, OptReport) {
+) -> (Program, OptReport, Option<Analysis>) {
     let before = prog.op_counts();
     let unchanged = |level| {
         (
@@ -148,34 +158,34 @@ pub fn optimize_with(
                 after: before,
                 stats: OptStats::default(),
             },
+            None,
         )
     };
     if level == OptLevel::None {
         return unchanged(level);
     }
-    let Some(mut ir) = ProgramIr::import(prog) else {
+    let Some((mut dag, consed)) = Dag::from_program(prog) else {
         return unchanged(level);
     };
-    // Gate only programs that were well-formed going in: an ill-formed
-    // input is the translator's bug, not a pass's, and is reported by the
-    // translation/render gates instead.
-    let input_wellformed = crate::analyze::analyze_program(prog).is_ok();
+    // Debug-build gate, only over programs that were well-formed going in:
+    // an ill-formed input is the translator's bug, not a pass's, and is
+    // reported by the translation/render gates instead.
+    let gated = cfg!(debug_assertions) && dag.check().is_ok();
     let mut stats = OptStats {
-        plans_hash_consed: ir.consed_on_import(),
-        lfps_merged: ir.consed_fixpoints(),
+        plans_hash_consed: consed.plans,
+        lfps_merged: consed.fixpoints,
         ..OptStats::default()
     };
     for _ in 0..MAX_ROUNDS {
         let mut changed = false;
         for pass in passes {
-            let pass_changed = pass.run(&mut ir, &mut stats);
+            let pass_changed = pass.run(&mut dag, &mut stats);
             changed |= pass_changed;
-            // Debug-build gate: re-verify after every pass that changed
-            // something, so a schema-breaking rewrite is caught at the pass
-            // that introduced it, by name.
-            #[cfg(debug_assertions)]
-            if input_wellformed && pass_changed {
-                if let Err(e) = crate::analyze::analyze_program(&ir.export()) {
+            // re-verify the arena after every pass that changed something,
+            // so a schema-breaking rewrite is caught at the pass that
+            // introduced it, by name
+            if gated && pass_changed {
+                if let Err(e) = dag.check() {
                     panic!(
                         "optimizer pass '{}' produced an ill-formed program: {e}",
                         pass.name()
@@ -188,16 +198,16 @@ pub fn optimize_with(
             break;
         }
     }
-    let out = ir.export();
+    let out = dag.into_program();
     // Unconditional post-pipeline gate: never hand an ill-formed program
-    // downstream. In release builds fall back to the (well-formed) input
-    // rather than aborting the query.
-    if input_wellformed {
-        if let Err(e) = crate::analyze::analyze_program(&out) {
-            debug_assert!(false, "optimizer pipeline broke the program: {e}");
+    // downstream.
+    let analysis = match analyze_program(&out) {
+        Ok(analysis) => analysis,
+        Err(e) => {
+            assert!(!gated, "optimizer pipeline broke the program: {e}");
             return unchanged(level);
         }
-    }
+    };
     let after = out.op_counts();
     stats.stmts_eliminated = prog.len().saturating_sub(out.len());
     (
@@ -208,6 +218,7 @@ pub fn optimize_with(
             after,
             stats,
         },
+        Some(analysis),
     )
 }
 
@@ -256,7 +267,7 @@ mod tests {
             Plan::Scan("E".into()).select(Pred::ColEqValue(0, Value::Id(1))),
             "messy",
         );
-        prog.result = Some(t);
+        prog.set_result(t);
         let (out, report) = optimize(&prog, OptLevel::None);
         assert_eq!(
             render_program(&out, SqlDialect::Sql99),
@@ -278,7 +289,7 @@ mod tests {
             .select(Pred::ColEqValue(1, Value::Id(1)))
             .select(Pred::ColEqValue(1, Value::Id(1)));
         let t = prog.push(messy, "messy chain");
-        prog.result = Some(t);
+        prog.set_result(t);
         let baseline = run(&prog);
         let (out, report) = optimize(&prog, OptLevel::Full);
         assert_eq!(run(&out), baseline, "optimization must preserve results");
@@ -307,7 +318,7 @@ mod tests {
             Plan::Temp(c1).join_on(Plan::Temp(c2), 1, 0),
             "join of twins",
         );
-        prog.result = Some(j);
+        prog.set_result(j);
         let baseline = run(&prog);
         let (out, report) = optimize(&prog, OptLevel::Full);
         assert_eq!(run(&out), baseline);
@@ -337,7 +348,7 @@ mod tests {
         for plan in shapes {
             let mut prog = Program::new();
             let t = prog.push(plan, "shape");
-            prog.result = Some(t);
+            prog.set_result(t);
             let baseline = run(&prog);
             let (out, report) = optimize(&prog, OptLevel::Full);
             assert_eq!(run(&out), baseline);
@@ -362,7 +373,7 @@ mod tests {
             Plan::Temp(edges).select(Pred::ColEqValue(0, Value::Id(1))),
             "live",
         );
-        prog.result = Some(live);
+        prog.set_result(live);
         let (out, report) = optimize(&prog, OptLevel::Full);
         assert_eq!(out.op_counts().lfp, 0, "the dead closure is gone");
         assert_eq!(report.stats.lfps_merged, 0, "nothing merged");
@@ -388,7 +399,7 @@ mod tests {
             Plan::Temp(t).select(Pred::ColEqValue(0, Value::Id(1))),
             "σ over the ladder",
         );
-        prog.result = Some(top);
+        prog.set_result(top);
         let (out, report) = optimize(&prog, OptLevel::Full);
         assert!(report.stats.preds_pushed >= 1, "σ pushed into the top join");
         assert_eq!(
@@ -402,7 +413,7 @@ mod tests {
     fn report_displays_compactly() {
         let mut prog = Program::new();
         let t = prog.push(Plan::Scan("E".into()), "scan");
-        prog.result = Some(t);
+        prog.set_result(t);
         let (_, report) = optimize(&prog, OptLevel::Full);
         let s = report.to_string();
         assert!(s.contains("opt[Full]"));
@@ -415,6 +426,6 @@ mod tests {
         prog.push(Plan::Scan("E".into()), "no result set");
         let (out, _) = optimize(&prog, OptLevel::Full);
         assert_eq!(out.len(), 1);
-        assert!(out.result.is_none());
+        assert!(out.result().is_none());
     }
 }

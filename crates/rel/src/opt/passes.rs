@@ -1,7 +1,7 @@
 //! The rewrite passes of the optimizer pipeline.
 //!
 //! Each pass is one bottom-up sweep over the hash-consed DAG
-//! ([`ProgramIr::rewrite`]); the pipeline in [`crate::opt::optimize`] runs
+//! ([`Dag::rewrite`]); the pipeline in [`crate::opt::optimize`] runs
 //! the passes in a fixed order, repeating rounds until nothing changes.
 //! Every rule is *count-safe*: it never increases the operator count the
 //! paper's Table 5 measures (§5.2 — the whole point of the translation is a
@@ -10,9 +10,10 @@
 //! ([`super::ir::RewriteCtx::shared`]), so shared subplans are never
 //! duplicated.
 
-use super::ir::{Node, ProgramIr};
+use super::ir::Dag;
 use super::OptStats;
 use crate::plan::{JoinKind, Pred};
+use crate::program::Node;
 
 /// One optimizer pass: a named rewrite over the program IR.
 ///
@@ -25,7 +26,7 @@ pub trait Pass {
     /// Stable pass name (reports, logs).
     fn name(&self) -> &'static str;
     /// Run one sweep; update `stats`; report whether the IR changed.
-    fn run(&self, ir: &mut ProgramIr, stats: &mut OptStats) -> bool;
+    fn run(&self, ir: &mut Dag, stats: &mut OptStats) -> bool;
 }
 
 /// The default deterministic pipeline, in application order.
@@ -46,7 +47,7 @@ impl Pass for SimplifyPredicates {
         "simplify-predicates"
     }
 
-    fn run(&self, ir: &mut ProgramIr, stats: &mut OptStats) -> bool {
+    fn run(&self, ir: &mut Dag, stats: &mut OptStats) -> bool {
         let mut simplified = 0usize;
         let changed = ir.rewrite(&mut |ir, ctx, node| {
             let Node::Select { input, pred } = node else {
@@ -111,7 +112,7 @@ impl Pass for PushdownPredicates {
         "pushdown-predicates"
     }
 
-    fn run(&self, ir: &mut ProgramIr, stats: &mut OptStats) -> bool {
+    fn run(&self, ir: &mut Dag, stats: &mut OptStats) -> bool {
         let mut pushed = 0usize;
         let changed = ir.rewrite(&mut |ir, ctx, node| {
             let Node::Select { input, pred } = node else {
@@ -242,7 +243,7 @@ impl Pass for NarrowProjections {
         "narrow-projections"
     }
 
-    fn run(&self, ir: &mut ProgramIr, stats: &mut OptStats) -> bool {
+    fn run(&self, ir: &mut Dag, stats: &mut OptStats) -> bool {
         let mut narrowed = 0usize;
         let changed = ir.rewrite(&mut |ir, ctx, node| match node {
             Node::Project { input, cols } => {
@@ -296,7 +297,7 @@ impl Pass for NarrowProjections {
                 }
                 // flatten a nested union when the parent's semantics absorb
                 // it (bag into anything; set into set)
-                let can_flatten = |ir: &ProgramIr, c: u32| {
+                let can_flatten = |ir: &Dag, c: u32| {
                     matches!(ir.node(c), Node::Union { distinct: d2, .. } if !*d2 || *distinct)
                 };
                 if inputs
@@ -335,13 +336,15 @@ mod tests {
     use crate::program::Program;
     use crate::value::Value;
 
-    fn ir_of(prog: &Program) -> ProgramIr {
-        ProgramIr::import(prog).expect("test programs import")
+    fn ir_of(prog: &Program) -> Dag {
+        Dag::from_program(prog)
+            .expect("test programs have a result")
+            .0
     }
 
-    fn single_plan(prog: &Program) -> &Plan {
-        assert!(!prog.stmts.is_empty());
-        &prog.stmts.last().unwrap().plan
+    /// The result statement's root node.
+    fn single_plan(prog: &Program) -> &Node {
+        prog.node(prog.stmts().last().unwrap().root)
     }
 
     #[test]
@@ -369,18 +372,17 @@ mod tests {
                 .select(Pred::ColEqValue(0, Value::Id(1))),
             "three selects",
         );
-        prog.result = Some(t);
+        prog.set_result(t);
         let mut ir = ir_of(&prog);
         let mut stats = OptStats::default();
         assert!(SimplifyPredicates.run(&mut ir, &mut stats));
-        let out = ir.export();
+        let out = ir.into_program();
         // one Select with the merged conjunction remains
-        let mut selects = 0;
-        single_plan(&out).visit(&mut |p| {
-            if matches!(p, Plan::Select { .. }) {
-                selects += 1;
-            }
-        });
+        let selects = out
+            .nodes()
+            .iter()
+            .filter(|n| matches!(n, Node::Select { .. }))
+            .count();
         assert_eq!(selects, 1);
         assert!(stats.preds_simplified >= 2);
     }
@@ -396,15 +398,15 @@ mod tests {
                 .select(Pred::ColEqValue(0, Value::Id(7))),
             "σ over π",
         );
-        prog.result = Some(t);
+        prog.set_result(t);
         let mut ir = ir_of(&prog);
         let mut stats = OptStats::default();
         assert!(PushdownPredicates.run(&mut ir, &mut stats));
         assert_eq!(stats.preds_pushed, 1);
-        let out = ir.export();
+        let out = ir.into_program();
         match single_plan(&out) {
-            Plan::Project { input, .. } => match &**input {
-                Plan::Select { pred, .. } => {
+            Node::Project { input, .. } => match out.node(*input) {
+                Node::Select { pred, .. } => {
                     assert_eq!(*pred, Pred::ColEqValue(1, Value::Id(7)));
                 }
                 other => panic!("expected Select below Project, got {other:?}"),
@@ -422,15 +424,15 @@ mod tests {
                 .select(Pred::ColEqValue(0, Value::Doc)),
             "σ over ⋉",
         );
-        prog.result = Some(t);
+        prog.set_result(t);
         let mut ir = ir_of(&prog);
         let mut stats = OptStats::default();
         assert!(PushdownPredicates.run(&mut ir, &mut stats));
-        let out = ir.export();
+        let out = ir.into_program();
         match single_plan(&out) {
-            Plan::Join { left, kind, .. } => {
+            Node::Join { left, kind, .. } => {
                 assert_eq!(*kind, JoinKind::Semi);
-                assert!(matches!(**left, Plan::Select { .. }));
+                assert!(matches!(out.node(*left), Node::Select { .. }));
             }
             other => panic!("expected Join on top, got {other:?}"),
         }
@@ -446,7 +448,7 @@ mod tests {
                 .select(Pred::ColEqValue(0, Value::Doc)),
             "σ over ⋈ of scans",
         );
-        prog.result = Some(t);
+        prog.set_result(t);
         let mut ir = ir_of(&prog);
         let mut stats = OptStats::default();
         PushdownPredicates.run(&mut ir, &mut stats);
@@ -460,7 +462,7 @@ mod tests {
                 .select(Pred::ColEqValue(0, Value::Doc)),
             "σ over ⋈ with known left arity",
         );
-        prog.result = Some(t);
+        prog.set_result(t);
         let mut ir = ir_of(&prog);
         let mut stats = OptStats::default();
         assert!(PushdownPredicates.run(&mut ir, &mut stats));
@@ -477,14 +479,14 @@ mod tests {
                 .project(vec![(1, "F")]),
             "π chain",
         );
-        prog.result = Some(t);
+        prog.set_result(t);
         let mut ir = ir_of(&prog);
         let mut stats = OptStats::default();
         assert!(NarrowProjections.run(&mut ir, &mut stats));
-        let out = ir.export();
+        let out = ir.into_program();
         match single_plan(&out) {
-            Plan::Project { input, cols } => {
-                assert!(matches!(**input, Plan::Scan(_)));
+            Node::Project { input, cols } => {
+                assert!(matches!(out.node(*input), Node::Scan(_)));
                 // (1,F) ∘ [(2,V),(0,F)] ∘ [(0,F),(1,T),(2,V)] = col 0
                 assert_eq!(cols.as_slice(), &[(0, "F".to_string())]);
             }
@@ -504,11 +506,11 @@ mod tests {
             })),
             "δ over set union of twins",
         );
-        prog.result = Some(t);
+        prog.set_result(t);
         let mut ir = ir_of(&prog);
         let mut stats = OptStats::default();
         assert!(NarrowProjections.run(&mut ir, &mut stats));
-        let out = ir.export();
+        let out = ir.into_program();
         // δ(∪_dist{x,x}) → δ(∪_dist{x}) → the Distinct absorbs the
         // single-branch set union (which is itself set-producing)
         let counts = out.op_counts();
@@ -532,13 +534,13 @@ mod tests {
             },
             "nested union",
         );
-        prog.result = Some(t);
+        prog.set_result(t);
         let mut ir = ir_of(&prog);
         let mut stats = OptStats::default();
         assert!(NarrowProjections.run(&mut ir, &mut stats));
-        let out = ir.export();
+        let out = ir.into_program();
         match single_plan(&out) {
-            Plan::Union { inputs, distinct } => {
+            Node::Union { inputs, distinct } => {
                 assert!(*distinct);
                 assert_eq!(inputs.len(), 3, "flattened to one 3-way union");
             }
@@ -565,12 +567,12 @@ mod tests {
             },
             "uses the projection twice",
         );
-        prog.result = Some(t);
+        prog.set_result(t);
+        let before = ir_of(&prog).into_program().op_counts();
         let mut ir = ir_of(&prog);
-        let before = ir.export().op_counts();
         let mut stats = OptStats::default();
         PushdownPredicates.run(&mut ir, &mut stats);
-        let after = ir.export().op_counts();
+        let after = ir.into_program().op_counts();
         assert_eq!(stats.preds_pushed, 0, "shared child must not be rewritten");
         assert_eq!(before.total(), after.total());
     }

@@ -1,8 +1,12 @@
-//! Relational-algebra plan nodes.
+//! Relational-algebra plans: the syntax programs are built in.
 //!
-//! Plans are trees evaluated bottom-up by [`crate::exec`]. A translated
-//! XPath query becomes a [`crate::program::Program`] — a list of statements
-//! `T_i ← plan_i` where plans may reference earlier temporaries.
+//! A [`Plan`] is a `Box` tree that the translators (`e2sql`, SQLGen-R) and
+//! tests write, with [`Plan::Temp`] naming an earlier statement.
+//! [`Program::push`](crate::program::Program::push) lowers it into the
+//! program's node arena once; nothing reads a `Plan` after that. The
+//! operator specs ([`LfpSpec`], [`PushSpec`], [`MultiLfpSpec`],
+//! [`IntervalJoinSpec`]) are generic over their child, so the arena's
+//! [`Node`](crate::program::Node) uses the same ones with node ids.
 
 use crate::program::TempId;
 use crate::relation::Relation;
@@ -58,50 +62,78 @@ pub enum JoinKind {
 /// Selection pushed *into* the LFP operator (§5.2): restricts the closure to
 /// pairs whose source (forward) or target (backward) lies in a seed set
 /// computed by another plan.
-#[derive(Clone, Debug)]
-pub enum PushSpec {
+///
+/// Generic over the child: a [`Plan`] holds a boxed plan, a
+/// [`Node`](crate::program::Node) a [`NodeId`](crate::program::NodeId).
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub enum PushSpec<C = Box<Plan>> {
     /// Only closure pairs `(x, y)` with `x ∈ π_col(seeds)`.
     Forward {
         /// Plan producing the seed relation.
-        seeds: Box<Plan>,
+        seeds: C,
         /// Column of the seed relation holding the node ids.
         col: usize,
     },
     /// Only closure pairs `(x, y)` with `y ∈ π_col(targets)`.
     Backward {
         /// Plan producing the target relation.
-        targets: Box<Plan>,
+        targets: C,
         /// Column of the target relation holding the node ids.
         col: usize,
     },
 }
 
+impl<C> PushSpec<C> {
+    /// The seed or target input and its node-id column.
+    pub fn input(&self) -> (&C, usize) {
+        match self {
+            PushSpec::Forward { seeds: c, col } | PushSpec::Backward { targets: c, col } => {
+                (c, *col)
+            }
+        }
+    }
+
+    /// The same push with its input passed through `f`.
+    pub fn map<D>(self, f: impl FnOnce(C) -> D) -> PushSpec<D> {
+        match self {
+            PushSpec::Forward { seeds, col } => PushSpec::Forward {
+                seeds: f(seeds),
+                col,
+            },
+            PushSpec::Backward { targets, col } => PushSpec::Backward {
+                targets: f(targets),
+                col,
+            },
+        }
+    }
+}
+
 /// The simple least-fixpoint operator `Φ(R)` (§3.3 Eq. 2): the transitive
 /// closure (paths of length ≥ 1) of the edge set produced by `input`.
 /// Output schema: `(F, T)`.
-#[derive(Clone, Debug)]
-pub struct LfpSpec {
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub struct LfpSpec<C = Box<Plan>> {
     /// Plan producing the edge relation.
-    pub input: Box<Plan>,
+    pub input: C,
     /// Column holding edge sources.
     pub from_col: usize,
     /// Column holding edge targets.
     pub to_col: usize,
     /// Optional pushed selection (§5.2).
-    pub push: Option<PushSpec>,
+    pub push: Option<PushSpec<C>>,
 }
 
 /// One edge rule of the multi-relation fixpoint (the SQL'99 star-shaped
 /// recursion of Fig. 2): joins the current delta tagged `src_tag` with the
 /// edge relation and emits tuples tagged `dst_tag`.
-#[derive(Clone, Debug)]
-pub struct MultiLfpEdge {
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub struct MultiLfpEdge<C = Plan> {
     /// `Rid` tag a tuple must carry to feed this rule.
     pub src_tag: String,
     /// `Rid` tag given to produced tuples.
     pub dst_tag: String,
     /// Edge relation plan, with `(F, T)` in columns 0/1.
-    pub rel: Plan,
+    pub rel: C,
 }
 
 /// The interval-encoded descendant join — the instance fast path for
@@ -117,10 +149,10 @@ pub struct MultiLfpEdge {
 /// document. Evaluation is a sort-merge sweep over the database's
 /// pre-sorted interval view of `right`, with an index-nested-loop fallback
 /// when the ancestor side is small ([`crate::exec`]).
-#[derive(Clone, Debug)]
-pub struct IntervalJoinSpec {
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub struct IntervalJoinSpec<C = Box<Plan>> {
     /// Plan producing candidate ancestor nodes.
-    pub left: Box<Plan>,
+    pub left: C,
     /// Column of `left` holding the ancestor node ids.
     pub left_col: usize,
     /// Base relation whose `T` column (column 1) holds the candidate
@@ -132,13 +164,13 @@ pub struct IntervalJoinSpec {
 /// `WITH…RECURSIVE`: each iteration runs *k* joins and *k* unions inside the
 /// recursion. Tuples are `(S, T, Rid)`: origin node, reached node, and the
 /// tag recording which relation the reached node belongs to (Fig. 2's `Rid`).
-#[derive(Clone, Debug)]
-pub struct MultiLfpSpec {
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub struct MultiLfpSpec<C = Plan> {
     /// Initialization parts ("incoming edges" into the SCC): each plan
     /// produces `(S, T)` pairs whose reached nodes carry the given tag.
-    pub init: Vec<(String, Plan)>,
+    pub init: Vec<(String, C)>,
     /// One rule per edge of the strongly-connected component.
-    pub edges: Vec<MultiLfpEdge>,
+    pub edges: Vec<MultiLfpEdge<C>>,
 }
 
 /// A relational-algebra plan.
@@ -246,58 +278,12 @@ impl Plan {
             distinct: true,
         }
     }
-
-    /// Walk the plan tree, invoking `f` on every node (pre-order).
-    pub fn visit<'a>(&'a self, f: &mut impl FnMut(&'a Plan)) {
-        f(self);
-        match self {
-            Plan::Scan(_) | Plan::Temp(_) | Plan::Values(_) => {}
-            Plan::Select { input, .. } | Plan::Distinct(input) => input.visit(f),
-            Plan::Project { input, .. } => input.visit(f),
-            Plan::Join { left, right, .. } => {
-                left.visit(f);
-                right.visit(f);
-            }
-            Plan::Union { inputs, .. } => {
-                for p in inputs {
-                    p.visit(f);
-                }
-            }
-            Plan::Lfp(spec) => {
-                spec.input.visit(f);
-                match &spec.push {
-                    Some(PushSpec::Forward { seeds, .. }) => seeds.visit(f),
-                    Some(PushSpec::Backward { targets, .. }) => targets.visit(f),
-                    None => {}
-                }
-            }
-            Plan::MultiLfp(spec) => {
-                for (_, p) in &spec.init {
-                    p.visit(f);
-                }
-                for e in &spec.edges {
-                    e.rel.visit(f);
-                }
-            }
-            Plan::IntervalJoin(spec) => spec.left.visit(f),
-        }
-    }
-
-    /// Temporaries this plan reads.
-    pub fn referenced_temps(&self) -> Vec<TempId> {
-        let mut out = Vec::new();
-        self.visit(&mut |p| {
-            if let Plan::Temp(t) = p {
-                out.push(*t);
-            }
-        });
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::{Node, Program};
 
     #[test]
     fn pred_eval() {
@@ -316,27 +302,58 @@ mod tests {
         assert!(!neither.eval(&t));
     }
 
+    /// A `Temp` a plan references lowers to the root of the statement it
+    /// names; it adds no node of its own.
     #[test]
-    fn referenced_temps_collected() {
-        let p = Plan::Temp(TempId(1))
-            .join_on(Plan::Temp(TempId(2)), 1, 0)
-            .select(Pred::ColEqValue(0, Value::Doc));
-        let mut temps = p.referenced_temps();
-        temps.sort();
-        assert_eq!(temps, vec![TempId(1), TempId(2)]);
+    fn temps_lower_to_their_statement_roots() {
+        let mut prog = Program::new();
+        let one = prog.push(Plan::Scan("E".into()), "one");
+        let two = prog.push(Plan::Scan("F".into()), "two");
+        let t = prog.push(
+            Plan::Temp(one)
+                .join_on(Plan::Temp(two), 1, 0)
+                .select(Pred::ColEqValue(0, Value::Doc)),
+            "join",
+        );
+        assert_eq!(prog.nodes().len(), 4, "two scans, the join, the select");
+        let (root_one, root_two) = (prog.stmt(one).root, prog.stmt(two).root);
+        assert!(matches!(
+            prog.node(prog.stmt(t).root),
+            Node::Select { input, .. } if matches!(
+                prog.node(*input),
+                Node::Join { left, right, .. } if (*left, *right) == (root_one, root_two)
+            )
+        ));
+        assert_eq!(
+            prog.push(Plan::Temp(two), "bare"),
+            two,
+            "a bare temp names its statement"
+        );
     }
 
+    /// Lowering reaches an LFP's pushed seeds like any other input.
     #[test]
     fn visit_reaches_lfp_seeds() {
-        let p = Plan::Lfp(LfpSpec {
-            input: Box::new(Plan::Scan("R".into())),
-            from_col: 0,
-            to_col: 1,
-            push: Some(PushSpec::Forward {
-                seeds: Box::new(Plan::Temp(TempId(7))),
-                col: 1,
+        let mut prog = Program::new();
+        let seeds = prog.push(Plan::Scan("S".into()), "seeds");
+        let t = prog.push(
+            Plan::Lfp(LfpSpec {
+                input: Box::new(Plan::Scan("R".into())),
+                from_col: 0,
+                to_col: 1,
+                push: Some(PushSpec::Forward {
+                    seeds: Box::new(Plan::Temp(seeds)),
+                    col: 1,
+                }),
             }),
-        });
-        assert_eq!(p.referenced_temps(), vec![TempId(7)]);
+            "Φ",
+        );
+        let Node::Lfp(spec) = prog.node(prog.stmt(t).root) else {
+            panic!("an LFP root");
+        };
+        assert_eq!(
+            spec.push.as_ref().map(|p| p.input()),
+            Some((&prog.stmt(seeds).root, 1))
+        );
     }
 }

@@ -2,52 +2,200 @@
 //! translation produces — a list `R_e ← e2s(e)` of temporary-table
 //! assignments with one designated result (paper §5.1).
 //!
+//! A [`Program`] is one node arena: a `Vec` of [`Node`]s in topological
+//! order (every child precedes its parent) and the statements over it, each
+//! the root node of one `R_e ← e2s(e)` plus its comment. Statement `T_i`
+//! owns the nodes after `T_{i-1}`'s root up to and including its own root,
+//! and a node reads outside its statement only through an earlier
+//! statement's root — the temporary the SQL text names `T_j`. A
+//! [`Plan`] is only the syntax programs are written in:
+//! [`Program::push`] lowers it into nodes once. The executor, the analyzer,
+//! the SQL renderer, `explain` and the optimizer all read the nodes.
+//!
 //! Evaluation is **lazy top–down** (§5.2): only statements the result
 //! transitively depends on are materialized, and
 //! [`Stats::stmts_skipped`] counts the rest.
 
-use crate::exec::{eval_plan, Database, ExecCtx, ExecError, ExecOptions};
-use crate::plan::Plan;
+use crate::exec::{Database, ExecError, ExecOptions};
+use crate::plan::{IntervalJoinSpec, JoinKind, LfpSpec, MultiLfpEdge, MultiLfpSpec, Plan, Pred};
 use crate::relation::Relation;
 use crate::stats::Stats;
-use std::collections::HashMap;
 
-/// Identifier of a temporary relation within one [`Program`].
+/// Identifier of a temporary relation within one [`Program`]: the index of
+/// the statement that fills it.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct TempId(pub u32);
 
-/// One statement `target ← plan`.
+/// Index of a node in a program's arena.
+pub type NodeId = u32;
+
+/// One operator of a program; children are arena ids. The same operator set
+/// as [`Plan`], with the specs instantiated at [`NodeId`] and no `Temp`:
+/// a statement's result is read through its root node.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub enum Node {
+    /// Scan of a base relation.
+    Scan(String),
+    /// Inline constant relation.
+    Values(Relation),
+    /// `σ_pred(input)`.
+    Select {
+        /// Input node.
+        input: NodeId,
+        /// Filter predicate.
+        pred: Pred,
+    },
+    /// `π_cols(input)` with column renaming.
+    Project {
+        /// Input node.
+        input: NodeId,
+        /// (source column, output name) pairs.
+        cols: Vec<(usize, String)>,
+    },
+    /// Hash equijoin on one column pair.
+    Join {
+        /// Left input.
+        left: NodeId,
+        /// Right input.
+        right: NodeId,
+        /// The equality condition `(left col, right col)`.
+        on: (usize, usize),
+        /// Inner / semi / anti.
+        kind: JoinKind,
+    },
+    /// Bag union of equal-arity inputs; `distinct` applies set semantics.
+    Union {
+        /// Inputs.
+        inputs: Vec<NodeId>,
+        /// Deduplicate the result.
+        distinct: bool,
+    },
+    /// Duplicate elimination.
+    Distinct(NodeId),
+    /// Simple LFP `Φ(R)`.
+    Lfp(LfpSpec<NodeId>),
+    /// Multi-relation fixpoint `φ(R, R₁…R_k)` (SQLGen-R only).
+    MultiLfp(MultiLfpSpec<NodeId>),
+    /// Pre/post interval range join (instance fast path for `rec(A, B)`).
+    IntervalJoin(IntervalJoinSpec<NodeId>),
+}
+
+impl Node {
+    /// Call `f` on every child in structural order (push seeds and
+    /// fixpoint init/edge inputs included).
+    pub fn for_each_child(&self, mut f: impl FnMut(NodeId)) {
+        match self {
+            Node::Scan(_) | Node::Values(_) => {}
+            Node::Select { input, .. } | Node::Project { input, .. } | Node::Distinct(input) => {
+                f(*input)
+            }
+            Node::Join { left, right, .. } => {
+                f(*left);
+                f(*right);
+            }
+            Node::Union { inputs, .. } => inputs.iter().for_each(|&i| f(i)),
+            Node::Lfp(spec) => {
+                f(spec.input);
+                if let Some(push) = &spec.push {
+                    f(*push.input().0);
+                }
+            }
+            Node::MultiLfp(spec) => {
+                spec.init.iter().for_each(|(_, n)| f(*n));
+                spec.edges.iter().for_each(|e| f(e.rel));
+            }
+            Node::IntervalJoin(spec) => f(spec.left),
+        }
+    }
+
+    /// Rebuild this node with every child id passed through `f`, in the
+    /// order of [`Node::for_each_child`].
+    pub fn map_children(self, f: &mut impl FnMut(NodeId) -> NodeId) -> Node {
+        match self {
+            leaf @ (Node::Scan(_) | Node::Values(_)) => leaf,
+            Node::Select { input, pred } => Node::Select {
+                input: f(input),
+                pred,
+            },
+            Node::Project { input, cols } => Node::Project {
+                input: f(input),
+                cols,
+            },
+            Node::Join {
+                left,
+                right,
+                on,
+                kind,
+            } => Node::Join {
+                left: f(left),
+                right: f(right),
+                on,
+                kind,
+            },
+            Node::Union { inputs, distinct } => Node::Union {
+                inputs: inputs.into_iter().map(f).collect(),
+                distinct,
+            },
+            Node::Distinct(input) => Node::Distinct(f(input)),
+            Node::Lfp(spec) => Node::Lfp(LfpSpec {
+                input: f(spec.input),
+                push: spec.push.map(|p| p.map(&mut *f)),
+                ..spec
+            }),
+            Node::MultiLfp(spec) => Node::MultiLfp(MultiLfpSpec {
+                init: spec.init.into_iter().map(|(t, n)| (t, f(n))).collect(),
+                edges: spec
+                    .edges
+                    .into_iter()
+                    .map(|e| MultiLfpEdge { rel: f(e.rel), ..e })
+                    .collect(),
+            }),
+            Node::IntervalJoin(spec) => Node::IntervalJoin(IntervalJoinSpec {
+                left: f(spec.left),
+                ..spec
+            }),
+        }
+    }
+
+    /// Leaves never become statements of their own.
+    pub fn is_leaf(&self) -> bool {
+        matches!(self, Node::Scan(_) | Node::Values(_))
+    }
+
+    /// Fixpoints always become statements (the natural §5.1 boundary).
+    pub fn is_fixpoint(&self) -> bool {
+        matches!(self, Node::Lfp(_) | Node::MultiLfp(_))
+    }
+}
+
+/// One statement `T_i ← root`.
 #[derive(Clone, Debug)]
 pub struct Stmt {
-    /// The temporary this statement fills.
-    pub target: TempId,
-    /// Its defining plan.
-    pub plan: Plan,
+    /// The node whose result the statement's temporary holds.
+    pub root: NodeId,
     /// Human-readable provenance (e.g. the extended XPath sub-expression).
     pub comment: String,
 }
 
-/// A sequence of statements plus the result temporary.
-///
-/// Statements are ordered so that a statement only references earlier
-/// targets (the translation emits them that way).
+/// A node arena in topological order, the statements over it, and the
+/// result temporary (see the [module docs](self)).
 #[derive(Clone, Debug, Default)]
 pub struct Program {
-    /// The statements in dependency order.
-    pub stmts: Vec<Stmt>,
-    /// Which temporary holds the query answer.
-    pub result: Option<TempId>,
+    nodes: Vec<Node>,
+    stmts: Vec<Stmt>,
+    result: Option<TempId>,
 }
 
 /// Static operator counts over a program (the quantities of Table 5).
 ///
-/// The tree walk behind [`Program::op_counts`] recurses into *everything* a
-/// statement references: LFP edge plans, `PushSpec` seed/target plans, and
-/// the init parts and edge rules of multi-relation fixpoints — so operators
-/// "hidden" inside a fixpoint's body count toward `joins`/`unions`/`other`
-/// like any visible operator.
+/// Every node of a program belongs to exactly one statement, so the counts
+/// cover *everything* a statement holds: LFP edge inputs, `PushSpec`
+/// seed/target inputs, and the init parts and edge rules of multi-relation
+/// fixpoints — operators "hidden" inside a fixpoint's body count toward
+/// `joins`/`unions`/`other` like any visible operator. A read of another
+/// statement's temporary counts nothing.
 ///
-/// What a plain tree walk *cannot* see are the per-iteration joins and
+/// What a static count *cannot* see are the per-iteration joins and
 /// unions a fixpoint performs inside its recursion box (Fig. 2): a simple
 /// `Φ` costs one delta join + one union per iteration, and a `φ(R, R₁…R_k)`
 /// costs *k* joins + *k* unions per iteration. Those static per-iteration
@@ -94,15 +242,201 @@ impl Program {
         Program::default()
     }
 
-    /// Append a statement and return its target.
+    /// Lower `plan` into nodes and append it as a statement; returns its
+    /// temporary. A bare [`Plan::Temp`] adds nothing and returns the
+    /// temporary it names.
+    ///
+    /// # Panics
+    ///
+    /// If `plan` reads a temporary this program has not defined.
     pub fn push(&mut self, plan: Plan, comment: impl Into<String>) -> TempId {
-        let target = TempId(self.stmts.len() as u32);
+        if let Plan::Temp(t) = plan {
+            return t;
+        }
+        let root = self.lower(plan);
         self.stmts.push(Stmt {
-            target,
-            plan,
+            root,
             comment: comment.into(),
         });
-        target
+        TempId(self.stmts.len() as u32 - 1)
+    }
+
+    /// Append `plan`'s nodes children first; returns its root. A `Temp`
+    /// resolves to the root of the statement it names.
+    fn lower(&mut self, plan: Plan) -> NodeId {
+        let node = match plan {
+            Plan::Temp(t) => return self.stmts[t.0 as usize].root,
+            Plan::Scan(name) => Node::Scan(name),
+            Plan::Values(rel) => Node::Values(rel),
+            Plan::Select { input, pred } => Node::Select {
+                input: self.lower(*input),
+                pred,
+            },
+            Plan::Project { input, cols } => Node::Project {
+                input: self.lower(*input),
+                cols,
+            },
+            Plan::Join {
+                left,
+                right,
+                on,
+                kind,
+            } => Node::Join {
+                left: self.lower(*left),
+                right: self.lower(*right),
+                on,
+                kind,
+            },
+            Plan::Union { inputs, distinct } => Node::Union {
+                inputs: inputs.into_iter().map(|p| self.lower(p)).collect(),
+                distinct,
+            },
+            Plan::Distinct(input) => Node::Distinct(self.lower(*input)),
+            Plan::Lfp(spec) => {
+                let input = self.lower(*spec.input);
+                Node::Lfp(LfpSpec {
+                    input,
+                    from_col: spec.from_col,
+                    to_col: spec.to_col,
+                    push: spec.push.map(|p| p.map(|seeds| self.lower(*seeds))),
+                })
+            }
+            Plan::MultiLfp(spec) => Node::MultiLfp(MultiLfpSpec {
+                init: spec
+                    .init
+                    .into_iter()
+                    .map(|(tag, p)| (tag, self.lower(p)))
+                    .collect(),
+                edges: spec
+                    .edges
+                    .into_iter()
+                    .map(|e| MultiLfpEdge {
+                        src_tag: e.src_tag,
+                        dst_tag: e.dst_tag,
+                        rel: self.lower(e.rel),
+                    })
+                    .collect(),
+            }),
+            Plan::IntervalJoin(spec) => Node::IntervalJoin(IntervalJoinSpec {
+                left: self.lower(*spec.left),
+                left_col: spec.left_col,
+                right: spec.right,
+            }),
+        };
+        self.push_node(node)
+    }
+
+    /// Append one node whose children are already in the arena; returns its
+    /// id. The caller keeps the statement layout (see the module docs).
+    pub(crate) fn push_node(&mut self, node: Node) -> NodeId {
+        self.nodes.push(node);
+        self.nodes.len() as NodeId - 1
+    }
+
+    /// Append a statement rooted at the last node pushed.
+    pub(crate) fn push_stmt(&mut self, comment: String) -> TempId {
+        self.stmts.push(Stmt {
+            root: self.nodes.len() as NodeId - 1,
+            comment,
+        });
+        TempId(self.stmts.len() as u32 - 1)
+    }
+
+    /// Designate the result temporary.
+    ///
+    /// # Panics
+    ///
+    /// If `t` is not a statement of this program.
+    pub fn set_result(&mut self, t: TempId) {
+        assert!(
+            (t.0 as usize) < self.stmts.len(),
+            "result T{} is not a statement of this program",
+            t.0
+        );
+        self.result = Some(t);
+    }
+
+    /// The result temporary, once set.
+    pub fn result(&self) -> Option<TempId> {
+        self.result
+    }
+
+    /// The statements in dependency order.
+    pub fn stmts(&self) -> &[Stmt] {
+        &self.stmts
+    }
+
+    /// Statement `t`.
+    pub fn stmt(&self, t: TempId) -> &Stmt {
+        &self.stmts[t.0 as usize]
+    }
+
+    /// The node arena, children before parents.
+    pub fn nodes(&self) -> &[Node] {
+        &self.nodes
+    }
+
+    /// Node `id`.
+    pub fn node(&self, id: NodeId) -> &Node {
+        &self.nodes[id as usize]
+    }
+
+    /// The first node statement `t` owns; its last is its root.
+    pub fn first_node(&self, t: TempId) -> NodeId {
+        match t.0 {
+            0 => 0,
+            i => self.stmts[i as usize - 1].root + 1,
+        }
+    }
+
+    /// The statement whose root is `id`, if any.
+    pub fn stmt_at(&self, id: NodeId) -> Option<TempId> {
+        let i = self.stmts.partition_point(|s| s.root < id);
+        (self.stmts.get(i)?.root == id).then_some(TempId(i as u32))
+    }
+
+    /// Edit node `id` in place, for tools that derive one program from
+    /// another (the analyzer's mutation tests). The edit may change
+    /// anything but the children, of which it may only drop some.
+    ///
+    /// # Panics
+    ///
+    /// If the edited node reads a child the original did not.
+    pub fn edit_node(&mut self, id: NodeId, edit: impl FnOnce(&mut Node)) {
+        let children = |n: &Node| {
+            let mut v = Vec::new();
+            n.for_each_child(|c| v.push(c));
+            v
+        };
+        let mut before = children(&self.nodes[id as usize]);
+        edit(&mut self.nodes[id as usize]);
+        for c in children(&self.nodes[id as usize]) {
+            let at = before.iter().position(|&b| b == c);
+            let at = at.unwrap_or_else(|| panic!("the edit of node {id} added child {c}"));
+            before.swap_remove(at);
+        }
+    }
+
+    /// Which statements the result transitively reads, by index.
+    pub(crate) fn live_stmts(&self, result: TempId) -> Vec<bool> {
+        let mut live = vec![false; self.stmts.len()];
+        live[result.0 as usize] = true;
+        for s in (0..=result.0).rev() {
+            if !live[s as usize] {
+                continue;
+            }
+            let lo = self.first_node(TempId(s));
+            for node in &self.nodes[lo as usize..=self.stmts[s as usize].root as usize] {
+                node.for_each_child(|c| {
+                    if c < lo {
+                        if let Some(t) = self.stmt_at(c) {
+                            live[t.0 as usize] = true;
+                        }
+                    }
+                });
+            }
+        }
+        live
     }
 
     /// Execute against a database, materializing only the statements the
@@ -113,43 +447,31 @@ impl Program {
         opts: ExecOptions,
         stats: &mut Stats,
     ) -> Result<Relation, ExecError> {
-        let result = self
-            .result
-            .ok_or(ExecError::UnknownTemp(TempId(u32::MAX)))?;
-        let by_target: HashMap<TempId, &Stmt> = self.stmts.iter().map(|s| (s.target, s)).collect();
-        let mut env: HashMap<TempId, Relation> = HashMap::new();
-        // `stats` may carry earlier executions: skipped = this program's
-        // statements minus what *this* execution evaluated
-        let evaluated_before = stats.stmts_evaluated;
-        materialize(result, &by_target, db, opts, &mut env, stats)?;
-        let evaluated = stats.stmts_evaluated - evaluated_before;
-        stats.stmts_skipped += self.stmts.len().saturating_sub(evaluated);
-        env.remove(&result).ok_or(ExecError::UnknownTemp(result))
+        Ok(crate::exec::run(self, db, opts, stats)?.into_owned())
     }
 
-    /// Static operator counts (Table 5's LFP / ALL columns). The walk
-    /// covers LFP bodies, `PushSpec` seed plans and multi-fixpoint
-    /// init/edge plans; per-iteration fixpoint machinery is tallied in the
-    /// `fixpoint_*` fields.
+    /// Static operator counts (Table 5's LFP / ALL columns), over every
+    /// node — each belongs to exactly one statement. Per-iteration fixpoint
+    /// machinery is tallied in the `fixpoint_*` fields.
     pub fn op_counts(&self) -> OpCounts {
         let mut c = OpCounts::default();
-        for stmt in &self.stmts {
-            stmt.plan.visit(&mut |p| match p {
-                Plan::Lfp(_) => {
+        for node in &self.nodes {
+            match node {
+                Node::Lfp(_) => {
                     c.lfp += 1;
                     c.fixpoint_joins += 1;
                     c.fixpoint_unions += 1;
                 }
-                Plan::MultiLfp(spec) => {
+                Node::MultiLfp(spec) => {
                     c.lfp += 1;
                     c.fixpoint_joins += spec.edges.len();
                     c.fixpoint_unions += spec.edges.len() + spec.init.len().saturating_sub(1);
                 }
-                Plan::Join { .. } | Plan::IntervalJoin(_) => c.joins += 1,
-                Plan::Union { inputs, .. } => c.unions += inputs.len().saturating_sub(1),
-                Plan::Select { .. } | Plan::Project { .. } | Plan::Distinct(_) => c.other += 1,
-                Plan::Scan(_) | Plan::Temp(_) | Plan::Values(_) => {}
-            });
+                Node::Join { .. } | Node::IntervalJoin(_) => c.joins += 1,
+                Node::Union { inputs, .. } => c.unions += inputs.len().saturating_sub(1),
+                Node::Select { .. } | Node::Project { .. } | Node::Distinct(_) => c.other += 1,
+                Node::Scan(_) | Node::Values(_) => {}
+            }
         }
         c
     }
@@ -163,44 +485,6 @@ impl Program {
     pub fn is_empty(&self) -> bool {
         self.stmts.is_empty()
     }
-}
-
-fn materialize(
-    id: TempId,
-    by_target: &HashMap<TempId, &Stmt>,
-    db: &Database,
-    opts: ExecOptions,
-    env: &mut HashMap<TempId, Relation>,
-    stats: &mut Stats,
-) -> Result<(), ExecError> {
-    if env.contains_key(&id) {
-        return Ok(());
-    }
-    // Statement boundary: poll the cancellation token between statements
-    // so a multi-statement program cannot outlive its deadline by more than
-    // one statement.
-    opts.check_cancel(stats)?;
-    let stmt = *by_target.get(&id).ok_or(ExecError::UnknownTemp(id))?;
-    for dep in stmt.plan.referenced_temps() {
-        materialize(dep, by_target, db, opts, env, stats)?;
-    }
-    // into_owned inside the scope: a statement that is a bare Scan/Temp
-    // clones (it must own its entry), everything else is already owned
-    let rel = {
-        let mut ctx = ExecCtx {
-            db,
-            env,
-            opts,
-            stats,
-        };
-        eval_plan(&stmt.plan, &mut ctx)?.into_owned()
-    };
-    stats.stmts_evaluated += 1;
-    // ... and after it: what the statement emitted counts against the
-    // tuple budget even when no later statement polls it
-    opts.check_tuples(stats.tuples_emitted)?;
-    env.insert(id, rel);
-    Ok(())
 }
 
 #[cfg(test)]
@@ -231,7 +515,7 @@ mod tests {
             Plan::Scan("E".into()).select(Pred::ColEqValue(0, Value::Id(1))),
             "used",
         );
-        prog.result = Some(used);
+        prog.set_result(used);
         let mut stats = Stats::default();
         let out = prog
             .execute(&db(), ExecOptions::default(), &mut stats)
@@ -258,7 +542,7 @@ mod tests {
                 .project(vec![(0, "F"), (3, "T")]),
             "E∘E",
         );
-        prog.result = Some(join);
+        prog.set_result(join);
         let mut stats = Stats::default();
         let out = prog
             .execute(&db(), ExecOptions::default(), &mut stats)
@@ -273,7 +557,7 @@ mod tests {
     fn expired_deadline_aborts_program() {
         let mut prog = Program::new();
         let t = prog.push(Plan::Scan("E".into()), "scan");
-        prog.result = Some(t);
+        prog.set_result(t);
         let opts = ExecOptions::default().with_deadline(std::time::Instant::now());
         let mut stats = Stats::default();
         let err = prog.execute(&db(), opts, &mut stats).unwrap_err();
@@ -290,7 +574,7 @@ mod tests {
             Plan::Scan("E".into()).join_on(Plan::Scan("E".into()), 1, 0),
             "E∘E",
         );
-        prog.result = Some(t);
+        prog.set_result(t);
         let run = |budget| {
             let opts = ExecOptions::default().with_tuple_budget(budget);
             prog.execute(&db(), opts, &mut Stats::default())
@@ -333,7 +617,7 @@ mod tests {
             "Φ",
         );
         let j = prog.push(Plan::Temp(closed).join_on(Plan::Temp(base), 1, 0), "join");
-        prog.result = Some(j);
+        prog.set_result(j);
         let counts = prog.op_counts();
         assert_eq!(counts.lfp, 1);
         assert_eq!(counts.joins, 1);
@@ -368,7 +652,7 @@ mod tests {
             }),
             "Φ with busy body and seeds",
         );
-        prog.result = Some(t);
+        prog.set_result(t);
         let c = prog.op_counts();
         assert_eq!(c.lfp, 1);
         assert_eq!(c.joins, 1, "the join inside the LFP body");
@@ -399,7 +683,7 @@ mod tests {
             }),
             "φ",
         );
-        prog.result = Some(t);
+        prog.set_result(t);
         let c = prog.op_counts();
         assert_eq!(c.lfp, 1);
         assert_eq!(c.other, 1, "the select inside an edge rule");
@@ -420,7 +704,7 @@ mod tests {
             }),
             "Φ(E)",
         );
-        prog.result = Some(closed);
+        prog.set_result(closed);
         let mut stats = Stats::default();
         let out = prog
             .execute(&db(), ExecOptions::default(), &mut stats)

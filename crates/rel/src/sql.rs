@@ -6,13 +6,14 @@
 //!   portable form; also what SQL Server's common tables accept);
 //! * [`SqlDialect::Oracle`] — `START WITH … CONNECT BY PRIOR` (Fig. 4(a)).
 //!
-//! Rendering is purely syntactic; semantic correctness of the underlying
-//! plans is established by executing them on the engine and comparing with
-//! the native XPath oracle. The rendered text is what a user would hand to a
-//! real RDBMS.
+//! Rendering walks each statement's nodes: a node of an earlier statement
+//! is read as that statement's temporary. It is purely syntactic; semantic
+//! correctness of the underlying programs is established by executing them
+//! on the engine and comparing with the native XPath oracle. The rendered
+//! text is what a user would hand to a real RDBMS.
 
-use crate::plan::{JoinKind, Plan, Pred, PushSpec};
-use crate::program::Program;
+use crate::plan::{IntervalJoinSpec, JoinKind, LfpSpec, MultiLfpSpec, Pred, PushSpec};
+use crate::program::{Node, NodeId, Program, TempId};
 use std::fmt::Write as _;
 
 /// Target SQL dialect.
@@ -34,22 +35,26 @@ pub enum SqlDialect {
 /// tests and debugging partial programs).
 pub fn render_program(prog: &Program, dialect: SqlDialect) -> String {
     #[cfg(debug_assertions)]
-    if prog.result.is_some() {
+    if prog.result().is_some() {
         if let Err(e) = crate::analyze::analyze_program(prog) {
             panic!("refusing to render an ill-formed program: {e}");
         }
     }
     let mut out = String::new();
-    for stmt in &prog.stmts {
-        let _ = writeln!(out, "-- T{}: {}", stmt.target.0, stmt.comment);
+    for (t, stmt) in prog.stmts().iter().enumerate() {
+        let r = Renderer {
+            prog,
+            lo: prog.first_node(TempId(t as u32)),
+            dialect,
+        };
+        let _ = writeln!(out, "-- T{t}: {}", stmt.comment);
         let _ = writeln!(
             out,
-            "CREATE TEMPORARY TABLE T{} AS\n{};\n",
-            stmt.target.0,
-            render_plan(&stmt.plan, dialect, 0)
+            "CREATE TEMPORARY TABLE T{t} AS\n{};\n",
+            r.render(stmt.root, 0)
         );
     }
-    if let Some(result) = prog.result {
+    if let Some(result) = prog.result() {
         let _ = writeln!(out, "SELECT * FROM T{};", result.0);
     }
     out
@@ -59,183 +64,196 @@ fn indent(level: usize) -> String {
     "  ".repeat(level)
 }
 
-/// Render one plan as a SQL `SELECT`.
-pub fn render_plan(plan: &Plan, dialect: SqlDialect, level: usize) -> String {
-    let pad = indent(level);
-    match plan {
-        Plan::Scan(name) => format!("{pad}SELECT * FROM {name}"),
-        Plan::Temp(t) => format!("{pad}SELECT * FROM T{}", t.0),
-        Plan::Values(rel) => {
-            let rows: Vec<String> = rel
-                .rows()
-                .map(|t| {
-                    let vals: Vec<String> = t.iter().map(|v| v.to_sql_literal()).collect();
-                    format!("({})", vals.join(", "))
-                })
-                .collect();
-            if rows.is_empty() {
-                format!("{pad}SELECT * FROM (VALUES (NULL)) AS empty WHERE 1 = 0")
-            } else {
-                format!("{pad}SELECT * FROM (VALUES {}) AS v", rows.join(", "))
-            }
-        }
-        Plan::Select { input, pred } => format!(
-            "{pad}SELECT * FROM (\n{}\n{pad}) s WHERE {}",
-            render_plan(input, dialect, level + 1),
-            render_pred(pred, "s")
-        ),
-        Plan::Project { input, cols } => {
-            let exprs: Vec<String> = cols.iter().map(|(i, n)| format!("p.c{i} AS {n}")).collect();
-            format!(
-                "{pad}SELECT {} FROM (\n{}\n{pad}) p",
-                exprs.join(", "),
-                render_plan(input, dialect, level + 1)
-            )
-        }
-        Plan::Join {
-            left,
-            right,
-            on,
-            kind,
-        } => {
-            let cond = format!("l.c{} = r.c{}", on.0, on.1);
-            match kind {
-                JoinKind::Inner => format!(
-                    "{pad}SELECT l.*, r.* FROM (\n{}\n{pad}) l JOIN (\n{}\n{pad}) r ON {cond}",
-                    render_plan(left, dialect, level + 1),
-                    render_plan(right, dialect, level + 1)
-                ),
-                JoinKind::Semi => format!(
-                    "{pad}SELECT l.* FROM (\n{}\n{pad}) l WHERE EXISTS (SELECT 1 FROM (\n{}\n{pad}) r WHERE {cond})",
-                    render_plan(left, dialect, level + 1),
-                    render_plan(right, dialect, level + 1)
-                ),
-                JoinKind::Anti => format!(
-                    "{pad}SELECT l.* FROM (\n{}\n{pad}) l WHERE NOT EXISTS (SELECT 1 FROM (\n{}\n{pad}) r WHERE {cond})",
-                    render_plan(left, dialect, level + 1),
-                    render_plan(right, dialect, level + 1)
-                ),
-            }
-        }
-        Plan::Union { inputs, distinct } => {
-            let op = if *distinct { "UNION" } else { "UNION ALL" };
-            let parts: Vec<String> = inputs
-                .iter()
-                .map(|p| render_plan(p, dialect, level + 1))
-                .collect();
-            parts.join(&format!("\n{pad}{op}\n"))
-        }
-        Plan::Distinct(input) => format!(
-            "{pad}SELECT DISTINCT * FROM (\n{}\n{pad}) d",
-            render_plan(input, dialect, level + 1)
-        ),
-        Plan::Lfp(spec) => render_lfp(spec, dialect, level),
-        Plan::MultiLfp(spec) => render_multilfp(spec, dialect, level),
-        // Interval fast path: a pure range predicate against the backend's
-        // interval-label side table (the XPath-accelerator encoding — the
-        // same `Interval_start`/`Interval_end` comparisons the SNIPPETS
-        // exemplar generates). `R__intervals(node, pre, post)` holds one
-        // row per labeled node; descendant-of is strict containment of the
-        // descendant's `pre` in the ancestor's `(pre, post)` window.
-        Plan::IntervalJoin(spec) => {
-            let pad = indent(level);
-            format!(
-                "{pad}SELECT DISTINCT a.c{col} AS c0, d.c1 AS c1\
-                 \n{pad}FROM (\n{}\n{pad}) a, R__intervals ai, {right} d, R__intervals di\
-                 \n{pad}WHERE ai.node = a.c{col} AND di.node = d.c1\
-                 \n{pad}  AND di.pre > ai.pre AND di.pre < ai.post",
-                render_plan(&spec.left, dialect, level + 1),
-                col = spec.left_col,
-                right = spec.right,
-            )
-        }
-    }
+/// Renders the nodes of one statement, the one owning `lo` onwards; a node
+/// before `lo` is an earlier statement's temporary.
+struct Renderer<'p> {
+    prog: &'p Program,
+    lo: NodeId,
+    dialect: SqlDialect,
 }
 
-fn render_lfp(spec: &crate::plan::LfpSpec, dialect: SqlDialect, level: usize) -> String {
-    let pad = indent(level);
-    let edges = render_plan(&spec.input, dialect, level + 1);
-    let (f, t) = (spec.from_col, spec.to_col);
-    let push_comment = match &spec.push {
-        None => String::new(),
-        Some(PushSpec::Forward { col, .. }) => {
-            format!("{pad}-- pushed selection: start nodes restricted (seed col {col})\n")
+impl Renderer<'_> {
+    /// Render node `id` as a SQL `SELECT`.
+    fn render(&self, id: NodeId, level: usize) -> String {
+        let pad = indent(level);
+        if id < self.lo {
+            if let Some(t) = self.prog.stmt_at(id) {
+                return format!("{pad}SELECT * FROM T{}", t.0);
+            }
         }
-        Some(PushSpec::Backward { col, .. }) => {
-            format!("{pad}-- pushed selection: end nodes restricted (target col {col})\n")
-        }
-    };
-    match dialect {
-        SqlDialect::Oracle => {
-            // Fig. 4(a): CONNECT BY PRIOR over the edge set.
-            let start = match &spec.push {
-                Some(PushSpec::Forward { seeds, col }) => format!(
-                    "{pad}START WITH e.c{f} IN (SELECT s.c{col} FROM (\n{}\n{pad}) s)\n",
-                    render_plan(seeds, dialect, level + 1)
-                ),
-                _ => format!("{pad}START WITH 1 = 1\n"),
-            };
-            format!(
-                "{push_comment}{pad}SELECT CONNECT_BY_ROOT e.c{f} AS F, e.c{t} AS T FROM (\n{edges}\n{pad}) e\n{start}{pad}CONNECT BY NOCYCLE PRIOR e.c{t} = e.c{f}"
-            )
-        }
-        SqlDialect::Sql99 => {
-            let seed_filter = match &spec.push {
-                Some(PushSpec::Forward { seeds, col }) => format!(
-                    " WHERE e.c{f} IN (SELECT s.c{col} FROM (\n{}\n{pad}  ) s)",
-                    render_plan(seeds, dialect, level + 2)
-                ),
-                _ => String::new(),
-            };
-            let target_filter = match &spec.push {
-                Some(PushSpec::Backward { targets, col }) => format!(
-                    "\n{pad}WHERE closure.T IN (SELECT s.c{col} FROM (\n{}\n{pad}) s)",
-                    render_plan(targets, dialect, level + 1)
-                ),
-                _ => String::new(),
-            };
-            format!(
-                "{push_comment}{pad}WITH RECURSIVE closure (F, T) AS (\n\
-                 {pad}  SELECT e.c{f}, e.c{t} FROM (\n{edges}\n{pad}  ) e{seed_filter}\n\
-                 {pad}  UNION ALL\n\
-                 {pad}  SELECT closure.F, e.c{t} FROM closure, (\n{edges}\n{pad}  ) e WHERE closure.T = e.c{f}\n\
-                 {pad})\n\
-                 {pad}SELECT DISTINCT F, T FROM closure{target_filter}"
-            )
+        match self.prog.node(id) {
+            Node::Scan(name) => format!("{pad}SELECT * FROM {name}"),
+            Node::Values(rel) => {
+                let rows: Vec<String> = rel
+                    .rows()
+                    .map(|t| {
+                        let vals: Vec<String> = t.iter().map(|v| v.to_sql_literal()).collect();
+                        format!("({})", vals.join(", "))
+                    })
+                    .collect();
+                if rows.is_empty() {
+                    format!("{pad}SELECT * FROM (VALUES (NULL)) AS empty WHERE 1 = 0")
+                } else {
+                    format!("{pad}SELECT * FROM (VALUES {}) AS v", rows.join(", "))
+                }
+            }
+            Node::Select { input, pred } => format!(
+                "{pad}SELECT * FROM (\n{}\n{pad}) s WHERE {}",
+                self.render(*input, level + 1),
+                render_pred(pred, "s")
+            ),
+            Node::Project { input, cols } => {
+                let exprs: Vec<String> =
+                    cols.iter().map(|(i, n)| format!("p.c{i} AS {n}")).collect();
+                format!(
+                    "{pad}SELECT {} FROM (\n{}\n{pad}) p",
+                    exprs.join(", "),
+                    self.render(*input, level + 1)
+                )
+            }
+            Node::Join {
+                left,
+                right,
+                on,
+                kind,
+            } => {
+                let cond = format!("l.c{} = r.c{}", on.0, on.1);
+                let (l, r) = (
+                    self.render(*left, level + 1),
+                    self.render(*right, level + 1),
+                );
+                match kind {
+                    JoinKind::Inner => format!(
+                        "{pad}SELECT l.*, r.* FROM (\n{l}\n{pad}) l JOIN (\n{r}\n{pad}) r ON {cond}"
+                    ),
+                    JoinKind::Semi => format!(
+                        "{pad}SELECT l.* FROM (\n{l}\n{pad}) l WHERE EXISTS (SELECT 1 FROM (\n{r}\n{pad}) r WHERE {cond})"
+                    ),
+                    JoinKind::Anti => format!(
+                        "{pad}SELECT l.* FROM (\n{l}\n{pad}) l WHERE NOT EXISTS (SELECT 1 FROM (\n{r}\n{pad}) r WHERE {cond})"
+                    ),
+                }
+            }
+            Node::Union { inputs, distinct } => {
+                let op = if *distinct { "UNION" } else { "UNION ALL" };
+                let parts: Vec<String> =
+                    inputs.iter().map(|&p| self.render(p, level + 1)).collect();
+                parts.join(&format!("\n{pad}{op}\n"))
+            }
+            Node::Distinct(input) => format!(
+                "{pad}SELECT DISTINCT * FROM (\n{}\n{pad}) d",
+                self.render(*input, level + 1)
+            ),
+            Node::Lfp(spec) => self.render_lfp(spec, level),
+            Node::MultiLfp(spec) => self.render_multilfp(spec, level),
+            Node::IntervalJoin(spec) => self.render_interval_join(spec, level),
         }
     }
-}
 
-fn render_multilfp(spec: &crate::plan::MultiLfpSpec, dialect: SqlDialect, level: usize) -> String {
-    let pad = indent(level);
-    let mut init_parts = Vec::new();
-    for (tag, plan) in &spec.init {
-        let body = render_plan(plan, dialect, level + 1);
-        init_parts.push(format!(
-            "{pad}  SELECT i.c0 AS S, i.c1 AS T, '{tag}' AS Rid FROM (\n{body}\n{pad}  ) i"
-        ));
+    /// Interval fast path: a pure range predicate against the backend's
+    /// interval-label side table (the XPath-accelerator encoding — the same
+    /// `Interval_start`/`Interval_end` comparisons the SNIPPETS exemplar
+    /// generates). `R__intervals(node, pre, post)` holds one row per labeled
+    /// node; descendant-of is strict containment of the descendant's `pre`
+    /// in the ancestor's `(pre, post)` window.
+    fn render_interval_join(&self, spec: &IntervalJoinSpec<NodeId>, level: usize) -> String {
+        let pad = indent(level);
+        format!(
+            "{pad}SELECT DISTINCT a.c{col} AS c0, d.c1 AS c1\
+             \n{pad}FROM (\n{}\n{pad}) a, R__intervals ai, {right} d, R__intervals di\
+             \n{pad}WHERE ai.node = a.c{col} AND di.node = d.c1\
+             \n{pad}  AND di.pre > ai.pre AND di.pre < ai.post",
+            self.render(spec.left, level + 1),
+            col = spec.left_col,
+            right = spec.right,
+        )
     }
-    let init = init_parts.join(&format!("\n{pad}  UNION ALL\n"));
-    let mut arms = String::new();
-    for e in &spec.edges {
-        let rel = render_plan(&e.rel, dialect, level + 1);
-        let _ = write!(
-            arms,
-            "\n{pad}  UNION ALL\n{pad}  SELECT r.S, e.c1 AS T, '{}' AS Rid FROM R r, (\n{rel}\n{pad}  ) e WHERE r.Rid = '{}' AND r.T = e.c0",
-            e.dst_tag, e.src_tag
-        );
+
+    fn render_lfp(&self, spec: &LfpSpec<NodeId>, level: usize) -> String {
+        let pad = indent(level);
+        let edges = self.render(spec.input, level + 1);
+        let (f, t) = (spec.from_col, spec.to_col);
+        let push_comment = match &spec.push {
+            None => String::new(),
+            Some(PushSpec::Forward { col, .. }) => {
+                format!("{pad}-- pushed selection: start nodes restricted (seed col {col})\n")
+            }
+            Some(PushSpec::Backward { col, .. }) => {
+                format!("{pad}-- pushed selection: end nodes restricted (target col {col})\n")
+            }
+        };
+        match self.dialect {
+            SqlDialect::Oracle => {
+                // Fig. 4(a): CONNECT BY PRIOR over the edge set.
+                let start = match &spec.push {
+                    Some(PushSpec::Forward { seeds, col }) => format!(
+                        "{pad}START WITH e.c{f} IN (SELECT s.c{col} FROM (\n{}\n{pad}) s)\n",
+                        self.render(*seeds, level + 1)
+                    ),
+                    _ => format!("{pad}START WITH 1 = 1\n"),
+                };
+                format!(
+                    "{push_comment}{pad}SELECT CONNECT_BY_ROOT e.c{f} AS F, e.c{t} AS T FROM (\n{edges}\n{pad}) e\n{start}{pad}CONNECT BY NOCYCLE PRIOR e.c{t} = e.c{f}"
+                )
+            }
+            SqlDialect::Sql99 => {
+                let seed_filter = match &spec.push {
+                    Some(PushSpec::Forward { seeds, col }) => format!(
+                        " WHERE e.c{f} IN (SELECT s.c{col} FROM (\n{}\n{pad}  ) s)",
+                        self.render(*seeds, level + 2)
+                    ),
+                    _ => String::new(),
+                };
+                let target_filter = match &spec.push {
+                    Some(PushSpec::Backward { targets, col }) => format!(
+                        "\n{pad}WHERE closure.T IN (SELECT s.c{col} FROM (\n{}\n{pad}) s)",
+                        self.render(*targets, level + 1)
+                    ),
+                    _ => String::new(),
+                };
+                format!(
+                    "{push_comment}{pad}WITH RECURSIVE closure (F, T) AS (\n\
+                     {pad}  SELECT e.c{f}, e.c{t} FROM (\n{edges}\n{pad}  ) e{seed_filter}\n\
+                     {pad}  UNION ALL\n\
+                     {pad}  SELECT closure.F, e.c{t} FROM closure, (\n{edges}\n{pad}  ) e WHERE closure.T = e.c{f}\n\
+                     {pad})\n\
+                     {pad}SELECT DISTINCT F, T FROM closure{target_filter}"
+                )
+            }
+        }
     }
-    // SQL'99 multi-relation recursion (the Fig. 2 shape). Oracle cannot
-    // express this (the paper's point); render it as the portable form with
-    // a warning comment.
-    let warn = if dialect == SqlDialect::Oracle {
-        format!("{pad}-- NOTE: Oracle lacks SQL'99 multi-relation recursion (paper §3.1);\n{pad}-- portable WITH RECURSIVE shown instead\n")
-    } else {
-        String::new()
-    };
-    format!(
-        "{warn}{pad}WITH RECURSIVE R (S, T, Rid) AS (\n{init}{arms}\n{pad})\n{pad}SELECT S, T, Rid FROM R"
-    )
+
+    fn render_multilfp(&self, spec: &MultiLfpSpec<NodeId>, level: usize) -> String {
+        let pad = indent(level);
+        let mut init_parts = Vec::new();
+        for (tag, part) in &spec.init {
+            let body = self.render(*part, level + 1);
+            init_parts.push(format!(
+                "{pad}  SELECT i.c0 AS S, i.c1 AS T, '{tag}' AS Rid FROM (\n{body}\n{pad}  ) i"
+            ));
+        }
+        let init = init_parts.join(&format!("\n{pad}  UNION ALL\n"));
+        let mut arms = String::new();
+        for e in &spec.edges {
+            let rel = self.render(e.rel, level + 1);
+            let _ = write!(
+                arms,
+                "\n{pad}  UNION ALL\n{pad}  SELECT r.S, e.c1 AS T, '{}' AS Rid FROM R r, (\n{rel}\n{pad}  ) e WHERE r.Rid = '{}' AND r.T = e.c0",
+                e.dst_tag, e.src_tag
+            );
+        }
+        // SQL'99 multi-relation recursion (the Fig. 2 shape). Oracle cannot
+        // express this (the paper's point); render it as the portable form
+        // with a warning comment.
+        let warn = if self.dialect == SqlDialect::Oracle {
+            format!("{pad}-- NOTE: Oracle lacks SQL'99 multi-relation recursion (paper §3.1);\n{pad}-- portable WITH RECURSIVE shown instead\n")
+        } else {
+            String::new()
+        };
+        format!(
+            "{warn}{pad}WITH RECURSIVE R (S, T, Rid) AS (\n{init}{arms}\n{pad})\n{pad}SELECT S, T, Rid FROM R"
+        )
+    }
 }
 
 fn render_pred(pred: &Pred, alias: &str) -> String {
@@ -248,9 +266,15 @@ fn render_pred(pred: &Pred, alias: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{LfpSpec, MultiLfpEdge, MultiLfpSpec};
-    use crate::program::Program;
+    use crate::plan::{MultiLfpEdge, Plan};
     use crate::value::Value;
+
+    /// `plan` rendered as the one statement of a result-less program.
+    fn render(plan: Plan) -> String {
+        let mut prog = Program::new();
+        prog.push(plan, "plan");
+        render_program(&prog, SqlDialect::Sql99)
+    }
 
     fn closure_program() -> Program {
         let mut prog = Program::new();
@@ -264,7 +288,7 @@ mod tests {
             }),
             "Φ(Rc)",
         );
-        prog.result = Some(lfp);
+        prog.set_result(lfp);
         prog
     }
 
@@ -304,7 +328,7 @@ mod tests {
             }),
             "pushed",
         );
-        prog.result = Some(lfp);
+        prog.set_result(lfp);
         let sql = render_program(&prog, SqlDialect::Sql99);
         assert!(sql.contains("pushed selection"));
         assert!(sql.contains("IN (SELECT"));
@@ -332,7 +356,7 @@ mod tests {
             }),
             "φ",
         );
-        prog.result = Some(m);
+        prog.set_result(m);
         let sql = render_program(&prog, SqlDialect::Sql99);
         assert_eq!(sql.matches("UNION ALL").count(), 2);
         assert!(sql.contains("r.Rid = 'c'"));
@@ -342,10 +366,10 @@ mod tests {
     #[test]
     fn semi_and_anti_render_exists() {
         let semi = Plan::Scan("A".into()).semi_join(Plan::Scan("B".into()), 1, 0);
-        let s = render_plan(&semi, SqlDialect::Sql99, 0);
+        let s = render(semi);
         assert!(s.contains("WHERE EXISTS"));
         let anti = Plan::Scan("A".into()).anti_join(Plan::Scan("B".into()), 1, 0);
-        let s = render_plan(&anti, SqlDialect::Sql99, 0);
+        let s = render(anti);
         assert!(s.contains("WHERE NOT EXISTS"));
     }
 
@@ -363,10 +387,10 @@ mod tests {
     fn values_render_inline() {
         let mut rel = crate::relation::Relation::new(1);
         rel.push(vec![Value::Id(3)]);
-        let s = render_plan(&Plan::Values(rel), SqlDialect::Sql99, 0);
+        let s = render(Plan::Values(rel));
         assert!(s.contains("VALUES (3)"));
         let empty = crate::relation::Relation::new(1);
-        let s = render_plan(&Plan::Values(empty), SqlDialect::Sql99, 0);
+        let s = render(Plan::Values(empty));
         assert!(s.contains("WHERE 1 = 0"));
     }
 }

@@ -123,12 +123,13 @@ impl<'a> SqlGenR<'a> {
         // Note: the query is deliberately NOT pruned — pruning would fold
         // the opaque placeholders away. The optimizer's dead-statement
         // elimination drops whatever the result does not reach.
-        let (program, opt) =
-            x2s_core::exp_to_sql_with_report(&tr.query, &self.sql_options, &overrides)?;
+        let (program, opt, warnings) =
+            x2s_core::exp_to_sql_checked(&tr.query, &self.sql_options, &overrides)?;
         Ok(Translation {
             extended: tr.query,
             program,
             opt,
+            warnings,
             // SQLGen-R models the black-box WITH…RECURSIVE baseline; it
             // never gets the interval fast path
             interval: None,

@@ -1,15 +1,18 @@
 //! Mutation testing for the static plan analyzer (`x2s_rel::analyze`).
 //!
-//! Well-formed Table-5 programs are corrupted by a seeded plan mutator —
-//! one corruption class per test — and every mutant must be *rejected*,
-//! with the error variant that names the corruption:
+//! Well-formed Table-5 programs are corrupted by a seeded node mutator
+//! (`Program::edit_node`) — one corruption class per test — and every
+//! mutant must be *rejected*, with the error variant that names the
+//! corruption:
 //!
-//! | mutation                                | expected variant     |
-//! |-----------------------------------------|----------------------|
-//! | shift a projection column out of range  | `ColumnOutOfRange`   |
-//! | give one union arm a different arity    | `ArityMismatch`      |
-//! | reorder statements against dependencies | `ForwardTempRef`     |
-//! | drop a `MultiLfp` init tag              | `UnproducibleTag`    |
+//! | mutation                               | node edited     | expected variant   |
+//! |----------------------------------------|-----------------|--------------------|
+//! | shift a projection column out of range | `Project`       | `ColumnOutOfRange` |
+//! | widen one union arm by a column        | the arm's `Project` | `ArityMismatch` |
+//! | drop a `MultiLfp` init tag             | `MultiLfp`      | `UnproducibleTag`  |
+//!
+//! Statement order is not mutated: a program's arena holds every child
+//! before its parent, so a statement reading a later one cannot be built.
 //!
 //! A final test registers a deliberately schema-breaking optimizer pass and
 //! checks the per-pass debug gate aborts naming that pass.
@@ -19,9 +22,9 @@
 
 use xpath2sql::core::{OptLevel, SqlOptions, Translator};
 use xpath2sql::dtd::{samples, Dtd};
-use xpath2sql::rel::opt::{optimize_with, Node, OptStats, Pass, ProgramIr};
+use xpath2sql::rel::opt::{optimize_with, Dag, Node, OptStats, Pass};
 use xpath2sql::rel::{
-    analyze_program_with, edge_scan_schema, AnalyzeErrorKind, MultiLfpSpec, Plan, Program, PushSpec,
+    analyze_program_with, edge_scan_schema, AnalyzeErrorKind, MultiLfpSpec, NodeId, Program,
 };
 use xpath2sql::sqlgenr::SqlGenR;
 use xpath2sql::xml::rng::SplitMix64;
@@ -90,82 +93,11 @@ fn sqlgenr_corpus() -> Vec<(String, Program)> {
     out
 }
 
-/// Mutable pre-order walk over a plan tree (the read-only `Plan::visit`
-/// cannot edit nodes in place).
-fn for_each_plan_mut(plan: &mut Plan, f: &mut dyn FnMut(&mut Plan)) {
-    f(plan);
-    match plan {
-        Plan::Scan(_) | Plan::Temp(_) | Plan::Values(_) => {}
-        Plan::Select { input, .. } | Plan::Distinct(input) | Plan::Project { input, .. } => {
-            for_each_plan_mut(input, f)
-        }
-        Plan::Join { left, right, .. } => {
-            for_each_plan_mut(left, f);
-            for_each_plan_mut(right, f);
-        }
-        Plan::Union { inputs, .. } => {
-            for p in inputs {
-                for_each_plan_mut(p, f);
-            }
-        }
-        Plan::Lfp(spec) => {
-            for_each_plan_mut(&mut spec.input, f);
-            match &mut spec.push {
-                Some(PushSpec::Forward { seeds, .. }) => for_each_plan_mut(seeds, f),
-                Some(PushSpec::Backward { targets, .. }) => for_each_plan_mut(targets, f),
-                None => {}
-            }
-        }
-        Plan::MultiLfp(spec) => {
-            for (_, p) in &mut spec.init {
-                for_each_plan_mut(p, f);
-            }
-            for e in &mut spec.edges {
-                for_each_plan_mut(&mut e.rel, f);
-            }
-        }
-        Plan::IntervalJoin(spec) => for_each_plan_mut(&mut spec.left, f),
-    }
-}
-
-/// Count plan nodes matched by `pred` across the whole program.
-fn count_sites(prog: &Program, pred: &dyn Fn(&Plan) -> bool) -> usize {
-    let mut n = 0;
-    for s in &prog.stmts {
-        s.plan.visit(&mut |p| {
-            if pred(p) {
-                n += 1;
-            }
-        });
-    }
-    n
-}
-
-/// Apply `mutate` to the `k`-th plan node matched by `pred` (pre-order,
-/// statement order). Returns whether a site was hit.
-fn mutate_site(
-    prog: &mut Program,
-    pred: &dyn Fn(&Plan) -> bool,
-    k: usize,
-    mutate: &mut dyn FnMut(&mut Plan),
-) -> bool {
-    let mut seen = 0usize;
-    let mut done = false;
-    for s in &mut prog.stmts {
-        for_each_plan_mut(&mut s.plan, &mut |p| {
-            if !done && pred(p) {
-                if seen == k {
-                    mutate(p);
-                    done = true;
-                }
-                seen += 1;
-            }
-        });
-        if done {
-            break;
-        }
-    }
-    done
+/// The nodes matched by `pred`, in arena order.
+fn sites(prog: &Program, pred: &dyn Fn(&Program, NodeId) -> bool) -> Vec<NodeId> {
+    (0..prog.nodes().len() as NodeId)
+        .filter(|&id| pred(prog, id))
+        .collect()
 }
 
 fn reject(prog: &Program) -> AnalyzeErrorKind {
@@ -181,22 +113,17 @@ fn mutation_project_column_out_of_range() {
     for (q, prog) in corpus() {
         analyze_program_with(&prog, &edge_scan_schema)
             .unwrap_or_else(|e| panic!("pristine {q} must be well-formed: {e}"));
-        let sites = count_sites(&prog, &|p| matches!(p, Plan::Project { .. }));
-        if sites == 0 {
+        let sites = sites(&prog, &|p, id| matches!(p.node(id), Node::Project { .. }));
+        if sites.is_empty() {
             continue;
         }
-        let k = rng.gen_range(0..sites);
+        let site = sites[rng.gen_range(0..sites.len())];
         let mut m = prog.clone();
-        assert!(mutate_site(
-            &mut m,
-            &|p| matches!(p, Plan::Project { .. }),
-            k,
-            &mut |p| {
-                if let Plan::Project { cols, .. } = p {
-                    cols[0].0 = 999;
-                }
+        m.edit_node(site, |node| {
+            if let Node::Project { cols, .. } = node {
+                cols[0].0 = 999;
             }
-        ));
+        });
         let kind = reject(&m);
         assert!(
             matches!(kind, AnalyzeErrorKind::ColumnOutOfRange { col: 999, .. }),
@@ -211,24 +138,31 @@ fn mutation_project_column_out_of_range() {
 fn mutation_union_arm_arity_swap() {
     let mut rng = SplitMix64::seed_from_u64(0x5eed_0002);
     let mut mutants = 0usize;
-    let is_wide_union = |p: &Plan| matches!(p, Plan::Union { inputs, .. } if inputs.len() >= 2);
+    // a union of two or more arms whose first arm is a projection of the
+    // same statement (a temporary is another statement's result)
+    let first_arm = |p: &Program, id: NodeId| match p.node(id) {
+        Node::Union { inputs, .. } if inputs.len() >= 2 => Some(inputs[0]),
+        _ => None,
+    };
+    let is_site = |p: &Program, id: NodeId| {
+        first_arm(p, id).is_some_and(|arm| {
+            p.stmt_at(arm).is_none() && matches!(p.node(arm), Node::Project { .. })
+        })
+    };
     for (q, prog) in corpus() {
-        let sites = count_sites(&prog, &is_wide_union);
-        if sites == 0 {
+        let sites = sites(&prog, &is_site);
+        if sites.is_empty() {
             continue;
         }
-        let k = rng.gen_range(0..sites);
+        let site = sites[rng.gen_range(0..sites.len())];
         let mut m = prog.clone();
-        assert!(mutate_site(&mut m, &is_wide_union, k, &mut |p| {
-            if let Plan::Union { inputs, .. } = p {
-                // Rebuild the first two arms with arities 1 and 2: whatever
-                // the original arm arity was, the arms now disagree.
-                let a0 = std::mem::replace(&mut inputs[0], Plan::Scan(String::new()));
-                inputs[0] = a0.project(vec![(0, "MX")]);
-                let a1 = std::mem::replace(&mut inputs[1], Plan::Scan(String::new()));
-                inputs[1] = a1.project(vec![(0, "MX"), (0, "MY")]);
+        // Widen the first arm by one column: whatever the arms' arity was,
+        // it now disagrees with the others'.
+        m.edit_node(first_arm(&prog, site).unwrap(), |node| {
+            if let Node::Project { cols, .. } = node {
+                cols.push((0, "MX".into()));
             }
-        }));
+        });
         let kind = reject(&m);
         assert!(
             matches!(kind, AnalyzeErrorKind::ArityMismatch { .. }),
@@ -239,42 +173,9 @@ fn mutation_union_arm_arity_swap() {
     assert!(mutants >= 3, "only {mutants} union mutants exercised");
 }
 
-#[test]
-fn mutation_statement_reorder_breaks_dependencies() {
-    let mut rng = SplitMix64::seed_from_u64(0x5eed_0003);
-    let mut mutants = 0usize;
-    for (q, prog) in corpus() {
-        // statements that read at least one temporary
-        let readers: Vec<usize> = (0..prog.stmts.len())
-            .filter(|&i| !prog.stmts[i].plan.referenced_temps().is_empty())
-            .collect();
-        if readers.is_empty() {
-            continue;
-        }
-        let i = readers[rng.gen_range(0..readers.len())];
-        let deps = prog.stmts[i].plan.referenced_temps();
-        let dep = deps[rng.gen_range(0..deps.len())];
-        let j = prog
-            .stmts
-            .iter()
-            .position(|s| s.target == dep)
-            .expect("dependency is defined in a well-formed program");
-        assert!(j < i);
-        let mut m = prog.clone();
-        m.stmts.swap(i, j);
-        let kind = reject(&m);
-        assert!(
-            matches!(kind, AnalyzeErrorKind::ForwardTempRef(_)),
-            "{q}: wrong variant {kind:?}"
-        );
-        mutants += 1;
-    }
-    assert!(mutants >= 5, "only {mutants} reorder mutants exercised");
-}
-
 /// Does removing init entry `without` leave some edge rule with an
 /// unproducible `src_tag`? (Same liveness fixpoint the analyzer runs.)
-fn drop_breaks_liveness(spec: &MultiLfpSpec, without: usize) -> bool {
+fn drop_breaks_liveness(spec: &MultiLfpSpec<NodeId>, without: usize) -> bool {
     let mut live: std::collections::BTreeSet<&str> = spec
         .init
         .iter()
@@ -302,20 +203,19 @@ fn drop_breaks_liveness(spec: &MultiLfpSpec, without: usize) -> bool {
 fn mutation_multilfp_init_tag_dropped() {
     let mut rng = SplitMix64::seed_from_u64(0x5eed_0004);
     let mut mutants = 0usize;
-    let has_fixpoint =
-        |p: &Plan| matches!(p, Plan::MultiLfp(s) if !s.init.is_empty() && !s.edges.is_empty());
+    let has_fixpoint = |p: &Program, id: NodeId| matches!(p.node(id), Node::MultiLfp(s) if !s.init.is_empty() && !s.edges.is_empty());
     for (q, prog) in sqlgenr_corpus() {
         analyze_program_with(&prog, &edge_scan_schema)
             .unwrap_or_else(|e| panic!("pristine {q} must be well-formed: {e}"));
-        let sites = count_sites(&prog, &has_fixpoint);
-        if sites == 0 {
+        let sites = sites(&prog, &has_fixpoint);
+        if sites.is_empty() {
             continue;
         }
-        let k = rng.gen_range(0..sites);
+        let site = sites[rng.gen_range(0..sites.len())];
         let mut m = prog.clone();
         let mut applied = false;
-        assert!(mutate_site(&mut m, &has_fixpoint, k, &mut |p| {
-            if let Plan::MultiLfp(spec) = p {
+        m.edit_node(site, |node| {
+            if let Node::MultiLfp(spec) = node {
                 // Only drop an entry whose removal actually strands a rule;
                 // dropping a redundant entry would leave a (semantically
                 // different but) still well-formed fixpoint.
@@ -328,7 +228,7 @@ fn mutation_multilfp_init_tag_dropped() {
                     applied = true;
                 }
             }
-        }));
+        });
         if !applied {
             continue;
         }
@@ -349,7 +249,7 @@ impl Pass for BreakProjections {
         "test-break-projections"
     }
 
-    fn run(&self, ir: &mut ProgramIr, _stats: &mut OptStats) -> bool {
+    fn run(&self, ir: &mut Dag, _stats: &mut OptStats) -> bool {
         ir.rewrite(&mut |_ir, _ctx, node| {
             let Node::Project { input, cols } = node else {
                 return None;

@@ -59,9 +59,9 @@ fn check_one(dtd: &Dtd, db: &Database, query: &Path, seed: u64) {
                     );
                 }
             }
-            Err(e @ (ExecError::SchemaMismatch(_) | ExecError::UnknownTemp(_))) => panic!(
+            Err(e @ (ExecError::SchemaMismatch(_) | ExecError::NoResult)) => panic!(
                 "analyzer accepted {query} at {optimize:?} (doc seed {seed}) \
-                 but execution failed with a schema-class error: {e}"
+                 but execution failed with an error it rules out: {e}"
             ),
             // other classes (e.g. a missing base relation) are outside the
             // analyzer's contract — the schema catalog treats every R_* as

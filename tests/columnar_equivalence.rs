@@ -471,7 +471,8 @@ fn join_kernels_equal_a_nested_loop_reference_as_ordered_bags() {
             for (shape, plan, want) in shapes {
                 for (store, db) in [("plain", &plain), ("indexed", &indexed)] {
                     let mut prog = Program::new();
-                    prog.result = Some(prog.push(plan.clone(), shape));
+                    let t = prog.push(plan.clone(), shape);
+                    prog.set_result(t);
                     let mut stats = Stats::default();
                     let got = prog
                         .execute(db, ExecOptions::default(), &mut stats)
@@ -506,7 +507,8 @@ fn join_kernels_equal_a_nested_loop_reference_as_ordered_bags() {
     let fused = Plan::Scan("L".into())
         .join_on(Plan::Scan("R".into()), 0, 0)
         .project(vec![(5, "P")]);
-    prog.result = Some(prog.push(fused, "π above ⋈"));
+    let t = prog.push(fused, "π above ⋈");
+    prog.set_result(t);
     let mut stats = Stats::default();
     let out = prog
         .execute(&plain, ExecOptions::default(), &mut stats)

@@ -46,7 +46,7 @@ fn closure(edges: &Relation, push: Option<PushSpec>) -> HashSet<(Value, Value)> 
         }),
         "Φ(E)",
     );
-    prog.result = Some(t);
+    prog.set_result(t);
     let mut stats = Stats::default();
     let rel = prog
         .execute(&db, ExecOptions::default(), &mut stats)

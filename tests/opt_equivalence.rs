@@ -165,7 +165,7 @@ fn optimized_programs_render_sanely_in_all_dialects() {
                     tr.program.len(),
                     "{name}/{q}: one CREATE per statement ({dialect:?})"
                 );
-                let result = tr.program.result.unwrap();
+                let result = tr.program.result().unwrap();
                 assert!(
                     sql.trim_end()
                         .ends_with(&format!("SELECT * FROM T{};", result.0)),
