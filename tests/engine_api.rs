@@ -220,10 +220,12 @@ fn exec_options_has_exactly_four_fields() {
 /// on its tree, so the parser bounds the depth of what it accepts (ROADMAP
 /// item 2). Each shape below used to abort the process — a stack overflow,
 /// past `catch_unwind` — at a few hundred repetitions on a server worker's
-/// 2 MiB stack. Here each goes through parse, normalization, the sat check
-/// and translation at its largest accepted size on half that stack, and is
-/// a typed parse error one repetition later and at the sizes that used to
-/// kill the process.
+/// 2 MiB stack. Here each goes through parse, normalization, the sat check,
+/// translation and execution at its largest accepted size on half that
+/// stack, answering what the native evaluator answers, and is a typed parse
+/// error one repetition later and at the sizes that used to kill the
+/// process. (Execution evaluates a program's nodes in a loop; the recursive
+/// evaluator it replaced overflowed this stack on `a[a[…]]`.)
 #[test]
 fn deep_queries_are_a_parse_error_not_a_stack_overflow() {
     // (shape, builder, largest accepted n): the bound is 128 levels, of
@@ -247,13 +249,20 @@ fn deep_queries_are_a_parse_error_not_a_stack_overflow() {
     let worker = std::thread::Builder::new().stack_size(1 << 20);
     let run = worker.spawn(move || {
         let dtd = xpath2sql::dtd::parse_dtd("<!ELEMENT a (a*)>").unwrap();
-        let engine = Engine::new(&dtd);
+        let tree = xpath2sql::xml::parse_xml(&dtd, "<a><a><a/></a></a>").unwrap();
+        let mut engine = Engine::new(&dtd);
+        engine.load(&tree);
         for (name, build, limit) in shapes {
             let path = xpath2sql::xpath::parse_xpath(&build(limit))
                 .unwrap_or_else(|e| panic!("{name} × {limit}: {e}"));
             let normal = engine.normalize_path(&path);
             engine.check_sat(&normal);
-            engine.prepare_path(&normal).unwrap();
+            let answers = engine.prepare_path(&normal).unwrap().execute().unwrap();
+            let oracle: BTreeSet<u32> = eval_from_document(&path, &tree, &dtd)
+                .into_iter()
+                .map(|n| n.0)
+                .collect();
+            assert_eq!(answers, oracle, "{name} × {limit}");
             for n in [limit + 1, 4_096, 200_000] {
                 let err = engine.prepare(&build(n)).err();
                 assert!(
