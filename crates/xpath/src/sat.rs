@@ -527,8 +527,8 @@ impl<'d> SatAnalyzer<'d> {
 
     /// Does `p` reach at least one node from `at` in every valid document?
     /// Only plain child-label chains over required children qualify, and
-    /// unions of which one arm does; anything else conservatively answers
-    /// `false`.
+    /// unions of which one arm does; a `//q` step counts as `q` (see
+    /// [`flatten_steps`]). Anything else conservatively answers `false`.
     fn must_exist(&self, p: &Path, at: Option<ElemId>) -> bool {
         if let Path::Union(a, b) = p {
             return self.must_exist(a, at) || self.must_exist(b, at);
@@ -705,13 +705,18 @@ fn flatten_and<'q>(q: &'q Qual, out: &mut Vec<&'q Qual>) {
     }
 }
 
-/// Flatten a step chain (splicing nested `Seq`s) for the must-exist walk.
+/// Flatten a step chain for the must-exist walk, splicing nested `Seq`s
+/// and replacing each `//q` by `q`. `//q ≡ q | *//q` reaches every node `q`
+/// reaches, so a chain that must reach a node through `q` must through `//q`
+/// too: `//.` always holds, and `p[not(//.)]` is empty.
 fn flatten_steps<'p>(p: &'p Path, out: &mut Vec<&'p Path>) {
-    if let Path::Seq(a, b) = p {
-        flatten_steps(a, out);
-        flatten_steps(b, out);
-    } else {
-        out.push(p);
+    match p {
+        Path::Seq(a, b) => {
+            flatten_steps(a, out);
+            flatten_steps(b, out);
+        }
+        Path::Descendant(q) => flatten_steps(q, out),
+        _ => out.push(p),
     }
 }
 
@@ -774,16 +779,27 @@ mod tests {
             empty_kind(&cross, "a[b][not b]"),
             WitnessKind::ContradictoryQualifiers
         );
-        // `.` always holds, so a negated union with it never does
+        // `.` always holds, and so does `//.` (it contains `.`): a negated
+        // union with either never does
         for q in [
             "dept/course[not(. | project)]",
             "dept/course[not(project | .)]",
+            "dept/course[not(//.)]",
+            "dept/course[not(project | //.)]",
         ] {
             assert_eq!(
                 empty_kind(&dept, q),
                 WitnessKind::QualifierNeverHolds,
                 "{q}"
             );
+        }
+        // queries x2e proves empty that `//` once kept NonEmpty
+        for (dtd, q) in [
+            (&dept, "(//dept)[not(//.)]"),
+            (&samples::gedml(), "(//.)[not((//. | Data))]"),
+            (&samples::bioml(), ".[(not(//.) or zzz)]//dna"),
+        ] {
+            assert!(matches!(verdict(dtd, q), Sat::Empty { .. }), "{q}");
         }
         assert_eq!(empty_kind(&cross, "∅"), WitnessKind::EmptySetLiteral);
         assert_eq!(empty_kind(&cross, "."), WitnessKind::DocumentOnly);

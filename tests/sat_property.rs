@@ -18,13 +18,16 @@
 //! * **The engine never falsely prunes** — end-to-end through
 //!   `Engine::prepare`, a statically-empty verdict always agrees with the
 //!   oracle on the loaded document.
+//! * **x2e's ∅ is a sat `Empty`** — both judge emptiness from the same DTD
+//!   graph, so a query x2e prunes to `∅` must get an `Empty` verdict.
 
 mod support;
 
 use std::collections::BTreeSet;
 use support::{arb_path, case_rng};
 
-use xpath2sql::core::Engine;
+use xpath2sql::core::x2e::RecMode;
+use xpath2sql::core::{xpath_to_exp, Engine};
 use xpath2sql::dtd::{samples, Dtd};
 use xpath2sql::xml::{Generator, GeneratorConfig, Tree};
 use xpath2sql::xpath::{eval_from_document, Path, Sat, SatAnalyzer};
@@ -176,4 +179,49 @@ fn engine_never_falsely_prunes() {
         3 * CASES_PER_SEED,
         "hits + misses + sat_pruned accounts for every prepare"
     );
+}
+
+/// x2e and the sat analyzer read the same DTD graph: a query whose pruned
+/// extended query is `∅` (x2e proved it empty) must get a `Sat::Empty`
+/// verdict too. Returns how many of the `cases` queries x2e proved empty.
+fn x2e_empty_implies_sat_empty(dtd: &Dtd, labels: &[&str], property: u64, cases: usize) -> usize {
+    let analyzer = SatAnalyzer::new(dtd);
+    let mut x2e_empty = 0;
+    for case in 0..cases {
+        let mut rng = case_rng(property, 7, case);
+        let query = analyzer.normalize(&arb_path(&mut rng, labels, LITERALS, 3));
+        let translated = xpath_to_exp(&query, dtd, &RecMode::CycleEx).expect("CycleEX translates");
+        if !translated.query.pruned().result.is_empty_set() {
+            continue;
+        }
+        x2e_empty += 1;
+        assert!(
+            matches!(analyzer.check(&query), Sat::Empty { .. }),
+            "INCOMPLETE: x2e proves {query} empty, sat says NonEmpty (case {case})"
+        );
+    }
+    x2e_empty
+}
+
+/// 1 000 queries per DTD (about 2 s in debug). Before `//q` counted as
+/// must-exist wherever `q` did, this caught `(//dept)[not(//.)]` on `dept`
+/// and `(//clone)[not(//.)]` on `bioml`.
+#[test]
+fn x2e_empty_queries_are_sat_empty() {
+    let cases: [(Dtd, &[&str]); 4] = [
+        (samples::cross(), &["a", "b", "c", "d", "zzz"]),
+        (
+            samples::dept_simplified(),
+            &["dept", "course", "student", "project", "zzz"],
+        ),
+        (
+            samples::gedml(),
+            &["Even", "Sour", "Note", "Obje", "Data", "zzz"],
+        ),
+        (samples::bioml(), &["gene", "dna", "locus", "clone", "zzz"]),
+    ];
+    for (i, (dtd, labels)) in cases.iter().enumerate() {
+        let n = x2e_empty_implies_sat_empty(dtd, labels, 77 + i as u64, 1000);
+        assert!(n > 0, "the corpus must exercise x2e's ∅");
+    }
 }
