@@ -23,8 +23,8 @@ use std::collections::HashMap;
 use x2s_exp::{EQual, Exp, ExtendedQuery, VarId};
 use x2s_rel::opt::{default_passes, optimize_with, OptLevel, OptReport};
 use x2s_rel::{
-    analyze_program_with, edge_scan_schema, AnalyzeWarning, JoinKind, LfpSpec, Plan, Pred, Program,
-    PushSpec, TempId, Value,
+    analyze_program_with, edge_scan_schema, AnalyzeWarning, LfpSpec, Plan, Pred, Program, PushSpec,
+    TempId, Value,
 };
 
 /// Name of the all-nodes relation provided by edge shredding.
@@ -152,7 +152,7 @@ fn exp_to_sql_raw(
     } else {
         c.compile(&query.result)?
     };
-    let result = c.to_mat(result);
+    let result = c.mat(result);
     // Paper line 26: σ_{F='_'} — keep only document-rooted pairs, then
     // project the answer node ids.
     let rooted = result.plan.select(Pred::ColEqValue(0, Value::Doc));
@@ -178,6 +178,33 @@ struct Mat {
     plan: Plan,
     refl: bool,
     has_v: bool,
+}
+
+impl From<Mat> for CVal {
+    fn from(m: Mat) -> CVal {
+        CVal::rel(m.plan, m.refl, m.has_v)
+    }
+}
+
+/// `π(l ⋈ r)` on `l.T = r.F`, onto `(l.F, r.T)` and `r.V` when `v`; `lv`
+/// says whether `l` carries a `V` column.
+fn chain(l: Plan, lv: bool, r: Plan, v: bool) -> Plan {
+    let l_ar = if lv { 3 } else { 2 };
+    let mut cols = vec![(0usize, "F"), (l_ar + 1, "T")];
+    if v {
+        cols.push((l_ar + 2, "V"));
+    }
+    l.join_on(r, 1, 0).project(cols)
+}
+
+/// `Φ(edges)`, with a pushed selection when there is one.
+fn closure(edges: TempId, push: Option<PushSpec>) -> Plan {
+    Plan::Lfp(LfpSpec {
+        input: Box::new(Plan::Temp(edges)),
+        from_col: 0,
+        to_col: 1,
+        push,
+    })
 }
 
 impl CVal {
@@ -213,30 +240,18 @@ impl<'a> Compiler<'a> {
     /// Bind a compiled value's plan to a temp (so variables are shared).
     fn bind_cval(&mut self, val: CVal, comment: &str) -> CVal {
         match val {
-            CVal::Rel { plan, refl, has_v } => {
-                let bound = self.bind(plan, comment);
-                CVal::Rel {
-                    plan: bound,
-                    refl,
-                    has_v,
-                }
-            }
+            CVal::Rel { plan, refl, has_v } => CVal::rel(self.bind(plan, comment), refl, has_v),
             star @ CVal::StarOf { .. } => star,
         }
     }
 
     /// Turn a value into a materialized relation; a `StarOf` becomes a full
     /// (unpushed) closure with the reflexive flag.
-    fn to_mat(&mut self, val: CVal) -> Mat {
+    fn mat(&mut self, val: CVal) -> Mat {
         match val {
             CVal::Rel { plan, refl, has_v } => Mat { plan, refl, has_v },
             CVal::StarOf { edges } => Mat {
-                plan: Plan::Lfp(LfpSpec {
-                    input: Box::new(Plan::Temp(edges)),
-                    from_col: 0,
-                    to_col: 1,
-                    push: None,
-                }),
+                plan: closure(edges, None),
                 refl: true,
                 has_v: false,
             },
@@ -266,59 +281,50 @@ impl<'a> Compiler<'a> {
                 Ok(acc)
             }
             Exp::Union(parts) => {
-                let mut plans = Vec::new();
-                let mut refl = false;
-                let mut has_v = true;
-                let mut mats = Vec::new();
-                for p in parts {
-                    let v = self.compile(p)?;
-                    let m = self.to_mat(v);
-                    refl |= m.refl;
-                    has_v &= m.has_v;
-                    mats.push(m);
-                }
-                for m in mats {
-                    plans.push(self.harmonize(m.plan, m.has_v, has_v));
-                }
-                if plans.is_empty() {
-                    return Ok(CVal::empty());
-                }
-                Ok(CVal::rel(
-                    Plan::Union {
-                        inputs: plans,
-                        distinct: true,
-                    },
-                    refl,
-                    has_v,
-                ))
+                let vals: Result<_, _> = parts.iter().map(|p| self.compile(p)).collect();
+                Ok(self.union(vals?))
             }
-            Exp::Star(inner) => {
-                let v = self.compile(inner)?;
-                match v {
-                    // (Φ(E) ∪ Id)* = Φ(E) ∪ Id
-                    star @ CVal::StarOf { .. } => Ok(star),
-                    CVal::Rel { plan, has_v, .. } => {
-                        // Φ(mat ∪ Id) = Φ(mat): the refl flag is irrelevant
-                        // under closure.
-                        let plan = if has_v {
-                            plan.project(vec![(0, "F"), (1, "T")])
-                        } else {
-                            plan
-                        };
-                        let edges_plan = self.bind(plan, "closure edges");
-                        let edges = match edges_plan {
-                            Plan::Temp(t) => t,
-                            other => self.prog.push(other, "closure edges"),
-                        };
-                        Ok(CVal::StarOf { edges })
-                    }
-                }
-            }
+            Exp::Star(inner) => Ok(CVal::StarOf {
+                edges: self.star_edges(inner)?,
+            }),
             Exp::Qualified(inner, q) => {
                 let v = self.compile(inner)?;
                 self.apply_qual(v, q)
             }
         }
+    }
+
+    /// The temporary holding the edges of `Φ(inner)`: `(Φ(E) ∪ Id)* =
+    /// Φ(E) ∪ Id`, and `Φ(mat ∪ Id) = Φ(mat)` (the refl flag is irrelevant
+    /// under closure).
+    fn star_edges(&mut self, inner: &Exp) -> Result<TempId, TranslateError> {
+        Ok(match self.compile(inner)? {
+            CVal::StarOf { edges } => edges,
+            CVal::Rel { plan, has_v, .. } => {
+                let plan = self.harmonize(plan, has_v, false);
+                self.prog.push(plan, "closure edges")
+            }
+        })
+    }
+
+    /// The distinct union of `vals`, each projected to their common arity
+    /// (with `V` only when every one has it); reflexive when one is.
+    fn union(&mut self, vals: Vec<CVal>) -> CVal {
+        let mats: Vec<Mat> = vals.into_iter().map(|v| self.mat(v)).collect();
+        let has_v = mats.iter().all(|m| m.has_v);
+        let refl = mats.iter().any(|m| m.refl);
+        let inputs: Vec<Plan> = mats
+            .into_iter()
+            .map(|m| self.harmonize(m.plan, m.has_v, has_v))
+            .collect();
+        if inputs.is_empty() {
+            return CVal::empty();
+        }
+        let union = Plan::Union {
+            inputs,
+            distinct: true,
+        };
+        CVal::rel(union, refl, has_v)
     }
 
     /// Project a plan to the common arity: drop V when `want_v` is false.
@@ -347,15 +353,8 @@ impl<'a> Compiler<'a> {
             ) => {
                 let lp = self.bind(lp, "compose lhs");
                 let rp = self.bind(rp, "compose rhs");
-                let l_ar = if lv { 3 } else { 2 };
-                // joined part: (l.F, r.T [, r.V])
-                let mut cols = vec![(0usize, "F"), (l_ar + 1, "T")];
                 let has_v = rv && (!rrefl || lv);
-                if has_v && rv {
-                    cols.push((l_ar + 2, "V"));
-                }
-                let joined = lp.clone().join_on(rp.clone(), 1, 0).project(cols);
-                let mut parts = vec![joined];
+                let mut parts = vec![chain(lp.clone(), lv, rp.clone(), has_v)];
                 if lrefl {
                     // Id / r = r
                     let p = self.harmonize(rp.clone(), rv, has_v);
@@ -366,14 +365,12 @@ impl<'a> Compiler<'a> {
                     let p = self.harmonize(lp.clone(), lv, has_v);
                     parts.push(p);
                 }
-                let only = if parts.len() == 1 { parts.pop() } else { None };
-                let plan = if let Some(only) = only {
-                    only
-                } else {
-                    Plan::Union {
+                let plan = match <[Plan; 1]>::try_from(parts) {
+                    Ok([only]) => only,
+                    Err(parts) => Plan::Union {
                         inputs: parts,
                         distinct: true,
-                    }
+                    },
                 };
                 Ok(CVal::rel(plan, lrefl && rrefl, has_v))
             }
@@ -387,45 +384,18 @@ impl<'a> Compiler<'a> {
             ) => {
                 if lrefl {
                     // (L ∪ Id)/(Φ ∪ Id) needs the bare Φ — no pushing.
-                    let star = self.to_mat(CVal::StarOf { edges });
-                    return self.compose(
-                        CVal::Rel {
-                            plan: lp,
-                            refl: lrefl,
-                            has_v: lv,
-                        },
-                        CVal::Rel {
-                            plan: star.plan,
-                            refl: star.refl,
-                            has_v: star.has_v,
-                        },
-                    );
+                    let star = self.mat(CVal::StarOf { edges }).into();
+                    return self.compose(CVal::rel(lp, lrefl, lv), star);
                 }
                 let lp = self.bind(lp, "closure seed side");
                 let push = self.opts.push_selections.then(|| PushSpec::Forward {
                     seeds: Box::new(lp.clone().project(vec![(1, "T")])),
                     col: 0,
                 });
-                let lfp = Plan::Lfp(LfpSpec {
-                    input: Box::new(Plan::Temp(edges)),
-                    from_col: 0,
-                    to_col: 1,
-                    push,
-                });
                 // L/(Φ ∪ Id) = L ∪ π(L ⋈ Φ)
-                let joined = lp
-                    .clone()
-                    .join_on(lfp, 1, 0)
-                    .project(vec![(0, "F"), (if lv { 4 } else { 3 }, "T")]);
+                let joined = chain(lp.clone(), lv, closure(edges, push), false);
                 let l_flat = self.harmonize(lp, lv, false);
-                Ok(CVal::rel(
-                    Plan::Union {
-                        inputs: vec![l_flat, joined],
-                        distinct: true,
-                    },
-                    false,
-                    false,
-                ))
+                Ok(CVal::rel(l_flat.union_with(joined), false, false))
             }
             (
                 CVal::StarOf { edges },
@@ -436,56 +406,21 @@ impl<'a> Compiler<'a> {
                 },
             ) => {
                 if rrefl {
-                    let star = self.to_mat(CVal::StarOf { edges });
-                    return self.compose(
-                        CVal::Rel {
-                            plan: star.plan,
-                            refl: star.refl,
-                            has_v: star.has_v,
-                        },
-                        CVal::Rel {
-                            plan: rp,
-                            refl: rrefl,
-                            has_v: rv,
-                        },
-                    );
+                    let star = self.mat(CVal::StarOf { edges }).into();
+                    return self.compose(star, CVal::rel(rp, rrefl, rv));
                 }
                 let rp = self.bind(rp, "closure target side");
                 let push = self.opts.push_selections.then(|| PushSpec::Backward {
                     targets: Box::new(rp.clone().project(vec![(0, "F")])),
                     col: 0,
                 });
-                let lfp = Plan::Lfp(LfpSpec {
-                    input: Box::new(Plan::Temp(edges)),
-                    from_col: 0,
-                    to_col: 1,
-                    push,
-                });
                 // (Φ ∪ Id)/R = R ∪ π(Φ ⋈ R)
-                let mut cols = vec![(0usize, "F"), (3usize, "T")];
-                if rv {
-                    cols.push((4, "V"));
-                }
-                let joined = lfp.join_on(rp.clone(), 1, 0).project(cols);
-                Ok(CVal::rel(
-                    Plan::Union {
-                        inputs: vec![rp, joined],
-                        distinct: true,
-                    },
-                    false,
-                    rv,
-                ))
+                let joined = chain(closure(edges, push), false, rp.clone(), rv);
+                Ok(CVal::rel(rp.union_with(joined), false, rv))
             }
             (l @ CVal::StarOf { .. }, r @ CVal::StarOf { .. }) => {
-                let lm = self.to_mat(l);
-                self.compose(
-                    CVal::Rel {
-                        plan: lm.plan,
-                        refl: lm.refl,
-                        has_v: lm.has_v,
-                    },
-                    r,
-                )
+                let l = self.mat(l).into();
+                self.compose(l, r)
             }
         }
     }
@@ -497,7 +432,7 @@ impl<'a> Compiler<'a> {
             EQual::False => Ok(CVal::empty()),
             // a direct text test on a value-carrying relation is a plain σ
             EQual::TextEq(c) => {
-                let m = self.to_mat(val);
+                let m = self.mat(val);
                 if m.has_v && !m.refl {
                     return Ok(CVal::rel(
                         m.plan.select(Pred::ColEqValue(2, Value::str(c))),
@@ -505,13 +440,8 @@ impl<'a> Compiler<'a> {
                         true,
                     ));
                 }
-                let base = CVal::Rel {
-                    plan: m.plan,
-                    refl: m.refl,
-                    has_v: m.has_v,
-                };
                 let nodes = self.qual_nodes(q)?;
-                self.semijoin_nodes(base, nodes)
+                self.semijoin_nodes(m.into(), nodes)
             }
             _ => {
                 let nodes = self.qual_nodes(q)?;
@@ -523,28 +453,16 @@ impl<'a> Compiler<'a> {
     /// Restrict a relation's targets to a node set; handles the reflexive
     /// part by materializing identity pairs over the (filtered) node set.
     fn semijoin_nodes(&mut self, val: CVal, nodes: Plan) -> Result<CVal, TranslateError> {
-        let m = self.to_mat(val);
+        let m = self.mat(val);
         let nodes = self.bind(nodes, "qualifier node set");
-        let filtered = Plan::Join {
-            left: Box::new(m.plan),
-            right: Box::new(nodes.clone()),
-            on: (1, 0),
-            kind: JoinKind::Semi,
-        };
+        let filtered = m.plan.semi_join(nodes.clone(), 1, 0);
         if !m.refl {
             return Ok(CVal::rel(filtered, false, m.has_v));
         }
         // Id[q] = {(v, v) : q holds at v}
         let id_part = nodes.project(vec![(0, "F"), (0, "T")]);
         let flat = self.harmonize(filtered, m.has_v, false);
-        Ok(CVal::rel(
-            Plan::Union {
-                inputs: vec![flat, id_part],
-                distinct: true,
-            },
-            false,
-            false,
-        ))
+        Ok(CVal::rel(flat.union_with(id_part), false, false))
     }
 
     /// Node-set plan of a qualifier: one column `N` of nodes where it holds.
@@ -557,7 +475,7 @@ impl<'a> Compiler<'a> {
                 .project(vec![(1, "N")]),
             EQual::Exp(e) => {
                 let v = self.compile(e)?;
-                let m = self.to_mat(v);
+                let m = self.mat(v);
                 if m.refl {
                     // ε ∈ e: every node satisfies [e]
                     Plan::Scan(ALL_NODES.into()).project(vec![(1, "N")])
@@ -604,31 +522,14 @@ impl<'a> Compiler<'a> {
         if depth > 64 || self.inline_budget == 0 {
             // fall back: unrestricted compile, then restrict sources
             let v = self.compile(e)?;
-            let m = self.to_mat(v);
+            let m = self.mat(v);
             if m.refl {
                 let id_part = seeds.clone().project(vec![(0, "F"), (0, "T")]);
                 let flat = self.harmonize(m.plan, m.has_v, false);
-                let restricted = Plan::Join {
-                    left: Box::new(flat),
-                    right: Box::new(seeds.clone()),
-                    on: (0, 0),
-                    kind: JoinKind::Semi,
-                };
-                return Ok(CVal::rel(
-                    Plan::Union {
-                        inputs: vec![restricted, id_part],
-                        distinct: true,
-                    },
-                    false,
-                    false,
-                ));
+                let restricted = flat.semi_join(seeds.clone(), 0, 0);
+                return Ok(CVal::rel(restricted.union_with(id_part), false, false));
             }
-            let restricted = Plan::Join {
-                left: Box::new(m.plan),
-                right: Box::new(seeds.clone()),
-                on: (0, 0),
-                kind: JoinKind::Semi,
-            };
+            let restricted = m.plan.semi_join(seeds.clone(), 0, 0);
             return Ok(CVal::rel(restricted, false, m.has_v));
         }
         self.inline_budget = self.inline_budget.saturating_sub(1);
@@ -640,12 +541,7 @@ impl<'a> Compiler<'a> {
             )),
             Exp::EmptySet => Ok(CVal::empty()),
             Exp::Label(name) => Ok(CVal::rel(
-                Plan::Join {
-                    left: Box::new(Plan::Scan(format!("R_{name}"))),
-                    right: Box::new(seeds.clone()),
-                    on: (0, 0),
-                    kind: JoinKind::Semi,
-                },
+                Plan::Scan(format!("R_{name}")).semi_join(seeds.clone(), 0, 0),
                 false,
                 true,
             )),
@@ -653,16 +549,8 @@ impl<'a> Compiler<'a> {
                 if let Some(plan) = self.overrides.get(v) {
                     let plan = plan.clone();
                     let bound = self.bind(plan, "override rec");
-                    return Ok(CVal::rel(
-                        Plan::Join {
-                            left: Box::new(bound),
-                            right: Box::new(seeds.clone()),
-                            on: (0, 0),
-                            kind: JoinKind::Semi,
-                        },
-                        false,
-                        false,
-                    ));
+                    let restricted = bound.semi_join(seeds.clone(), 0, 0);
+                    return Ok(CVal::rel(restricted, false, false));
                 }
                 let rhs = self
                     .query
@@ -677,96 +565,36 @@ impl<'a> Compiler<'a> {
                 let mut acc = self.compile_from(&parts[0], seeds, depth + 1)?;
                 for p in &parts[1..] {
                     // frontier of the prefix = its reached nodes
-                    let m = self.to_mat(acc);
+                    let m = self.mat(acc);
                     let bound = self.bind(m.plan, "seeded prefix");
                     let next_seeds = self.bind(
                         Plan::Distinct(Box::new(bound.clone().project(vec![(1, "N")]))),
                         "frontier",
                     );
                     let rhs = self.compile_from(p, &next_seeds, depth + 1)?;
-                    let rm = self.to_mat(rhs);
+                    let rm = self.mat(rhs);
                     // compose: (x, m) ⋈ (m, y)
-                    let l_ar = if m.has_v { 3 } else { 2 };
-                    let mut cols = vec![(0usize, "F"), (l_ar + 1, "T")];
-                    if rm.has_v {
-                        cols.push((l_ar + 2, "V"));
-                    }
-                    let joined = bound.join_on(rm.plan, 1, 0).project(cols);
-                    acc = CVal::rel(joined, false, rm.has_v);
+                    acc = CVal::rel(chain(bound, m.has_v, rm.plan, rm.has_v), false, rm.has_v);
                 }
                 Ok(acc)
             }
             Exp::Union(parts) => {
-                let mut plans = Vec::new();
-                let mut has_v = true;
-                let mut mats = Vec::new();
-                for p in parts {
-                    let v = self.compile_from(p, seeds, depth + 1)?;
-                    let m = self.to_mat(v);
-                    has_v &= m.has_v;
-                    mats.push(m);
-                }
-                for m in mats {
-                    plans.push(self.harmonize(m.plan, m.has_v, has_v));
-                }
-                if plans.is_empty() {
-                    return Ok(CVal::empty());
-                }
-                Ok(CVal::rel(
-                    Plan::Union {
-                        inputs: plans,
-                        distinct: true,
-                    },
-                    false,
-                    has_v,
-                ))
+                let seeded = |p| self.compile_from(p, seeds, depth + 1);
+                let vals: Result<_, _> = parts.iter().map(seeded).collect();
+                Ok(self.union(vals?))
             }
             Exp::Star(inner) => {
                 // Φ(edges) seeded forward, plus identity over the seeds.
-                let edges_val = self.compile(inner)?;
-                let edges = match edges_val {
-                    CVal::StarOf { edges } => edges,
-                    CVal::Rel { plan, has_v, .. } => {
-                        let plan = if has_v {
-                            plan.project(vec![(0, "F"), (1, "T")])
-                        } else {
-                            plan
-                        };
-                        match self.bind(plan, "closure edges") {
-                            Plan::Temp(t) => t,
-                            other => self.prog.push(other, "closure edges"),
-                        }
-                    }
-                };
-                let lfp = Plan::Lfp(LfpSpec {
-                    input: Box::new(Plan::Temp(edges)),
-                    from_col: 0,
-                    to_col: 1,
-                    push: self.opts.push_selections.then(|| PushSpec::Forward {
-                        seeds: Box::new(seeds.clone()),
-                        col: 0,
-                    }),
-                });
+                let edges = self.star_edges(inner)?;
                 let lfp = if self.opts.push_selections {
-                    lfp
+                    let seeds = Box::new(seeds.clone());
+                    closure(edges, Some(PushSpec::Forward { seeds, col: 0 }))
                 } else {
                     // unpushed closure, restricted afterwards
-                    Plan::Join {
-                        left: Box::new(lfp),
-                        right: Box::new(seeds.clone()),
-                        on: (0, 0),
-                        kind: JoinKind::Semi,
-                    }
+                    closure(edges, None).semi_join(seeds.clone(), 0, 0)
                 };
                 let id_part = seeds.clone().project(vec![(0, "F"), (0, "T")]);
-                Ok(CVal::rel(
-                    Plan::Union {
-                        inputs: vec![lfp, id_part],
-                        distinct: true,
-                    },
-                    false,
-                    false,
-                ))
+                Ok(CVal::rel(lfp.union_with(id_part), false, false))
             }
             Exp::Qualified(inner, q) => {
                 let v = self.compile_from(inner, seeds, depth + 1)?;

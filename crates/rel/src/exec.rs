@@ -546,16 +546,6 @@ impl Fused<'_> {
     }
 }
 
-/// What one node holds while its statement runs.
-enum Slot<'a> {
-    /// Not evaluated yet, or freed once its one consumer read it.
-    Empty,
-    /// Evaluated inside its consumer (see [`Shape`]).
-    Fused,
-    /// Its relation: borrowed for `Scan` and `Values`, owned otherwise.
-    Rel(Cow<'a, Relation>),
-}
-
 /// How a node evaluates, given the statement it belongs to starts at `lo`.
 enum Shape<'p> {
     /// On its own, from its inputs' relations.
@@ -579,50 +569,48 @@ impl<'p> Shape<'p> {
     /// The shape of `nodes[id]`. Only a node of the same statement fuses:
     /// a temporary is read as it is.
     fn of(nodes: &'p [Node], lo: NodeId, id: NodeId) -> Shape<'p> {
-        let local = |c: NodeId| c >= lo;
-        let inner_join = |c: NodeId| {
-            local(c)
-                && matches!(
-                    nodes[c as usize],
-                    Node::Join {
-                        kind: JoinKind::Inner,
-                        ..
-                    }
-                )
+        let local = |c: NodeId| Some(&nodes[c as usize]).filter(|_| c >= lo);
+        let fused = |join, select, pred, cols| match local(join) {
+            Some(Node::Join {
+                kind: JoinKind::Inner,
+                ..
+            }) => Shape::Fused {
+                join,
+                select,
+                pred,
+                cols,
+            },
+            _ => Shape::Plain,
         };
         match &nodes[id as usize] {
-            Node::Select { input, pred } if inner_join(*input) => Shape::Fused {
-                join: *input,
-                select: None,
-                pred: Some(pred),
-                cols: None,
-            },
-            Node::Project { input, cols } if inner_join(*input) => Shape::Fused {
-                join: *input,
-                select: None,
-                pred: None,
-                cols: Some(cols),
-            },
-            Node::Project { input, cols } if local(*input) => match &nodes[*input as usize] {
-                Node::Select { input: join, pred } if inner_join(*join) => Shape::Fused {
-                    join: *join,
-                    select: Some(*input),
-                    pred: Some(pred),
-                    cols: Some(cols),
-                },
-                _ => Shape::Plain,
+            Node::Select { input, pred } => fused(*input, None, Some(pred), None),
+            Node::Project { input, cols } => match local(*input) {
+                Some(Node::Select { input: join, pred }) => {
+                    fused(*join, Some(*input), Some(pred), Some(cols))
+                }
+                _ => fused(*input, None, None, Some(cols)),
             },
             Node::Join {
                 left,
                 kind: JoinKind::Semi,
                 on: (0, _),
                 ..
-            } if local(*left) && matches!(nodes[*left as usize], Node::IntervalJoin(_)) => {
+            } if matches!(local(*left), Some(Node::IntervalJoin(_))) => {
                 Shape::Seeded { interval: *left }
             }
             _ => Shape::Plain,
         }
     }
+}
+
+/// A statement's state while a program runs.
+enum Temp<'a> {
+    /// The result does not read it.
+    Skip,
+    /// The result reads it; not evaluated yet.
+    Run,
+    /// Its relation, for the later statements that read it.
+    Done(Cow<'a, Relation>),
 }
 
 /// Execute `prog`: evaluate the statements the result reads, in order, and
@@ -634,15 +622,23 @@ pub(crate) fn run<'a>(
     opts: ExecOptions,
     stats: &'a mut Stats,
 ) -> Result<Cow<'a, Relation>, ExecError> {
-    let result = prog.result().ok_or(ExecError::NoResult)?;
-    let live = prog.live_stmts(result);
+    let result = prog.result().ok_or(ExecError::NoResult)?.0 as usize;
+    let mut temps: Vec<Temp<'a>> = Vec::new();
+    temps.resize_with(result + 1, || Temp::Skip);
+    temps[result] = Temp::Run;
+    for s in (0..=result).rev() {
+        if matches!(temps[s], Temp::Run) {
+            prog.for_each_read(TempId(s as u32), |read| temps[read.0 as usize] = Temp::Run);
+        }
+    }
     let nodes = prog.nodes();
-    let mut slots: Vec<Slot<'a>> = Vec::new();
-    slots.resize_with(nodes.len(), || Slot::Empty);
-    let mut evaluated = 0;
+    // what the running statement's nodes produced and their one consumer
+    // has not read yet
+    let mut pending: Vec<(NodeId, Cow<'a, Relation>)> = Vec::new();
+    let mut fused = vec![false; nodes.len()];
     let mut ctx = ExecCtx { db, opts, stats };
-    for (s, stmt) in prog.stmts()[..=result.0 as usize].iter().enumerate() {
-        if !live[s] {
+    for (s, stmt) in prog.stmts()[..=result].iter().enumerate() {
+        if !matches!(temps[s], Temp::Run) {
             continue;
         }
         // Statement boundary: poll the cancellation token between statements
@@ -653,77 +649,86 @@ pub(crate) fn run<'a>(
         for id in lo..=stmt.root {
             match Shape::of(nodes, lo, id) {
                 Shape::Fused { join, select, .. } => {
-                    slots[join as usize] = Slot::Fused;
+                    fused[join as usize] = true;
                     if let Some(select) = select {
-                        slots[select as usize] = Slot::Fused;
+                        fused[select as usize] = true;
                     }
                 }
-                Shape::Seeded { interval } => slots[interval as usize] = Slot::Fused,
+                Shape::Seeded { interval } => fused[interval as usize] = true,
                 Shape::Plain => {}
             }
         }
         for id in lo..=stmt.root {
-            if matches!(slots[id as usize], Slot::Fused) {
+            if fused[id as usize] {
                 continue;
             }
-            let (done, rest) = slots.split_at_mut(id as usize);
-            rest[0] = Slot::Rel(eval_node(nodes, lo, id, done, &mut ctx)?);
+            let mut inputs = Inputs {
+                prog,
+                lo,
+                temps: &temps,
+                pending: &mut pending,
+            };
+            let out = eval_node(nodes, id, &mut inputs, &mut ctx)?;
+            pending.push((id, out));
         }
+        // the root is the statement's last node; anything else left over
+        // read nothing
+        if let Some((_, rel)) = pending.pop() {
+            temps[s] = Temp::Done(rel);
+        }
+        pending.clear();
         ctx.stats.stmts_evaluated += 1;
-        evaluated += 1;
         // ... and after it: what the statement emitted counts against the
         // tuple budget even when no later statement polls it
         ctx.opts.check_tuples(ctx.stats.tuples_emitted)?;
     }
     // `stats` may carry earlier executions: skipped = this program's
     // statements minus what *this* execution evaluated
-    ctx.stats.stmts_skipped += prog.len().saturating_sub(evaluated);
-    Ok(take(&mut slots, prog.stmt(result).root))
-}
-
-/// The relation node `c` evaluated to.
-fn rel<'s>(done: &'s [Slot<'_>], c: NodeId) -> &'s Relation {
-    match &done[c as usize] {
-        Slot::Rel(r) => r,
-        _ => unreachable!("node {c} is read before it is evaluated"),
+    let evaluated = temps.iter().filter(|t| matches!(t, Temp::Done(_)));
+    ctx.stats.stmts_skipped += prog.len() - evaluated.count();
+    match temps.swap_remove(result) {
+        Temp::Done(rel) => Ok(rel),
+        _ => unreachable!("the result statement is evaluated"),
     }
 }
 
-/// Move node `c`'s relation out of its slot.
-fn take<'a>(done: &mut [Slot<'a>], c: NodeId) -> Cow<'a, Relation> {
-    match std::mem::replace(&mut done[c as usize], Slot::Empty) {
-        Slot::Rel(r) => r,
-        _ => unreachable!("node {c} is read before it is evaluated"),
-    }
+/// How a node reads its inputs while a statement (its nodes from `lo`)
+/// runs.
+struct Inputs<'s, 'a> {
+    prog: &'a Program,
+    lo: NodeId,
+    temps: &'s [Temp<'a>],
+    pending: &'s mut Vec<(NodeId, Cow<'a, Relation>)>,
 }
 
-/// Free what `nodes[id]` read from its own statement (at or after `lo`):
-/// each such input has no other consumer.
-fn free(nodes: &[Node], lo: NodeId, id: NodeId, done: &mut [Slot<'_>]) {
-    nodes[id as usize].for_each_child(|c| {
-        if c >= lo {
-            done[c as usize] = Slot::Empty;
+impl<'s, 'a: 's> Inputs<'s, 'a> {
+    /// The relation of input `c`: an earlier statement's is borrowed, one of
+    /// this statement's moved out to its one consumer.
+    fn take(&mut self, c: NodeId) -> Cow<'s, Relation> {
+        if c < self.lo {
+            let t = self.prog.stmt_at(c).map(|t| &self.temps[t.0 as usize]);
+            if let Some(Temp::Done(rel)) = t {
+                return Cow::Borrowed(rel);
+            }
+        } else if let Some(i) = self.pending.iter().position(|(id, _)| *id == c) {
+            return self.pending.swap_remove(i).1;
         }
-    });
+        unreachable!("node {c} is read before it is evaluated")
+    }
 }
 
-/// Evaluate `nodes[id]` from its inputs' slots in `done`, freeing the ones
-/// of its own statement.
+/// Evaluate `nodes[id]` from its inputs.
 fn eval_node<'a>(
     nodes: &'a [Node],
-    lo: NodeId,
     id: NodeId,
-    done: &mut [Slot<'a>],
+    inputs: &mut Inputs<'_, 'a>,
     ctx: &mut ExecCtx<'a>,
 ) -> Result<Cow<'a, Relation>, ExecError> {
-    let out = match (&nodes[id as usize], Shape::of(nodes, lo, id)) {
+    let out = match (&nodes[id as usize], Shape::of(nodes, inputs.lo, id)) {
         (
             _,
             Shape::Fused {
-                join,
-                select,
-                pred,
-                cols,
+                join, pred, cols, ..
             },
         ) => {
             ctx.stats.selects += usize::from(pred.is_some());
@@ -732,31 +737,23 @@ fn eval_node<'a>(
                 pred: pred.map(|p| CompiledPred::compile(p, ctx.db.dict())),
                 cols,
             };
-            let out = eval_join(nodes, lo, join, &fused, done, ctx)?;
-            free(nodes, lo, join, done);
-            if let Some(select) = select {
-                done[select as usize] = Slot::Empty;
-            }
-            done[join as usize] = Slot::Empty;
-            out
+            eval_join(nodes, join, &fused, inputs, ctx)?
         }
         (Node::Join { right, on, .. }, Shape::Seeded { interval }) => {
-            // Join boundary, as for any join.
-            ctx.check_cancel()?;
             let Node::IntervalJoin(spec) = &nodes[interval as usize] else {
                 unreachable!("a seeded shape sits over an interval join")
             };
+            // Join boundary, as for any join.
+            ctx.check_cancel()?;
             ctx.stats.joins += 1;
             // Non-id seed values (NULL, the document marker) equal no
             // ancestor.
-            let seeds: FxHashSet<u32> = rel(done, *right)
+            let seeds: FxHashSet<u32> = inputs
+                .take(*right)
                 .rows()
                 .filter_map(|t| t[on.1].as_id())
                 .collect();
-            let out = eval_interval_join(spec, rel(done, spec.left), Some(&seeds), ctx)?;
-            free(nodes, lo, interval, done);
-            done[interval as usize] = Slot::Empty;
-            out
+            eval_interval_join(spec, &inputs.take(spec.left), Some(&seeds), ctx)?
         }
         (Node::Scan(name), _) => {
             return ctx
@@ -767,7 +764,7 @@ fn eval_node<'a>(
         }
         (Node::Values(rel), _) => return Ok(Cow::Borrowed(rel)),
         (Node::Select { input, pred }, _) => {
-            let rel = rel(done, *input);
+            let rel = inputs.take(*input);
             ctx.stats.selects += 1;
             let compiled = CompiledPred::compile(pred, ctx.db.dict());
             let mut out = Relation::new(rel.arity());
@@ -780,7 +777,7 @@ fn eval_node<'a>(
             out
         }
         (Node::Project { input, cols }, _) => {
-            let rel = rel(done, *input);
+            let rel = inputs.take(*input);
             ctx.stats.projects += 1;
             // Source columns are verified statically by [`crate::analyze`];
             // debug builds re-check once per projection (not per row) so an
@@ -800,26 +797,15 @@ fn eval_node<'a>(
             ctx.stats.tuples_emitted += out.len() as u64;
             out
         }
-        (Node::Join { .. }, _) => eval_join(nodes, lo, id, &Fused::default(), done, ctx)?,
-        (Node::Union { inputs, distinct }, _) => {
-            // inputs of this statement are taken (an owned one is adopted
-            // below), temporaries borrowed
-            let taken: Vec<Cow<'a, Relation>> = inputs
-                .iter()
-                .map(|&c| {
-                    if c >= lo {
-                        take(done, c)
-                    } else {
-                        Cow::Owned(Relation::new(0))
-                    }
-                })
-                .collect();
-            let mut rels: Vec<Cow<'_, Relation>> = taken;
-            for (slot, &c) in rels.iter_mut().zip(inputs) {
-                if c < lo {
-                    *slot = Cow::Borrowed(rel(done, c));
-                }
-            }
+        (Node::Join { .. }, _) => eval_join(nodes, id, &Fused::default(), inputs, ctx)?,
+        (
+            Node::Union {
+                inputs: arms,
+                distinct,
+            },
+            _,
+        ) => {
+            let rels: Vec<Cow<'_, Relation>> = arms.iter().map(|&c| inputs.take(c)).collect();
             let arity = rels.first().map(|r| r.arity()).unwrap_or(0);
             if rels.iter().any(|r| r.arity() != arity) {
                 return Err(ExecError::SchemaMismatch("union arity".into()));
@@ -829,8 +815,8 @@ fn eval_node<'a>(
             // reserve for the rest (reserving before an adopt would waste
             // the allocation — adopt replaces an empty relation's buffer)
             let rest_len: usize = rels.iter().skip(1).map(|r| r.len()).sum();
-            let mut inputs = rels.into_iter();
-            let mut out = match inputs.next() {
+            let mut rels = rels.into_iter();
+            let mut out = match rels.next() {
                 Some(Cow::Owned(r)) => r,
                 Some(Cow::Borrowed(r)) => {
                     let mut out = Relation::new(arity);
@@ -841,7 +827,7 @@ fn eval_node<'a>(
                 None => Relation::new(arity),
             };
             out.reserve(rest_len);
-            for r in inputs {
+            for r in rels {
                 match r {
                     Cow::Owned(r) => out.adopt(r),
                     Cow::Borrowed(r) => out.extend_from(r),
@@ -854,33 +840,37 @@ fn eval_node<'a>(
             out
         }
         (Node::Distinct(input), _) => {
-            let mut rel = if *input >= lo {
-                take(done, *input).into_owned()
-            } else {
-                rel(done, *input).clone()
-            };
+            let mut rel = inputs.take(*input).into_owned();
             rel.dedup();
             ctx.stats.tuples_emitted += rel.len() as u64;
             rel
         }
         (Node::Lfp(spec), _) => {
-            let push = spec.push.as_ref().map(|p| rel(done, *p.input().0));
-            eval_lfp(spec, rel(done, spec.input), push, ctx)?
+            let edges = inputs.take(spec.input);
+            let push = spec.push.as_ref().map(|p| inputs.take(*p.input().0));
+            eval_lfp(spec, &edges, push.as_deref(), ctx)?
         }
-        (Node::MultiLfp(spec), _) => eval_multilfp(spec, |c| rel(done, c), ctx)?,
-        (Node::IntervalJoin(spec), _) => eval_interval_join(spec, rel(done, spec.left), None, ctx)?,
+        (Node::MultiLfp(spec), _) => {
+            let mut rels = HashMap::new();
+            let parts = spec.init.iter().map(|(_, c)| *c);
+            for c in parts.chain(spec.edges.iter().map(|e| e.rel)) {
+                rels.entry(c).or_insert_with(|| inputs.take(c));
+            }
+            eval_multilfp(spec, |c| &rels[&c], ctx)?
+        }
+        (Node::IntervalJoin(spec), _) => {
+            eval_interval_join(spec, &inputs.take(spec.left), None, ctx)?
+        }
     };
-    free(nodes, lo, id, done);
     Ok(Cow::Owned(out))
 }
 
 /// Evaluate the join `nodes[join]`, applying `fused` to every row it emits.
 fn eval_join(
     nodes: &[Node],
-    lo: NodeId,
     join: NodeId,
     fused: &Fused<'_>,
-    done: &[Slot<'_>],
+    inputs: &mut Inputs<'_, '_>,
     ctx: &mut ExecCtx<'_>,
 ) -> Result<Relation, ExecError> {
     let Node::Join {
@@ -899,10 +889,10 @@ fn eval_join(
     // scan on an indexed column reuses the load-time index instead of
     // building a hash table.
     let prebuilt = match &nodes[*right as usize] {
-        Node::Scan(name) if *right >= lo => ctx.db.index_of(name, on.1),
+        Node::Scan(name) if *right >= inputs.lo => ctx.db.index_of(name, on.1),
         _ => None,
     };
-    let (l, r) = (rel(done, *left), rel(done, *right));
+    let (l, r) = (inputs.take(*left), inputs.take(*right));
     debug_assert!(
         fused
             .cols
@@ -911,7 +901,7 @@ fn eval_join(
          the program bypassed the static analyzer",
         l.arity() + r.arity()
     );
-    Ok(hash_join(l, r, *on, *kind, ctx.stats, prebuilt, fused))
+    Ok(hash_join(&l, &r, *on, *kind, ctx.stats, prebuilt, fused))
 }
 
 /// `v` as a join key: NULL is none.

@@ -65,22 +65,14 @@ pub struct Dag {
 /// that cycles; well-formed rules strictly shrink or sink and never hit it.
 const MAX_RULE_APPLICATIONS: usize = 64;
 
-/// What hash-consing a program found: structurally new occurrences that
-/// collapsed onto an existing node (leaves excluded — re-scanning the same
-/// base relation is not a shared plan worth reporting), and how many of
-/// those were `Φ`/`φ` fixpoints (the LFP-dedup count).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct Consed {
-    /// Non-leaf nodes that collapsed onto an existing node.
-    pub(crate) plans: usize,
-    /// Fixpoint nodes among them.
-    pub(crate) fixpoints: usize,
-}
-
 impl Dag {
-    /// Hash-cons `prog`'s nodes in one pass. `None` when the program has no
-    /// result (such programs are left untouched by the optimizer).
-    pub(crate) fn from_program(prog: &Program) -> Option<(Dag, Consed)> {
+    /// Hash-cons `prog`'s nodes in one pass. Returns the DAG and how many
+    /// structurally new occurrences collapsed onto an existing node: non-leaf
+    /// ones (re-scanning the same base relation is not a shared plan worth
+    /// reporting) and `Φ`/`φ` fixpoints among them (the LFP-dedup count).
+    /// `None` when the program has no result (such programs are left
+    /// untouched by the optimizer).
+    pub(crate) fn from_program(prog: &Program) -> Option<(Dag, usize, usize)> {
         let result = prog.result()?;
         let mut dag = Dag {
             nodes: Vec::new(),
@@ -89,13 +81,14 @@ impl Dag {
             result: 0,
             comments: HashMap::new(),
         };
-        let mut consed = Consed::default();
+        let (mut plans, mut fixpoints) = (0, 0);
         let mut map: Vec<NodeId> = Vec::with_capacity(prog.nodes().len());
         for node in prog.nodes() {
-            let node = node.clone().map_children(&mut |c| map[c as usize]);
+            let mut node = node.clone();
+            node.children_mut(|c| *c = map[*c as usize]);
             if dag.cache.contains_key(&node) {
-                consed.plans += usize::from(!node.is_leaf());
-                consed.fixpoints += usize::from(node.is_fixpoint());
+                plans += usize::from(!node.is_leaf());
+                fixpoints += usize::from(node.is_fixpoint());
             }
             map.push(dag.intern(node));
         }
@@ -105,7 +98,7 @@ impl Dag {
                 .or_insert_with(|| stmt.comment.clone());
         }
         dag.result = map[prog.stmt(result).root as usize];
-        Some((dag, consed))
+        Some((dag, plans, fixpoints))
     }
 
     /// The result node.
@@ -239,10 +232,8 @@ impl Dag {
         if let Some(n) = memo[id as usize] {
             return n;
         }
-        let node = self.node(id).clone();
-        let mut map = |c: NodeId| self.rewrite_node(c, counts, memo, reverse, rule, changed);
-        let node = node.map_children(&mut map);
-        let mut cur = node;
+        let mut cur = self.node(id).clone();
+        cur.children_mut(|c| *c = self.rewrite_node(*c, counts, memo, reverse, rule, changed));
         for _ in 0..MAX_RULE_APPLICATIONS {
             let ctx = RewriteCtx {
                 counts,
@@ -328,10 +319,8 @@ impl Dag {
         if id != top && is_root[id as usize] {
             return new_id[id as usize];
         }
-        let node = self
-            .node(id)
-            .clone()
-            .map_children(&mut |c| self.emit(c, top, is_root, new_id, prog));
+        let mut node = self.node(id).clone();
+        node.children_mut(|c| *c = self.emit(*c, top, is_root, new_id, prog));
         prog.push_node(node)
     }
 
@@ -353,8 +342,9 @@ mod tests {
     use crate::plan::{Plan, Pred};
     use crate::value::Value;
 
-    fn dag_of(prog: &Program) -> (Dag, Consed) {
-        Dag::from_program(prog).expect("test programs have a result")
+    fn dag_of(prog: &Program) -> (Dag, usize) {
+        let (dag, plans, _) = Dag::from_program(prog).expect("test programs have a result");
+        (dag, plans)
     }
 
     #[test]
@@ -382,8 +372,8 @@ mod tests {
         let b = prog.push(Plan::Scan("E".into()).project(vec![(0, "F")]), "b");
         let j = prog.push(Plan::Temp(a).join_on(Plan::Temp(b), 0, 0), "join");
         prog.set_result(j);
-        let (dag, consed) = dag_of(&prog);
-        assert_eq!(consed.plans, 1, "the duplicate projection");
+        let (dag, plans) = dag_of(&prog);
+        assert_eq!(plans, 1, "the duplicate projection");
         let out = dag.into_program();
         // the shared projection becomes one temp, read twice
         assert_eq!(out.len(), 2);

@@ -92,20 +92,6 @@ impl<C> PushSpec<C> {
             }
         }
     }
-
-    /// The same push with its input passed through `f`.
-    pub fn map<D>(self, f: impl FnOnce(C) -> D) -> PushSpec<D> {
-        match self {
-            PushSpec::Forward { seeds, col } => PushSpec::Forward {
-                seeds: f(seeds),
-                col,
-            },
-            PushSpec::Backward { targets, col } => PushSpec::Backward {
-                targets: f(targets),
-                col,
-            },
-        }
-    }
 }
 
 /// The simple least-fixpoint operator `Φ(R)` (§3.3 Eq. 2): the transitive
@@ -243,31 +229,25 @@ impl Plan {
 
     /// Inner join on a single column pair.
     pub fn join_on(self, right: Plan, left_col: usize, right_col: usize) -> Plan {
-        Plan::Join {
-            left: Box::new(self),
-            right: Box::new(right),
-            on: (left_col, right_col),
-            kind: JoinKind::Inner,
-        }
+        self.join(right, (left_col, right_col), JoinKind::Inner)
     }
 
     /// Semi join on a single column pair.
     pub fn semi_join(self, right: Plan, left_col: usize, right_col: usize) -> Plan {
-        Plan::Join {
-            left: Box::new(self),
-            right: Box::new(right),
-            on: (left_col, right_col),
-            kind: JoinKind::Semi,
-        }
+        self.join(right, (left_col, right_col), JoinKind::Semi)
     }
 
     /// Anti join on a single column pair.
     pub fn anti_join(self, right: Plan, left_col: usize, right_col: usize) -> Plan {
+        self.join(right, (left_col, right_col), JoinKind::Anti)
+    }
+
+    fn join(self, right: Plan, on: (usize, usize), kind: JoinKind) -> Plan {
         Plan::Join {
             left: Box::new(self),
             right: Box::new(right),
-            on: (left_col, right_col),
-            kind: JoinKind::Anti,
+            on,
+            kind,
         }
     }
 

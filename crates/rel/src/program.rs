@@ -17,7 +17,9 @@
 //! [`Stats::stmts_skipped`] counts the rest.
 
 use crate::exec::{Database, ExecError, ExecOptions};
-use crate::plan::{IntervalJoinSpec, JoinKind, LfpSpec, MultiLfpEdge, MultiLfpSpec, Plan, Pred};
+use crate::plan::{
+    IntervalJoinSpec, JoinKind, LfpSpec, MultiLfpEdge, MultiLfpSpec, Plan, Pred, PushSpec,
+};
 use crate::relation::Relation;
 use crate::stats::Stats;
 
@@ -108,52 +110,33 @@ impl Node {
         }
     }
 
-    /// Rebuild this node with every child id passed through `f`, in the
-    /// order of [`Node::for_each_child`].
-    pub fn map_children(self, f: &mut impl FnMut(NodeId) -> NodeId) -> Node {
+    /// Call `f` on every child id, mutably, in the order of
+    /// [`Node::for_each_child`].
+    pub fn children_mut(&mut self, mut f: impl FnMut(&mut NodeId)) {
         match self {
-            leaf @ (Node::Scan(_) | Node::Values(_)) => leaf,
-            Node::Select { input, pred } => Node::Select {
-                input: f(input),
-                pred,
-            },
-            Node::Project { input, cols } => Node::Project {
-                input: f(input),
-                cols,
-            },
-            Node::Join {
-                left,
-                right,
-                on,
-                kind,
-            } => Node::Join {
-                left: f(left),
-                right: f(right),
-                on,
-                kind,
-            },
-            Node::Union { inputs, distinct } => Node::Union {
-                inputs: inputs.into_iter().map(f).collect(),
-                distinct,
-            },
-            Node::Distinct(input) => Node::Distinct(f(input)),
-            Node::Lfp(spec) => Node::Lfp(LfpSpec {
-                input: f(spec.input),
-                push: spec.push.map(|p| p.map(&mut *f)),
-                ..spec
-            }),
-            Node::MultiLfp(spec) => Node::MultiLfp(MultiLfpSpec {
-                init: spec.init.into_iter().map(|(t, n)| (t, f(n))).collect(),
-                edges: spec
-                    .edges
-                    .into_iter()
-                    .map(|e| MultiLfpEdge { rel: f(e.rel), ..e })
-                    .collect(),
-            }),
-            Node::IntervalJoin(spec) => Node::IntervalJoin(IntervalJoinSpec {
-                left: f(spec.left),
-                ..spec
-            }),
+            Node::Scan(_) | Node::Values(_) => {}
+            Node::Select { input, .. } | Node::Project { input, .. } | Node::Distinct(input) => {
+                f(input)
+            }
+            Node::Join { left, right, .. } => {
+                f(left);
+                f(right);
+            }
+            Node::Union { inputs, .. } => inputs.iter_mut().for_each(f),
+            Node::Lfp(spec) => {
+                f(&mut spec.input);
+                if let Some(
+                    PushSpec::Forward { seeds: c, .. } | PushSpec::Backward { targets: c, .. },
+                ) = &mut spec.push
+                {
+                    f(c);
+                }
+            }
+            Node::MultiLfp(spec) => {
+                spec.init.iter_mut().for_each(|(_, n)| f(n));
+                spec.edges.iter_mut().for_each(|e| f(&mut e.rel));
+            }
+            Node::IntervalJoin(spec) => f(&mut spec.left),
         }
     }
 
@@ -212,7 +195,7 @@ pub struct OpCounts {
     pub joins: usize,
     /// Number of union operators (an n-way union counts n−1).
     pub unions: usize,
-    /// Selections + projections + set operations.
+    /// Selections, projections and `Distinct`s.
     pub other: usize,
     /// Static joins performed *per iteration* inside fixpoint recursion
     /// boxes: 1 per `Φ`, k per `φ(R, R₁…R_k)` with k edge rules.
@@ -253,12 +236,8 @@ impl Program {
         if let Plan::Temp(t) = plan {
             return t;
         }
-        let root = self.lower(plan);
-        self.stmts.push(Stmt {
-            root,
-            comment: comment.into(),
-        });
-        TempId(self.stmts.len() as u32 - 1)
+        self.lower(plan);
+        self.push_stmt(comment.into())
     }
 
     /// Append `plan`'s nodes children first; returns its root. A `Temp`
@@ -298,7 +277,16 @@ impl Program {
                     input,
                     from_col: spec.from_col,
                     to_col: spec.to_col,
-                    push: spec.push.map(|p| p.map(|seeds| self.lower(*seeds))),
+                    push: spec.push.map(|p| match p {
+                        PushSpec::Forward { seeds, col } => PushSpec::Forward {
+                            seeds: self.lower(*seeds),
+                            col,
+                        },
+                        PushSpec::Backward { targets, col } => PushSpec::Backward {
+                            targets: self.lower(*targets),
+                            col,
+                        },
+                    }),
                 })
             }
             Plan::MultiLfp(spec) => Node::MultiLfp(MultiLfpSpec {
@@ -403,17 +391,24 @@ impl Program {
     ///
     /// If the edited node reads a child the original did not.
     pub fn edit_node(&mut self, id: NodeId, edit: impl FnOnce(&mut Node)) {
-        let children = |n: &Node| {
-            let mut v = Vec::new();
-            n.for_each_child(|c| v.push(c));
-            v
-        };
-        let mut before = children(&self.nodes[id as usize]);
+        let mut before = Vec::new();
+        self.nodes[id as usize].for_each_child(|c| before.push(c));
         edit(&mut self.nodes[id as usize]);
-        for c in children(&self.nodes[id as usize]) {
-            let at = before.iter().position(|&b| b == c);
-            let at = at.unwrap_or_else(|| panic!("the edit of node {id} added child {c}"));
-            before.swap_remove(at);
+        self.nodes[id as usize].for_each_child(|c| match before.iter().position(|&b| b == c) {
+            Some(at) => drop(before.swap_remove(at)),
+            None => panic!("the edit of node {id} added child {c}"),
+        });
+    }
+
+    /// Call `f` with each statement statement `t` reads, once per read.
+    pub(crate) fn for_each_read(&self, t: TempId, mut f: impl FnMut(TempId)) {
+        let lo = self.first_node(t);
+        for node in &self.nodes[lo as usize..=self.stmt(t).root as usize] {
+            node.for_each_child(|c| {
+                if let Some(read) = (c < lo).then(|| self.stmt_at(c)).flatten() {
+                    f(read);
+                }
+            });
         }
     }
 
@@ -422,18 +417,8 @@ impl Program {
         let mut live = vec![false; self.stmts.len()];
         live[result.0 as usize] = true;
         for s in (0..=result.0).rev() {
-            if !live[s as usize] {
-                continue;
-            }
-            let lo = self.first_node(TempId(s));
-            for node in &self.nodes[lo as usize..=self.stmts[s as usize].root as usize] {
-                node.for_each_child(|c| {
-                    if c < lo {
-                        if let Some(t) = self.stmt_at(c) {
-                            live[t.0 as usize] = true;
-                        }
-                    }
-                });
+            if live[s as usize] {
+                self.for_each_read(TempId(s), |read| live[read.0 as usize] = true);
             }
         }
         live

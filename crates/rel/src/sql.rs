@@ -12,7 +12,7 @@
 //! on the engine and comparing with the native XPath oracle. The rendered
 //! text is what a user would hand to a real RDBMS.
 
-use crate::plan::{IntervalJoinSpec, JoinKind, LfpSpec, MultiLfpSpec, Pred, PushSpec};
+use crate::plan::{JoinKind, LfpSpec, MultiLfpSpec, Pred, PushSpec};
 use crate::program::{Node, NodeId, Program, TempId};
 use std::fmt::Write as _;
 
@@ -146,27 +146,23 @@ impl Renderer<'_> {
             ),
             Node::Lfp(spec) => self.render_lfp(spec, level),
             Node::MultiLfp(spec) => self.render_multilfp(spec, level),
-            Node::IntervalJoin(spec) => self.render_interval_join(spec, level),
+            // Interval fast path: a pure range predicate against the
+            // backend's interval-label side table (the XPath-accelerator
+            // encoding — the same `Interval_start`/`Interval_end`
+            // comparisons the SNIPPETS exemplar generates).
+            // `R__intervals(node, pre, post)` holds one row per labeled
+            // node; descendant-of is strict containment of the descendant's
+            // `pre` in the ancestor's `(pre, post)` window.
+            Node::IntervalJoin(spec) => format!(
+                "{pad}SELECT DISTINCT a.c{col} AS c0, d.c1 AS c1\
+                 \n{pad}FROM (\n{}\n{pad}) a, R__intervals ai, {right} d, R__intervals di\
+                 \n{pad}WHERE ai.node = a.c{col} AND di.node = d.c1\
+                 \n{pad}  AND di.pre > ai.pre AND di.pre < ai.post",
+                self.render(spec.left, level + 1),
+                col = spec.left_col,
+                right = spec.right,
+            ),
         }
-    }
-
-    /// Interval fast path: a pure range predicate against the backend's
-    /// interval-label side table (the XPath-accelerator encoding — the same
-    /// `Interval_start`/`Interval_end` comparisons the SNIPPETS exemplar
-    /// generates). `R__intervals(node, pre, post)` holds one row per labeled
-    /// node; descendant-of is strict containment of the descendant's `pre`
-    /// in the ancestor's `(pre, post)` window.
-    fn render_interval_join(&self, spec: &IntervalJoinSpec<NodeId>, level: usize) -> String {
-        let pad = indent(level);
-        format!(
-            "{pad}SELECT DISTINCT a.c{col} AS c0, d.c1 AS c1\
-             \n{pad}FROM (\n{}\n{pad}) a, R__intervals ai, {right} d, R__intervals di\
-             \n{pad}WHERE ai.node = a.c{col} AND di.node = d.c1\
-             \n{pad}  AND di.pre > ai.pre AND di.pre < ai.post",
-            self.render(spec.left, level + 1),
-            col = spec.left_col,
-            right = spec.right,
-        )
     }
 
     fn render_lfp(&self, spec: &LfpSpec<NodeId>, level: usize) -> String {
