@@ -5,12 +5,12 @@
 //! What shapes this module's hot path:
 //!
 //! * **A loop, not a recursion** — a statement's nodes are evaluated in
-//!   arena order (children first), each into a slot that its one consumer
-//!   takes or frees; a read of an earlier statement borrows that statement's
-//!   slot. Stack use does not grow with the program's depth.
-//! * **Borrowed scans** — a `Scan` or `Values` node's slot borrows the
-//!   stored relation instead of cloning it, so operators read base relations
-//!   in place and only materialize what they actually produce.
+//!   arena order (children first); a node's relation waits until its one
+//!   consumer takes it, and a read of an earlier statement borrows that
+//!   statement's result. Stack use does not grow with the program's depth.
+//! * **Borrowed scans** — a `Scan` or `Values` node borrows the stored
+//!   relation instead of cloning it, so operators read base relations in
+//!   place and only materialize what they actually produce.
 //! * **One row-multimap under every build table** — a hash-join build side,
 //!   keyed on its one join column, is a `crate::multimap::RowMultimap`: a
 //!   hash map from the key to its first row plus one `next` array chaining
@@ -36,8 +36,9 @@
 //!   *build* (right) side is a plain base-table scan probes that index
 //!   instead of building a table ([`Stats::join_index_reuses`] counts
 //!   them); a temporary on the build side builds one, even when its
-//!   statement is a bare scan. The translator's child steps are `SemiJoin(Scan R_x, small)`
-//!   — the scan on the *probe* side — so none of the ten benchmark
+//!   statement is a bare scan. The translator's child steps are
+//!   `SemiJoin(Scan R_x, small)` — the scan on the *probe* side — so none
+//!   of the ten benchmark
 //!   queries reaches an index today
 //!   (`rel.exec.join_index_reuses = 0`); driving those joins from the small
 //!   side through the index is the follow-up (ROADMAP item 5).

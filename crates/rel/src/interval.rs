@@ -102,7 +102,7 @@ impl IntervalLabels {
 
 /// A base relation's interval view: its `T`-column nodes as
 /// `(start, end, node)` triples **sorted by `start`** — document order.
-/// The sorted-by-pre side of [`eval_interval_join`], built with the labels
+/// The sorted-by-pre side of the interval join, built with the labels
 /// by [`crate::exec::Database::set_intervals`] and kept on the database.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct IntervalView {

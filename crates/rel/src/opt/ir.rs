@@ -1,11 +1,11 @@
 //! The optimizer's hash-consed arena.
 //!
-//! [`Dag::from_program`] hash-conses a [`Program`]'s nodes in one pass over
+//! `Dag::from_program` hash-conses a [`Program`]'s nodes in one pass over
 //! them: a node whose children map to already-interned nodes and that is
 //! structurally equal to one interned before collapses onto it, so equal
 //! subplans — across statements too — become one node. Rewrite passes
 //! ([`crate::opt::Pass`]) intern new nodes into the same arena; nothing is
-//! removed until [`Dag::into_program`] compacts it into a fresh program.
+//! removed until `Dag::into_program` compacts it into a fresh program.
 //!
 //! The statement choice there is where common-subexpression elimination and
 //! dead-statement elimination fall out for free: a statement is created

@@ -85,7 +85,7 @@ pub enum Node {
 impl Node {
     /// Call `f` on every child in structural order (push seeds and
     /// fixpoint init/edge inputs included).
-    pub fn for_each_child(&self, mut f: impl FnMut(NodeId)) {
+    pub(crate) fn for_each_child(&self, mut f: impl FnMut(NodeId)) {
         match self {
             Node::Scan(_) | Node::Values(_) => {}
             Node::Select { input, .. } | Node::Project { input, .. } | Node::Distinct(input) => {
@@ -112,7 +112,7 @@ impl Node {
 
     /// Call `f` on every child id, mutably, in the order of
     /// [`Node::for_each_child`].
-    pub fn children_mut(&mut self, mut f: impl FnMut(&mut NodeId)) {
+    pub(crate) fn children_mut(&mut self, mut f: impl FnMut(&mut NodeId)) {
         match self {
             Node::Scan(_) | Node::Values(_) => {}
             Node::Select { input, .. } | Node::Project { input, .. } | Node::Distinct(input) => {
@@ -234,6 +234,7 @@ impl Program {
     /// If `plan` reads a temporary this program has not defined.
     pub fn push(&mut self, plan: Plan, comment: impl Into<String>) -> TempId {
         if let Plan::Temp(t) = plan {
+            let _defined = self.stmt(t);
             return t;
         }
         self.lower(plan);
@@ -336,11 +337,7 @@ impl Program {
     ///
     /// If `t` is not a statement of this program.
     pub fn set_result(&mut self, t: TempId) {
-        assert!(
-            (t.0 as usize) < self.stmts.len(),
-            "result T{} is not a statement of this program",
-            t.0
-        );
+        let _defined = self.stmt(t);
         self.result = Some(t);
     }
 
@@ -370,7 +367,7 @@ impl Program {
     }
 
     /// The first node statement `t` owns; its last is its root.
-    pub fn first_node(&self, t: TempId) -> NodeId {
+    pub(crate) fn first_node(&self, t: TempId) -> NodeId {
         match t.0 {
             0 => 0,
             i => self.stmts[i as usize - 1].root + 1,

@@ -4,7 +4,7 @@
 //! program the analyzer accepts must
 //!
 //! 1. execute without the error classes the analyzer claims to rule out
-//!    (`ExecError::SchemaMismatch`, `ExecError::UnknownTemp`), and
+//!    (`ExecError::SchemaMismatch`, `ExecError::NoResult`), and
 //! 2. produce a result relation whose arity equals the analyzer's inferred
 //!    result schema — at `OptLevel::None` and `OptLevel::Full` alike.
 //!

@@ -203,9 +203,9 @@ fn x2e_empty_implies_sat_empty(dtd: &Dtd, labels: &[&str], property: u64, cases:
     x2e_empty
 }
 
-/// 1 000 queries per DTD (about 2 s in debug). Before `//q` counted as
-/// must-exist wherever `q` did, this caught `(//dept)[not(//.)]` on `dept`
-/// and `(//clone)[not(//.)]` on `bioml`.
+/// 1 000 queries per DTD (about 2 s in debug). Unless `//q` must exist
+/// wherever `q` does, `(//dept)[not(//.)]` on `dept` and
+/// `(//clone)[not(//.)]` on `bioml` fail it.
 #[test]
 fn x2e_empty_queries_are_sat_empty() {
     let cases: [(Dtd, &[&str]); 4] = [
