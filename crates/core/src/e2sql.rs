@@ -85,10 +85,9 @@ pub fn exp_to_sql_with_report(
 /// [`exp_to_sql_with_report`] plus the analyzer's warnings on the returned
 /// program.
 ///
-/// The program is analyzed twice at most: as it leaves the compiler,
-/// against the edge-shredding catalog (every `R_*` scan is
-/// `(F: NodeId, T: NodeId, V: Text)`), and once more by the optimizer on
-/// its output.
+/// The program is analyzed twice at most, both times against the
+/// edge-shredding catalog (every `R_*` scan is `(F: NodeId, T: NodeId, V:
+/// Text)`): as it leaves the compiler, and by the optimizer on its output.
 pub fn exp_to_sql_checked(
     query: &ExtendedQuery,
     opts: &SqlOptions,
@@ -108,7 +107,9 @@ pub fn exp_to_sql_checked(
         };
         return Ok((raw, report, analysis.warnings));
     }
-    let (optimized, report, checked) = optimize_with(&raw, opts.optimize, &default_passes());
+    let passes = default_passes();
+    let (optimized, report, checked) =
+        optimize_with(&raw, opts.optimize, &passes, &edge_scan_schema);
     let warnings = checked.map_or(analysis.warnings, |a| a.warnings);
     Ok((optimized, report, warnings))
 }

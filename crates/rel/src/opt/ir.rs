@@ -101,11 +101,6 @@ impl Dag {
         Some((dag, plans, fixpoints))
     }
 
-    /// The result node.
-    pub fn result(&self) -> NodeId {
-        self.result
-    }
-
     /// Look up a node.
     pub fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id as usize]
@@ -423,8 +418,8 @@ mod tests {
         );
         prog.set_result(t);
         let dag = dag_of(&prog).0;
-        assert_eq!(dag.arity(dag.result()), Some(3));
-        let scan = match dag.node(dag.result()) {
+        assert_eq!(dag.arity(dag.result), Some(3));
+        let scan = match dag.node(dag.result) {
             Node::Project { input, .. } => *input,
             _ => unreachable!(),
         };

@@ -46,7 +46,7 @@ pub use crate::program::{Node, NodeId};
 pub use ir::{Dag, RewriteCtx};
 pub use passes::{default_passes, NarrowProjections, Pass, PushdownPredicates, SimplifyPredicates};
 
-use crate::analyze::{analyze_program, Analysis};
+use crate::analyze::{analyze_program_with, Analysis, Schema};
 use crate::program::{OpCounts, Program};
 use std::fmt;
 
@@ -132,21 +132,23 @@ const MAX_ROUNDS: usize = 12;
 /// without a result are returned unchanged too — there is nothing sound to
 /// optimize against.
 pub fn optimize(prog: &Program, level: OptLevel) -> (Program, OptReport) {
-    let (out, report, _) = optimize_with(prog, level, &default_passes());
+    let (out, report, _) = optimize_with(prog, level, &default_passes(), &|_| Schema::unknown());
     (out, report)
 }
 
 /// [`optimize`] with an explicit pass list (pipeline experiments, tests),
 /// also returning the analysis of the optimized program — the one analyzer
-/// run after the pipeline, over unknown base relations. It is `None` when
-/// the program came back unchanged: at `OptLevel::None`, without a result,
-/// or because the optimized program failed that analysis (release builds
-/// then fall back to the input rather than abort the query; debug builds
-/// panic when the input itself was well-formed).
+/// run after the pipeline, against the base-relation catalog `scan_schema`
+/// (see [`crate::analyze::analyze_program_with`]). It is `None` when the
+/// program came back unchanged: at `OptLevel::None`, without a result, or
+/// because the optimized program failed that analysis (release builds then
+/// fall back to the input rather than abort the query; debug builds panic
+/// when the input itself was well-formed).
 pub fn optimize_with(
     prog: &Program,
     level: OptLevel,
     passes: &[Box<dyn Pass>],
+    scan_schema: &dyn Fn(&str) -> Schema,
 ) -> (Program, OptReport, Option<Analysis>) {
     let before = prog.op_counts();
     let unchanged = |level| {
@@ -201,7 +203,7 @@ pub fn optimize_with(
     let out = dag.into_program();
     // Unconditional post-pipeline gate: never hand an ill-formed program
     // downstream.
-    let analysis = match analyze_program(&out) {
+    let analysis = match analyze_program_with(&out, scan_schema) {
         Ok(analysis) => analysis,
         Err(e) => {
             assert!(!gated, "optimizer pipeline broke the program: {e}");

@@ -280,7 +280,7 @@ fn schema_breaking_pass_is_caught_by_name() {
         .unwrap();
     let passes: Vec<Box<dyn Pass>> = vec![Box::new(BreakProjections)];
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        optimize_with(&tr.program, OptLevel::Full, &passes)
+        optimize_with(&tr.program, OptLevel::Full, &passes, &edge_scan_schema)
     }))
     .expect_err("the debug gate must abort on a schema-breaking pass");
     let msg = caught
