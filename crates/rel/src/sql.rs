@@ -64,8 +64,8 @@ fn indent(level: usize) -> String {
     "  ".repeat(level)
 }
 
-/// Renders the nodes of one statement, the one owning `lo` onwards; a node
-/// before `lo` is an earlier statement's temporary.
+/// Renders one statement's nodes, those from `lo` on; a node before `lo` is
+/// an earlier statement's temporary.
 struct Renderer<'p> {
     prog: &'p Program,
     lo: NodeId,
