@@ -260,17 +260,6 @@ pub struct AnalyzeError {
     pub kind: AnalyzeErrorKind,
 }
 
-impl AnalyzeError {
-    /// A program-level error with no statement provenance.
-    pub fn program_level(kind: AnalyzeErrorKind) -> AnalyzeError {
-        AnalyzeError {
-            stmt: None,
-            comment: String::new(),
-            kind,
-        }
-    }
-}
-
 impl fmt::Display for AnalyzeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.stmt {
@@ -362,9 +351,11 @@ pub fn analyze_program_with(
             kind,
         }
     })?;
-    let result_temp = prog
-        .result()
-        .ok_or_else(|| AnalyzeError::program_level(AnalyzeErrorKind::NoResult))?;
+    let result_temp = prog.result().ok_or(AnalyzeError {
+        stmt: None,
+        comment: String::new(),
+        kind: AnalyzeErrorKind::NoResult,
+    })?;
     let result = schemas[prog.stmt(result_temp).root as usize].clone();
     let warnings = prog
         .live_stmts(result_temp)
@@ -1038,7 +1029,7 @@ mod tests {
             s.contains("T4") && s.contains("rec(a, b)") && s.contains("'c'"),
             "{s}"
         );
-        let p = AnalyzeError::program_level(AnalyzeErrorKind::NoResult);
+        let p = analyze_program(&Program::new()).unwrap_err();
         assert_eq!(p.to_string(), "program has no result statement");
     }
 

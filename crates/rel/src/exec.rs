@@ -604,16 +604,6 @@ impl<'p> Shape<'p> {
     }
 }
 
-/// A statement's state while a program runs.
-enum Temp<'a> {
-    /// The result does not read it.
-    Skip,
-    /// The result reads it; not evaluated yet.
-    Run,
-    /// Its relation, for the later statements that read it.
-    Done(Cow<'a, Relation>),
-}
-
 /// Execute `prog`: evaluate the statements the result reads, in order, and
 /// return the result's relation (borrowed when the result statement is a
 /// bare scan).
@@ -624,22 +614,27 @@ pub(crate) fn run<'a>(
     stats: &'a mut Stats,
 ) -> Result<Cow<'a, Relation>, ExecError> {
     let result = prog.result().ok_or(ExecError::NoResult)?.0 as usize;
-    let mut temps: Vec<Temp<'a>> = Vec::new();
-    temps.resize_with(result + 1, || Temp::Skip);
-    temps[result] = Temp::Run;
-    for s in (0..=result).rev() {
-        if matches!(temps[s], Temp::Run) {
-            prog.for_each_read(TempId(s as u32), |read| temps[read.0 as usize] = Temp::Run);
+    let (nodes, stmts) = (prog.nodes(), &prog.stmts()[..=result]);
+    let root = |t: TempId| prog.stmt(t).root as usize;
+    // the nodes not evaluated on their own: the roots of the statements the
+    // result does not read, and the nodes fused into their consumer
+    let mut skip = vec![false; nodes.len()];
+    for stmt in &stmts[..result] {
+        skip[stmt.root as usize] = true;
+    }
+    for t in (0..=result as u32).rev().map(TempId) {
+        if !skip[root(t)] {
+            prog.for_each_read(t, |read| skip[root(read)] = false);
         }
     }
-    let nodes = prog.nodes();
+    // each evaluated statement's relation, for the later ones that read it
+    let mut temps: Vec<Option<Cow<'a, Relation>>> = (0..=result).map(|_| None).collect();
     // what the running statement's nodes produced and their one consumer
     // has not read yet
     let mut pending: Vec<(NodeId, Cow<'a, Relation>)> = Vec::new();
-    let mut fused = vec![false; nodes.len()];
     let mut ctx = ExecCtx { db, opts, stats };
-    for (s, stmt) in prog.stmts()[..=result].iter().enumerate() {
-        if !matches!(temps[s], Temp::Run) {
+    for (s, stmt) in stmts.iter().enumerate() {
+        if skip[stmt.root as usize] {
             continue;
         }
         // Statement boundary: poll the cancellation token between statements
@@ -650,17 +645,17 @@ pub(crate) fn run<'a>(
         for id in lo..=stmt.root {
             match Shape::of(nodes, lo, id) {
                 Shape::Fused { join, select, .. } => {
-                    fused[join as usize] = true;
+                    skip[join as usize] = true;
                     if let Some(select) = select {
-                        fused[select as usize] = true;
+                        skip[select as usize] = true;
                     }
                 }
-                Shape::Seeded { interval } => fused[interval as usize] = true,
+                Shape::Seeded { interval } => skip[interval as usize] = true,
                 Shape::Plain => {}
             }
         }
         for id in lo..=stmt.root {
-            if fused[id as usize] {
+            if skip[id as usize] {
                 continue;
             }
             let mut inputs = Inputs {
@@ -674,9 +669,7 @@ pub(crate) fn run<'a>(
         }
         // the root is the statement's last node; anything else left over
         // read nothing
-        if let Some((_, rel)) = pending.pop() {
-            temps[s] = Temp::Done(rel);
-        }
+        temps[s] = pending.pop().map(|(_, rel)| rel);
         pending.clear();
         ctx.stats.stmts_evaluated += 1;
         // ... and after it: what the statement emitted counts against the
@@ -685,11 +678,10 @@ pub(crate) fn run<'a>(
     }
     // `stats` may carry earlier executions: skipped = this program's
     // statements minus what *this* execution evaluated
-    let evaluated = temps.iter().filter(|t| matches!(t, Temp::Done(_)));
-    ctx.stats.stmts_skipped += prog.len() - evaluated.count();
+    ctx.stats.stmts_skipped += prog.len() - temps.iter().flatten().count();
     match temps.swap_remove(result) {
-        Temp::Done(rel) => Ok(rel),
-        _ => unreachable!("the result statement is evaluated"),
+        Some(rel) => Ok(rel),
+        None => unreachable!("the result statement is evaluated"),
     }
 }
 
@@ -698,7 +690,7 @@ pub(crate) fn run<'a>(
 struct Inputs<'s, 'a> {
     prog: &'a Program,
     lo: NodeId,
-    temps: &'s [Temp<'a>],
+    temps: &'s [Option<Cow<'a, Relation>>],
     pending: &'s mut Vec<(NodeId, Cow<'a, Relation>)>,
 }
 
@@ -707,8 +699,7 @@ impl<'s, 'a: 's> Inputs<'s, 'a> {
     /// this statement's moved out to its one consumer.
     fn take(&mut self, c: NodeId) -> Cow<'s, Relation> {
         if c < self.lo {
-            let t = self.prog.stmt_at(c).map(|t| &self.temps[t.0 as usize]);
-            if let Some(Temp::Done(rel)) = t {
+            if let Some(Some(rel)) = self.prog.stmt_at(c).map(|t| &self.temps[t.0 as usize]) {
                 return Cow::Borrowed(rel);
             }
         } else if let Some(i) = self.pending.iter().position(|(id, _)| *id == c) {

@@ -320,17 +320,30 @@ mod tests {
     /// produce their typed error instead of a completed closure.
     #[test]
     fn cancellation_token_aborts_closure() {
-        let mut db = Database::new();
-        db.insert("E", edge_rel(&[(1, 2), (2, 3), (3, 1)]));
-        let spec = LfpSpec {
-            // the projection re-emits the edges so `tuples_emitted` is
-            // non-zero before the first round check.
-            input: Box::new(Plan::Scan("E".into()).project(vec![(0, "F"), (1, "T")])),
+        let db = Database::new();
+        let edges = edge_rel(&[(1, 2), (2, 3), (3, 1)]);
+        // `eval_lfp` is called on its own so the only checks that can fail
+        // are the closure loop's per-round ones.
+        let spec: LfpSpec<NodeId> = LfpSpec {
+            input: 0,
             from_col: 0,
             to_col: 1,
             push: None,
         };
-        let run = |opts: ExecOptions| exec_lfp(&db, &spec, opts);
+        let run = |opts: ExecOptions| {
+            // the statement producing the edges has emitted them, so
+            // `tuples_emitted` is non-zero before the first round check.
+            let mut stats = Stats {
+                tuples_emitted: edges.len() as u64,
+                ..Stats::default()
+            };
+            let mut ctx = ExecCtx {
+                db: &db,
+                opts,
+                stats: &mut stats,
+            };
+            eval_lfp(&spec, &edges, None, &mut ctx)
+        };
         let base = ExecOptions::default();
         let err = run(base.with_deadline(std::time::Instant::now())).unwrap_err();
         assert_eq!(err, ExecError::DeadlineExceeded);

@@ -14,6 +14,7 @@
 //! the DAG *shares* — everything else inlines into its single consumer, and
 //! anything the result does not reach is simply never visited.
 
+use super::OptStats;
 use crate::analyze::{infer_nodes, AnalyzeError, Schema};
 use crate::plan::JoinKind;
 use crate::program::{Node, NodeId, Program, TempId};
@@ -66,13 +67,14 @@ pub struct Dag {
 const MAX_RULE_APPLICATIONS: usize = 64;
 
 impl Dag {
-    /// Hash-cons `prog`'s nodes in one pass. Returns the DAG and how many
-    /// structurally new occurrences collapsed onto an existing node: non-leaf
-    /// ones (re-scanning the same base relation is not a shared plan worth
-    /// reporting) and `Φ`/`φ` fixpoints among them (the LFP-dedup count).
-    /// `None` when the program has no result (such programs are left
-    /// untouched by the optimizer).
-    pub(crate) fn from_program(prog: &Program) -> Option<(Dag, usize, usize)> {
+    /// Hash-cons `prog`'s nodes in one pass. Returns the DAG and the
+    /// optimizer's counters, started with how many structurally new
+    /// occurrences collapsed onto an existing node: non-leaf ones
+    /// (`plans_hash_consed`; re-scanning the same base relation is not a
+    /// shared plan worth reporting) and `Φ`/`φ` fixpoints among them
+    /// (`lfps_merged`). `None` when the program has no result (such programs
+    /// are left untouched by the optimizer).
+    pub(crate) fn from_program(prog: &Program) -> Option<(Dag, OptStats)> {
         let result = prog.result()?;
         let mut dag = Dag {
             nodes: Vec::new(),
@@ -81,14 +83,14 @@ impl Dag {
             result: 0,
             comments: HashMap::new(),
         };
-        let (mut plans, mut fixpoints) = (0, 0);
+        let mut stats = OptStats::default();
         let mut map: Vec<NodeId> = Vec::with_capacity(prog.nodes().len());
         for node in prog.nodes() {
             let mut node = node.clone();
             node.children_mut(|c| *c = map[*c as usize]);
             if dag.cache.contains_key(&node) {
-                plans += usize::from(!node.is_leaf());
-                fixpoints += usize::from(node.is_fixpoint());
+                stats.plans_hash_consed += usize::from(!node.is_leaf());
+                stats.lfps_merged += usize::from(node.is_fixpoint());
             }
             map.push(dag.intern(node));
         }
@@ -98,7 +100,7 @@ impl Dag {
                 .or_insert_with(|| stmt.comment.clone());
         }
         dag.result = map[prog.stmt(result).root as usize];
-        Some((dag, plans, fixpoints))
+        Some((dag, stats))
     }
 
     /// Look up a node.
@@ -338,8 +340,8 @@ mod tests {
     use crate::value::Value;
 
     fn dag_of(prog: &Program) -> (Dag, usize) {
-        let (dag, plans, _) = Dag::from_program(prog).expect("test programs have a result");
-        (dag, plans)
+        let (dag, stats) = Dag::from_program(prog).expect("test programs have a result");
+        (dag, stats.plans_hash_consed)
     }
 
     #[test]

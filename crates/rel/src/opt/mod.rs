@@ -166,18 +166,13 @@ pub fn optimize_with(
     if level == OptLevel::None {
         return unchanged(level);
     }
-    let Some((mut dag, plans_hash_consed, lfps_merged)) = Dag::from_program(prog) else {
+    let Some((mut dag, mut stats)) = Dag::from_program(prog) else {
         return unchanged(level);
     };
     // Debug-build gate, only over programs that were well-formed going in:
     // an ill-formed input is the translator's bug, not a pass's, and is
     // reported by the translation/render gates instead.
     let gated = cfg!(debug_assertions) && dag.check().is_ok();
-    let mut stats = OptStats {
-        plans_hash_consed,
-        lfps_merged,
-        ..OptStats::default()
-    };
     for _ in 0..MAX_ROUNDS {
         let mut changed = false;
         for pass in passes {

@@ -147,29 +147,55 @@ impl Pass for PushdownPredicates {
                     on,
                     kind,
                 } => {
-                    // semi/anti output the left tuple unchanged, so the
-                    // predicate only ever sees left columns
-                    let la = match kind {
-                        JoinKind::Semi | JoinKind::Anti => usize::MAX,
-                        JoinKind::Inner => ir.arity(left)?,
-                    };
                     let used = pred_cols(pred);
-                    let (left, right) = if used.iter().all(|&c| c < la) {
-                        let pred = pred.clone();
-                        (ir.intern(Node::Select { input: left, pred }), right)
-                    } else if used.iter().all(|&c| c >= la) {
-                        let pred = remap_pred(pred, &|c| c.checked_sub(la))?;
-                        (left, ir.intern(Node::Select { input: right, pred }))
-                    } else {
-                        return None;
-                    };
-                    pushed += 1;
-                    Some(Node::Join {
-                        left,
-                        right,
-                        on,
-                        kind,
-                    })
+                    match kind {
+                        // semi/anti output the left tuple unchanged, so the
+                        // predicate only ever sees left columns
+                        JoinKind::Semi | JoinKind::Anti => {
+                            pushed += 1;
+                            let l = ir.intern(Node::Select {
+                                input: left,
+                                pred: pred.clone(),
+                            });
+                            Some(Node::Join {
+                                left: l,
+                                right,
+                                on,
+                                kind,
+                            })
+                        }
+                        JoinKind::Inner => {
+                            let la = ir.arity(left)?;
+                            if !used.is_empty() && used.iter().all(|&c| c < la) {
+                                pushed += 1;
+                                let l = ir.intern(Node::Select {
+                                    input: left,
+                                    pred: pred.clone(),
+                                });
+                                Some(Node::Join {
+                                    left: l,
+                                    right,
+                                    on,
+                                    kind,
+                                })
+                            } else if !used.is_empty() && used.iter().all(|&c| c >= la) {
+                                let shifted = remap_pred(pred, &|c| c.checked_sub(la))?;
+                                pushed += 1;
+                                let r = ir.intern(Node::Select {
+                                    input: right,
+                                    pred: shifted,
+                                });
+                                Some(Node::Join {
+                                    left,
+                                    right: r,
+                                    on,
+                                    kind,
+                                })
+                            } else {
+                                None
+                            }
+                        }
+                    }
                 }
                 _ => None,
             }
