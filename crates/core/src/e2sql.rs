@@ -86,8 +86,8 @@ pub fn exp_to_sql_with_report(
 /// program.
 ///
 /// The program is analyzed twice at most, both times against the
-/// edge-shredding catalog (every `R_*` scan is `(F: NodeId, T: NodeId, V:
-/// Text)`): as it leaves the compiler, and by the optimizer on its output.
+/// edge-shredding catalog (every `R_*` scan is `(F, T, V)`, arity 3): as
+/// it leaves the compiler, and by the optimizer on its output.
 pub fn exp_to_sql_checked(
     query: &ExtendedQuery,
     opts: &SqlOptions,

@@ -1,5 +1,5 @@
-//! Static analysis over [`Program`]s: schema/type inference and
-//! well-formedness verification.
+//! Static analysis over [`Program`]s: arity inference and well-formedness
+//! verification.
 //!
 //! The translation emits a *sequence* of SQL'(LFP) statements whose
 //! correctness rests on invariants nothing in the executor checks until it
@@ -11,31 +11,16 @@
 //! diagnostics instead of panicking deep inside the columnar executor.
 //! Dependency order needs no check: a program's arena holds every child
 //! before its parent, so the analysis is one forward pass over the nodes
-//! that stores a [`Schema`] per node.
+//! that stores an arity per node.
 //!
-//! # The abstract type lattice
+//! # Arity inference
 //!
-//! Each column is abstracted to a [`ColType`]. The lattice is flat except
-//! for fixpoint tags, which are strings:
-//!
-//! | concrete [`Value`]                | abstract [`ColType`] |
-//! |-----------------------------------|----------------------|
-//! | [`Value::Id`], [`Value::Doc`]     | `NodeId`             |
-//! | [`Value::Str`], [`Value::Code`]   | `Text`               |
-//! | `MultiLfp` `Rid` tag              | `Tag` (⊑ `Text`)     |
-//! | [`Value::Null`]                   | (no information)     |
-//! | anything / conflicting            | `Top`                |
-//!
-//! ```text
-//!         Top
-//!        /   \
-//!    NodeId  Text
-//!             |
-//!            Tag
-//! ```
-//!
-//! `join` is the least upper bound: `join(x, x) = x`,
-//! `join(Tag, Text) = Text`, everything else joins to `Top`.
+//! Every check below reads one fact per node: its output arity, `None`
+//! when the node rests on a base relation the catalog does not describe.
+//! [`arity`] is the one rule, shared with the optimizer's
+//! [`Dag`](crate::opt::Dag). An inner join adds its inputs' arities; a sum
+//! past `usize::MAX` (a shared self-join ladder doubles per level) is
+//! unknown, never a panic or a wrapped value.
 //!
 //! # What is checked
 //!
@@ -63,130 +48,16 @@
 //! # Entry points
 //!
 //! [`analyze_program`] treats every base-relation scan as unknown (arity
-//! unchecked until it meets a known schema); [`analyze_program_with`] takes
+//! unchecked until it meets a known one); [`analyze_program_with`] takes
 //! a catalog callback, and [`edge_scan_schema`] is the catalog for the
 //! shredded edge databases used throughout this repo (every `R_*` relation
-//! is `(F: NodeId, T: NodeId, V: Text)`).
+//! is `(F, T, V)`, arity 3).
 
 use std::fmt;
 
 use crate::fxhash::FxHashSet;
 use crate::plan::{IntervalJoinSpec, JoinKind, LfpSpec, MultiLfpSpec, Pred};
 use crate::program::{Node, NodeId, Program, TempId};
-use crate::value::Value;
-
-/// Widest schema the analyzer will materialize column-by-column. Translated
-/// programs stay in single digits; the cap only matters for adversarial
-/// shapes like shared self-join ladders, where arity doubles per level and a
-/// concrete `Vec<ColType>` would be exponential. Beyond the cap the schema
-/// degrades to unknown (arity checks are skipped, nothing is wrongly
-/// rejected).
-const MAX_SCHEMA_WIDTH: usize = 4096;
-
-/// Abstract type of one column — see the [module docs](self) for the
-/// lattice.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum ColType {
-    /// An element node id ([`Value::Id`]) or the document marker
-    /// ([`Value::Doc`]).
-    NodeId,
-    /// Text: runtime strings ([`Value::Str`]) or dictionary codes
-    /// ([`Value::Code`]).
-    Text,
-    /// A `MultiLfp` `Rid` tag — a string drawn from the fixpoint's tag
-    /// alphabet. `Tag ⊑ Text`.
-    Tag,
-    /// No static information (or conflicting information).
-    Top,
-}
-
-impl ColType {
-    /// Least upper bound of two column types.
-    pub fn join(self, other: ColType) -> ColType {
-        match (self, other) {
-            (a, b) if a == b => a,
-            (ColType::Tag, ColType::Text) | (ColType::Text, ColType::Tag) => ColType::Text,
-            _ => ColType::Top,
-        }
-    }
-
-    /// Abstract a concrete value. `None` for [`Value::Null`], which carries
-    /// no type information.
-    pub fn of_value(v: &Value) -> Option<ColType> {
-        match v {
-            Value::Null => None,
-            Value::Doc | Value::Id(_) => Some(ColType::NodeId),
-            Value::Str(_) | Value::Code(_) => Some(ColType::Text),
-        }
-    }
-}
-
-impl fmt::Display for ColType {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            ColType::NodeId => "NodeId",
-            ColType::Text => "Text",
-            ColType::Tag => "Tag",
-            ColType::Top => "Top",
-        };
-        write!(f, "{s}")
-    }
-}
-
-/// The inferred schema of a plan node: either a known arity with
-/// per-column abstract types, or entirely unknown (a scan of a relation
-/// the catalog does not describe).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Schema(Option<Vec<ColType>>);
-
-impl Schema {
-    /// A schema about which nothing is known (not even the arity).
-    pub fn unknown() -> Schema {
-        Schema(None)
-    }
-
-    /// A fully known schema.
-    pub fn known(cols: Vec<ColType>) -> Schema {
-        Schema(Some(cols))
-    }
-
-    /// The arity, when known.
-    pub fn arity(&self) -> Option<usize> {
-        self.0.as_ref().map(Vec::len)
-    }
-
-    /// The per-column types, when known.
-    pub fn cols(&self) -> Option<&[ColType]> {
-        self.0.as_deref()
-    }
-
-    /// The type of column `i`: `Top` when the schema is unknown or the
-    /// index is out of range (range errors are reported separately).
-    pub fn col(&self, i: usize) -> ColType {
-        match &self.0 {
-            Some(cols) => cols.get(i).copied().unwrap_or(ColType::Top),
-            None => ColType::Top,
-        }
-    }
-}
-
-impl fmt::Display for Schema {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.0 {
-            None => write!(f, "(?)"),
-            Some(cols) => {
-                write!(f, "(")?;
-                for (i, c) in cols.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{c}")?;
-                }
-                write!(f, ")")
-            }
-        }
-    }
-}
 
 /// What went wrong, without provenance — see [`AnalyzeError`] for the
 /// statement-level wrapper.
@@ -201,7 +72,7 @@ pub enum AnalyzeErrorKind {
         /// The input's inferred arity.
         arity: usize,
     },
-    /// Two set-operation arms (or join-adjacent schemas) disagree on arity.
+    /// Two set-operation arms (or join-adjacent inputs) disagree on arity.
     ArityMismatch {
         /// Which operation (e.g. `"union arms"`).
         context: String,
@@ -307,56 +178,55 @@ impl fmt::Display for AnalyzeWarning {
 /// The result of a successful analysis.
 #[derive(Clone, Debug)]
 pub struct Analysis {
-    /// Inferred schema of every node, indexed by [`NodeId`]; a statement's
+    /// Inferred arity of every node, indexed by [`NodeId`]; a statement's
     /// is its root's.
-    pub schemas: Vec<Schema>,
-    /// Inferred schema of the program result.
-    pub result: Schema,
+    pub arities: Vec<Option<usize>>,
+    /// Inferred arity of the program result.
+    pub result: Option<usize>,
     /// Non-fatal diagnostics.
     pub warnings: Vec<AnalyzeWarning>,
 }
 
 /// The catalog for shredded edge databases ([`x2s_shred`]'s convention):
 /// every relation named `R_*` — each per-type `R_A` plus the `R__nodes`
-/// union — has schema `(F: NodeId, T: NodeId, V: Text)`. Anything else is
-/// unknown.
+/// union — is `(F, T, V)`, arity 3. Anything else is unknown.
 ///
 /// [`x2s_shred`]: crate
-pub fn edge_scan_schema(name: &str) -> Schema {
-    if name.starts_with("R_") {
-        Schema::known(vec![ColType::NodeId, ColType::NodeId, ColType::Text])
-    } else {
-        Schema::unknown()
-    }
+pub fn edge_scan_schema(name: &str) -> Option<usize> {
+    name.starts_with("R_").then_some(3)
 }
 
 /// Analyze a program treating every base-relation scan as unknown.
 pub fn analyze_program(prog: &Program) -> Result<Analysis, AnalyzeError> {
-    analyze_program_with(prog, &|_| Schema::unknown())
+    analyze_program_with(prog, &|_| None)
 }
 
-/// Analyze a program against a base-relation catalog: `scan_schema` maps a
-/// relation name to its schema ([`Schema::unknown`] when the relation is
-/// not in the catalog).
+/// Analyze a program against a base-relation catalog: `scan_arity` maps a
+/// relation name to its arity (`None` when the relation is not in the
+/// catalog).
 pub fn analyze_program_with(
     prog: &Program,
-    scan_schema: &dyn Fn(&str) -> Schema,
+    scan_arity: &dyn Fn(&str) -> Option<usize>,
 ) -> Result<Analysis, AnalyzeError> {
-    let schemas = infer_nodes(prog.nodes(), |_| true, scan_schema).map_err(|(id, kind)| {
-        // the statement owning a node is the first whose root is not before it
-        let t = prog.stmts().partition_point(|s| s.root < id);
-        AnalyzeError {
-            stmt: Some(TempId(t as u32)),
-            comment: prog.stmts()[t].comment.clone(),
-            kind,
-        }
-    })?;
+    let mut arities = Vec::with_capacity(prog.nodes().len());
+    for (id, node) in prog.nodes().iter().enumerate() {
+        check(node, &arities, scan_arity).map_err(|kind| {
+            // the statement owning a node is the first whose root is not before it
+            let t = prog.stmts().partition_point(|s| (s.root as usize) < id);
+            AnalyzeError {
+                stmt: Some(TempId(t as u32)),
+                comment: prog.stmts()[t].comment.clone(),
+                kind,
+            }
+        })?;
+        arities.push(arity(node, &arities, scan_arity));
+    }
     let result_temp = prog.result().ok_or(AnalyzeError {
         stmt: None,
         comment: String::new(),
         kind: AnalyzeErrorKind::NoResult,
     })?;
-    let result = schemas[prog.stmt(result_temp).root as usize].clone();
+    let result = arities[prog.stmt(result_temp).root as usize];
     let warnings = prog
         .live_stmts(result_temp)
         .into_iter()
@@ -369,36 +239,70 @@ pub fn analyze_program_with(
         })
         .collect();
     Ok(Analysis {
-        schemas,
+        arities,
         result,
         warnings,
     })
 }
 
-/// Infer the schema of every node `live` selects, in one forward pass over
-/// `nodes` (children first); a node left out gets [`Schema::unknown`]. On
-/// the first ill-formed node, returns its id and what is wrong.
-pub(crate) fn infer_nodes(
-    nodes: &[Node],
-    live: impl Fn(NodeId) -> bool,
-    scan_schema: &dyn Fn(&str) -> Schema,
-) -> Result<Vec<Schema>, (NodeId, AnalyzeErrorKind)> {
-    let mut schemas: Vec<Schema> = Vec::with_capacity(nodes.len());
-    for (id, node) in nodes.iter().enumerate() {
-        let id = id as NodeId;
-        let schema = if live(id) {
-            infer(node, &schemas, scan_schema).map_err(|kind| (id, kind))?
-        } else {
-            Schema::unknown()
-        };
-        schemas.push(schema);
+/// The output arity of `node`, from its children's (`arities[c]`) and the
+/// base-relation catalog `scan_arity`; `None` when unknown. The analyzer
+/// and the optimizer's [`Dag`](crate::opt::Dag) both read arities off this
+/// one rule.
+pub fn arity(
+    node: &Node,
+    arities: &[Option<usize>],
+    scan_arity: &dyn Fn(&str) -> Option<usize>,
+) -> Option<usize> {
+    let of = |c: &NodeId| arities[*c as usize];
+    match node {
+        Node::Scan(name) => scan_arity(name),
+        Node::Values(rel) => Some(rel.arity()),
+        Node::Select { input, .. } | Node::Distinct(input) => of(input),
+        Node::Project { cols, .. } => Some(cols.len()),
+        Node::Join {
+            left, right, kind, ..
+        } => match kind {
+            JoinKind::Inner => of(left)?.checked_add(of(right)?),
+            JoinKind::Semi | JoinKind::Anti => of(left),
+        },
+        Node::Union { inputs, .. } => inputs.iter().find_map(of),
+        // closures are the binary (F, T); φ adds the tag column
+        Node::Lfp(_) | Node::IntervalJoin(_) => Some(2),
+        Node::MultiLfp(_) => Some(3),
     }
-    Ok(schemas)
 }
 
-/// Error unless `col` is in range of `schema` (when its arity is known).
-fn check_col(schema: &Schema, col: usize, context: &str) -> Result<(), AnalyzeErrorKind> {
-    match schema.arity() {
+/// Check one node against its children's arities (`arities[c]`): the
+/// column ranges, arm arities and closure shapes it must satisfy.
+pub(crate) fn check(
+    node: &Node,
+    arities: &[Option<usize>],
+    scan_arity: &dyn Fn(&str) -> Option<usize>,
+) -> Result<(), AnalyzeErrorKind> {
+    let of = |c: NodeId| arities[c as usize];
+    match node {
+        Node::Scan(_) | Node::Values(_) | Node::Distinct(_) => Ok(()),
+        Node::Select { input, pred } => check_pred(pred, of(*input)),
+        Node::Project { input, cols } => cols
+            .iter()
+            .try_for_each(|(i, _)| check_col(of(*input), *i, "projection")),
+        Node::Join {
+            left, right, on, ..
+        } => {
+            check_col(of(*left), on.0, "join key (left)")?;
+            check_col(of(*right), on.1, "join key (right)")
+        }
+        Node::Union { inputs, .. } => check_arms(inputs.iter().map(|&i| of(i)), "union arms"),
+        Node::Lfp(spec) => check_lfp(spec, of),
+        Node::MultiLfp(spec) => check_multilfp(spec, of),
+        Node::IntervalJoin(spec) => check_interval_join(spec, of(spec.left), scan_arity),
+    }
+}
+
+/// Error unless `col` is in range of `arity` (when known).
+fn check_col(arity: Option<usize>, col: usize, context: &str) -> Result<(), AnalyzeErrorKind> {
+    match arity {
         Some(arity) if col >= arity => Err(AnalyzeErrorKind::ColumnOutOfRange {
             context: context.into(),
             col,
@@ -410,8 +314,8 @@ fn check_col(schema: &Schema, col: usize, context: &str) -> Result<(), AnalyzeEr
 
 /// Error unless a fixpoint input of known arity has the two columns a
 /// closure needs.
-fn check_closure(schema: &Schema, what: &str) -> Result<(), AnalyzeErrorKind> {
-    match schema.arity() {
+fn check_closure(arity: Option<usize>, what: &str) -> Result<(), AnalyzeErrorKind> {
+    match arity {
         Some(arity) if arity < 2 => Err(AnalyzeErrorKind::BadClosureShape(format!(
             "{what} has arity {arity}, need at least 2"
         ))),
@@ -419,80 +323,23 @@ fn check_closure(schema: &Schema, what: &str) -> Result<(), AnalyzeErrorKind> {
     }
 }
 
-/// The schema of one node, from its children's (`schemas[c]`).
-fn infer(
-    node: &Node,
-    schemas: &[Schema],
-    scan_schema: &dyn Fn(&str) -> Schema,
-) -> Result<Schema, AnalyzeErrorKind> {
-    let of = |c: NodeId| &schemas[c as usize];
-    match node {
-        Node::Scan(name) => Ok(scan_schema(name)),
-        Node::Values(rel) => Ok(infer_values(rel)),
-        Node::Select { input, pred } => {
-            let s = of(*input);
-            check_pred(pred, s)?;
-            Ok(s.clone())
-        }
-        Node::Project { input, cols } => {
-            let s = of(*input);
-            for (i, _) in cols {
-                check_col(s, *i, "projection")?;
-            }
-            Ok(Schema::known(cols.iter().map(|(i, _)| s.col(*i)).collect()))
-        }
-        Node::Join {
-            left,
-            right,
-            on,
-            kind,
-        } => {
-            let (l, r) = (of(*left), of(*right));
-            check_col(l, on.0, "join key (left)")?;
-            check_col(r, on.1, "join key (right)")?;
-            match kind {
-                JoinKind::Inner => match (l.cols(), r.cols()) {
-                    // Width cap: inner joins concatenate schemas, so a
-                    // self-join ladder doubles arity per level — a shared
-                    // 40-deep DAG would ask for a 2⁴¹-column schema. Past
-                    // MAX_SCHEMA_WIDTH the analyzer degrades to an unknown
-                    // schema (checks over unknown inputs are skipped, so
-                    // this loses precision, never soundness of accepts).
-                    (Some(lc), Some(rc)) if lc.len() + rc.len() <= MAX_SCHEMA_WIDTH => {
-                        Ok(Schema::known(lc.iter().chain(rc).copied().collect()))
-                    }
-                    _ => Ok(Schema::unknown()),
-                },
-                JoinKind::Semi | JoinKind::Anti => Ok(l.clone()),
-            }
-        }
-        Node::Union { inputs, .. } => merge_arms(inputs.iter().map(|&i| of(i)), "union arms"),
-        Node::Distinct(input) => Ok(of(*input).clone()),
-        Node::Lfp(spec) => infer_lfp(spec, of),
-        Node::MultiLfp(spec) => infer_multilfp(spec, of),
-        Node::IntervalJoin(spec) => infer_interval_join(spec, of(spec.left), scan_schema),
-    }
-}
-
-/// Interval join: the probe column must hold node ids and be in range;
-/// the right side must be a base relation of edge shape (arity ≥ 2, its `T`
-/// column supplies the descendants). Output is always the binary
-/// `(ancestor, descendant)` pair set.
-fn infer_interval_join(
+/// Interval join: the probe column must be in range; the right side must
+/// be a base relation of edge shape (arity ≥ 2, its `T` column supplies
+/// the descendants).
+fn check_interval_join(
     spec: &IntervalJoinSpec<NodeId>,
-    left: &Schema,
-    scan_schema: &dyn Fn(&str) -> Schema,
-) -> Result<Schema, AnalyzeErrorKind> {
+    left: Option<usize>,
+    scan_arity: &dyn Fn(&str) -> Option<usize>,
+) -> Result<(), AnalyzeErrorKind> {
     check_col(left, spec.left_col, "interval join probe column")?;
     let what = format!("interval join view relation {}", spec.right);
-    check_closure(&scan_schema(&spec.right), &what)?;
-    Ok(Schema::known(vec![ColType::NodeId, ColType::NodeId]))
+    check_closure(scan_arity(&spec.right), &what)
 }
 
-fn infer_lfp<'s>(
+fn check_lfp(
     spec: &LfpSpec<NodeId>,
-    of: impl Fn(NodeId) -> &'s Schema,
-) -> Result<Schema, AnalyzeErrorKind> {
+    of: impl Fn(NodeId) -> Option<usize>,
+) -> Result<(), AnalyzeErrorKind> {
     let input = of(spec.input);
     check_closure(input, "LFP input")?;
     check_col(input, spec.from_col, "lfp from_col")?;
@@ -501,30 +348,15 @@ fn infer_lfp<'s>(
         let (seeds, col) = push.input();
         check_col(of(*seeds), col, "lfp push seed column")?;
     }
-    // output is always the binary closure (F, T)
-    Ok(Schema::known(vec![
-        input.col(spec.from_col),
-        input.col(spec.to_col),
-    ]))
+    Ok(())
 }
 
-fn infer_multilfp<'s>(
+fn check_multilfp(
     spec: &MultiLfpSpec<NodeId>,
-    of: impl Fn(NodeId) -> &'s Schema,
-) -> Result<Schema, AnalyzeErrorKind> {
-    let mut s_ty: Option<ColType> = None;
-    let mut t_ty: Option<ColType> = None;
-    let acc = |slot: &mut Option<ColType>, ty: ColType| {
-        *slot = Some(match *slot {
-            Some(cur) => cur.join(ty),
-            None => ty,
-        });
-    };
+    of: impl Fn(NodeId) -> Option<usize>,
+) -> Result<(), AnalyzeErrorKind> {
     for (_tag, part) in &spec.init {
-        let s = of(*part);
-        check_closure(s, "multi-lfp init part")?;
-        acc(&mut s_ty, s.col(0));
-        acc(&mut t_ty, s.col(1));
+        check_closure(of(*part), "multi-lfp init part")?;
     }
     // liveness fixpoint over the tag alphabet: a rule fires only if its
     // src_tag is produced by an init part or by another live rule
@@ -544,88 +376,40 @@ fn infer_multilfp<'s>(
         if !live.contains(e.src_tag.as_str()) {
             return Err(AnalyzeErrorKind::UnproducibleTag(e.src_tag.clone()));
         }
-        let s = of(e.rel);
-        check_closure(s, "multi-lfp edge relation")?;
-        // a firing rule keeps S from the delta and takes T from the
-        // edge relation's column 1
-        acc(&mut t_ty, s.col(1));
+        check_closure(of(e.rel), "multi-lfp edge relation")?;
     }
-    Ok(Schema::known(vec![
-        s_ty.unwrap_or(ColType::Top),
-        t_ty.unwrap_or(ColType::Top),
-        ColType::Tag,
-    ]))
+    Ok(())
 }
 
-/// Merge set-operation arm schemas: known arities must agree; result types
-/// are the columnwise join of the known arms, degraded to `Top` when any
-/// arm is unknown (its types could be anything).
-fn merge_arms<'s>(
-    arms: impl Iterator<Item = &'s Schema>,
+/// Set-operation arms of known arity must agree with the first known one.
+fn check_arms(
+    arms: impl Iterator<Item = Option<usize>>,
     context: &str,
-) -> Result<Schema, AnalyzeErrorKind> {
-    let mut known: Option<Vec<ColType>> = None;
-    let mut any_unknown = false;
-    for s in arms {
-        match s.cols() {
-            None => any_unknown = true,
-            Some(cols) => match &mut known {
-                None => known = Some(cols.to_vec()),
-                Some(acc) => {
-                    if acc.len() != cols.len() {
-                        return Err(AnalyzeErrorKind::ArityMismatch {
-                            context: context.into(),
-                            left: acc.len(),
-                            right: cols.len(),
-                        });
-                    }
-                    for (a, c) in acc.iter_mut().zip(cols) {
-                        *a = a.join(*c);
-                    }
-                }
-            },
+) -> Result<(), AnalyzeErrorKind> {
+    let mut first = None;
+    for right in arms.flatten() {
+        match first {
+            None => first = Some(right),
+            Some(left) if left != right => {
+                return Err(AnalyzeErrorKind::ArityMismatch {
+                    context: context.into(),
+                    left,
+                    right,
+                })
+            }
+            Some(_) => {}
         }
     }
-    Ok(match known {
-        None => Schema::unknown(),
-        Some(mut cols) => {
-            if any_unknown {
-                cols.iter_mut().for_each(|c| *c = ColType::Top);
-            }
-            Schema::known(cols)
-        }
-    })
+    Ok(())
 }
 
-/// Infer the schema of an inline constant relation: arity from the column
-/// list, per-column types joined over the rows (NULLs contribute nothing).
-fn infer_values(rel: &crate::relation::Relation) -> Schema {
-    let arity = rel.arity();
-    let mut cols: Vec<Option<ColType>> = vec![None; arity];
-    for row in rel.rows() {
-        for (slot, v) in cols.iter_mut().zip(row) {
-            if let Some(ty) = ColType::of_value(v) {
-                *slot = Some(match *slot {
-                    Some(cur) => cur.join(ty),
-                    None => ty,
-                });
-            }
-        }
-    }
-    Schema::known(
-        cols.into_iter()
-            .map(|c| c.unwrap_or(ColType::Top))
-            .collect(),
-    )
-}
-
-/// Check every column index a predicate mentions against the input schema.
-fn check_pred(pred: &Pred, schema: &Schema) -> Result<(), AnalyzeErrorKind> {
+/// Check every column index a predicate mentions against the input arity.
+fn check_pred(pred: &Pred, arity: Option<usize>) -> Result<(), AnalyzeErrorKind> {
     match pred {
-        Pred::ColEqValue(col, _) => check_col(schema, *col, "predicate"),
+        Pred::ColEqValue(col, _) => check_col(arity, *col, "predicate"),
         Pred::And(a, b) => {
-            check_pred(a, schema)?;
-            check_pred(b, schema)
+            check_pred(a, arity)?;
+            check_pred(b, arity)
         }
     }
 }
@@ -635,6 +419,7 @@ mod tests {
     use super::*;
     use crate::plan::{MultiLfpEdge, Plan, PushSpec};
     use crate::relation::Relation;
+    use crate::value::Value;
 
     fn prog(stmts: Vec<(Plan, &str)>, result: Option<u32>) -> Program {
         let mut p = Program::new();
@@ -647,9 +432,9 @@ mod tests {
         p
     }
 
-    /// The schema `a` inferred for statement `t` of `p`.
-    fn stmt_schema<'a>(a: &'a Analysis, p: &Program, t: u32) -> &'a Schema {
-        &a.schemas[p.stmt(TempId(t)).root as usize]
+    /// The arity `a` inferred for statement `t` of `p`.
+    fn stmt_arity(a: &Analysis, p: &Program, t: u32) -> Option<usize> {
+        a.arities[p.stmt(TempId(t)).root as usize]
     }
 
     fn edge_scan(name: &str) -> Plan {
@@ -657,31 +442,14 @@ mod tests {
     }
 
     #[test]
-    fn lattice_join_laws() {
-        use ColType::*;
-        for t in [NodeId, Text, Tag, Top] {
-            assert_eq!(t.join(t), t, "idempotent");
-            assert_eq!(t.join(Top), Top, "Top absorbs");
-            for u in [NodeId, Text, Tag, Top] {
-                assert_eq!(t.join(u), u.join(t), "commutative");
-            }
-        }
-        assert_eq!(Tag.join(Text), Text);
-        assert_eq!(NodeId.join(Text), Top);
-    }
-
-    #[test]
     fn edge_catalog_schemas() {
+        assert_eq!(edge_scan_schema("R_course"), Some(3));
         assert_eq!(
-            edge_scan_schema("R_course").cols(),
-            Some(&[ColType::NodeId, ColType::NodeId, ColType::Text][..])
-        );
-        assert_eq!(
-            edge_scan_schema("R__nodes").arity(),
+            edge_scan_schema("R__nodes"),
             Some(3),
             "the all-nodes union relation"
         );
-        assert_eq!(edge_scan_schema("whatever"), Schema::unknown());
+        assert_eq!(edge_scan_schema("whatever"), None);
     }
 
     #[test]
@@ -702,27 +470,13 @@ mod tests {
             Some(1),
         );
         let a = analyze_program_with(&p, &edge_scan_schema).expect("well-formed");
-        assert_eq!(a.result, Schema::known(vec![ColType::NodeId]));
-        assert_eq!(a.result.to_string(), "(NodeId)");
+        assert_eq!(a.result, Some(1));
         assert!(a.warnings.is_empty());
-        assert_eq!(stmt_schema(&a, &p, 0).arity(), Some(3));
-    }
-
-    #[test]
-    fn values_infer_types_skipping_nulls() {
-        let rel = Relation::from_tuples(
-            3,
-            vec![
-                vec![Value::Null, Value::Id(1), Value::str("x")],
-                vec![Value::Doc, Value::Null, Value::Code(7)],
-            ],
-        );
-        let p = prog(vec![(Plan::Values(rel), "vals")], Some(0));
-        let a = analyze_program(&p).expect("well-formed");
-        assert_eq!(
-            a.result,
-            Schema::known(vec![ColType::NodeId, ColType::NodeId, ColType::Text])
-        );
+        assert_eq!(stmt_arity(&a, &p, 0), Some(3));
+        // e2sql's empty constant (`CVal::empty`): no rows, still two columns
+        let empty = prog(vec![(Plan::Values(Relation::new(2)), "empty")], Some(0));
+        let a = analyze_program(&empty).expect("well-formed");
+        assert_eq!(a.result, Some(2));
     }
 
     #[test]
@@ -862,10 +616,7 @@ mod tests {
             Some(0),
         );
         let a = analyze_program_with(&good, &edge_scan_schema).expect("well-formed");
-        assert_eq!(
-            a.result,
-            Schema::known(vec![ColType::NodeId, ColType::NodeId])
-        );
+        assert_eq!(a.result, Some(2));
 
         let bad_col = prog(
             vec![(
@@ -957,10 +708,7 @@ mod tests {
             Some(0),
         );
         let a = analyze_program_with(&good, &edge_scan_schema).expect("well-formed");
-        assert_eq!(
-            a.result,
-            Schema::known(vec![ColType::NodeId, ColType::NodeId, ColType::Tag])
-        );
+        assert_eq!(a.result, Some(3));
 
         // z is produced by nothing: its rule can never fire
         let dead = prog(
@@ -981,10 +729,7 @@ mod tests {
     fn multilfp_empty_fixpoint_is_legal() {
         let p = prog(vec![(multilfp(vec![], vec![]), "empty")], Some(0));
         let a = analyze_program(&p).expect("an empty fixpoint is just empty");
-        assert_eq!(
-            a.result,
-            Schema::known(vec![ColType::Top, ColType::Top, ColType::Tag])
-        );
+        assert_eq!(a.result, Some(3));
     }
 
     #[test]
@@ -997,7 +742,7 @@ mod tests {
             Some(0),
         );
         let a = analyze_program_with(&p, &edge_scan_schema).expect("well-formed");
-        assert_eq!(a.result.arity(), Some(4), "inner join concatenates");
+        assert_eq!(a.result, Some(4), "inner join concatenates");
 
         let bad = prog(
             vec![(edge_scan("R_a").semi_join(edge_scan("R_b"), 0, 8), "")],
@@ -1014,7 +759,7 @@ mod tests {
             Some(0),
         );
         let a = analyze_program_with(&semi, &edge_scan_schema).expect("well-formed");
-        assert_eq!(a.result.arity(), Some(3));
+        assert_eq!(a.result, Some(3));
     }
 
     #[test]
@@ -1034,10 +779,10 @@ mod tests {
     }
 
     #[test]
-    fn self_join_ladder_degrades_instead_of_exploding() {
-        // Arity doubles per level; a concrete schema for the top join would
-        // need 2⁴¹ columns. The width cap must degrade to unknown and keep
-        // the analysis linear in program size.
+    fn self_join_ladder_arity_is_exact_until_it_overflows() {
+        // Arity doubles per level: the top join of a shared 40-level ladder
+        // has 2⁴¹ columns, which one number per node holds exactly, in
+        // time linear in program size.
         let mut p = Program::new();
         let mut t = p.push(edge_scan("R_a").project(vec![(0, "F"), (1, "T")]), "base");
         for i in 0..40 {
@@ -1045,8 +790,14 @@ mod tests {
         }
         p.set_result(t);
         let a = analyze_program_with(&p, &edge_scan_schema).expect("well-formed");
-        assert_eq!(a.result.arity(), None, "wide schema degrades to unknown");
-        // narrow levels below the cap keep concrete schemas
-        assert_eq!(stmt_schema(&a, &p, 1).arity(), Some(4));
+        assert_eq!(a.result, Some(1 << 41));
+        assert_eq!(stmt_arity(&a, &p, 1), Some(4));
+        // at 64 levels the sum passes usize::MAX: unknown, not a panic
+        for i in 40..64 {
+            t = p.push(Plan::Temp(t).join_on(Plan::Temp(t), 1, 0), format!("J{i}"));
+        }
+        p.set_result(t);
+        let a = analyze_program_with(&p, &edge_scan_schema).expect("well-formed");
+        assert_eq!(a.result, None);
     }
 }

@@ -39,10 +39,10 @@
 //! * SQL text rendering in two dialects ([`sql`]): SQL'99 recursive CTEs
 //!   and Oracle `CONNECT BY` (Fig. 4);
 //! * a **static plan analyzer** ([`analyze`]): one forward pass over the
-//!   nodes inferring a schema per node over an abstract column lattice,
-//!   plus well-formedness verification (column ranges, union arities,
-//!   closure shapes), gating translation, every optimizer pass, and SQL
-//!   rendering.
+//!   nodes inferring an arity per node — the one arity rule the optimizer
+//!   shares — plus well-formedness verification (column ranges, union
+//!   arities, closure shapes), gating translation, every optimizer pass,
+//!   and SQL rendering.
 
 pub mod analyze;
 pub mod dict;
@@ -64,7 +64,7 @@ pub mod value;
 
 pub use analyze::{
     analyze_program, analyze_program_with, edge_scan_schema, Analysis, AnalyzeError,
-    AnalyzeErrorKind, AnalyzeWarning, ColType, Schema,
+    AnalyzeErrorKind, AnalyzeWarning,
 };
 pub use dict::Dictionary;
 pub use exec::{Database, ExecError, ExecOptions};

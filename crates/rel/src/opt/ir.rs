@@ -15,8 +15,7 @@
 //! anything the result does not reach is simply never visited.
 
 use super::OptStats;
-use crate::analyze::{infer_nodes, AnalyzeError, Schema};
-use crate::plan::JoinKind;
+use crate::analyze::{self, AnalyzeError};
 use crate::program::{Node, NodeId, Program, TempId};
 use std::collections::HashMap;
 
@@ -54,8 +53,8 @@ impl RewriteCtx<'_> {
 pub struct Dag {
     nodes: Vec<Node>,
     cache: HashMap<Node, NodeId>,
-    /// Output arity of each node, when statically known — the analyzer's
-    /// rule over unknown base relations, read off the children's at intern.
+    /// Output arity of each node, when statically known: the analyzer's
+    /// [`analyze::arity`] over unknown base relations, taken at intern.
     arity: Vec<Option<usize>>,
     result: NodeId,
     /// Original statement comments, for readable exported programs.
@@ -113,22 +112,7 @@ impl Dag {
         if let Some(&id) = self.cache.get(&node) {
             return id;
         }
-        let arity = |c: NodeId| self.arity[c as usize];
-        let a = match &node {
-            Node::Scan(_) => None,
-            Node::Values(rel) => Some(rel.arity()),
-            Node::Select { input, .. } | Node::Distinct(input) => arity(*input),
-            Node::Project { cols, .. } => Some(cols.len()),
-            Node::Join {
-                left, right, kind, ..
-            } => match kind {
-                JoinKind::Inner => arity(*left).zip(arity(*right)).map(|(l, r)| l + r),
-                JoinKind::Semi | JoinKind::Anti => arity(*left),
-            },
-            Node::Union { inputs, .. } => inputs.iter().find_map(|&i| arity(i)),
-            Node::Lfp(_) | Node::IntervalJoin(_) => Some(2),
-            Node::MultiLfp(_) => Some(3),
-        };
+        let a = analyze::arity(&node, &self.arity, &|_| None);
         let id = self.nodes.len() as NodeId;
         self.nodes.push(node.clone());
         self.arity.push(a);
@@ -136,9 +120,11 @@ impl Dag {
         id
     }
 
-    /// Output arity of a node, when statically known. `Scan` arities are
-    /// unknown (base-relation schemas live in the database, not the plan),
-    /// so rules that need an arity simply skip those shapes.
+    /// Output arity of a node, when statically known ([`analyze::arity`]).
+    /// The DAG reads every `Scan` as unknown (base-relation arities live in
+    /// the database, not the plan), so rules that need an arity skip the
+    /// shapes that rest on a scan; so does a self-join ladder past
+    /// `usize::MAX` columns.
     pub fn arity(&self, id: NodeId) -> Option<usize> {
         self.arity[id as usize]
     }
@@ -177,19 +163,26 @@ impl Dag {
         )
     }
 
-    /// Analyze the nodes the result reaches, in place and over unknown base
-    /// relations — the optimizer's per-pass debug gate.
+    /// Check the nodes the result reaches against the arities taken at
+    /// intern, in place and over unknown base relations — the optimizer's
+    /// per-pass debug gate.
     pub(crate) fn check(&self) -> Result<(), AnalyzeError> {
         let uses = self.use_counts();
-        infer_nodes(&self.nodes, |id| uses[id as usize] > 0, &|_| {
-            Schema::unknown()
-        })
-        .map(|_| ())
-        .map_err(|(id, kind)| AnalyzeError {
-            stmt: None,
-            comment: self.comments.get(&id).cloned().unwrap_or_default(),
-            kind,
-        })
+        for (id, node) in self.nodes.iter().enumerate() {
+            if uses[id] == 0 {
+                continue;
+            }
+            analyze::check(node, &self.arity, &|_| None).map_err(|kind| AnalyzeError {
+                stmt: None,
+                comment: self
+                    .comments
+                    .get(&(id as NodeId))
+                    .cloned()
+                    .unwrap_or_default(),
+                kind,
+            })?;
+        }
+        Ok(())
     }
 
     /// One bottom-up rewrite sweep from the result. `rule` is applied to
@@ -425,7 +418,7 @@ mod tests {
             Node::Project { input, .. } => *input,
             _ => unreachable!(),
         };
-        assert_eq!(dag.arity(scan), None, "base-relation schemas are unknown");
+        assert_eq!(dag.arity(scan), None, "base-relation arities are unknown");
     }
 
     #[test]

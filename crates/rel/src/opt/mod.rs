@@ -46,7 +46,7 @@ pub use crate::program::{Node, NodeId};
 pub use ir::{Dag, RewriteCtx};
 pub use passes::{default_passes, NarrowProjections, Pass, PushdownPredicates, SimplifyPredicates};
 
-use crate::analyze::{analyze_program_with, Analysis, Schema};
+use crate::analyze::{analyze_program_with, Analysis};
 use crate::program::{OpCounts, Program};
 use std::fmt;
 
@@ -132,13 +132,13 @@ const MAX_ROUNDS: usize = 12;
 /// without a result are returned unchanged too — there is nothing sound to
 /// optimize against.
 pub fn optimize(prog: &Program, level: OptLevel) -> (Program, OptReport) {
-    let (out, report, _) = optimize_with(prog, level, &default_passes(), &|_| Schema::unknown());
+    let (out, report, _) = optimize_with(prog, level, &default_passes(), &|_| None);
     (out, report)
 }
 
 /// [`optimize`] with an explicit pass list (pipeline experiments, tests),
 /// also returning the analysis of the optimized program — the one analyzer
-/// run after the pipeline, against the base-relation catalog `scan_schema`
+/// run after the pipeline, against the base-relation catalog `scan_arity`
 /// (see [`crate::analyze::analyze_program_with`]). It is `None` when the
 /// program came back unchanged: at `OptLevel::None`, without a result, or
 /// because the optimized program failed that analysis (release builds then
@@ -148,7 +148,7 @@ pub fn optimize_with(
     prog: &Program,
     level: OptLevel,
     passes: &[Box<dyn Pass>],
-    scan_schema: &dyn Fn(&str) -> Schema,
+    scan_arity: &dyn Fn(&str) -> Option<usize>,
 ) -> (Program, OptReport, Option<Analysis>) {
     let before = prog.op_counts();
     let unchanged = |level| {
@@ -198,7 +198,7 @@ pub fn optimize_with(
     let out = dag.into_program();
     // Unconditional post-pipeline gate: never hand an ill-formed program
     // downstream.
-    let analysis = match analyze_program_with(&out, scan_schema) {
+    let analysis = match analyze_program_with(&out, scan_arity) {
         Ok(analysis) => analysis,
         Err(e) => {
             assert!(!gated, "optimizer pipeline broke the program: {e}");
@@ -380,30 +380,38 @@ mod tests {
     #[test]
     fn arity_is_memoized_on_self_join_ladders() {
         // J_{i+1} = Temp(J_i) ⋈ Temp(J_i): import resolves the temps so
-        // both sides of every join are the *same* DAG node, 40 levels deep.
-        // An unmemoized arity walk would cost O(2^40) recursive calls the
-        // moment the pushdown pass asks for the left arity of the top join;
-        // with the memo this optimizes instantly.
-        let mut prog = Program::new();
-        let mut t = prog.push(
-            Plan::Scan("E".into()).project(vec![(0, "F"), (1, "T")]),
-            "base",
-        );
-        for i in 0..40 {
-            t = prog.push(Plan::Temp(t).join_on(Plan::Temp(t), 1, 0), format!("J{i}"));
+        // both sides of every join are the *same* DAG node. An unmemoized
+        // arity walk would cost O(2^levels) recursive calls the moment the
+        // pushdown pass asks for the left arity of the top join; with the
+        // memo this optimizes instantly. At 64 levels the arity, 2⁶⁵,
+        // passes usize::MAX: it reads as unknown (no panic, no wrapped
+        // value), so the σ stays put.
+        for levels in [40, 64] {
+            let mut prog = Program::new();
+            let mut t = prog.push(
+                Plan::Scan("E".into()).project(vec![(0, "F"), (1, "T")]),
+                "base",
+            );
+            for i in 0..levels {
+                t = prog.push(Plan::Temp(t).join_on(Plan::Temp(t), 1, 0), format!("J{i}"));
+            }
+            let top = prog.push(
+                Plan::Temp(t).select(Pred::ColEqValue(0, Value::Id(1))),
+                "σ over the ladder",
+            );
+            prog.set_result(top);
+            let (out, report) = optimize(&prog, OptLevel::Full);
+            assert_eq!(
+                report.stats.preds_pushed >= 1,
+                levels == 40,
+                "σ pushed into the top join only while its arity is known"
+            );
+            assert_eq!(
+                out.op_counts().joins,
+                prog.op_counts().joins,
+                "shared joins must not duplicate ({levels} levels)"
+            );
         }
-        let top = prog.push(
-            Plan::Temp(t).select(Pred::ColEqValue(0, Value::Id(1))),
-            "σ over the ladder",
-        );
-        prog.set_result(top);
-        let (out, report) = optimize(&prog, OptLevel::Full);
-        assert!(report.stats.preds_pushed >= 1, "σ pushed into the top join");
-        assert_eq!(
-            out.op_counts().joins,
-            prog.op_counts().joins,
-            "shared joins must not duplicate"
-        );
     }
 
     #[test]

@@ -141,8 +141,10 @@ counters! {
     /// Non-fatal analyzer warnings (e.g. dead statements) across those
     /// checks.
     analyze_warnings: usize, sum;
-    /// Queries run through the static satisfiability analyzer on the
-    /// prepare/admission path (the engine's `x2s_xpath::sat` gate).
+    /// Runs of the static satisfiability analyzer (the `x2s_xpath::sat`
+    /// gate), counted where each runs: the engine's on a plan-cache miss,
+    /// and a serving layer's admission check on every request — so a
+    /// request that misses the cache through a `QueryService` counts two.
     sat_checked: usize, sum;
     /// Queries proven statically empty and answered without translation or
     /// execution (a subset of the queries checked).
@@ -208,9 +210,9 @@ impl SharedStats {
             .fetch_add(warnings as u64, Ordering::Relaxed);
     }
 
-    /// Count one prepare-time satisfiability analysis; `pruned` marks a
-    /// verdict that statically emptied the query, skipping translation and
-    /// execution entirely.
+    /// Count one satisfiability analysis; `pruned` marks a verdict that
+    /// statically emptied the query, skipping translation and execution
+    /// entirely.
     pub fn sat_check(&self, pruned: bool) {
         self.sat_checked.fetch_add(1, Ordering::Relaxed);
         if pruned {

@@ -106,12 +106,12 @@ impl<'e, 'd> QueryService<'e, 'd> {
         let path = parse_xpath(xpath)?;
         let canon = Arc::new(self.engine.normalize_path(&path));
         // Admission gate: a query the DTD proves empty is answered here —
-        // it never occupies a flight or touches the executor. The check is
-        // counted only when it prunes; satisfiable queries are counted by
-        // the engine on their prepare path, so each request's check lands
-        // exactly once.
-        if let Sat::Empty { .. } = self.engine.check_sat(&canon) {
-            self.engine.shared_stats().sat_check(true);
+        // it never occupies a flight or touches the executor. Every check
+        // counts where it runs: this one on every request, and the engine's
+        // own again on a plan-cache miss.
+        let pruned = matches!(self.engine.check_sat(&canon), Sat::Empty { .. });
+        self.engine.shared_stats().sat_check(pruned);
+        if pruned {
             return Ok(QueryOutcome {
                 answers: Arc::new(BTreeSet::new()),
                 coalesced: false,
@@ -187,9 +187,15 @@ mod tests {
         let a = svc.query("dept//project").unwrap();
         let b = svc.query("dept/descendant-or-self::*/project").unwrap();
         assert_eq!(a.answers, b.answers);
+        for _ in 0..3 {
+            svc.query("dept//project").unwrap();
+        }
         let stats = e.stats();
         assert_eq!(stats.plan_cache_misses, 1, "one canonical plan");
-        assert_eq!(stats.plan_cache_hits, 1, "second spelling hit it");
+        assert_eq!(stats.plan_cache_hits, 4, "every later request hit it");
+        // the admission check ran on all five requests, the engine's on
+        // the one miss
+        assert_eq!((stats.sat_checked, stats.sat_pruned), (6, 0));
     }
 
     #[test]

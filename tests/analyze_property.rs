@@ -6,7 +6,7 @@
 //! 1. execute without the error classes the analyzer claims to rule out
 //!    (`ExecError::SchemaMismatch`, `ExecError::NoResult`), and
 //! 2. produce a result relation whose arity equals the analyzer's inferred
-//!    result schema — at `OptLevel::None` and `OptLevel::Full` alike.
+//!    result arity — at `OptLevel::None` and `OptLevel::Full` alike.
 //!
 //! Everything is deterministic in the seeds; failures print the query and
 //! document seed for replay.
@@ -49,13 +49,12 @@ fn check_one(dtd: &Dtd, db: &Database, query: &Path, seed: u64) {
         let mut stats = Stats::default();
         match tr.program.execute(db, ExecOptions::default(), &mut stats) {
             Ok(rel) => {
-                if let Some(arity) = analysis.result.arity() {
+                if let Some(arity) = analysis.result {
                     assert_eq!(
                         arity,
                         rel.arity(),
-                        "inferred result schema {} disagrees with executed arity \
-                         for {query} at {optimize:?} (doc seed {seed})",
-                        analysis.result
+                        "inferred result arity disagrees with executed arity \
+                         for {query} at {optimize:?} (doc seed {seed})"
                     );
                 }
             }
