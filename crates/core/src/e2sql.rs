@@ -436,7 +436,7 @@ impl<'a> Compiler<'a> {
                 let m = self.mat(val);
                 if m.has_v && !m.refl {
                     return Ok(CVal::rel(
-                        m.plan.select(Pred::ColEqValue(2, Value::str(c))),
+                        m.plan.select(Pred::ColEqText(2, c.as_str().into())),
                         false,
                         true,
                     ));
@@ -472,7 +472,7 @@ impl<'a> Compiler<'a> {
             EQual::True => Plan::Scan(ALL_NODES.into()).project(vec![(1, "N")]),
             EQual::False => Plan::Values(x2s_rel::Relation::new(1)),
             EQual::TextEq(c) => Plan::Scan(ALL_NODES.into())
-                .select(Pred::ColEqValue(2, Value::str(c)))
+                .select(Pred::ColEqText(2, c.as_str().into()))
                 .project(vec![(1, "N")]),
             EQual::Exp(e) => {
                 let v = self.compile(e)?;

@@ -406,7 +406,7 @@ fn check_arms(
 /// Check every column index a predicate mentions against the input arity.
 fn check_pred(pred: &Pred, arity: Option<usize>) -> Result<(), AnalyzeErrorKind> {
     match pred {
-        Pred::ColEqValue(col, _) => check_col(arity, *col, "predicate"),
+        Pred::ColEqValue(col, _) | Pred::ColEqText(col, _) => check_col(arity, *col, "predicate"),
         Pred::And(a, b) => {
             check_pred(a, arity)?;
             check_pred(b, arity)

@@ -7,7 +7,7 @@
 //! This generalizes the fixpoint-local [`crate::intern::Interner`] (which
 //! re-interned per invocation) to the whole pipeline: the dictionary lives on
 //! the [`crate::Database`], is immutable once the store sits behind an
-//! `Arc`, and its codes appear in relations as [`Value::Code`].
+//! `Arc`, and its codes appear in relations as [`crate::Value::Code`].
 //!
 //! # Invariants
 //!
@@ -18,9 +18,15 @@
 //! * Encoding is injective per dictionary: equal strings always map to the
 //!   same code and distinct strings to distinct codes, so `Code` equality
 //!   *is* string equality within one store.
-//! * Runtime-produced strings (e.g. the multi-fixpoint's `Rid` tags) stay
-//!   as [`Value::Str`]; the executor's compiled predicates match a string
-//!   literal against both forms.
+//! * No relation holds text: a [`crate::Value`] has no text variant. The
+//!   shredders intern every text value they store, and
+//!   `x2s_shred::edge_database` then interns every DTD element name, so the
+//!   multi-fixpoint can emit its `Rid` tags as codes too (a tag without a
+//!   code is [`crate::ExecError::UncodedTag`]). A text literal in a plan
+//!   ([`crate::Pred::ColEqText`]) is looked up here once per operator
+//!   invocation; a literal the dictionary lacks matches no cell.
+//! * Nothing interns at execution time, so a query's literals never grow
+//!   the dictionary.
 //!
 //! Debug builds (and every `cfg(test)` build) cross-check each code the
 //! executor resolves against the literal it stands for
@@ -28,7 +34,6 @@
 //! release builds compile the check out.
 
 use crate::fxhash::FxHashMap;
-use crate::value::Value;
 use std::sync::Arc;
 
 /// A dense, append-only string dictionary.
@@ -70,10 +75,10 @@ impl Dictionary {
         &self.strings[code as usize]
     }
 
-    /// Resolve a code to its shared string, if the code belongs to this
+    /// Resolve a code to its string, if the code belongs to this
     /// dictionary.
-    pub fn get(&self, code: u32) -> Option<&Arc<str>> {
-        self.strings.get(code as usize)
+    pub fn get(&self, code: u32) -> Option<&str> {
+        self.strings.get(code as usize).map(|s| &**s)
     }
 
     /// Number of interned strings.
@@ -84,28 +89,6 @@ impl Dictionary {
     /// Whether nothing has been interned.
     pub fn is_empty(&self) -> bool {
         self.strings.is_empty()
-    }
-
-    /// Encode a value for storage: strings become [`Value::Code`]s, every
-    /// other variant passes through.
-    pub fn encode(&mut self, v: Value) -> Value {
-        match v {
-            Value::Str(s) => Value::Code(self.intern(&s)),
-            other => other,
-        }
-    }
-
-    /// Decode a value for rendering: [`Value::Code`]s become the strings
-    /// they stand for, every other variant passes through. Foreign codes
-    /// panic (load-scoping invariant).
-    #[allow(clippy::expect_used)] // documented contract: foreign codes are a logic bug
-    pub fn decode(&self, v: &Value) -> Value {
-        match v {
-            Value::Code(c) => Value::Str(Arc::clone(
-                self.get(*c).expect("code from a different dictionary"),
-            )),
-            other => other.clone(),
-        }
     }
 
     /// Cross-check: assert that `code` decodes back to `lit`. Live in debug
@@ -148,26 +131,15 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_are_inverse_on_strings() {
-        let mut d = Dictionary::new();
-        let coded = d.encode(Value::str("hello"));
-        assert!(matches!(coded, Value::Code(_)));
-        assert_eq!(d.decode(&coded), Value::str("hello"));
-        // non-strings pass through untouched
-        for v in [Value::Null, Value::Doc, Value::Id(7)] {
-            assert_eq!(d.encode(v.clone()), v);
-            assert_eq!(d.decode(&v), v);
-        }
-    }
-
-    #[test]
     fn equal_strings_share_codes() {
         let mut d = Dictionary::new();
-        let a = d.encode(Value::str("x"));
-        let b = d.encode(Value::str("x"));
+        let a = d.intern("x");
+        let b = d.intern("x");
         assert_eq!(a, b, "code equality is string equality");
-        let c = d.encode(Value::str("y"));
+        let c = d.intern("y");
         assert_ne!(a, c);
+        assert_eq!(d.get(c), Some("y"));
+        assert_eq!(d.get(c + 1), None, "a foreign code resolves to nothing");
     }
 
     #[test]

@@ -42,10 +42,10 @@
 //!   queries reaches an index today
 //!   (`rel.exec.join_index_reuses = 0`); driving those joins from the small
 //!   side through the index is the follow-up (ROADMAP item 5).
-//! * **Integer-dominated keys** — text values are dictionary-coded at load
-//!   ([`crate::dict`]), so a join key is a node id, a code or the document
-//!   marker, and executor tables hash it with the internal Fx hasher
-//!   ([`crate::fxhash`]).
+//! * **Integer keys** — every cell is an 8-byte `Copy` [`Value`]: text is
+//!   dictionary-coded at load ([`crate::dict`]), so a join key is a node
+//!   id, a code or the document marker, and executor tables hash it with
+//!   the internal Fx hasher ([`crate::fxhash`]).
 
 use crate::dict::Dictionary;
 use crate::fxhash::FxHashSet;
@@ -149,20 +149,10 @@ impl Database {
         Value::Code(self.dict.intern(s))
     }
 
-    /// Decode a value for rendering ([`Value::Code`] → [`Value::Str`]).
-    pub fn decode_value(&self, v: &Value) -> Value {
-        self.dict.decode(v)
-    }
-
-    /// A copy of `rel` with every dictionary code decoded back to its
-    /// string — for rendering stored relations to humans.
-    pub fn decoded(&self, rel: &Relation) -> Relation {
-        let mut out = Relation::new(rel.arity());
-        out.reserve(rel.len());
-        for t in rel.rows() {
-            out.push_iter(t.iter().map(|v| self.dict.decode(v)));
-        }
-        out
+    /// The text a [`Value::Code`] stands for in this store's dictionary;
+    /// `None` for any other cell, or a code this dictionary does not hold.
+    pub fn text(&self, v: &Value) -> Option<&str> {
+        self.dict.get(v.as_code()?)
     }
 
     /// Build the per-relation edge-column indexes (`F` → rows, `T` → rows)
@@ -173,9 +163,7 @@ impl Database {
         for (name, rel) in &self.relations {
             if rel.arity() >= 2 && !self.indexes.contains_key(name) {
                 let index = |col: usize| {
-                    Arc::new(RowMultimap::build(rel.len(), |i| {
-                        non_null(&rel.row(i)[col]).cloned()
-                    }))
+                    Arc::new(RowMultimap::build(rel.len(), |i| non_null(rel.row(i)[col])))
                 };
                 self.indexes.insert(name.clone(), [index(0), index(1)]);
             }
@@ -368,6 +356,10 @@ pub enum ExecError {
     /// [`ExecOptions::closure_budget`]) was exhausted; the message names
     /// the budget and the observed value.
     BudgetExceeded(String),
+    /// The multi-relation fixpoint tags its tuples with a text the store's
+    /// dictionary has no code for, so the tag cannot be a cell. Stores from
+    /// `x2s_shred::edge_database` hold a code for every element name.
+    UncodedTag(String),
 }
 
 impl fmt::Display for ExecError {
@@ -384,6 +376,12 @@ impl fmt::Display for ExecError {
             }
             ExecError::DeadlineExceeded => write!(f, "execution deadline exceeded"),
             ExecError::BudgetExceeded(m) => write!(f, "execution budget exceeded: {m}"),
+            ExecError::UncodedTag(t) => {
+                write!(
+                    f,
+                    "fixpoint tag {t:?} has no code in the store's dictionary"
+                )
+            }
         }
     }
 }
@@ -408,36 +406,28 @@ impl ExecCtx<'_> {
     }
 }
 
-/// A predicate compiled against the database dictionary: string literals
-/// are resolved to their dictionary codes *once per operator invocation*,
-/// so the per-row comparison on a coded column is a `u32` equality. A
-/// literal may still meet runtime-produced [`Value::Str`]s (the
-/// multi-fixpoint's `Rid` tags), which the compiled form matches by text.
+/// A predicate compiled against the database dictionary: a text literal
+/// is resolved to its dictionary code *once per operator invocation*, so
+/// the per-row test is one [`Value`] equality. Every cell is a `Value`, so
+/// a text literal can only ever match a [`Value::Code`].
 enum CompiledPred {
-    ColEqValue(usize, Value),
-    ColEqStr {
-        col: usize,
-        code: Option<u32>,
-        lit: Arc<str>,
-    },
+    /// `col = v`; `None` is a text literal the dictionary lacks, which no
+    /// cell equals.
+    Eq(usize, Option<Value>),
     And(Box<CompiledPred>, Box<CompiledPred>),
 }
 
 impl CompiledPred {
     fn compile(pred: &Pred, dict: &Dictionary) -> CompiledPred {
         match pred {
-            Pred::ColEqValue(c, Value::Str(s)) => {
-                let code = dict.code_of(s);
+            Pred::ColEqText(c, text) => {
+                let code = dict.code_of(text);
                 if let Some(code) = code {
-                    dict.verify_code(code, s);
+                    dict.verify_code(code, text);
                 }
-                CompiledPred::ColEqStr {
-                    col: *c,
-                    code,
-                    lit: Arc::clone(s),
-                }
+                CompiledPred::Eq(*c, code.map(Value::Code))
             }
-            Pred::ColEqValue(c, v) => CompiledPred::ColEqValue(*c, v.clone()),
+            Pred::ColEqValue(c, v) => CompiledPred::Eq(*c, Some(*v)),
             Pred::And(a, b) => CompiledPred::And(
                 Box::new(CompiledPred::compile(a, dict)),
                 Box::new(CompiledPred::compile(b, dict)),
@@ -449,27 +439,15 @@ impl CompiledPred {
     /// builds additionally fail here with a named diagnostic instead of a
     /// bare slice panic. The release path is unchanged.
     fn eval<R: Row + ?Sized>(&self, tuple: &R) -> bool {
-        #[inline]
-        fn check<R: Row + ?Sized>(col: usize, tuple: &R) {
-            debug_assert!(
-                col < tuple.arity(),
-                "compiled predicate column {col} out of range (tuple arity {}); \
-                 the plan bypassed the static analyzer",
-                tuple.arity()
-            );
-        }
         match self {
-            CompiledPred::ColEqValue(c, v) => {
-                check(*c, tuple);
-                tuple.col(*c) == v
-            }
-            CompiledPred::ColEqStr { col, code, lit } => {
-                check(*col, tuple);
-                match tuple.col(*col) {
-                    Value::Code(c) => *code == Some(*c),
-                    Value::Str(s) => **s == **lit,
-                    _ => false,
-                }
+            CompiledPred::Eq(c, v) => {
+                debug_assert!(
+                    *c < tuple.arity(),
+                    "compiled predicate column {c} out of range (tuple arity {}); \
+                     the plan bypassed the static analyzer",
+                    tuple.arity()
+                );
+                v.as_ref() == Some(tuple.col(*c))
             }
             CompiledPred::And(a, b) => a.eval(tuple) && b.eval(tuple),
         }
@@ -541,7 +519,7 @@ impl Fused<'_> {
             return;
         }
         match self.cols {
-            Some(cols) => out.push_iter(cols.iter().map(|(c, _)| row.col(*c).clone())),
+            Some(cols) => out.push_iter(cols.iter().map(|(c, _)| *row.col(*c))),
             None => out.push_concat(left, right),
         }
     }
@@ -784,7 +762,7 @@ fn eval_node<'a>(
             let mut out = Relation::new(cols.len());
             out.reserve(rel.len());
             for t in rel.rows() {
-                out.push_iter(cols.iter().map(|(i, _)| t[*i].clone()));
+                out.push_iter(cols.iter().map(|(i, _)| t[*i]));
             }
             ctx.stats.tuples_emitted += out.len() as u64;
             out
@@ -898,8 +876,8 @@ fn eval_join(
 
 /// `v` as a join key: NULL is none.
 #[inline]
-fn non_null(v: &Value) -> Option<&Value> {
-    (*v != Value::Null).then_some(v)
+fn non_null(v: Value) -> Option<Value> {
+    (v != Value::Null).then_some(v)
 }
 
 /// Hash join on `left.c_l = right.c_r`. Builds on the right input — or
@@ -926,12 +904,12 @@ fn hash_join(
         // Cached-index path: no build phase at all.
         stats.join_index_reuses += 1;
         probe(left, right, kind, fused, |t| {
-            idx.rows_of(non_null(&t[lcol]))
+            idx.rows_of(non_null(t[lcol]).as_ref())
         })
     } else {
-        let table = RowMultimap::build(right.len(), |i| non_null(&right.row(i)[rcol]));
+        let table = RowMultimap::build(right.len(), |i| non_null(right.row(i)[rcol]));
         probe(left, right, kind, fused, |t| {
-            table.rows_of(non_null(&t[lcol]).as_ref())
+            table.rows_of(non_null(t[lcol]).as_ref())
         })
     };
     stats.tuples_emitted += out.len() as u64;
@@ -1280,34 +1258,27 @@ mod tests {
         assert_eq!(run(&p, &db).len(), 1);
     }
 
-    /// String selections work identically against dictionary-coded columns
-    /// (the loaded store) and raw `Str` columns (runtime-produced
-    /// relations) — including a literal absent from the dictionary, which
-    /// matches no row.
+    /// A text selection matches the dictionary code of its literal — and a
+    /// literal absent from the dictionary matches no row.
     #[test]
     fn compiled_predicates_match_codes_and_strings() {
         let mut db = Database::new();
         let mut coded = Relation::new(2);
         let sel = db.intern_str("sel");
         let other = db.intern_str("other");
-        coded.push(vec![Value::Id(1), sel.clone()]);
+        coded.push(vec![Value::Id(1), sel]);
         coded.push(vec![Value::Id(2), other]);
         coded.push(vec![Value::Id(3), Value::Null]);
         db.insert("C", coded);
-        let mut raw = Relation::new(2);
-        raw.push(vec![Value::Id(1), Value::str("sel")]);
-        raw.push(vec![Value::Id(2), Value::str("other")]);
-        db.insert("S", raw);
-        for rel in ["C", "S"] {
-            let p = Plan::Scan(rel.into()).select(Pred::ColEqValue(1, Value::str("sel")));
-            let out = run(&p, &db);
-            assert_eq!(out.len(), 1, "{rel}: one 'sel' row");
-            assert_eq!(out.row(0)[0], Value::Id(1));
-            // a literal the dictionary has never seen: no row carries it
-            let p = Plan::Scan(rel.into()).select(Pred::ColEqValue(1, Value::str("absent")));
-            assert!(run(&p, &db).is_empty(), "{rel}: absent");
-        }
-        assert_eq!(db.decode_value(&sel), Value::str("sel"));
+        let p = Plan::Scan("C".into()).select(Pred::ColEqText(1, "sel".into()));
+        let out = run(&p, &db);
+        assert_eq!(out.len(), 1, "one 'sel' row");
+        assert_eq!(out.row(0)[0], Value::Id(1));
+        // a literal the dictionary has never seen: no row carries it
+        let p = Plan::Scan("C".into()).select(Pred::ColEqText(1, "absent".into()));
+        assert!(run(&p, &db).is_empty(), "absent");
+        assert_eq!(db.text(&sel), Some("sel"));
+        assert_eq!(db.text(&Value::Id(1)), None, "an id is no text");
     }
 
     /// SQL comparison semantics: `NULL = NULL` is not true, so NULL keys
@@ -1316,14 +1287,15 @@ mod tests {
     #[test]
     fn null_keys_never_match_in_joins() {
         let vt = |v: Value, t: u32| vec![v, Value::Id(t)];
+        let mut db = Database::new();
+        let x = db.intern_str("x");
         let mut a = Relation::new(2);
         a.push(vt(Value::Null, 1));
-        a.push(vt(Value::str("x"), 2));
+        a.push(vt(x, 2));
         a.push(vt(Value::Null, 3));
         let mut b = Relation::new(2);
         b.push(vt(Value::Null, 10));
-        b.push(vt(Value::str("x"), 20));
-        let mut db = Database::new();
+        b.push(vt(x, 20));
         db.insert("A", a);
         db.insert("B", b);
         // inner: only the 'x' = 'x' pair, never NULL = NULL
@@ -1339,7 +1311,7 @@ mod tests {
         // anti (NOT EXISTS): NULL probe keys match nothing, so they are kept
         let anti = Plan::Scan("A".into()).anti_join(Plan::Scan("B".into()), 0, 0);
         let out = run(&anti, &db);
-        let kept: Vec<_> = out.rows().map(|t| t[1].clone()).collect();
+        let kept: Vec<_> = out.rows().map(|t| t[1]).collect();
         assert_eq!(kept, vec![Value::Id(1), Value::Id(3)]);
     }
 

@@ -6,6 +6,7 @@
 use crate::opt::OptReport;
 use crate::plan::{JoinKind, Pred, PushSpec};
 use crate::program::{Node, NodeId, OpCounts, Program, TempId};
+use crate::value::sql_text_literal;
 use std::fmt::Write as _;
 
 /// Render an optimizer report as a before/after operator-count table plus
@@ -168,6 +169,7 @@ fn explain_into(prog: &Program, lo: NodeId, id: NodeId, level: usize, out: &mut 
 fn pred_text(pred: &Pred) -> String {
     match pred {
         Pred::ColEqValue(c, v) => format!("c{c} = {}", v.to_sql_literal()),
+        Pred::ColEqText(c, text) => format!("c{c} = {}", sql_text_literal(text)),
         Pred::And(a, b) => format!("({} ∧ {})", pred_text(a), pred_text(b)),
     }
 }
@@ -263,7 +265,7 @@ mod tests {
     fn pred_rendering() {
         let p = Pred::And(
             Box::new(Pred::ColEqValue(0, Value::Doc)),
-            Box::new(Pred::ColEqValue(2, Value::str("cs66"))),
+            Box::new(Pred::ColEqText(2, "cs66".into())),
         );
         assert_eq!(pred_text(&p), "(c0 = '_' ∧ c2 = 'cs66')");
     }

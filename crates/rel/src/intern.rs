@@ -29,8 +29,8 @@ impl Interner {
             return c;
         }
         let c = self.values.len() as u32;
-        self.codes.insert(v.clone(), c);
-        self.values.push(v.clone());
+        self.codes.insert(*v, c);
+        self.values.push(*v);
         c
     }
 
@@ -75,12 +75,12 @@ mod tests {
     fn intern_round_trip() {
         let mut i = Interner::new();
         let a = i.intern(&Value::Id(7));
-        let b = i.intern(&Value::str("x"));
+        let b = i.intern(&Value::Code(3));
         let a2 = i.intern(&Value::Id(7));
         assert_eq!(a, a2);
         assert_ne!(a, b);
         assert_eq!(i.resolve(a), &Value::Id(7));
-        assert_eq!(i.resolve(b), &Value::str("x"));
+        assert_eq!(i.resolve(b), &Value::Code(3));
         assert_eq!(i.len(), 2);
         assert_eq!(i.get(&Value::Id(7)), Some(a));
         assert_eq!(i.get(&Value::Doc), None);

@@ -113,7 +113,7 @@ pub(crate) fn eval_lfp(
     out.reserve(closure.len());
     for &key in &closure {
         let (f, t) = unpack(key);
-        out.push_row(&[interner.resolve(f).clone(), interner.resolve(t).clone()]);
+        out.push_row(&[*interner.resolve(f), *interner.resolve(t)]);
     }
     ctx.stats.tuples_emitted += out.len() as u64;
     Ok(out)

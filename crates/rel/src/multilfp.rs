@@ -23,9 +23,11 @@
 //!
 //! Tuples are `(S, T, Rid)`: the origin node `S` (so ancestor/descendant
 //! *pairs* are produced, as the evaluation requires), the reached node `T`,
-//! and the tag.
+//! and the tag as its code in the store's dictionary (a `Code` cell, which
+//! the generated `Rid = 'tag'` selections match). A tag the dictionary
+//! lacks is [`ExecError::UncodedTag`].
 
-use crate::exec::ExecCtx;
+use crate::exec::{ExecCtx, ExecError};
 use crate::fxhash::FxHashSet;
 use crate::intern::{pack, unpack, Interner};
 use crate::multimap::Csr;
@@ -41,7 +43,7 @@ pub(crate) fn eval_multilfp<'r>(
     spec: &MultiLfpSpec<NodeId>,
     input: impl Fn(NodeId) -> &'r Relation,
     ctx: &mut ExecCtx<'_>,
-) -> Result<Relation, crate::ExecError> {
+) -> Result<Relation, ExecError> {
     ctx.stats.multilfp_invocations += 1;
 
     let mut nodes = Interner::new();
@@ -117,15 +119,18 @@ pub(crate) fn eval_multilfp<'r>(
     }
 
     ctx.stats.lfp_peak_closure = ctx.stats.lfp_peak_closure.max(result.len());
+    // each tag's cell; only a tag that reaches the output needs a code
+    let cells: Vec<Option<Value>> = tags
+        .iter()
+        .map(|tag| ctx.db.dict().code_of(tag).map(Value::Code))
+        .collect();
     let mut out = Relation::new(3);
     out.reserve(result.len());
     for (key, tag) in result {
         let (s, t) = unpack(key);
-        out.push_row(&[
-            nodes.resolve(s).clone(),
-            nodes.resolve(t).clone(),
-            Value::str(&tags[tag as usize]),
-        ]);
+        let tag =
+            cells[tag as usize].ok_or_else(|| ExecError::UncodedTag(tags[tag as usize].clone()))?;
+        out.push_row(&[*nodes.resolve(s), *nodes.resolve(t), tag]);
     }
     ctx.stats.tuples_emitted += out.len() as u64;
     Ok(out)
@@ -161,16 +166,11 @@ mod tests {
     }
 
     /// Two node types: even ids are tagged "a", odd ids "b"; edges a→b and
-    /// b→a form the 2-cycle product of Fig. 2 in miniature.
-    #[test]
-    fn two_relation_cycle() {
-        let mut db = Database::new();
-        // a→b edges (even → odd), b→a edges (odd → even)
-        db.insert("AB", edge_rel(&[(0, 1), (2, 3)]));
-        db.insert("BA", edge_rel(&[(1, 2), (3, 4)]));
+    /// b→a over the relations `AB` and `BA`, seeded with `(0, 1)` tagged "b".
+    fn two_cycle_spec() -> MultiLfpSpec {
         let mut init = Relation::new(2);
         init.push(vec![Value::Id(0), Value::Id(1)]);
-        let spec = MultiLfpSpec {
+        MultiLfpSpec {
             init: vec![("b".to_string(), Plan::Values(init))],
             edges: vec![
                 MultiLfpEdge {
@@ -184,12 +184,25 @@ mod tests {
                     rel: Plan::Scan("BA".into()),
                 },
             ],
-        };
+        }
+    }
+
+    /// The 2-cycle product of Fig. 2 in miniature.
+    #[test]
+    fn two_relation_cycle() {
+        let mut db = Database::new();
+        // a→b edges (even → odd), b→a edges (odd → even)
+        db.insert("AB", edge_rel(&[(0, 1), (2, 3)]));
+        db.insert("BA", edge_rel(&[(1, 2), (3, 4)]));
+        for tag in ["a", "b"] {
+            db.dict_mut().intern(tag);
+        }
+        let spec = two_cycle_spec();
         let (out, stats) = run(&db, spec);
         // reachable from 0: 1(b), 2(a), 3(b), 4(a)
         let reached: HashSet<(u32, String)> = out
             .rows()
-            .map(|t| (t[1].as_id().unwrap(), t[2].as_str().unwrap().to_string()))
+            .map(|t| (t[1].as_id().unwrap(), db.text(&t[2]).unwrap().to_string()))
             .collect();
         assert_eq!(
             reached,
@@ -268,6 +281,9 @@ mod tests {
                 .collect();
 
             let mut db = Database::new();
+            for tag in TAGS {
+                db.dict_mut().intern(tag);
+            }
             for (i, (_, _, edges)) in rules.iter().enumerate() {
                 db.insert(&format!("E{i}"), edge_rel(edges));
             }
@@ -292,7 +308,7 @@ mod tests {
             let got: HashSet<(u32, u32, usize)> = out
                 .rows()
                 .map(|t| {
-                    let tag = TAGS.iter().position(|n| Some(*n) == t[2].as_str());
+                    let tag = TAGS.iter().position(|n| Some(*n) == db.text(&t[2]));
                     (t[0].as_id().unwrap(), t[1].as_id().unwrap(), tag.unwrap())
                 })
                 .collect();
@@ -324,5 +340,22 @@ mod tests {
         };
         let (out, _) = run(&db, spec);
         assert!(out.is_empty());
+    }
+
+    /// A tag that reaches the output but has no code in the store's
+    /// dictionary is a typed error, not a panic.
+    #[test]
+    fn a_tag_without_a_code_is_a_typed_error() {
+        let mut db = Database::new();
+        db.insert("AB", edge_rel(&[(0, 1), (2, 3)]));
+        db.insert("BA", edge_rel(&[(1, 2), (3, 4)]));
+        db.dict_mut().intern("b");
+        let mut prog = Program::new();
+        let t = prog.push(Plan::MultiLfp(two_cycle_spec()), "φ");
+        prog.set_result(t);
+        let err = prog
+            .execute(&db, ExecOptions::default(), &mut Stats::default())
+            .unwrap_err();
+        assert_eq!(err, ExecError::UncodedTag("a".into()));
     }
 }

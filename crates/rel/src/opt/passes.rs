@@ -14,6 +14,7 @@ use super::ir::Dag;
 use super::OptStats;
 use crate::plan::{JoinKind, Pred};
 use crate::program::Node;
+use std::sync::Arc;
 
 /// One optimizer pass: a named rewrite over the program IR.
 ///
@@ -214,7 +215,7 @@ fn pred_cols(p: &Pred) -> Vec<usize> {
 
 fn collect_pred_cols(p: &Pred, out: &mut Vec<usize>) {
     match p {
-        Pred::ColEqValue(c, _) => out.push(*c),
+        Pred::ColEqValue(c, _) | Pred::ColEqText(c, _) => out.push(*c),
         Pred::And(a, b) => {
             collect_pred_cols(a, out);
             collect_pred_cols(b, out);
@@ -226,7 +227,8 @@ fn collect_pred_cols(p: &Pred, out: &mut Vec<usize>) {
 /// image (the rule then simply does not fire).
 fn remap_pred(p: &Pred, map: &impl Fn(usize) -> Option<usize>) -> Option<Pred> {
     Some(match p {
-        Pred::ColEqValue(c, v) => Pred::ColEqValue(map(*c)?, v.clone()),
+        Pred::ColEqValue(c, v) => Pred::ColEqValue(map(*c)?, *v),
+        Pred::ColEqText(c, text) => Pred::ColEqText(map(*c)?, Arc::clone(text)),
         Pred::And(a, b) => Pred::And(Box::new(remap_pred(a, map)?), Box::new(remap_pred(b, map)?)),
     })
 }
@@ -368,7 +370,7 @@ mod tests {
         let t = prog.push(
             Plan::Scan("E".into())
                 .select(Pred::ColEqValue(0, Value::Id(1)))
-                .select(Pred::ColEqValue(2, Value::str("v")))
+                .select(Pred::ColEqText(2, "v".into()))
                 .select(Pred::ColEqValue(0, Value::Id(1))),
             "three selects",
         );

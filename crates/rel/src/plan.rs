@@ -11,40 +11,22 @@
 use crate::program::TempId;
 use crate::relation::Relation;
 use crate::value::Value;
+use std::sync::Arc;
 
-/// A predicate over a single tuple.
+/// A predicate over a single tuple. The executor evaluates it compiled
+/// against the store's dictionary (`exec.rs`'s `CompiledPred`).
 ///
 /// `Eq`/`Hash` let the optimizer ([`crate::opt`]) hash-cons `Select` nodes
-/// structurally; [`Value`] is already `Eq + Hash`.
+/// structurally.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Pred {
-    /// `col = literal`.
+    /// `col = literal` for a non-text literal (`Doc`, `Null` or an `Id`).
     ColEqValue(usize, Value),
+    /// `col = 'text'`: true on a cell holding the dictionary code of
+    /// `text`, so false everywhere on a store whose dictionary lacks it.
+    ColEqText(usize, Arc<str>),
     /// Conjunction.
     And(Box<Pred>, Box<Pred>),
-}
-
-impl Pred {
-    /// Evaluate against a tuple.
-    ///
-    /// Column indexes are verified statically by [`crate::analyze`]; in
-    /// debug builds an out-of-range index additionally fails here with a
-    /// diagnostic naming the predicate (instead of a bare slice panic).
-    /// The release path is unchanged.
-    pub fn eval(&self, tuple: &[Value]) -> bool {
-        match self {
-            Pred::ColEqValue(c, v) => {
-                debug_assert!(
-                    *c < tuple.len(),
-                    "predicate column {c} out of range (tuple arity {}); \
-                     the plan bypassed the static analyzer",
-                    tuple.len()
-                );
-                &tuple[*c] == v
-            }
-            Pred::And(a, b) => a.eval(tuple) && b.eval(tuple),
-        }
-    }
 }
 
 /// Join kinds. Inner joins output `left.cols ++ right.cols`; semi and anti
@@ -264,23 +246,6 @@ impl Plan {
 mod tests {
     use super::*;
     use crate::program::{Node, Program};
-
-    #[test]
-    fn pred_eval() {
-        let t = vec![Value::Id(1), Value::str("x")];
-        assert!(Pred::ColEqValue(0, Value::Id(1)).eval(&t));
-        assert!(!Pred::ColEqValue(1, Value::str("y")).eval(&t));
-        let both = Pred::And(
-            Box::new(Pred::ColEqValue(0, Value::Id(1))),
-            Box::new(Pred::ColEqValue(1, Value::str("x"))),
-        );
-        assert!(both.eval(&t));
-        let neither = Pred::And(
-            Box::new(Pred::ColEqValue(0, Value::Id(1))),
-            Box::new(Pred::ColEqValue(1, Value::str("y"))),
-        );
-        assert!(!neither.eval(&t));
-    }
 
     /// A `Temp` a plan references lowers to the root of the statement it
     /// names; it adds no node of its own.

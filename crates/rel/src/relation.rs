@@ -6,8 +6,10 @@
 //!
 //! A relation stores its rows in a **single flat `Vec<Value>`** with an
 //! arity stride: row `i` is the slice `buf[i * arity .. (i + 1) * arity]`.
-//! That is one heap allocation per *relation* instead of one per *row* (the
-//! old `Vec<Vec<Value>>` layout), rows are contiguous in cache, and bulk
+//! A [`Value`] is an 8-byte `Copy` cell, so a three-column edge row
+//! `(F, T, V)` takes 24 bytes and copying a row is a `memcpy`. That is one
+//! heap allocation per *relation* instead of one per *row* (the old
+//! `Vec<Vec<Value>>` layout), rows are contiguous in cache, and bulk
 //! operations — union, adopting an owned input's buffer —
 //! are `memcpy`-shaped extends rather than per-row pushes.
 //!
@@ -90,7 +92,7 @@ impl Relation {
         self.rows += 1;
     }
 
-    /// Append a row by cloning from a borrowed slice — the executor's
+    /// Append a row by copying from a borrowed slice — the executor's
     /// per-row emit (no intermediate `Vec` allocated).
     #[inline]
     pub fn push_row(&mut self, row: &[Value]) {
@@ -203,12 +205,10 @@ impl Relation {
                 continue;
             }
             if write != r {
-                // move row r down into the compacted prefix; the vacated
-                // slots are past `write` and will be truncated or
+                // copy row r down into the compacted prefix; the slots it
+                // leaves are past `write` and will be truncated or
                 // overwritten by later kept rows
-                for i in 0..arity {
-                    self.buf.swap(write * arity + i, start + i);
-                }
+                self.buf.copy_within(start..start + arity, write * arity);
             }
             write += 1;
         }
@@ -216,12 +216,10 @@ impl Relation {
         self.rows = write;
     }
 
-    /// Set of (borrowed) values in one column — no `Value` clones.
-    /// (Per-column *indexes* — value → row ids — live on the
-    /// [`crate::Database`] as load-time F/T indexes; transient join build
-    /// tables use borrowed keys and need no helper here.)
-    pub fn value_set(&self, col: usize) -> FxHashSet<&Value> {
-        self.rows().map(|t| &t[col]).collect()
+    /// Set of the values in one column. (Per-column *indexes* — value →
+    /// row ids — live on the [`crate::Database`] as load-time F/T indexes.)
+    pub fn value_set(&self, col: usize) -> FxHashSet<Value> {
+        self.rows().map(|t| t[col]).collect()
     }
 
     /// Rows sorted lexicographically, in owned form (for deterministic
@@ -386,7 +384,6 @@ mod tests {
             Value::Code(1),
             Value::Id(2),
             Value::Code(2),
-            Value::str("1"),
         ];
         let mut x = 0xDED0_u64;
         let mut next = || {
@@ -398,8 +395,8 @@ mod tests {
         for rows in [0usize, 1, 2, 300] {
             let mut r = Relation::new(2);
             for _ in 0..rows {
-                let a = pool[(next() % pool.len() as u64) as usize].clone();
-                let b = pool[(next() % pool.len() as u64) as usize].clone();
+                let a = pool[(next() % pool.len() as u64) as usize];
+                let b = pool[(next() % pool.len() as u64) as usize];
                 r.push(vec![a, b]);
             }
             let mut seen = std::collections::HashSet::new();

@@ -14,6 +14,7 @@
 
 use crate::plan::{JoinKind, LfpSpec, MultiLfpSpec, Pred, PushSpec};
 use crate::program::{Node, NodeId, Program, TempId};
+use crate::value::sql_text_literal;
 use std::fmt::Write as _;
 
 /// Target SQL dialect.
@@ -255,6 +256,7 @@ impl Renderer<'_> {
 fn render_pred(pred: &Pred, alias: &str) -> String {
     match pred {
         Pred::ColEqValue(c, v) => format!("{alias}.c{c} = {}", v.to_sql_literal()),
+        Pred::ColEqText(c, text) => format!("{alias}.c{c} = {}", sql_text_literal(text)),
         Pred::And(a, b) => format!("({} AND {})", render_pred(a, alias), render_pred(b, alias)),
     }
 }
@@ -372,7 +374,7 @@ mod tests {
     #[test]
     fn preds_render() {
         let p = Pred::And(
-            Box::new(Pred::ColEqValue(2, Value::str("cs66"))),
+            Box::new(Pred::ColEqText(2, "cs66".into())),
             Box::new(Pred::ColEqValue(0, Value::Doc)),
         );
         let s = render_pred(&p, "x");

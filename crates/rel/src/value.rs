@@ -1,18 +1,18 @@
 //! Relational values.
 
 use std::fmt;
-use std::sync::Arc;
 
-/// A single column value.
+/// A single column value: an 8-byte `Copy` cell.
 ///
 /// Shredded XML uses [`Value::Id`] for node ids and [`Value::Doc`] for the
-/// paper's `'_'` marker (the parent of the root element, §2.3). Text values
-/// in a *loaded* store are dictionary-coded ([`Value::Code`], see
-/// [`crate::dict`]): the shredder interns each distinct string once and the
-/// hot path compares/hashes a plain `u32`. [`Value::Str`] remains for
-/// runtime-produced strings (fixpoint tags, hand-built test relations);
-/// strings are reference-counted so tuples clone cheaply during joins.
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
+/// paper's `'_'` marker (the parent of the root element, §2.3). Text is
+/// never a cell: a store's text values — and the element names the
+/// SQLGen-R fixpoint tags its tuples with — are dictionary-coded
+/// ([`Value::Code`], see [`crate::dict`]), so every row, join key and
+/// fixpoint entry is plain integers. Text lives only in the store's
+/// [`crate::dict::Dictionary`] and in plan literals
+/// ([`crate::Pred::ColEqText`]).
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub enum Value {
     /// SQL NULL (the paper's `'_'` for "no text value").
     Null,
@@ -20,33 +20,20 @@ pub enum Value {
     Doc,
     /// An element node id.
     Id(u32),
-    /// A string (text values, tags).
-    Str(Arc<str>),
     /// A dictionary code standing for a string of the owning database's
     /// [`crate::dict::Dictionary`]. Codes are load-scoped: only meaningful
-    /// against the store they were loaded into; decode with
-    /// [`crate::Database::decode_value`] before showing to a human.
+    /// against the store they were loaded into; read the text with
+    /// [`crate::Database::text`] before showing it to a human.
     Code(u32),
 }
 
-impl Value {
-    /// Convenience string constructor.
-    pub fn str(s: &str) -> Value {
-        Value::Str(Arc::from(s))
-    }
+const _: () = assert!(std::mem::size_of::<Value>() == 8);
 
+impl Value {
     /// The node id if this is an [`Value::Id`].
     pub fn as_id(&self) -> Option<u32> {
         match self {
             Value::Id(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The string if this is a [`Value::Str`].
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
             _ => None,
         }
     }
@@ -68,10 +55,14 @@ impl Value {
             Value::Null => "NULL".to_string(),
             Value::Doc => "'_'".to_string(),
             Value::Id(n) => n.to_string(),
-            Value::Str(s) => format!("'{}'", s.replace('\'', "''")),
             Value::Code(c) => format!("'@{c}'"),
         }
     }
+}
+
+/// Render `text` as a quoted SQL string literal.
+pub(crate) fn sql_text_literal(text: &str) -> String {
+    format!("'{}'", text.replace('\'', "''"))
 }
 
 impl fmt::Display for Value {
@@ -80,7 +71,6 @@ impl fmt::Display for Value {
             Value::Null => write!(f, "-"),
             Value::Doc => write!(f, "_"),
             Value::Id(n) => write!(f, "#{n}"),
-            Value::Str(s) => write!(f, "{s}"),
             Value::Code(c) => write!(f, "@{c}"),
         }
     }
@@ -94,7 +84,7 @@ mod tests {
     fn ordering_and_equality() {
         assert_eq!(Value::Id(3), Value::Id(3));
         assert_ne!(Value::Id(3), Value::Code(3));
-        assert_eq!(Value::str("x"), Value::str("x"));
+        assert_eq!(Value::Code(4), Value::Code(4));
         assert!(Value::Id(1) < Value::Id(2));
     }
 
@@ -103,7 +93,7 @@ mod tests {
         assert_eq!(Value::Null.to_sql_literal(), "NULL");
         assert_eq!(Value::Doc.to_sql_literal(), "'_'");
         assert_eq!(Value::Id(7).to_sql_literal(), "7");
-        assert_eq!(Value::str("o'brien").to_sql_literal(), "'o''brien'");
+        assert_eq!(sql_text_literal("o'brien"), "'o''brien'");
     }
 
     #[test]

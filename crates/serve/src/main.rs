@@ -9,6 +9,10 @@
 //! Endpoints: `GET /query?q=<xpath>` (chunked streaming answer ids),
 //! `GET /stats`, `GET /healthz`, `POST /shutdown`. See the README's
 //! "Serving" section.
+//!
+//! Every query runs under a cooperative execution deadline,
+//! [`DEFAULT_DEADLINE_MS`] unless `--deadline-ms` sets another, so no
+//! request holds a worker indefinitely.
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -17,6 +21,11 @@ use x2s_core::Engine;
 use x2s_dtd::{samples, Dtd};
 use x2s_serve::server::{ServeConfig, Server};
 use x2s_xml::{Generator, GeneratorConfig};
+
+/// The per-query execution deadline when `--deadline-ms` is not given: far
+/// above any benchmark read (the slowest takes about 60 ms), far below
+/// "a worker is gone".
+const DEFAULT_DEADLINE_MS: u64 = 10_000;
 
 struct Args {
     addr: String,
@@ -28,7 +37,7 @@ struct Args {
     queue: usize,
     hold_ms: Option<u64>,
     rows_per_chunk: usize,
-    deadline_ms: Option<u64>,
+    deadline_ms: u64,
 }
 
 fn fail(msg: &str) -> ! {
@@ -47,7 +56,7 @@ fn parse_args() -> Args {
         queue: 64,
         hold_ms: None,
         rows_per_chunk: 4096,
-        deadline_ms: None,
+        deadline_ms: DEFAULT_DEADLINE_MS,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -68,13 +77,14 @@ fn parse_args() -> Args {
                 args.rows_per_chunk = parse_num(&value("--rows-per-chunk"), "--rows-per-chunk")
             }
             "--deadline-ms" => {
-                args.deadline_ms = Some(parse_num(&value("--deadline-ms"), "--deadline-ms"))
+                args.deadline_ms = parse_num(&value("--deadline-ms"), "--deadline-ms")
             }
             "--help" | "-h" => {
                 println!(
                     "usage: serve [--addr HOST:PORT] [--dtd NAME] [--xml FILE] \
                      [--elements N] [--seed N] [--workers N] [--queue N] \
                      [--hold-ms N] [--rows-per-chunk N] [--deadline-ms N]\n\
+                     --deadline-ms defaults to {DEFAULT_DEADLINE_MS}\n\
                      DTDs: dept, dept_simplified, cross, gedml, bioml"
                 );
                 std::process::exit(0);
@@ -140,7 +150,7 @@ fn main() -> ExitCode {
         queue_capacity: args.queue,
         rows_per_chunk: args.rows_per_chunk,
         flight_hold: args.hold_ms.map(Duration::from_millis),
-        query_deadline: args.deadline_ms.map(Duration::from_millis),
+        query_deadline: Some(Duration::from_millis(args.deadline_ms)),
         ..ServeConfig::default()
     };
     let server = match Server::bind(&args.addr, config) {

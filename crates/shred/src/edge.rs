@@ -15,12 +15,11 @@ pub fn table_name(dtd: &Dtd, elem: ElemId) -> String {
     format!("R_{}", dtd.name(elem))
 }
 
-/// The `V` value of a node in *uncoded* form: its text or NULL (`'_'` in
-/// the paper). [`edge_database`] stores the dictionary-coded form instead —
-/// this helper is for callers that want the raw value.
-pub fn node_value(tree: &Tree, node: x2s_xml::NodeId) -> Value {
+/// The `V` cell of a node: its text, interned into `db`'s dictionary, or
+/// NULL (`'_'` in the paper).
+pub fn node_value(db: &mut Database, tree: &Tree, node: x2s_xml::NodeId) -> Value {
     match tree.value(node) {
-        Some(v) => Value::str(v),
+        Some(text) => db.intern_str(text),
         None => Value::Null,
     }
 }
@@ -37,7 +36,9 @@ pub const ALL_NODES: &str = "R__nodes";
 ///
 /// The produced store is *execution-ready*: every text value is encoded
 /// through the database's load-time string dictionary (so the executor
-/// compares `u32` codes, not strings), per-node pre/post interval labels
+/// compares `u32` codes, not strings), followed by every DTD element name
+/// (the tags SQLGen-R's fixpoint emits; codes of text values do not depend
+/// on the DTD), per-node pre/post interval labels
 /// are assigned in the same traversal (the XPath-accelerator encoding: the
 /// interval fast path answers `//` with a range predicate instead of a
 /// fixpoint), and the per-relation base-edge indexes (`F` → rows, `T` →
@@ -52,15 +53,12 @@ pub fn edge_database(tree: &Tree, dtd: &Dtd) -> Database {
             Some(p) => Value::Id(p.0),
             None => Value::Doc,
         };
-        let v = match tree.value(n) {
-            Some(text) => db.intern_str(text),
-            None => Value::Null,
-        };
-        let row = [f, Value::Id(n.0), v];
+        let row = [f, Value::Id(n.0), node_value(&mut db, tree, n)];
         all.push_row(&row);
         rels[tree.label(n).index()].push_row(&row);
     }
     for id in dtd.ids() {
+        db.dict_mut().intern(dtd.name(id));
         db.insert(&table_name(dtd, id), std::mem::take(&mut rels[id.index()]));
     }
     db.insert(ALL_NODES, all);
@@ -189,11 +187,26 @@ mod tests {
         // stored coded, decodes back to the original text
         let v = &rc.row(0)[2];
         assert!(matches!(v, Value::Code(_)), "text values are coded: {v:?}");
-        assert_eq!(db.decode_value(v), Value::str("cs66"));
+        assert_eq!(db.text(v), Some("cs66"));
         assert_eq!(db.dict().code_of("cs66"), v.as_code());
+        assert_eq!(v.as_code(), Some(0), "text values are coded first");
         // title has no text → NULL (never coded)
         let rt = db.get("R_title").unwrap();
         assert_eq!(rt.row(0)[2], Value::Null);
+    }
+
+    /// Every element name has a code after the text values, so SQLGen-R's
+    /// fixpoint can emit any tag as a cell.
+    #[test]
+    fn every_element_name_has_a_code() {
+        let full = samples::dept();
+        let doc = "<dept><course><cno>cs66</cno><title/><prereq/><takenBy/></course></dept>";
+        for (d, t) in [table1(), (full.clone(), parse_xml(&full, doc).unwrap())] {
+            let db = edge_database(&t, &d);
+            for id in d.ids() {
+                assert!(db.dict().code_of(d.name(id)).is_some(), "{}", d.name(id));
+            }
+        }
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //! the host relation (its text value, or its node id for structure-only
 //! types).
 
+use crate::edge::node_value;
 use std::collections::HashMap;
 use x2s_dtd::{Dtd, DtdGraph, ElemId};
 use x2s_rel::{Database, Relation, Value};
@@ -154,9 +155,12 @@ pub struct InlinedDatabase {
 }
 
 impl InlinedDatabase {
-    /// Shred a tree under the inlined schema.
+    /// Shred a tree under the inlined schema. Text values and parent codes
+    /// are interned into the store's dictionary, as in
+    /// [`crate::edge_database`].
     pub fn shred(tree: &Tree, dtd: &Dtd) -> Self {
         let schema = InlineSchema::of(dtd);
+        let mut db = Database::new();
         let mut rels: HashMap<ElemId, Relation> = schema
             .roots
             .iter()
@@ -179,15 +183,15 @@ impl InlinedDatabase {
             let (pid, pcode) = nearest_host_ancestor(tree, dtd, &schema, n);
             tuple[1] = pid;
             if schema.has_parent_code[&label] {
-                tuple[2] = pcode;
+                tuple[2] = db.intern_str(pcode);
             }
             if let Some(col) = cols
                 .iter()
                 .position(|c| *c == format!("{}_val", dtd.name(label)))
             {
-                tuple[col] = super::edge::node_value(tree, n);
+                tuple[col] = node_value(&mut db, tree, n);
             }
-            fill_inlined(tree, dtd, &schema, label, n, cols, &mut tuple);
+            fill_inlined(&mut db, tree, dtd, &schema, n, cols, &mut tuple);
             let rows = rels.get_mut(&label);
             debug_assert!(
                 rows.is_some(),
@@ -198,7 +202,6 @@ impl InlinedDatabase {
             }
         }
 
-        let mut db = Database::new();
         for (&r, rel) in &rels {
             db.insert(&schema.relation_names[&r], rel.clone());
         }
@@ -208,15 +211,15 @@ impl InlinedDatabase {
 
 /// Find the nearest strict ancestor whose type is a subgraph root; returns
 /// its id (or Doc) and the immediate parent's type name as the parentCode.
-fn nearest_host_ancestor(
+fn nearest_host_ancestor<'d>(
     tree: &Tree,
-    dtd: &Dtd,
+    dtd: &'d Dtd,
     schema: &InlineSchema,
     n: NodeId,
-) -> (Value, Value) {
+) -> (Value, &'d str) {
     let pcode = match tree.parent(n) {
-        Some(p) => Value::str(dtd.name(tree.label(p))),
-        None => Value::str("doc"),
+        Some(p) => dtd.name(tree.label(p)),
+        None => "doc",
     };
     let mut cur = tree.parent(n);
     while let Some(p) = cur {
@@ -231,14 +234,15 @@ fn nearest_host_ancestor(
 /// Fill columns for inlined descendants of a host tuple: depth-first from
 /// the host node, stopping at nodes whose types are roots themselves.
 fn fill_inlined(
+    db: &mut Database,
     tree: &Tree,
     dtd: &Dtd,
     schema: &InlineSchema,
-    root_label: ElemId,
     host_node: NodeId,
     cols: &[String],
     tuple: &mut [Value],
 ) {
+    let root_label = tree.label(host_node);
     let mut stack: Vec<NodeId> = tree.children(host_node).to_vec();
     while let Some(m) = stack.pop() {
         let label = tree.label(m);
@@ -249,7 +253,7 @@ fn fill_inlined(
             if let Some(col) = cols.iter().position(|c| *c == dtd.name(label)) {
                 // value column: text if the type allows it, else the node id
                 tuple[col] = if dtd.allows_text(label) {
-                    super::edge::node_value(tree, m)
+                    node_value(db, tree, m)
                 } else {
                     Value::Id(m.0)
                 };
@@ -336,11 +340,11 @@ mod tests {
         let ic = idb.db.get("I_course").unwrap();
         assert_eq!(ic.len(), 1);
         let cno_col = col_of(&idb, &d, "course", "cno");
-        assert_eq!(ic.row(0)[cno_col], Value::str("cs66"));
+        assert_eq!(idb.db.text(&ic.row(0)[cno_col]), Some("cs66"));
         let is = idb.db.get("I_student").unwrap();
         assert_eq!(is.len(), 1);
         let name_col = col_of(&idb, &d, "student", "name");
-        assert_eq!(is.row(0)[name_col], Value::str("ann"));
+        assert_eq!(idb.db.text(&is.row(0)[name_col]), Some("ann"));
     }
 
     #[test]
@@ -360,11 +364,11 @@ mod tests {
         let code_col = col_of(&idb, &d, "course", "parentCode");
         let outer = ic
             .rows()
-            .find(|tp| tp[code_col] == Value::str("dept"))
+            .find(|tp| idb.db.text(&tp[code_col]) == Some("dept"))
             .expect("outer course parented by dept");
         let inner = ic
             .rows()
-            .find(|tp| tp[code_col] == Value::str("prereq"))
+            .find(|tp| idb.db.text(&tp[code_col]) == Some("prereq"))
             .expect("inner course parented via prereq");
         // inner's parentId = outer's ID
         assert_eq!(inner[1], outer[0]);

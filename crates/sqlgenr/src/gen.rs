@@ -82,7 +82,7 @@ pub fn build_rec_plan(g: &TransGraph<'_>, a: TNode, b: TNode) -> Plan {
     let fixpoint = Plan::MultiLfp(MultiLfpSpec { init, edges });
     // final: keep b-tagged rows, project the (F, T) pairs.
     fixpoint
-        .select(Pred::ColEqValue(2, Value::str(g.name(b))))
+        .select(Pred::ColEqText(2, g.name(b).into()))
         .project(vec![(0, "F"), (1, "T")])
 }
 

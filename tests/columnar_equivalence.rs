@@ -20,17 +20,18 @@
 //!   edge indexes.
 //! * **Dictionary round-tripping** over the seeded XML generator: every
 //!   text value a generated document carries survives encode → store →
-//!   decode exactly, a decoded store equals an uncoded reference shredding
-//!   row for row, and `text()='…'` selections answer identically against
-//!   coded and uncoded stores.
+//!   text lookup exactly, every relation equals a reference shredding
+//!   taken straight from the tree row for row, and `text()='…'` selections
+//!   answer identically on stores whose dictionaries assign different
+//!   codes.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use xpath2sql::core::{OptLevel, SqlOptions, Translator};
 use xpath2sql::dtd::{samples, Dtd};
 use xpath2sql::rel::{
     Database, ExecOptions, JoinKind, Plan, Pred, Program, Relation, Stats, Value,
 };
-use xpath2sql::shred::{edge_database, table_name, ALL_NODES};
+use xpath2sql::shred::{edge_database, node_value, table_name, ALL_NODES};
 use xpath2sql::xml::generator::mark_values;
 use xpath2sql::xml::{Generator, GeneratorConfig, Tree};
 use xpath2sql::xpath::{eval_from_document, parse_xpath};
@@ -140,10 +141,36 @@ fn generated_documents_agree_across_exec_options() {
     }
 }
 
-/// Reference shredding with *uncoded* string values, mirroring
-/// `edge_database`'s row construction exactly (same iteration order).
-fn uncoded_edge_database(tree: &Tree, dtd: &Dtd) -> Database {
+/// One reference row `(F, T, text of V)`.
+type RefRow = (Value, Value, Option<String>);
+
+/// Reference shredding taken straight from the tree, mirroring
+/// `edge_database`'s row construction exactly (same iteration order), with
+/// each `V` as the node's text rather than a code.
+fn reference_rows(tree: &Tree, dtd: &Dtd) -> HashMap<String, Vec<RefRow>> {
+    let mut rels: HashMap<String, Vec<RefRow>> = HashMap::new();
+    for n in tree.node_ids() {
+        let f = match tree.parent(n) {
+            Some(p) => Value::Id(p.0),
+            None => Value::Doc,
+        };
+        let row = (f, Value::Id(n.0), tree.value(n).map(String::from));
+        for name in [ALL_NODES.to_string(), table_name(dtd, tree.label(n))] {
+            rels.entry(name).or_default().push(row.clone());
+        }
+    }
+    rels
+}
+
+/// `edge_database`'s rows on a store whose dictionary first holds
+/// `decoys` strings no document text equals, so every text gets another
+/// code than `edge_database` gives it. No labels and no indexes: the
+/// store's queries run the fixpoint and build every join table.
+fn recoded_edge_database(tree: &Tree, dtd: &Dtd, decoys: usize) -> Database {
     let mut db = Database::new();
+    for i in 0..decoys {
+        db.intern_str(&format!("\u{1}decoy {i}"));
+    }
     let mut rels: Vec<Relation> = (0..dtd.len()).map(|_| Relation::edge_schema()).collect();
     let mut all = Relation::edge_schema();
     for n in tree.node_ids() {
@@ -151,11 +178,7 @@ fn uncoded_edge_database(tree: &Tree, dtd: &Dtd) -> Database {
             Some(p) => Value::Id(p.0),
             None => Value::Doc,
         };
-        let v = match tree.value(n) {
-            Some(text) => Value::str(text),
-            None => Value::Null,
-        };
-        let row = [f, Value::Id(n.0), v];
+        let row = [f, Value::Id(n.0), node_value(&mut db, tree, n)];
         all.push_row(&row);
         rels[tree.label(n).index()].push_row(&row);
     }
@@ -167,8 +190,8 @@ fn uncoded_edge_database(tree: &Tree, dtd: &Dtd) -> Database {
 }
 
 /// Property: over seeded generated documents (with extra marked text
-/// values), the dictionary round-trips every text value, and the decoded
-/// store equals the uncoded reference shredding row for row.
+/// values), the dictionary round-trips every text value, and every
+/// relation equals the reference shredding row for row.
 #[test]
 fn dictionary_round_trips_generated_documents() {
     let cases: [(&str, Dtd, &str, u64); 3] = [
@@ -198,7 +221,7 @@ fn dictionary_round_trips_generated_documents() {
                     (v @ Value::Code(c), Some(text)) => {
                         coded_values += 1;
                         assert_eq!(db.dict().resolve(*c), text, "{name}: code mismatch");
-                        assert_eq!(db.decode_value(v), Value::str(text));
+                        assert_eq!(db.text(v), Some(text));
                         // and the dictionary agrees on the reverse lookup
                         db.dict().verify_code(*c, text);
                     }
@@ -208,26 +231,32 @@ fn dictionary_round_trips_generated_documents() {
             if round == 0 {
                 assert!(coded_values > 0, "{name}: marking produced text values");
             }
-            // 2. decoded store == uncoded reference, row for row
-            let reference = uncoded_edge_database(&tree, &dtd);
+            // 2. every relation == the reference, row for row, with each
+            //    `V` read back as text
+            let reference = reference_rows(&tree, &dtd);
             for rel_name in db.names() {
-                let decoded = db.decoded(db.get(rel_name).unwrap());
+                let stored: Vec<RefRow> = db
+                    .get(rel_name)
+                    .unwrap()
+                    .rows()
+                    .map(|t| (t[0], t[1], db.text(&t[2]).map(String::from)))
+                    .collect();
+                let want = reference.get(rel_name).map_or(&[][..], Vec::as_slice);
                 assert_eq!(
-                    &decoded,
-                    reference.get(rel_name).unwrap(),
-                    "{name}/{rel_name}: decoded store differs from reference"
+                    stored, want,
+                    "{name}/{rel_name}: store differs from reference"
                 );
             }
         }
     }
 }
 
-/// `text()='…'` selections answer identically against the coded store and
-/// the uncoded reference store — including a literal the dictionary has
-/// never seen (under negation, where a wrong "absent code" shortcut would
-/// flip the answer).
+/// `text()='…'` selections answer identically on the loaded store and on a
+/// store whose dictionary gives every text another code — including a
+/// literal neither dictionary has seen (under negation, where a wrong
+/// "absent code" shortcut would flip the answer).
 #[test]
-fn text_selections_agree_on_coded_and_uncoded_stores() {
+fn text_selections_agree_across_dictionaries() {
     let dtd = samples::cross();
     let mut tree = Generator::new(
         &dtd,
@@ -239,7 +268,13 @@ fn text_selections_agree_on_coded_and_uncoded_stores() {
     mark_values(&mut tree, a, 40, "sel", 5);
     mark_values(&mut tree, d, 40, "sel", 6);
     let coded = edge_database(&tree, &dtd);
-    let uncoded = uncoded_edge_database(&tree, &dtd);
+    let recoded = recoded_edge_database(&tree, &dtd, 3);
+    let sel = |db: &Database| db.dict().code_of("sel");
+    assert_ne!(
+        sel(&coded),
+        sel(&recoded),
+        "the two stores code 'sel' apart"
+    );
     for q in [
         "a[text()='sel']/b//c/d",
         "a/b//c/d[text()='sel']",
@@ -259,10 +294,10 @@ fn text_selections_agree_on_coded_and_uncoded_stores() {
             let mut s1 = Stats::default();
             let on_coded = tr.try_run(&coded, ExecOptions::default(), &mut s1).unwrap();
             let mut s2 = Stats::default();
-            let on_uncoded = tr
-                .try_run(&uncoded, ExecOptions::default(), &mut s2)
+            let on_recoded = tr
+                .try_run(&recoded, ExecOptions::default(), &mut s2)
                 .unwrap();
-            assert_eq!(on_coded, on_uncoded, "{q} (push={push}): stores disagree");
+            assert_eq!(on_coded, on_recoded, "{q} (push={push}): stores disagree");
             let native: BTreeSet<u32> = eval_from_document(&path, &tree, &dtd)
                 .into_iter()
                 .map(|n| n.0)
@@ -323,15 +358,15 @@ fn cached_indexes_serve_joins_without_changing_answers() {
 /// A seeded random relation `(K, S, P)`. `K` draws from a small pool — so
 /// keys repeat on both sides — holding every kind of value a join key can
 /// be: NULL (which must never match, not even another NULL), the document
-/// marker, ids, dictionary codes and runtime strings. `S` is a text column
-/// drawn from `texts` (NULL included). `P` numbers the rows.
+/// marker, ids and dictionary codes. `S` is a text column drawn from
+/// `texts` (NULL included). `P` numbers the rows.
 fn random_keyed_relation(
     rows: u32,
     keys: &[Value],
     texts: &[Value],
     next: &mut impl FnMut() -> u64,
 ) -> Relation {
-    let mut pick = |pool: &[Value]| pool[(next() % pool.len() as u64) as usize].clone();
+    let mut pick = |pool: &[Value]| pool[(next() % pool.len() as u64) as usize];
     let mut rel = Relation::new(3);
     for i in 0..rows {
         let row = [pick(keys), pick(texts), Value::Id(i)];
@@ -368,10 +403,9 @@ fn nested_loop_join(
 /// *as an ordered bag*: same rows, same multiplicities, same order. The
 /// chained build table hands matches back in ascending row order and NULL
 /// keys match nothing; running its build loop front to back, or dropping
-/// the NULL check, fails here. The σ is a conjunction of `col = 'text'`
-/// tests that meets the text both as a dictionary code (the left side's
-/// `S`) and as a runtime string (the right side's `S`); the reference
-/// evaluates it with `Pred::eval` on decoded rows.
+/// the NULL check, fails here. The σ holds `col = 'text'` tests — a
+/// conjunction over both sides above an inner join — and the reference
+/// evaluates it on each cell's dictionary text.
 #[test]
 fn join_kernels_equal_a_nested_loop_reference_as_ordered_bags() {
     let mut x = 0x5EED_0021_u64;
@@ -388,28 +422,34 @@ fn join_kernels_equal_a_nested_loop_reference_as_ordered_bags() {
         Value::Doc,
         Value::Id(1),
         Value::Id(2),
-        code_s.clone(),
-        code_t.clone(),
-        Value::str("s"),
-        Value::str("t"),
+        code_s,
+        code_t,
     ];
-    let left = random_keyed_relation(90, &keys, &[Value::Null, code_s, code_t], &mut next);
-    // the right side's keys hold no runtime string, so anti joins on `K`
-    // keep rows the σ below can select
-    let texts = [Value::Null, Value::str("s"), Value::str("t")];
-    let right = random_keyed_relation(110, &keys[..6], &texts, &mut next);
+    let texts = [Value::Null, code_s, code_t];
+    let left = random_keyed_relation(90, &keys, &texts, &mut next);
+    let right = random_keyed_relation(110, &keys, &texts, &mut next);
     plain.insert("L", left.clone());
     plain.insert("R", right.clone());
     // the same store with load-time indexes: joins then probe the store's
     // F/T index on the right key column instead of building a table
     let mut indexed = plain.clone();
     indexed.build_indexes();
-    let decoded = |t: &[Value]| -> Vec<Value> { t.iter().map(|v| plain.decode_value(v)).collect() };
-    let text_is = |col: usize, text: &str| Pred::ColEqValue(col, Value::str(text));
+    // a σ as its `col = 'text'` conjuncts, and the same σ as a plan
+    let holds = |conds: &[(usize, &str)], t: &[Value]| {
+        conds
+            .iter()
+            .all(|&(c, text)| plain.text(&t[c]) == Some(text))
+    };
+    let pred_of = |conds: &[(usize, &str)]| {
+        let text_is = |&(c, text): &(usize, &str)| Pred::ColEqText(c, text.into());
+        conds[1..].iter().fold(text_is(&conds[0]), |p, cond| {
+            Pred::And(Box::new(p), Box::new(text_is(cond)))
+        })
+    };
 
     for kind in [JoinKind::Inner, JoinKind::Semi, JoinKind::Anti] {
         // keys: mixed against mixed, codes against mixed, mixed against
-        // runtime strings — on the right's F and T columns alike
+        // codes — on the right's F and T columns alike
         for on in [(0, 0), (1, 0), (0, 1)] {
             let joined = nested_loop_join(&left, &right, on, kind);
             let join = Plan::Join {
@@ -418,31 +458,28 @@ fn join_kernels_equal_a_nested_loop_reference_as_ordered_bags() {
                 on,
                 kind,
             };
-            // σ and π over the joined arity: 6 columns for inner, 3 otherwise
-            let (pred, cols) = if kind == JoinKind::Inner {
-                (
-                    Pred::And(Box::new(text_is(1, "s")), Box::new(text_is(4, "t"))),
-                    vec![(4, "a"), (0, "b"), (2, "c")],
-                )
+            // σ and π over the joined arity: 6 columns for inner, 3 otherwise.
+            // A semi or anti join's σ tests `S` alone: joined on `K`, a σ
+            // fixing `K` too would keep that key's rows in the semi join or
+            // in the anti join, never in both.
+            let (conds, cols) = if kind == JoinKind::Inner {
+                (vec![(1, "s"), (4, "t")], vec![(4, "a"), (0, "b"), (2, "c")])
             } else {
-                // `K` holds the text both coded and as a runtime string
-                (
-                    Pred::And(Box::new(text_is(0, "s")), Box::new(text_is(1, "t"))),
-                    vec![(1, "a"), (0, "b")],
-                )
+                (vec![(1, "t")], vec![(1, "a"), (0, "b")])
             };
+            let pred = pred_of(&conds);
             let project = |rows: &[Vec<Value>]| -> Vec<Vec<Value>> {
                 rows.iter()
-                    .map(|t| cols.iter().map(|&(c, _)| t[c].clone()).collect())
+                    .map(|t| cols.iter().map(|&(c, _)| t[c]).collect())
                     .collect()
             };
             let selected: Vec<Vec<Value>> = joined
                 .iter()
-                .filter(|t| pred.eval(&decoded(t)))
+                .filter(|t| holds(&conds, t))
                 .cloned()
                 .collect();
             // every code in `S` has a match in the right's `K`, so that anti
-            // join keeps only the rows whose `S` is NULL
+            // join keeps only the rows whose `S` is NULL, which the σ drops
             assert_eq!(
                 selected.is_empty(),
                 (kind, on) == (JoinKind::Anti, (1, 0)),

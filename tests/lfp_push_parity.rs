@@ -51,7 +51,7 @@ fn closure(edges: &Relation, push: Option<PushSpec>) -> HashSet<(Value, Value)> 
     let rel = prog
         .execute(&db, ExecOptions::default(), &mut stats)
         .unwrap();
-    rel.rows().map(|t| (t[0].clone(), t[1].clone())).collect()
+    rel.rows().map(|t| (t[0], t[1])).collect()
 }
 
 fn check_parity(dtd: &xpath2sql::dtd::Dtd, elements: usize, seed: u64) {
@@ -70,10 +70,10 @@ fn check_parity(dtd: &xpath2sql::dtd::Dtd, elements: usize, seed: u64) {
     let mut restrict = Relation::new(1);
     for (i, t) in edges.rows().enumerate() {
         if i % 7 == 0 {
-            restrict.push(vec![t[0].clone()]);
+            restrict.push(vec![t[0]]);
         }
     }
-    let members: HashSet<Value> = restrict.rows().map(|t| t[0].clone()).collect();
+    let members: HashSet<Value> = restrict.rows().map(|t| t[0]).collect();
 
     let fwd = closure(
         &edges,
