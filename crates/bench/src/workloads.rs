@@ -62,13 +62,15 @@ fn scaled(n: usize, scale: f64) -> usize {
 }
 
 /// The columns every figure table ends with: which run, its exact counts
-/// (translated-program operators, executed fixpoint iterations, tuples
-/// emitted), then its timing, translation and execution apart.
-const CELL_HEADERS: [&str; 7] = [
+/// (translated-program operators, executed fixpoint iterations, adjacency
+/// entries those iterations read, tuples emitted), then its timing,
+/// translation and execution apart.
+const CELL_HEADERS: [&str; 8] = [
     "approach",
     "LFP ops",
     "ALL ops",
     "fixpoint iters",
+    "probes",
     "tuples",
     "translate ms",
     "exec ms",
@@ -101,6 +103,7 @@ fn cell(key: &[String], run: &str, m: &Measured) -> Vec<String> {
         m.ops.lfp.to_string(),
         m.ops.total().to_string(),
         m.fixpoint_iterations().to_string(),
+        m.stats.fixpoint_probes.to_string(),
         m.stats.tuples_emitted.to_string(),
         format!("{:.1}", m.translate_ms()),
         format!("{:.1}", m.exec_ms()),

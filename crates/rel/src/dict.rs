@@ -4,8 +4,8 @@
 //! compares and hashes plain integers instead of strings. Values are only
 //! un-interned when rendering results for humans.
 //!
-//! This generalizes the fixpoint-local [`crate::intern::Interner`] (which
-//! re-interned per invocation) to the whole pipeline: the dictionary lives on
+//! Unlike the fixpoints' per-invocation node codes, which live and die with
+//! one closure, the dictionary serves the whole pipeline: it lives on
 //! the [`crate::Database`], is immutable once the store sits behind an
 //! `Arc`, and its codes appear in relations as [`crate::Value::Code`].
 //!

@@ -48,10 +48,9 @@
 //!   the internal Fx hasher ([`crate::fxhash`]).
 
 use crate::dict::Dictionary;
+use crate::fixpoint::{eval_lfp, eval_multilfp};
 use crate::fxhash::FxHashSet;
 use crate::interval::{eval_interval_join, IntervalLabels, IntervalView};
-use crate::lfp::eval_lfp;
-use crate::multilfp::eval_multilfp;
 use crate::multimap::RowMultimap;
 use crate::plan::{JoinKind, Pred};
 use crate::program::{Node, NodeId, Program, TempId};

@@ -16,21 +16,22 @@
 //! * relational-algebra plans ([`plan`]): scan, select on constants,
 //!   project, inner/semi/anti hash equijoins on one column pair, union,
 //!   distinct — the syntax programs are written in;
-//! * the paper's **simple LFP operator `Φ(R)`** over a *single* input
-//!   relation ([`lfp`], §3.3 Eq. 2) — with optional *pushed selections*
-//!   (§5.2): seed-restricted (forward) and target-restricted (backward)
-//!   closures, iterated semi-naively;
-//! * the **multi-relation fixpoint `φ(R, R₁…R_k)`** that SQL'99
-//!   `WITH…RECURSIVE` requires ([`multilfp`], §3.1 Eq. 1) — used by the
-//!   SQLGen-R baseline, paying k joins and k unions over the whole
-//!   accumulated relation per iteration;
+//! * the paper's two recursion operators (`fixpoint`), closed by one
+//!   delta-driven loop over a state graph: the **simple LFP `Φ(R)`** over a
+//!   *single* input relation (§3.3 Eq. 2), with optional *pushed
+//!   selections* (§5.2) — seed-restricted (forward) and target-restricted
+//!   (backward) closures — and the **multi-relation fixpoint
+//!   `φ(R, R₁…R_k)`** that SQL'99 `WITH…RECURSIVE` requires (§3.1 Eq. 1),
+//!   used by the SQLGen-R baseline and paying k joins and k unions per
+//!   iteration;
 //! * statement *programs* `R_e ← e2s(e)` ([`program`], §5.1): one node
 //!   arena in topological order that the executor, the analyzer, the SQL
 //!   renderer, `explain` and the optimizer all read, evaluated lazily
 //!   top–down by a loop over the nodes (§5.2 "Top–down evaluation");
 //! * execution statistics ([`stats`]) counting joins, unions, LFP
-//!   invocations and iterations — the quantities behind Table 5 and the
-//!   relative timings of Figs. 12–17;
+//!   invocations and iterations and the adjacency entries those iterations
+//!   read — the quantities behind Table 5 and the relative timings of
+//!   Figs. 12–17;
 //! * a **logical optimizer** ([`opt`]): the program's arena hash-consed in
 //!   one pass, a deterministic rewrite-pass pipeline over it (CSE,
 //!   dead-statement elimination, predicate simplification/pushdown,
@@ -48,11 +49,9 @@ pub mod analyze;
 pub mod dict;
 pub mod exec;
 pub mod explain;
+mod fixpoint;
 pub mod fxhash;
-pub mod intern;
 pub mod interval;
-pub mod lfp;
-pub mod multilfp;
 mod multimap;
 pub mod opt;
 pub mod plan;

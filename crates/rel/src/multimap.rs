@@ -11,7 +11,7 @@
 //!   `Database`'s load-time F/T indexes and `Relation::dedup`, whose keys
 //!   are arbitrary values.
 //! * [`Csr`] is the same idea for keys that are already dense `u32` codes
-//!   (the interned nodes of the fixpoint operators): offsets + targets, no
+//!   (the node and state codes of the fixpoint loop): offsets + targets, no
 //!   hashing at all, neighbours contiguous.
 //!
 //! Both hand a key's rows back in ascending row order — exactly the order

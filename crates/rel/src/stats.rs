@@ -109,6 +109,9 @@ counters! {
     multilfp_invocations: usize, sum;
     /// Total multi-relation fixpoint iterations.
     multilfp_iterations: usize, sum;
+    /// Adjacency entries read by the rounds of both fixpoints — the work
+    /// inside the recursion that `joins` and `tuples_emitted` do not see.
+    fixpoint_probes: u64, sum;
     /// Tuples produced by all operators.
     tuples_emitted: u64, sum;
     /// Statements evaluated (lazy evaluation may skip some).
@@ -129,8 +132,9 @@ counters! {
     opt_plans_hash_consed: usize, sum;
     /// Optimizer: selections pushed through projections/`Distinct`/joins.
     opt_preds_pushed: usize, sum;
-    /// Largest closure (pair set) materialized by any single LFP invocation
-    /// — the memory high-water mark of recursion. Merges with `max`, not `+`.
+    /// Largest closure materialized by any single fixpoint invocation — `Φ`'s
+    /// pairs or `φ`'s tagged triples, the memory high-water mark of
+    /// recursion. Merges with `max`, not `+`.
     lfp_peak_closure: usize, max;
     /// Joins whose build side was served from a cached base-edge index on
     /// the [`crate::Database`] instead of building a fresh hash table.

@@ -202,8 +202,8 @@ impl InlinedDatabase {
             }
         }
 
-        for (&r, rel) in &rels {
-            db.insert(&schema.relation_names[&r], rel.clone());
+        for (r, rel) in rels {
+            db.insert(&schema.relation_names[&r], rel);
         }
         InlinedDatabase { schema, db }
     }
